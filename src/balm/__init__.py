@@ -45,6 +45,7 @@ from .solver import (
     damped_step,
     dense_system,
     estimation_error,
+    evaluate_step,
     linearize,
     lm_iterate,
     residuals,
@@ -117,6 +118,7 @@ __all__ = [
     "damped_step",
     "dense_system",
     "estimation_error",
+    "evaluate_step",
     "linearize",
     "lm_iterate",
     "residuals",

@@ -25,7 +25,13 @@ from .nn import (
 )
 from .policy import ClassicPolicy
 from .sac import ACTION_OFFSET, ACTION_SCALE, lambda_from_action
-from .solver import SolverState, lm_iterate
+from .solver import (
+    NumericalFailureError,
+    SingularSystemError,
+    SolverState,
+    evaluate_step,
+    linearize,
+)
 
 DEFAULT_ORACLE_GRID = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 10.0, 1e3)
 ZERO_NET_HIDDEN = 1280
@@ -51,20 +57,27 @@ def raw_regression_target(lam: float) -> float:
 def zero_net_oracle(problem, state: SolverState, grid=DEFAULT_ORACLE_GRID) -> float:
     """Greedy damping: the grid value whose trial step gives the lowest error.
 
-    Trials run on copies (lm_iterate never mutates its input state); ties
-    break toward the smaller candidate by scanning in ascending order.
+    The state is linearized once and every candidate's step is evaluated on
+    that linearization, as ``lm_iterate`` would from this state; the state
+    itself is not modified. Ties break toward the smaller candidate by
+    scanning in ascending order.
     """
     candidates = sorted(float(g) for g in grid)
     if not candidates:
         raise ValueError("candidate grid must be non-empty")
+    try:
+        lin = linearize(problem, state.params)
+    except NumericalFailureError as exc:
+        raise OracleFailureError(f"the state cannot be linearized: {exc}") from exc
     best_lam = None
     best_err = np.inf
     for lam in candidates:
-        trial, record = lm_iterate(problem, state, lam, deterministic_time=True)
-        if trial.failed or not np.isfinite(record.error):
+        try:
+            _, err = evaluate_step(problem, state.params, lin, lam)
+        except (NumericalFailureError, SingularSystemError):
             continue
-        if record.error < best_err:
-            best_err = record.error
+        if err < best_err:
+            best_err = err
             best_lam = lam
     if best_lam is None:
         raise OracleFailureError("every candidate damping failed the trial step")

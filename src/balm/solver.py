@@ -4,7 +4,21 @@ One iteration linearizes the reprojection residuals, solves the damped
 normal equations ``(H + lambda*I) delta = -g`` (eliminating point blocks via
 the Schur complement when the camera count warrants it), and applies the
 step additively to all parameter blocks. Steps are accepted unconditionally
-unless the caller opts into accept-on-improve.
+unless the caller opts into accept-on-improve. ``H`` and ``g`` carry the
+observation weight 1/pixel_sigma^2; lambda is added to that weighted ``H``
+as it is, with no rescaling.
+
+The Schur elimination builds the reduced camera system
+``S = blockdiag(H_cc + lambda*I) - W V^-1 W^T``, with ``W`` the
+camera-point blocks ``H_cp`` and ``V = blockdiag(H_pp + lambda*I)``
+(Triggs et al. 2000; Agarwal et al. 2010), without a loop over points.
+Every ordered pair of observations (a, b) of one point contributes the 9x9
+block ``E_a H_cp[b]^T`` to the (camera a, camera b) block of ``S``, where
+``E_a = H_cp[a] V_p^-1`` for the point p both observe. The pair list
+depends only on the observation indices; the blocks come from one batched
+product per chunk of pairs, and a segmented sum over the pairs sorted by
+(camera, camera) folds them into ``S``. Fixed-size chunks keep the
+temporaries small on scenes with many points.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ LAMBDA_MIN = 1e-16
 LAMBDA_MAX = 1e16
 CONVERGENCE_FLOOR = 1e-30
 DENSE_CAMERA_LIMIT = 5  # below this, skip the Schur elimination entirely
+PAIR_CHUNK = 1024  # observation pairs per batched product in the Schur assembly
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_ITERATION_CAP = "iteration-cap"
@@ -96,6 +111,9 @@ class Linearization:
     h_cp: np.ndarray  # (n, 9, 3), one cross block per observation
     num_cameras: int
     num_points: int
+    # (n, 2) observed pixels the residuals were taken against; linearize
+    # sets them so a step can be evaluated without rebuilding them.
+    pixels: np.ndarray | None = None
 
 
 @dataclass
@@ -151,7 +169,12 @@ class SolveResult:
 
 def residuals(problem: BAProblem, params: ParamVector) -> Residuals:
     """Observed-minus-predicted pixels; degenerate depths become failures."""
-    cam_idx, pt_idx, pixels = problem.observation_arrays()
+    return Residuals(values=_residual_values(params, *problem.observation_arrays()))
+
+
+def _residual_values(
+    params: ParamVector, cam_idx: np.ndarray, pt_idx: np.ndarray, pixels: np.ndarray
+) -> np.ndarray:
     predicted, depths = project_many(params.cameras, params.points, cam_idx, pt_idx)
     bad = np.abs(depths) <= 1e-12
     if np.any(bad):
@@ -163,7 +186,7 @@ def residuals(problem: BAProblem, params: ParamVector) -> Residuals:
     if not np.all(np.isfinite(values)):
         index = int(np.argmax(~np.isfinite(values).all(axis=1)))
         raise NumericalFailureError(f"observation {index}: non-finite residual", index)
-    return Residuals(values=values)
+    return values
 
 
 def estimation_error(res: Residuals, pixel_sigma: float) -> float:
@@ -222,10 +245,18 @@ def _rotation_point_jacobian(rotvecs: np.ndarray, points: np.ndarray) -> np.ndar
     return jac
 
 
+def _row_sums(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """``out[index[n]] += values[n]`` over rows in order, as one bincount."""
+    width = values[0].size
+    slots = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, weights=values.ravel(), minlength=length * width)
+    return sums.reshape((length,) + values.shape[1:])
+
+
 def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     """Residuals plus analytic block Jacobian and weighted normal-equation blocks."""
     cam_idx, pt_idx, pixels = problem.observation_arrays()
-    res = residuals(problem, params)
+    residual = _residual_values(params, cam_idx, pt_idx, pixels)
 
     cams = params.cameras[cam_idx]
     pts = params.points[pt_idx]
@@ -258,11 +289,13 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     chain = np.einsum("nij,njk->nik", dpix_dplane, dplane)  # d(pixel)/d(cam_frame)
 
     drot = _rotation_point_jacobian(rot, pts)
-    # Rotation matrix columns via rotating the basis vectors.
+    # Rotation matrix columns via rotating the basis vectors, once per camera.
+    camera_rot = params.cameras[:, 0:3]
     eye = np.eye(3)
     rot_mat = np.stack(
-        [rotate_points(rot, np.broadcast_to(eye[k], (n, 3))) for k in range(3)], axis=2
-    )
+        [rotate_points(camera_rot, np.broadcast_to(eye[k], camera_rot.shape)) for k in range(3)],
+        axis=2,
+    )[cam_idx]
 
     dpix_cam = np.zeros((n, 2, 9))
     dpix_cam[:, :, 0:3] = np.einsum("nij,njk->nik", chain, drot)
@@ -279,21 +312,16 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     weight = 1.0 / (problem.pixel_sigma * problem.pixel_sigma)
     nc, npts = problem.num_cameras, problem.num_points
 
-    grad_cam = np.zeros((nc, 9))
-    grad_pt = np.zeros((npts, 3))
-    np.add.at(grad_cam, cam_idx, weight * np.einsum("nij,ni->nj", jac_cam, res.values))
-    np.add.at(grad_pt, pt_idx, weight * np.einsum("nij,ni->nj", jac_pt, res.values))
-
-    h_cc = np.zeros((nc, 9, 9))
-    h_pp = np.zeros((npts, 3, 3))
-    np.add.at(h_cc, cam_idx, weight * np.einsum("nij,nik->njk", jac_cam, jac_cam))
-    np.add.at(h_pp, pt_idx, weight * np.einsum("nij,nik->njk", jac_pt, jac_pt))
+    grad_cam = _row_sums(cam_idx, weight * np.einsum("nij,ni->nj", jac_cam, residual), nc)
+    grad_pt = _row_sums(pt_idx, weight * np.einsum("nij,ni->nj", jac_pt, residual), npts)
+    h_cc = _row_sums(cam_idx, weight * np.einsum("nij,nik->njk", jac_cam, jac_cam), nc)
+    h_pp = _row_sums(pt_idx, weight * np.einsum("nij,nik->njk", jac_pt, jac_pt), npts)
     h_cp = weight * np.einsum("nij,nik->njk", jac_cam, jac_pt)
 
     return Linearization(
         cam_idx=cam_idx,
         pt_idx=pt_idx,
-        residual=res.values,
+        residual=residual,
         jac_cam=jac_cam,
         jac_pt=jac_pt,
         grad_cam=grad_cam,
@@ -303,6 +331,7 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
         h_cp=h_cp,
         num_cameras=nc,
         num_points=npts,
+        pixels=pixels,
     )
 
 
@@ -340,6 +369,31 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
+def _camera_pairs(
+    cam_idx: np.ndarray, pt_idx: np.ndarray, num_cameras: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair of observations that share a point, sorted by block.
+
+    Returns the pairs' observation indices (first, second), each pair's
+    (camera, camera) block index ``cam_idx[first] * num_cameras +
+    cam_idx[second]``, and the positions where a new block index starts.
+    Within a block, pairs stay in point order.
+    """
+    order = np.argsort(pt_idx, kind="stable")
+    counts = np.bincount(pt_idx)
+    sorted_pts = pt_idx[order]
+    views = counts[sorted_pts]  # each observation pairs with every view of its point
+    group_first = (np.cumsum(counts) - counts)[sorted_pts]
+    first = np.repeat(order, views)
+    rank = np.arange(len(first)) - np.repeat(np.cumsum(views) - views, views)
+    second = order[np.repeat(group_first, views) + rank]
+    block = cam_idx[first] * num_cameras + cam_idx[second]
+    by_block = np.argsort(block, kind="stable")
+    block = block[by_block]
+    starts = np.flatnonzero(np.diff(block)) + 1
+    return first[by_block], second[by_block], block, starts
+
+
 def damped_step(
     lin: Linearization, lam: float, method: str = "auto"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +414,7 @@ def damped_step(
     if method != "schur":
         raise ValueError(f"unknown method {method!r}")
 
-    nc, npts = lin.num_cameras, lin.num_points
+    nc = lin.num_cameras
     point_system = lin.h_pp + lam * np.eye(3)
     try:
         point_inv = np.linalg.inv(point_system)
@@ -369,19 +423,19 @@ def damped_step(
 
     cross_dinv = np.einsum("nij,njk->nik", lin.h_cp, point_inv[lin.pt_idx])
 
-    reduced = np.zeros((nc, 9, nc, 9))
-    for ci in range(nc):
-        reduced[ci, :, ci, :] = lin.h_cc[ci] + lam * np.eye(9)
-    order = np.argsort(lin.pt_idx, kind="stable")
-    sorted_pts = lin.pt_idx[order]
-    boundaries = np.searchsorted(sorted_pts, np.arange(npts + 1))
-    for pj in range(npts):
-        members = order[boundaries[pj] : boundaries[pj + 1]]
-        if len(members) == 0:
-            continue
-        cams = lin.cam_idx[members]
-        contribution = np.einsum("aij,bkj->aibk", cross_dinv[members], lin.h_cp[members])
-        reduced[np.ix_(cams, np.arange(9), cams, np.arange(9))] -= contribution
+    first, second, block_of, starts = _camera_pairs(lin.cam_idx, lin.pt_idx, nc)
+    blocks = np.zeros((nc * nc, 9, 9))
+    diagonal = np.arange(nc) * (nc + 1)
+    blocks[diagonal] = lin.h_cc + lam * np.eye(9)
+    for lo in range(0, len(first), PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, len(first))
+        products = np.matmul(cross_dinv[first[lo:hi]], lin.h_cp[second[lo:hi]].transpose(0, 2, 1))
+        # Segments of equal (camera, camera) block within the chunk; a block
+        # whose segment crosses a chunk edge is summed in two parts.
+        cuts = starts[np.searchsorted(starts, lo, "right") : np.searchsorted(starts, hi)]
+        segment_starts = np.concatenate(([0], cuts - lo))
+        blocks[block_of[lo + segment_starts]] -= np.add.reduceat(products, segment_starts, axis=0)
+    reduced = blocks.reshape(nc, nc, 9, 9).transpose(0, 2, 1, 3)
 
     rhs = -lin.grad_cam.copy()
     np.add.at(
@@ -397,6 +451,29 @@ def damped_step(
     return delta_cam, delta_pt
 
 
+def evaluate_step(
+    problem: BAProblem,
+    params: ParamVector,
+    lin: Linearization,
+    lam: float,
+    method: str = "auto",
+) -> tuple[ParamVector, float]:
+    """The damped step from ``params`` (linearized as ``lin``) and its error.
+
+    Returns the candidate parameters and their estimation error, read
+    against the observations ``lin`` was built from. Raises
+    ``NumericalFailureError`` or ``SingularSystemError`` when the step or its
+    error cannot be evaluated.
+    """
+    delta_cam, delta_pt = damped_step(lin, lam, method=method)
+    candidate = params.plus(delta_cam, delta_pt)
+    values = _residual_values(candidate, lin.cam_idx, lin.pt_idx, lin.pixels)
+    err = estimation_error(Residuals(values=values), problem.pixel_sigma)
+    if not np.isfinite(err):
+        raise NumericalFailureError("estimation error is non-finite")
+    return candidate, err
+
+
 def lm_iterate(
     problem: BAProblem,
     state: SolverState,
@@ -407,7 +484,8 @@ def lm_iterate(
 ) -> tuple[SolverState, IterationRecord]:
     """Run one damped iteration from ``state``; returns the successor state.
 
-    The step is applied additively to every parameter block and accepted
+    The iteration is ``linearize`` followed by ``evaluate_step``. The step
+    is applied additively to every parameter block and accepted
     unconditionally unless ``accept_only_improving`` is set, in which case a
     worsening step leaves the parameters (and error) unchanged. Failures
     (degenerate depth, non-finite error, unsolvable system) mark the state
@@ -417,11 +495,7 @@ def lm_iterate(
     new_state = state.copy()
     try:
         lin = linearize(problem, state.params)
-        delta_cam, delta_pt = damped_step(lin, lam, method=method)
-        candidate = state.params.plus(delta_cam, delta_pt)
-        err = estimation_error(residuals(problem, candidate), problem.pixel_sigma)
-        if not np.isfinite(err):
-            raise NumericalFailureError("estimation error is non-finite")
+        candidate, err = evaluate_step(problem, state.params, lin, lam, method=method)
     except (NumericalFailureError, SingularSystemError):
         duration = 1.0 if deterministic_time else time.perf_counter() - start
         new_state.failed = True

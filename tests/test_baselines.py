@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import suite_problem
 
+from balm import baselines
 from balm.baselines import (
     DEFAULT_ORACLE_GRID,
     OracleFailureError,
@@ -125,6 +126,21 @@ def test_oracle_matches_exhaustive_recheck_along_rollout():
         best = min(errors.values())
         assert errors[picked] == best
         assert picked == min(l for l, e in errors.items() if e == best)
+
+
+def test_oracle_linearizes_the_state_once(monkeypatch):
+    problem = suite_problem(0, 4, 6)
+    state = SolverState.initial(problem)
+    calls = {"n": 0}
+    original = baselines.linearize
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "linearize", counted)
+    zero_net_oracle(problem, state)
+    assert calls["n"] == 1
 
 
 def test_oracle_does_not_mutate_the_snapshot():

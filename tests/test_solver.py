@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from balm import solver
-from balm.scene import CameraPose, generate_synthetic, project, rotation_matrix
+from balm.scene import (
+    BAProblem,
+    CameraPose,
+    Observation,
+    generate_synthetic,
+    project,
+    rotation_matrix,
+)
 from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy
 from balm.solver import (
     DENSE_CAMERA_LIMIT,
@@ -131,6 +138,29 @@ def random_linearization(seed=0, nc=4, npts=30):
         npts,
         1.0,
     )
+
+
+def thinned_problem(num_cameras=8, num_points=40, seed=0):
+    """A suite-like scene where each point keeps only 1-3 of its views.
+
+    Point j keeps camera j mod num_cameras, so every camera stays observed,
+    plus up to two other cameras drawn at random.
+    """
+    full = generate_synthetic(
+        num_cameras, num_points, pixel_sigma=250.0, noise_std=0.5, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    keep = set()
+    for pj in range(num_points):
+        others = [c for c in range(num_cameras) if c != pj % num_cameras]
+        extra = rng.choice(others, size=rng.integers(0, 3), replace=False)
+        keep.update((int(c), pj) for c in [pj % num_cameras, *extra])
+    observations = [
+        Observation(o.camera_index, o.point_index, o.pixel.copy())
+        for o in full.observations
+        if (o.camera_index, o.point_index) in keep
+    ]
+    return BAProblem(full.cameras, full.points, observations, pixel_sigma=full.pixel_sigma)
 
 
 def relative_gap(a, b):
@@ -266,6 +296,21 @@ class TestDenseSystem:
         np.testing.assert_allclose(hess, ref_h, atol=1e-12 * scale)
         np.testing.assert_allclose(grad, ref_g, atol=1e-12 * max(np.max(np.abs(ref_g)), 1.0))
 
+    def test_damping_is_added_unscaled_to_the_weighted_hessian(self):
+        # with H = J^T W J and g = J^T W r at W = I / sigma^2, the step solves
+        # (H + lambda I) delta = -g: lambda carries no (sigma/f)^2 factor
+        problem = suite_problem(2, num_cameras=4, num_points=8)
+        lin = linearize(problem, ParamVector.from_problem(problem))
+        jac = scatter_jacobian(lin)
+        w = 1.0 / problem.pixel_sigma**2
+        hess = w * jac.T @ jac
+        grad = w * jac.T @ lin.residual.ravel()
+        for lam in (1e-2, 1.0, 1e2):
+            dc, dp = damped_step(lin, lam, method="dense")
+            step = np.concatenate([dc.ravel(), dp.ravel()])
+            expected = np.linalg.solve(hess + lam * np.eye(len(hess)), -grad)
+            assert np.linalg.norm(step - expected) / np.linalg.norm(expected) < 1e-8
+
     def test_symmetry(self, default_problem):
         lin = linearize(default_problem, ParamVector.from_problem(default_problem))
         hess, _ = dense_system(lin)
@@ -309,6 +354,21 @@ class TestDampedStep:
             schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
             gap = np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step)
             assert gap < 1e-8
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e4, 1e8])
+    def test_schur_matches_dense_under_partial_visibility(self, lam):
+        # lambda = 1e-12 is left out: a one-view point's depth is then
+        # unobservable and neither path determines its step
+        problem = thinned_problem()
+        views = np.bincount([o.point_index for o in problem.observations])
+        assert views.min() == 1 and views.max() == 3
+        lin = linearize(problem, ParamVector.from_problem(problem))
+        dc_d, dp_d = damped_step(lin, lam, method="dense")
+        dc_s, dp_s = damped_step(lin, lam, method="schur")
+        dense_step = np.concatenate([dc_d.ravel(), dp_d.ravel()])
+        schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
+        gap = np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step)
+        assert gap < 1e-8
 
     def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
         assert tiny_problem.num_cameras < DENSE_CAMERA_LIMIT
@@ -375,6 +435,20 @@ class TestLmIterate:
         assert rec.iteration == 1
         assert new.iteration == bad.iteration
         assert len(new.error_history) == len(bad.error_history)
+
+    def test_builds_observation_arrays_once(self, tiny_problem, monkeypatch):
+        calls = {"n": 0}
+        original = BAProblem.observation_arrays
+
+        def counted(problem):
+            calls["n"] += 1
+            return original(problem)
+
+        state = SolverState.initial(tiny_problem)
+        monkeypatch.setattr(BAProblem, "observation_arrays", counted)
+        new, _ = lm_iterate(tiny_problem, state, 0.25)
+        assert not new.failed
+        assert calls["n"] == 1
 
     def test_reject_worsening_step_when_asked(self, tiny_problem):
         state = SolverState.initial(tiny_problem)
