@@ -20,25 +20,81 @@ ADAM_LR = 3e-4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 16_384  # elements per in-place Adam block; two scratch blocks fit in L2
 
 
-@dataclass
-class Mlp:
-    """Fully-connected net; ``widths`` runs input to output inclusive."""
+def _layer_views(flat: np.ndarray, widths: list[int]):
+    """Per-layer (weights, biases) views into ``flat``, laid out w0, b0, w1, b1, ..."""
+    weights = []
+    biases = []
+    offset = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return weights, biases
+
+
+def _pack(widths: list[int], weights, biases) -> np.ndarray:
+    """Copy per-layer arrays into one fresh flat buffer, checking their shapes."""
+    flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:])))
+    dst_weights, dst_biases = _layer_views(flat, widths)
+    if len(weights) != len(dst_weights) or len(biases) != len(dst_biases):
+        raise ValueError(f"expected {len(dst_weights)} weight and bias arrays for widths {widths}")
+    for dst, src in zip(dst_weights + dst_biases, list(weights) + list(biases)):
+        if np.shape(src) != dst.shape:
+            raise ValueError(f"shape {np.shape(src)} where widths {widths} need {dst.shape}")
+        dst[...] = src
+    return flat
+
+
+class _FlatLayers:
+    """Weights and biases stored in one contiguous float64 buffer ``flat``.
+
+    ``weights[k]`` (fan_in, fan_out) and ``biases[k]`` (fan_out,) are views
+    into ``flat``, laid out w0, b0, w1, b1, ..., so a write through either
+    side shows in the other and whole-net arithmetic is one vector operation.
+    """
 
     widths: list[int]
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def _bind(self, widths, flat: np.ndarray) -> None:
+        self.widths = [int(w) for w in widths]
+        self.flat = flat
+        self.weights, self.biases = _layer_views(flat, self.widths)
+
+    @classmethod
+    def from_flat(cls, widths, flat: np.ndarray):
+        """Wrap ``flat`` itself (no copy) as the parameters of ``widths``."""
+        obj = cls.__new__(cls)
+        obj._bind(widths, flat)
+        return obj
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
 
-@dataclass
-class MlpGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class Mlp(_FlatLayers):
+    """Fully-connected net; ``widths`` runs input to output inclusive.
+
+    The given arrays are copied into the net's flat buffer.
+    """
+
+    def __init__(self, widths, weights, biases):
+        self._bind(widths, _pack([int(w) for w in widths], weights, biases))
+
+
+class MlpGrads(_FlatLayers):
+    """Parameter gradients in the flat layout of the net they belong to."""
+
+    def __init__(self, weights, biases):
+        widths = [np.shape(w)[0] for w in weights] + [np.shape(weights[-1])[1]]
+        self._bind(widths, _pack(widths, weights, biases))
 
 
 def mlp_init(widths, seed_or_rng=0) -> Mlp:
@@ -52,12 +108,10 @@ def mlp_init(widths, seed_or_rng=0) -> Mlp:
         else np.random.default_rng(seed_or_rng)
     )
     weights = []
-    biases = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(widths=widths, weights=weights, biases=biases)
+    return Mlp(widths, weights, [np.zeros(w) for w in widths[1:]])
 
 
 def _as_batch(x: np.ndarray, width: int) -> np.ndarray:
@@ -67,13 +121,20 @@ def _as_batch(x: np.ndarray, width: int) -> np.ndarray:
     return x
 
 
+def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``max(h @ w + b, 0)`` (or without the ReLU), bias and ReLU applied in place."""
+    out = h @ w
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
 def mlp_forward(net: Mlp, x) -> np.ndarray:
     h = _as_batch(x, net.widths[0])
     last = net.num_layers - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if k < last:
-            h = np.maximum(h, 0.0)
+        h = _layer(h, w, b, k < last)
     return h
 
 
@@ -82,28 +143,29 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
     activations = [_as_batch(x, net.widths[0])]
     last = net.num_layers - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = activations[-1] @ w + b
-        if k < last:
-            h = np.maximum(h, 0.0)
-        activations.append(h)
+        activations.append(_layer(activations[-1], w, b, k < last))
     return activations[-1], activations
 
 
 def mlp_backward(
-    net: Mlp, activations: list[np.ndarray], grad_out: np.ndarray
-) -> tuple[MlpGrads, np.ndarray]:
-    """Backprop ``grad_out`` (B, out); returns parameter grads and d/d(input)."""
+    net: Mlp, activations: list[np.ndarray], grad_out: np.ndarray, input_only: bool = False
+) -> tuple[MlpGrads | None, np.ndarray]:
+    """Backprop ``grad_out`` (B, out); returns parameter grads and d/d(input).
+
+    With ``input_only`` no parameter gradient is built and ``None`` stands in
+    for it; the input gradient is the same either way.
+    """
     delta = np.asarray(grad_out, dtype=float)
-    grads_w: list = [None] * net.num_layers
-    grads_b: list = [None] * net.num_layers
+    grads = None if input_only else MlpGrads.from_flat(net.widths, np.empty_like(net.flat))
     for k in reversed(range(net.num_layers)):
-        grads_w[k] = activations[k].T @ delta
-        grads_b[k] = delta.sum(axis=0)
+        if grads is not None:
+            np.matmul(activations[k].T, delta, out=grads.weights[k])
+            np.sum(delta, axis=0, out=grads.biases[k])
         delta = delta @ net.weights[k].T
         if k > 0:
             # ReLU gate; activations store max(z, 0) so positivity is the mask
-            delta = delta * (activations[k] > 0.0)
-    return MlpGrads(weights=grads_w, biases=grads_b), delta
+            np.multiply(delta, activations[k] > 0.0, out=delta)
+    return grads, delta
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -114,20 +176,15 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    """First and second moments over a net's flat parameter buffer."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def adam_init(net: Mlp) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in net.weights],
-        v_weights=[np.zeros_like(w) for w in net.weights],
-        m_biases=[np.zeros_like(b) for b in net.biases],
-        v_biases=[np.zeros_like(b) for b in net.biases],
-    )
+    return AdamState(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
 
 def adam_step(
@@ -139,21 +196,42 @@ def adam_step(
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
 ) -> None:
-    """One bias-corrected Adam update applied in place."""
+    """One bias-corrected Adam update applied in place.
+
+    Runs over the flat buffers in ``ADAM_BLOCK``-element blocks with two
+    block-sized scratch arrays, so no full-size temporary is built and each
+    block stays in cache across its operations. Every element sees the
+    operations of ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``,
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` in that order, so the result is
+    bit-identical to the unblocked expression.
+    """
     state.step += 1
     correct1 = 1.0 - beta1**state.step
     correct2 = 1.0 - beta2**state.step
-    groups = (
-        (net.weights, grads.weights, state.m_weights, state.v_weights),
-        (net.biases, grads.biases, state.m_biases, state.v_biases),
-    )
-    for params, grad_list, m_list, v_list in groups:
-        for i, grad in enumerate(grad_list):
-            m_list[i] = beta1 * m_list[i] + (1.0 - beta1) * grad
-            v_list[i] = beta2 * v_list[i] + (1.0 - beta2) * grad * grad
-            m_hat = m_list[i] / correct1
-            v_hat = v_list[i] / correct2
-            params[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    scratch_a = np.empty(ADAM_BLOCK)
+    scratch_b = np.empty(ADAM_BLOCK)
+    for start in range(0, net.flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p = net.flat[block]
+        g = grads.flat[block]
+        m = state.m[block]
+        v = state.v[block]
+        a = scratch_a[: p.size]
+        b = scratch_b[: p.size]
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, 1.0 - beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(m, correct1, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(p, b, out=p)
 
 
 def mlp_train_step(net: Mlp, adam: AdamState, x, y, lr: float = ADAM_LR) -> float:
@@ -166,29 +244,18 @@ def mlp_train_step(net: Mlp, adam: AdamState, x, y, lr: float = ADAM_LR) -> floa
 
 
 def mlp_copy(net: Mlp) -> Mlp:
-    return Mlp(
-        widths=list(net.widths),
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-    )
+    return Mlp.from_flat(net.widths, net.flat.copy())
 
 
 def copy_params(target: Mlp, source: Mlp) -> None:
     """Hard parameter copy into an existing net (target network refresh)."""
-    for dst, src in zip(target.weights, source.weights):
-        dst[...] = src
-    for dst, src in zip(target.biases, source.biases):
-        dst[...] = src
+    target.flat[...] = source.flat
 
 
 def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
     """target <- (1 - tau) * target + tau * source, in place."""
-    for dst, src in zip(target.weights, source.weights):
-        dst *= 1.0 - tau
-        dst += tau * src
-    for dst, src in zip(target.biases, source.biases):
-        dst *= 1.0 - tau
-        dst += tau * src
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from balm.nn import (
+    ADAM_BLOCK,
+    ADAM_LR,
     AdamState,
     Mlp,
     MlpGrads,
@@ -209,6 +211,78 @@ class TestAdam:
         for _ in range(300):
             last = mlp_train_step(net, adam, x, y, lr=1e-2)
         assert last < first / 10.0
+
+
+class TestFlatLayout:
+    def test_blocked_adam_matches_per_layer_reference(self):
+        def reference_adam(params, grads, moments, step, lr=ADAM_LR, b1=0.9, b2=0.999, eps=1e-8):
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            for p, g, (m, v) in zip(params, grads, moments):
+                m[...] = b1 * m + (1.0 - b1) * g
+                v[...] = b2 * v + (1.0 - b2) * g * g
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+        net = mlp_init([15, 300, 300, 1], seed_or_rng=0)
+        assert net.flat.size > 4 * ADAM_BLOCK
+        ref = [a.copy() for pair in zip(net.weights, net.biases) for a in pair]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
+        adam = adam_init(net)
+        rng = np.random.default_rng(1)
+        x = rng.normal(0, 1, (16, 15))
+        y = rng.normal(0, 1, (16, 1))
+        for step in range(1, 4):
+            pred, cache = mlp_forward_cached(net, x)
+            _, grad_out = mse_loss(pred, y)
+            grads, _ = mlp_backward(net, cache, grad_out)
+            layer_grads = [g.copy() for pair in zip(grads.weights, grads.biases) for g in pair]
+            adam_step(net, grads, adam)
+            reference_adam(ref, layer_grads, moments, step)
+            assert np.array_equal(net.flat, np.concatenate([a.ravel() for a in ref]))
+        assert np.array_equal(adam.m, np.concatenate([m.ravel() for m, _ in moments]))
+        assert np.array_equal(adam.v, np.concatenate([v.ravel() for _, v in moments]))
+
+    def test_layer_arrays_are_views_into_flat(self):
+        net = mlp_init([3, 4, 2], seed_or_rng=0)
+        net.weights[1][2, 1] = 7.0
+        net.biases[0][3] = -5.0
+        assert net.flat[3 * 4 + 4 + 2 * 2 + 1] == 7.0
+        assert net.flat[3 * 4 + 3] == -5.0
+        net.flat[-1] = 9.0
+        assert net.biases[1][1] == 9.0
+
+    def test_separate_arrays_are_packed(self):
+        weights = [np.arange(6.0).reshape(2, 3), np.ones((3, 1))]
+        biases = [np.full(3, 0.5), np.array([2.0])]
+        net = Mlp(widths=[2, 3, 1], weights=weights, biases=biases)
+        np.testing.assert_array_equal(net.flat, [0, 1, 2, 3, 4, 5, 0.5, 0.5, 0.5, 1, 1, 1, 2])
+        weights[0][0, 0] = 100.0  # the net holds copies
+        assert net.weights[0][0, 0] == 0.0
+        grads = MlpGrads(
+            weights=[np.ones((2, 3)), np.ones((3, 1))], biases=[np.ones(3), np.ones(1)]
+        )
+        np.testing.assert_array_equal(grads.flat, np.ones(13))
+        # Adam's first step moves every parameter by lr against a unit gradient
+        before = net.flat.copy()
+        adam_step(net, grads, adam_init(net), lr=0.1)
+        np.testing.assert_allclose(net.flat, before - 0.1, rtol=1e-6)
+
+    def test_rejects_arrays_that_do_not_match_widths(self):
+        with pytest.raises(ValueError):
+            Mlp(widths=[2, 3], weights=[np.zeros((3, 2))], biases=[np.zeros(3)])
+        with pytest.raises(ValueError):
+            Mlp(widths=[2, 3], weights=[np.zeros((2, 3))], biases=[np.zeros(1)])
+        with pytest.raises(ValueError):
+            Mlp(widths=[2, 3, 1], weights=[np.zeros((2, 3))], biases=[np.zeros(3)])
+
+    def test_input_only_backward_matches_full_input_gradient(self):
+        net = mlp_init([6, 32, 32, 1], seed_or_rng=2)
+        x = np.random.default_rng(3).normal(0, 1, (8, 6))
+        _, cache = mlp_forward_cached(net, x)
+        grad_out = np.ones((8, 1))
+        grads, full = mlp_backward(net, cache, grad_out)
+        none, input_only = mlp_backward(net, cache, grad_out, input_only=True)
+        assert none is None and grads is not None
+        assert np.array_equal(input_only, full)
 
 
 class TestTargetHelpers:

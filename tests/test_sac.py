@@ -238,6 +238,25 @@ class TestUpdates:
             same = np.array_equal(net_params(nets.target_value), net_params(nets.value))
             assert same == (step % 5 == 0)
 
+    def test_update_builds_parameter_gradients_once_per_trained_net(self, monkeypatch):
+        import balm.sac
+
+        built = []
+
+        def counting_backward(net, activations, grad_out, input_only=False):
+            grads, grad_in = mlp_backward(net, activations, grad_out, input_only=input_only)
+            built.append(grads is not None)
+            return grads, grad_in
+
+        monkeypatch.setattr(balm.sac, "mlp_backward", counting_backward)
+        nets = init_agent(window=5, hidden=32, seed=0)
+        batch = constant_batch(np.zeros(5), 0.2, -1.0, np.zeros(5), 0.0, 8)
+        sac_update(nets, init_optimizers(nets), batch, self.small_cfg(), np.random.default_rng(0))
+        # both critics, the value net and the policy; the policy objective
+        # needs only the critics' action gradients
+        assert built.count(True) == 4
+        assert built.count(False) == 2
+
     def test_polyak_mode_tracks_slowly(self):
         cfg = self.small_cfg(target_mode="polyak", polyak_tau=0.5)
         nets = init_agent(window=5, hidden=32, seed=0)
