@@ -15,21 +15,32 @@ camera-point blocks ``H_cp`` and ``V = blockdiag(H_pp + lambda*I)``
 Every ordered pair of observations (a, b) of one point contributes the 9x9
 block ``E_a H_cp[b]^T`` to the (camera a, camera b) block of ``S``, where
 ``E_a = H_cp[a] V_p^-1`` for the point p both observe. The pair list
-depends only on the observation indices; the blocks come from one batched
-product per chunk of pairs, and a segmented sum over the pairs sorted by
-(camera, camera) folds them into ``S``. Fixed-size chunks keep the
+depends only on the observation indices, so it is built once per index set
+(the pair plan, memoized on the indices' content) and shared by every
+iteration, policy and oracle trial on that scene. The blocks come from one
+batched product per chunk of pairs, and a segmented sum over the pairs
+sorted by (camera, camera) folds them into ``S``. Fixed-size chunks keep the
 temporaries small on scenes with many points.
+
+Sums keep a fixed order, so that making them faster cannot move a bit of
+the output: small batched products add their inner index in order
+(``_batched_matmul``, bit-equal to ``einsum``), scatters are one
+``bincount`` adding rows in observation order, and the pair products keep
+their ``matmul`` and ``np.add.reduceat``. Reordering a sum moves a step in
+its last bits, and along the near-singular gauge directions at small
+lambda by far more.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .scene import BAProblem, project_many, rotate_points
+from .scene import DEPTH_EPS, BAProblem, _rotation_coefficients, project_many, rotate_points
 
 LAMBDA_MIN = 1e-16
 LAMBDA_MAX = 1e16
@@ -74,10 +85,6 @@ class ParamVector:
     def flat(self) -> np.ndarray:
         """Single vector in the fixed cameras-then-points layout."""
         return np.concatenate([self.cameras.ravel(), self.points.ravel()])
-
-    @property
-    def dim(self) -> int:
-        return self.cameras.size + self.points.size
 
 
 @dataclass
@@ -176,13 +183,20 @@ def _residual_values(
     params: ParamVector, cam_idx: np.ndarray, pt_idx: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
     predicted, depths = project_many(params.cameras, params.points, cam_idx, pt_idx)
-    bad = np.abs(depths) <= 1e-12
+    _check_depths(depths)
+    return _checked_residual(pixels - predicted)
+
+
+def _check_depths(depths: np.ndarray) -> None:
+    bad = np.abs(depths) <= DEPTH_EPS
     if np.any(bad):
         index = int(np.argmax(bad))
         raise NumericalFailureError(
             f"observation {index}: camera-frame depth is numerically zero", index
         )
-    values = pixels - predicted
+
+
+def _checked_residual(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         index = int(np.argmax(~np.isfinite(values).all(axis=1)))
         raise NumericalFailureError(f"observation {index}: non-finite residual", index)
@@ -194,17 +208,41 @@ def estimation_error(res: Residuals, pixel_sigma: float) -> float:
     return float(np.sum(res.values * res.values) / (pixel_sigma * pixel_sigma))
 
 
-def _rotation_point_jacobian(rotvecs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """d(R(w) @ X)/dw for each row pair, shape (n, 3, 3).
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products, shape (n, i, j)."""
+    return a[:, :, None] * b[:, None, :]
 
+
+def _batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[n] @ b[n]`` with the inner index summed in order, first term first.
+
+    Bit-equal to ``einsum("nij,njk->nik")``, unlike ``matmul``, whose
+    kernels may block or fuse the sum. One output column at a time keeps
+    the vectorized operations long.
+    """
+    out = np.empty(a.shape[:2] + b.shape[2:])
+    for k in range(b.shape[2]):
+        column = a[:, :, 0] * b[:, 0, k, None]
+        for j in range(1, a.shape[2]):
+            column += a[:, :, j] * b[:, j, k, None]
+        out[:, :, k] = column
+    return out
+
+
+def _rotation_point_jacobian(
+    camera_rotvecs: np.ndarray, cam_idx: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """d(R(w) @ X)/dw for each observation, shape (n, 3, 3).
+
+    Observation n rotates ``points[n]`` by ``camera_rotvecs[cam_idx[n]]``.
     Derived from the unnormalized Rodrigues form
     R(w)X = cos(t) X + sinc(t) (w x X) + (1-cos t)/t^2 (w.X) w with t = |w|;
-    all angle-dependent coefficients get series fallbacks near t = 0.
+    all angle-dependent coefficients get series fallbacks near t = 0 and
+    are computed once per camera. Entry (i, j) is
+    -sinc X_i w_j + beta (w x X)_i w_j + gamma (w.X) w_i w_j + omc w_i X_j
+    + omc (w.X) [i = j] - sinc [X]_x[i, j], summed in that order.
     """
-    rotvecs = np.atleast_2d(np.asarray(rotvecs, dtype=float))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = rotvecs.shape[0]
-    theta2 = np.sum(rotvecs * rotvecs, axis=1)
+    theta2 = np.sum(camera_rotvecs * camera_rotvecs, axis=1)
     theta = np.sqrt(theta2)
     small = theta2 < 1e-12
     safe = np.where(small, 1.0, theta)
@@ -222,42 +260,61 @@ def _rotation_point_jacobian(rotvecs: np.ndarray, points: np.ndarray) -> np.ndar
         -1.0 / 12.0 + theta2 / 180.0,
         (safe * np.sin(safe) - 2.0 * (1.0 - np.cos(safe))) / safe**4,
     )
+    sinc, omc, beta, gamma = sinc[cam_idx], omc[cam_idx], beta[cam_idx], gamma[cam_idx]
 
-    cross = np.cross(rotvecs, points)
+    rotvecs = camera_rotvecs[cam_idx]
     dot = np.sum(rotvecs * points, axis=1)
-
-    jac = np.zeros((n, 3, 3))
-    jac -= sinc[:, None, None] * np.einsum("ni,nj->nij", points, rotvecs)
-    jac += beta[:, None, None] * np.einsum("ni,nj->nij", cross, rotvecs)
-    jac += (gamma * dot)[:, None, None] * np.einsum("ni,nj->nij", rotvecs, rotvecs)
-    jac += omc[:, None, None] * np.einsum("ni,nj->nij", rotvecs, points)
-    jac += (omc * dot)[:, None, None] * np.eye(3)
-    # sinc * d(w x X)/dw = -sinc * [X]_x
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    skew = np.zeros((n, 3, 3))
-    skew[:, 0, 1] = -z
-    skew[:, 0, 2] = y
-    skew[:, 1, 0] = z
-    skew[:, 1, 2] = -x
-    skew[:, 2, 0] = -y
-    skew[:, 2, 1] = x
-    jac -= sinc[:, None, None] * skew
+    w, p, c = rotvecs.T, points.T, np.cross(rotvecs, points).T
+    gamma_dot = gamma * dot
+    x, y, z = p
+    skew = ((None, -z, y), (z, None, -x), (-y, x, None))  # [X]_x
+    jac = np.empty((len(points), 3, 3))
+    for i in range(3):
+        for j in range(3):
+            entry = -(sinc * (p[i] * w[j]))
+            entry += beta * (c[i] * w[j])
+            entry += gamma_dot * (w[i] * w[j])
+            entry += omc * (w[i] * p[j])
+            if i == j:
+                entry += omc * dot
+            else:
+                entry -= sinc * skew[i][j]
+            jac[:, i, j] = entry
     return jac
+
+
+def _rotation_matrices(rotvecs: np.ndarray) -> np.ndarray:
+    """R(w) for each row, shape (n, 3, 3), from one set of Rodrigues coefficients.
+
+    Column k is ``rotate_points(w, e_k)`` to the bit: the same terms are
+    summed in the same order.
+    """
+    theta2 = np.sum(rotvecs * rotvecs, axis=1)
+    cos_t, sinc, omc = _rotation_coefficients(theta2)
+    eye = np.eye(3)
+    columns = (
+        cos_t[:, None, None] * eye
+        + sinc[:, None, None] * np.cross(rotvecs[:, None, :], eye)
+        + _outer(omc[:, None] * rotvecs, rotvecs)
+    )
+    return columns.transpose(0, 2, 1)
+
+
+def _row_slots(index: np.ndarray, width: int) -> np.ndarray:
+    """Flat bincount slots of ``width``-wide rows ``index[n]``."""
+    return (index[:, None] * width + np.arange(width)).ravel()
 
 
 def _row_sums(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     """``out[index[n]] += values[n]`` over rows in order, as one bincount."""
     width = values[0].size
-    slots = (index[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(slots, weights=values.ravel(), minlength=length * width)
+    sums = np.bincount(_row_slots(index, width), weights=values.ravel(), minlength=length * width)
     return sums.reshape((length,) + values.shape[1:])
 
 
 def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     """Residuals plus analytic block Jacobian and weighted normal-equation blocks."""
     cam_idx, pt_idx, pixels = problem.observation_arrays()
-    residual = _residual_values(params, cam_idx, pt_idx, pixels)
-
     cams = params.cameras[cam_idx]
     pts = params.points[pt_idx]
     rot = cams[:, 0:3]
@@ -265,11 +322,15 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     k1 = cams[:, 7]
     k2 = cams[:, 8]
 
+    # One projection serves the residual and the Jacobian; it is the
+    # arithmetic of project_many, so the residual equals residuals()'s.
     cam_frame = rotate_points(rot, pts) + cams[:, 3:6]
     z = cam_frame[:, 2]
+    _check_depths(z)
     plane = -cam_frame[:, :2] / z[:, None]
     r2 = np.sum(plane * plane, axis=1)
     distortion = 1.0 + k1 * r2 + k2 * r2 * r2
+    residual = _checked_residual(pixels - focal[:, None] * distortion[:, None] * plane)
 
     n = len(cam_idx)
     # d(plane)/d(cam_frame): rows for x and y image axes.
@@ -281,29 +342,22 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
 
     # d(pixel)/d(plane) = f * (distortion * I + (2 k1 + 4 k2 r2) p p^T)
     dpix_dplane = distortion[:, None, None] * np.eye(2)
-    dpix_dplane = dpix_dplane + (2.0 * k1 + 4.0 * k2 * r2)[:, None, None] * np.einsum(
-        "ni,nj->nij", plane, plane
-    )
+    dpix_dplane = dpix_dplane + (2.0 * k1 + 4.0 * k2 * r2)[:, None, None] * _outer(plane, plane)
     dpix_dplane *= focal[:, None, None]
 
-    chain = np.einsum("nij,njk->nik", dpix_dplane, dplane)  # d(pixel)/d(cam_frame)
+    chain = _batched_matmul(dpix_dplane, dplane)  # d(pixel)/d(cam_frame)
 
-    drot = _rotation_point_jacobian(rot, pts)
-    # Rotation matrix columns via rotating the basis vectors, once per camera.
     camera_rot = params.cameras[:, 0:3]
-    eye = np.eye(3)
-    rot_mat = np.stack(
-        [rotate_points(camera_rot, np.broadcast_to(eye[k], camera_rot.shape)) for k in range(3)],
-        axis=2,
-    )[cam_idx]
+    drot = _rotation_point_jacobian(camera_rot, cam_idx, pts)
+    rot_mat = _rotation_matrices(camera_rot)[cam_idx]
 
     dpix_cam = np.zeros((n, 2, 9))
-    dpix_cam[:, :, 0:3] = np.einsum("nij,njk->nik", chain, drot)
+    dpix_cam[:, :, 0:3] = _batched_matmul(chain, drot)
     dpix_cam[:, :, 3:6] = chain
     dpix_cam[:, :, 6] = distortion[:, None] * plane
     dpix_cam[:, :, 7] = (focal * r2)[:, None] * plane
     dpix_cam[:, :, 8] = (focal * r2 * r2)[:, None] * plane
-    dpix_pt = np.einsum("nij,njk->nik", chain, rot_mat)
+    dpix_pt = _batched_matmul(chain, rot_mat)
 
     # Residual is observed minus predicted, so its Jacobian is negated.
     jac_cam = -dpix_cam
@@ -314,9 +368,16 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
 
     grad_cam = _row_sums(cam_idx, weight * np.einsum("nij,ni->nj", jac_cam, residual), nc)
     grad_pt = _row_sums(pt_idx, weight * np.einsum("nij,ni->nj", jac_pt, residual), npts)
-    h_cc = _row_sums(cam_idx, weight * np.einsum("nij,nik->njk", jac_cam, jac_cam), nc)
-    h_pp = _row_sums(pt_idx, weight * np.einsum("nij,nik->njk", jac_pt, jac_pt), npts)
-    h_cp = weight * np.einsum("nij,nik->njk", jac_cam, jac_pt)
+    # One row of the 9x9 blocks at a time keeps the temporaries in cache.
+    row_slots = _row_slots(cam_idx, 9)
+    h_cc = np.empty((nc, 9, 9))
+    for j in range(9):
+        terms = jac_cam[:, 0, j, None] * jac_cam[:, 0, :]
+        terms += jac_cam[:, 1, j, None] * jac_cam[:, 1, :]
+        terms *= weight
+        h_cc[:, j] = np.bincount(row_slots, weights=terms.ravel(), minlength=nc * 9).reshape(nc, 9)
+    h_pp = _row_sums(pt_idx, weight * _batched_matmul(jac_pt.transpose(0, 2, 1), jac_pt), npts)
+    h_cp = weight * _batched_matmul(jac_cam.transpose(0, 2, 1), jac_pt)
 
     return Linearization(
         cam_idx=cam_idx,
@@ -394,6 +455,48 @@ def _camera_pairs(
     return first[by_block], second[by_block], block, starts
 
 
+def _pair_plan(
+    cam_idx: np.ndarray, pt_idx: np.ndarray, num_cameras: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The Schur assembly's pairs in PAIR_CHUNK-sized chunks, built once per index set.
+
+    Each chunk is (first, second, segment starts within the chunk, the
+    (camera, camera) block index of each segment). The plan is memoized on
+    the content of the indices, so it cannot go stale.
+    """
+    cam_idx = np.ascontiguousarray(cam_idx, dtype=np.intp)
+    pt_idx = np.ascontiguousarray(pt_idx, dtype=np.intp)
+    return _cached_pair_plan(num_cameras, cam_idx.tobytes(), pt_idx.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes):
+    cam_idx = np.frombuffer(cam_bytes, dtype=np.intp)
+    pt_idx = np.frombuffer(pt_bytes, dtype=np.intp)
+    first, second, block_of, starts = _camera_pairs(cam_idx, pt_idx, num_cameras)
+    chunks = []
+    for lo in range(0, len(first), PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, len(first))
+        # Segments of equal (camera, camera) block within the chunk; a block
+        # whose segment crosses a chunk edge is summed in two parts.
+        cuts = starts[np.searchsorted(starts, lo, "right") : np.searchsorted(starts, hi)]
+        segment_starts = np.concatenate(([0], cuts - lo))
+        chunk = (first[lo:hi], second[lo:hi], segment_starts, block_of[lo + segment_starts])
+        for array in chunk:
+            array.flags.writeable = False  # shared by every later call
+        chunks.append(chunk)
+    return tuple(chunks)
+
+
+def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.add.at(base.copy(), index, values)`` to the bit: base rows first."""
+    return _row_sums(
+        np.concatenate((np.arange(len(base)), index)),
+        np.concatenate((base, values)),
+        len(base),
+    )
+
+
 def damped_step(
     lin: Linearization, lam: float, method: str = "auto"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -421,31 +524,27 @@ def damped_step(
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"point block inversion failed: {exc}") from exc
 
-    cross_dinv = np.einsum("nij,njk->nik", lin.h_cp, point_inv[lin.pt_idx])
+    cross_dinv = _batched_matmul(lin.h_cp, np.take(point_inv, lin.pt_idx, axis=0))
+    cross_t = np.ascontiguousarray(lin.h_cp.transpose(0, 2, 1))
 
-    first, second, block_of, starts = _camera_pairs(lin.cam_idx, lin.pt_idx, nc)
     blocks = np.zeros((nc * nc, 9, 9))
     diagonal = np.arange(nc) * (nc + 1)
     blocks[diagonal] = lin.h_cc + lam * np.eye(9)
-    for lo in range(0, len(first), PAIR_CHUNK):
-        hi = min(lo + PAIR_CHUNK, len(first))
-        products = np.matmul(cross_dinv[first[lo:hi]], lin.h_cp[second[lo:hi]].transpose(0, 2, 1))
-        # Segments of equal (camera, camera) block within the chunk; a block
-        # whose segment crosses a chunk edge is summed in two parts.
-        cuts = starts[np.searchsorted(starts, lo, "right") : np.searchsorted(starts, hi)]
-        segment_starts = np.concatenate(([0], cuts - lo))
-        blocks[block_of[lo + segment_starts]] -= np.add.reduceat(products, segment_starts, axis=0)
+    for first, second, segment_starts, segment_blocks in _pair_plan(lin.cam_idx, lin.pt_idx, nc):
+        # np.take gathers rows about twice as fast as fancy indexing.
+        products = np.matmul(np.take(cross_dinv, first, axis=0), np.take(cross_t, second, axis=0))
+        blocks[segment_blocks] -= np.add.reduceat(products, segment_starts, axis=0)
     reduced = blocks.reshape(nc, nc, 9, 9).transpose(0, 2, 1, 3)
 
-    rhs = -lin.grad_cam.copy()
-    np.add.at(
-        rhs, lin.cam_idx, np.einsum("nij,nj->ni", cross_dinv, lin.grad_pt[lin.pt_idx])
+    rhs = _added_rows(
+        -lin.grad_cam,
+        lin.cam_idx,
+        np.einsum("nij,nj->ni", cross_dinv, lin.grad_pt[lin.pt_idx]),
     )
     delta_cam = _solve_spd(reduced.reshape(9 * nc, 9 * nc), rhs.ravel()).reshape(nc, 9)
 
-    back = lin.grad_pt.copy()
-    np.add.at(
-        back, lin.pt_idx, np.einsum("nij,ni->nj", lin.h_cp, delta_cam[lin.cam_idx])
+    back = _added_rows(
+        lin.grad_pt, lin.pt_idx, np.einsum("nij,ni->nj", lin.h_cp, delta_cam[lin.cam_idx])
     )
     delta_pt = -np.einsum("nij,nj->ni", point_inv, back)
     return delta_cam, delta_pt

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from balm import solver
+from balm.baselines import zero_net_oracle
 from balm.scene import (
     BAProblem,
     CameraPose,
@@ -188,8 +189,21 @@ class TestResiduals:
         params = ParamVector.from_problem(tiny_problem)
         params.points[:] = 0.0
         params.cameras[:, 3:6] = 0.0
-        with pytest.raises(NumericalFailureError):
-            residuals(tiny_problem, params)
+        indices = []
+        for evaluate in (residuals, linearize):
+            with pytest.raises(NumericalFailureError, match="depth") as failure:
+                evaluate(tiny_problem, params)
+            indices.append(failure.value.observation_index)
+        assert indices == [0, 0]
+
+    def test_non_finite_residual_is_a_failure(self, tiny_problem):
+        params = ParamVector.from_problem(tiny_problem)
+        params.cameras[2, 6] = float("nan")
+        first = [o.camera_index for o in tiny_problem.observations].index(2)
+        for evaluate in (residuals, linearize):
+            with pytest.raises(NumericalFailureError, match="non-finite") as failure:
+                evaluate(tiny_problem, params)
+            assert failure.value.observation_index == first
 
     def test_estimation_error_frozen(self):
         res = Residuals(values=np.array([[3.0, 4.0]]))
@@ -242,6 +256,7 @@ class TestJacobian:
             lin.num_points,
             tiny_problem.pixel_sigma,
         )
+        assert np.array_equal(lin.residual, residuals(tiny_problem, params).values)
         np.testing.assert_allclose(lin.grad_cam, ref.grad_cam, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(lin.grad_pt, ref.grad_pt, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(lin.h_cc, ref.h_cc, rtol=1e-12, atol=1e-15)
@@ -369,6 +384,33 @@ class TestDampedStep:
         schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
         gap = np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step)
         assert gap < 1e-8
+
+    def test_pair_plan_built_once_per_index_set(self, suite_problem_0, monkeypatch):
+        calls = {"n": 0}
+        original = solver._camera_pairs
+
+        def counted(*args):
+            calls["n"] += 1
+            return original(*args)
+
+        solver._cached_pair_plan.cache_clear()
+        monkeypatch.setattr(solver, "_camera_pairs", counted)
+        result = solve(suite_problem_0, ClassicPolicy(), deterministic_time=True)
+        assert result.iterations > 1
+        zero_net_oracle(suite_problem_0, SolverState.initial(suite_problem_0))
+        assert calls["n"] == 1
+
+        # other indices get a plan of their own, not the cached one
+        problem = thinned_problem()
+        assert solve(problem, ClassicPolicy(), max_iterations=5).outcome != "numerical-failure"
+        assert calls["n"] == 2
+        lin = linearize(problem, ParamVector.from_problem(problem))
+        dc_d, dp_d = damped_step(lin, 1e-3, method="dense")
+        dc_s, dp_s = damped_step(lin, 1e-3, method="schur")
+        dense_step = np.concatenate([dc_d.ravel(), dp_d.ravel()])
+        schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
+        assert np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step) < 1e-8
+        assert calls["n"] == 2
 
     def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
         assert tiny_problem.num_cameras < DENSE_CAMERA_LIMIT
