@@ -105,6 +105,7 @@ def zero_net_predict(net: Mlp, states, actions, rewards) -> float:
 
 
 def _pad_left(values, window: int) -> np.ndarray:
+    """The last ``window`` values, zero-padded on the left (zero-net input slots)."""
     out = np.zeros(window)
     vals = list(values)[-window:]
     if vals:
@@ -112,15 +113,7 @@ def _pad_left(values, window: int) -> np.ndarray:
     return out
 
 
-def _collect_labeled_windows(
-    problem,
-    net: Mlp | None,
-    grid,
-    window: int,
-    max_iterations: int,
-    threshold: float,
-    deterministic_time: bool,
-):
+def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     """One rollout; every visited state is labeled with the greedy damping.
 
     With no net, the classic heuristic drives (warm-start epoch); otherwise
@@ -128,14 +121,8 @@ def _collect_labeled_windows(
     mapped back to squashed space, reward slots the negated durations, both
     zero-padded exactly as the solve-time policy rebuilds them.
     """
-    env = BAEnv(
-        EnvConfig(
-            window=window,
-            max_iterations=max_iterations,
-            threshold=threshold,
-            deterministic_time=deterministic_time,
-        )
-    )
+    window = config.window
+    env = BAEnv(config)
     classic = ClassicPolicy(window=window)
     classic.reset()
     obs = env.reset(problem)
@@ -184,6 +171,12 @@ def zero_net_train(
     """
     if not problems:
         raise ValueError("need at least one training problem")
+    config = EnvConfig(
+        window=window,
+        max_iterations=max_iterations,
+        threshold=threshold,
+        deterministic_time=deterministic_time,
+    )
     rng = np.random.default_rng(seed)
     net = init_zero_net(window=window, hidden=hidden, seed=seed)
     adam = adam_init(net)
@@ -192,10 +185,7 @@ def zero_net_train(
         xs: list = []
         ys: list = []
         for problem in problems:
-            inputs, targets = _collect_labeled_windows(
-                problem, driver, grid, window, max_iterations, threshold,
-                deterministic_time,
-            )
+            inputs, targets = _collect_labeled_windows(problem, driver, grid, config)
             xs.extend(inputs)
             ys.extend(targets)
         features = np.asarray(xs)

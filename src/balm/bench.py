@@ -14,7 +14,7 @@ import numpy as np
 
 from .policy import AgentPolicy, DampingPolicy, make_policy
 from .scene import BAProblem, generate_synthetic
-from .solver import SolveResult, solve
+from .solver import SolveResult, csv_text, solve
 
 SUITE_PIXEL_SIGMA = 250.0
 SUITE_NOISE_STD = 0.5
@@ -23,6 +23,13 @@ HOLDOUT_SEEDS = tuple(range(100, 110))
 DEFAULT_TOLERANCES = (0.1, 0.001)
 ABLATION_WINDOWS = (1, 5, 10, 20)
 ABLATION_REWARDS = ("duration", "constant", "reduction")
+SOLVE_OPTIONS = ("max_iterations", "threshold", "deterministic_time", "accept_only_improving")
+# ablation kind -> (the TrainConfig field it varies, which is also its row column, values)
+ABLATION_VARIANTS = {
+    "state_size": ("window", ABLATION_WINDOWS),
+    "reward_variant": ("reward_variant", ABLATION_REWARDS),
+    "reversed": ("reward_variant", ("duration", "reversed")),
+}
 
 
 def suite_scene(seed: int, num_cameras: int = 10, num_points: int = 10) -> BAProblem:
@@ -91,9 +98,9 @@ def run_comparison(problems, policies, env_config=None, seeds=(0,)) -> Compariso
     """Solve every (problem, policy, seed) cell; aggregate per policy.
 
     ``problems`` maps id -> problem, ``policies`` maps kind -> policy (or a
-    ``make_policy`` spec), ``env_config`` is an ``EnvConfig`` or a mapping of
-    solve options. Individual failures become outcome rows; the sweep itself
-    never aborts.
+    ``make_policy`` spec), ``env_config`` is an ``EnvConfig`` or a mapping
+    whose ``solve`` options are used (the others are ignored). Individual
+    failures become outcome rows; the sweep itself never aborts.
     """
     problem_items = list(problems.items() if hasattr(problems, "items") else problems)
     policy_items = [(kind, _as_policy(spec)) for kind, spec in (
@@ -104,13 +111,9 @@ def run_comparison(problems, policies, env_config=None, seeds=(0,)) -> Compariso
         raise ValueError("problems, policies, and seeds must all be non-empty")
     if is_dataclass(env_config):
         env_config = asdict(env_config)
-    env_config = dict(env_config or {})
-    solve_kwargs = {
-        "max_iterations": env_config.get("max_iterations", 100),
-        "threshold": env_config.get("threshold", 1e-6),
-        "deterministic_time": env_config.get("deterministic_time", False),
-        "accept_only_improving": env_config.get("accept_only_improving", False),
-    }
+    env_config = env_config or {}
+    # options the mapping leaves out keep solve's defaults
+    solve_kwargs = {k: env_config[k] for k in SOLVE_OPTIONS if k in env_config}
     records = []
     for problem_id, problem in problem_items:
         for kind, policy in policy_items:
@@ -154,35 +157,19 @@ def aggregate_rows(records, policy_kind: str) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if np.isnan(value):
-            return ""
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(_fmt(v) for v in value)
-    return str(value)
+COMPARISON_COLUMNS = (
+    "problem", "policy", "seed", "outcome",
+    "iterations", "total_time_s", "initial_error", "final_error",
+)
 
 
 def comparison_to_csv(table: ComparisonTable) -> str:
-    lines = ["problem,policy,seed,outcome,iterations,total_time_s,initial_error,final_error"]
-    for r in table.records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.problem_id,
-                    r.policy_kind,
-                    r.seed,
-                    r.outcome,
-                    r.iterations,
-                    r.total_time_s,
-                    r.initial_error,
-                    r.final_error,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (r.problem_id, r.policy_kind, r.seed, r.outcome,
+         r.iterations, r.total_time_s, r.initial_error, r.final_error)
+        for r in table.records
+    )
+    return csv_text(COMPARISON_COLUMNS, rows)
 
 
 AGGREGATE_COLUMNS = (
@@ -197,10 +184,8 @@ AGGREGATE_COLUMNS = (
 
 
 def aggregates_to_csv(table: ComparisonTable) -> str:
-    lines = [",".join(AGGREGATE_COLUMNS)]
-    for row in table.aggregates:
-        lines.append(",".join(_fmt(row[c]) for c in AGGREGATE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    rows = ([row[c] for c in AGGREGATE_COLUMNS] for row in table.aggregates)
+    return csv_text(AGGREGATE_COLUMNS, rows)
 
 
 def _time_to_target(record: RunRecord, target: float) -> float:
@@ -274,11 +259,12 @@ def performance_profile(records, tolerance: float) -> dict:
 
 
 def profile_to_csv(curves: dict) -> str:
-    lines = ["policy,relative_time,solved_fraction"]
-    for kind in sorted(curves):
-        for point in curves[kind]:
-            lines.append(f"{kind},{_fmt(point.relative_time)},{_fmt(point.solved_fraction)}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (kind, point.relative_time, point.solved_fraction)
+        for kind in sorted(curves)
+        for point in curves[kind]
+    )
+    return csv_text(("policy", "relative_time", "solved_fraction"), rows)
 
 
 def convergence_trace(record: RunRecord, tolerances=DEFAULT_TOLERANCES) -> dict:
@@ -298,10 +284,8 @@ def convergence_trace(record: RunRecord, tolerances=DEFAULT_TOLERANCES) -> dict:
 
 
 def trace_to_csv(trace: dict) -> str:
-    lines = ["cumulative_time_s,error"]
-    for t, e in zip(trace["times"], trace["errors"]):
-        lines.append(f"{_fmt(float(t))},{_fmt(float(e))}")
-    return "\n".join(lines) + "\n"
+    rows = ((float(t), float(e)) for t, e in zip(trace["times"], trace["errors"]))
+    return csv_text(("cumulative_time_s", "error"), rows)
 
 
 def extract_schedule(nets, problems, steps: int = 4) -> list:
@@ -368,15 +352,7 @@ def _train_for_ablation(train_problems, config: dict, **overrides):
 
 
 def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
-    table = run_comparison(
-        held_out,
-        {"agent": AgentPolicy(nets)},
-        env_config={
-            "max_iterations": config["max_iterations"],
-            "threshold": config["threshold"],
-            "deterministic_time": config["deterministic_time"],
-        },
-    )
+    table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, config)
     row = dict(extra)
     row.update(table.aggregates[0])
     row.pop("policy", None)
@@ -390,27 +366,14 @@ def ablation_suite(kind: str, base_config=None) -> dict:
     train_problems, held_out = _ablation_problems(config)
     rows = []
 
-    if kind == "state_size":
-        for window in ABLATION_WINDOWS:
+    if kind in ABLATION_VARIANTS:
+        column, values = ABLATION_VARIANTS[kind]
+        for value in values:
             try:
-                nets = _train_for_ablation(train_problems, config, window=window)
-                rows.append(_eval_rows(nets, held_out, config, {"window": window}))
+                nets = _train_for_ablation(train_problems, config, **{column: value})
+                rows.append(_eval_rows(nets, held_out, config, {column: value}))
             except Exception as exc:  # noqa: BLE001 - record, keep sweeping
-                rows.append({"window": window, "error": str(exc)})
-    elif kind == "reward_variant":
-        for variant in ABLATION_REWARDS:
-            try:
-                nets = _train_for_ablation(train_problems, config, reward_variant=variant)
-                rows.append(_eval_rows(nets, held_out, config, {"reward_variant": variant}))
-            except Exception as exc:  # noqa: BLE001
-                rows.append({"reward_variant": variant, "error": str(exc)})
-    elif kind == "reversed":
-        for variant in ("duration", "reversed"):
-            try:
-                nets = _train_for_ablation(train_problems, config, reward_variant=variant)
-                rows.append(_eval_rows(nets, held_out, config, {"reward_variant": variant}))
-            except Exception as exc:  # noqa: BLE001
-                rows.append({"reward_variant": variant, "error": str(exc)})
+                rows.append({column: value, "error": str(exc)})
     elif kind == "scheduler":
         try:
             nets = _train_for_ablation(train_problems, config)
@@ -420,15 +383,7 @@ def ablation_suite(kind: str, base_config=None) -> dict:
                 "scheduler": {"kind": "constant_scheduler", "schedule": schedule},
                 "classic": {"kind": "classic"},
             }
-            table = run_comparison(
-                held_out,
-                policies,
-                env_config={
-                    "max_iterations": config["max_iterations"],
-                    "threshold": config["threshold"],
-                    "deterministic_time": config["deterministic_time"],
-                },
-            )
+            table = run_comparison(held_out, policies, config)
             for agg in table.aggregates:
                 row = dict(agg)
                 if row["policy"] == "scheduler":
@@ -448,7 +403,4 @@ def ablation_to_csv(result: dict) -> str:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
-    return "\n".join(lines) + "\n"
+    return csv_text(columns, ([row.get(c, "") for c in columns] for row in rows))

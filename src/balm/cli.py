@@ -126,7 +126,18 @@ def _add_solve_options(parser):
     parser.add_argument("--threshold", type=float, default=1e-6)
 
 
-def _policy_spec(token: str, args) -> dict:
+def _add_policy_options(parser):
+    parser.add_argument("--checkpoint", default=None)
+    parser.add_argument("--fixed-value", type=float, default=0.25)
+    parser.add_argument("--schedule", default=None)
+
+
+def _policy_spec(token: str, args, problems) -> dict:
+    """The ``make_policy`` spec for one ``--policy``/``--policies`` token.
+
+    ``--schedule auto`` averages the checkpointed agent's first dampings
+    over ``problems``, the problems the command solves.
+    """
     token = token.strip()
     if token == "classic":
         return {"kind": "classic"}
@@ -138,8 +149,13 @@ def _policy_spec(token: str, args) -> dict:
         return {"kind": "fixed", "value": args.fixed_value}
     if token == "scheduler":
         if args.schedule == "auto":
-            return {"kind": "scheduler-auto"}  # resolved by the caller
-        if args.schedule:
+            from .sac import load_agent_checkpoint
+
+            if not args.checkpoint:
+                raise SystemExit("--schedule auto requires --checkpoint")
+            nets, _ = load_agent_checkpoint(args.checkpoint)
+            schedule = extract_schedule(nets, problems)
+        elif args.schedule:
             schedule = [float(v) for v in args.schedule.split(",")]
         else:
             schedule = list(DEFAULT_SCHEDULE)
@@ -158,18 +174,9 @@ def _policy_spec(token: str, args) -> dict:
 def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = list(range(args.seed, args.seed + args.count))
     outputs = []
-    for seed in seeds:
-        problem = generate_synthetic(
-            args.num_cameras,
-            args.num_points,
-            pixel_sigma=args.pixel_sigma,
-            init_noise=args.init_noise,
-            noise_std=args.noise_std,
-            seed=seed,
-        )
-        path = out_dir / f"scene-{seed}.txt"
+    for name, problem in _suite_problems(args, range(args.seed, args.seed + args.count)).items():
+        path = out_dir / f"{name}.txt"
         path.write_text(serialize_bal(problem))
         outputs.append(path)
     write_manifest(out_dir, "generate", args, outputs)
@@ -183,7 +190,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = parse_bal(read_text(args.problem), pixel_sigma=args.pixel_sigma)
-    policy = make_policy(_policy_spec(args.policy, args))
+    policy = make_policy(_policy_spec(args.policy, args, [problem]))
     result = solve(
         problem,
         policy,
@@ -269,16 +276,7 @@ def _resolve_policies(args, problems) -> dict:
         token = token.strip()
         if not token:
             continue
-        spec = _policy_spec(token, args)
-        if spec.get("kind") == "scheduler-auto":
-            from .sac import load_agent_checkpoint
-
-            if not args.checkpoint:
-                raise SystemExit("--schedule auto requires --checkpoint")
-            nets, _ = load_agent_checkpoint(args.checkpoint)
-            schedule = extract_schedule(nets, list(problems.values()))
-            spec = {"kind": "constant_scheduler", "schedule": schedule}
-        policies[token] = make_policy(spec)
+        policies[token] = make_policy(_policy_spec(token, args, list(problems.values())))
     if not policies:
         raise SystemExit("--policies must name at least one policy")
     return policies
@@ -369,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", default=None, help="BAL text file (.gz ok)")
     p_solve.add_argument("--pixel-sigma", type=float, default=1.0)
     p_solve.add_argument("--policy", default="classic")
-    p_solve.add_argument("--checkpoint", default=None)
-    p_solve.add_argument("--fixed-value", type=float, default=0.25)
-    p_solve.add_argument("--schedule", default=None)
+    _add_policy_options(p_solve)
     _add_solve_options(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -396,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common], help="compare policies")
     p_eval.add_argument("--policies", default="classic,agent")
-    p_eval.add_argument("--checkpoint", default=None)
-    p_eval.add_argument("--fixed-value", type=float, default=0.25)
-    p_eval.add_argument("--schedule", default=None)
+    _add_policy_options(p_eval)
     p_eval.add_argument("--eval-seeds", default="100-109")
     _add_scene_options(p_eval)
     _add_solve_options(p_eval)
@@ -406,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", parents=[common], help="performance profiles")
     p_profile.add_argument("--policies", default="classic,gn")
-    p_profile.add_argument("--checkpoint", default=None)
-    p_profile.add_argument("--fixed-value", type=float, default=0.25)
-    p_profile.add_argument("--schedule", default=None)
+    _add_policy_options(p_profile)
     p_profile.add_argument("--eval-seeds", default="100-109")
     p_profile.add_argument(
         "--tolerances", default=",".join(str(t) for t in DEFAULT_TOLERANCES)

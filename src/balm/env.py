@@ -4,24 +4,28 @@ One episode is one solve: ``reset`` seeds the state on a problem, each
 ``step`` runs a single damped iteration with the agent's lambda and returns
 the usual (observation, reward, done, info) bundle. Reaching the iteration
 cap terminates without the convergence bonus but is flagged as a timeout so
-learners may still bootstrap through it.
+learners may still bootstrap through it. The env is the only place an
+episode is stepped, terminated and traced: ``solver.solve`` is a rollout of
+it with a damping policy as the player.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .policy import STATE_CLIP, PolicyObservation, make_state, observe
+from .policy import PolicyObservation, make_state, observe
 from .scene import BAProblem
 from .solver import (
     OUTCOME_CONVERGED,
     OUTCOME_ITERATION_CAP,
     OUTCOME_NUMERICAL_FAILURE,
+    RECORD_COLUMNS,
     IterationRecord,
     SolverState,
     convergence_check,
+    csv_text,
     lm_iterate,
 )
 
@@ -41,6 +45,8 @@ class EnvConfig:
     max_iterations: int = 100
     threshold: float = 1e-6
     deterministic_time: bool = False
+    # A worsening step leaves the state unchanged and cannot converge.
+    accept_only_improving: bool = False
 
     def __post_init__(self) -> None:
         if self.reward_variant not in REWARD_VARIANTS:
@@ -89,14 +95,15 @@ def compute_reward(
 
 def make_reversed_state(durations, window: int) -> np.ndarray:
     """State for the reversed variant: negated durations, padded like make_state."""
-    values = [-d for d in durations] if len(durations) else [0.0]
-    recent = values[-window:]
-    padded = [recent[0]] * (window - len(recent)) + recent
-    return np.minimum(np.asarray(padded, dtype=float), STATE_CLIP)
+    return make_state([-d for d in durations] or [0.0], window)
 
 
 class BAEnv:
-    """Gym-style environment; the action is the damping for one iteration."""
+    """Gym-style environment; the action is the damping for one iteration.
+
+    ``records`` and ``rewards`` hold the current episode's iterations and
+    their rewards, one entry per step, failed steps included.
+    """
 
     def __init__(self, config: EnvConfig):
         self.config = config
@@ -104,7 +111,8 @@ class BAEnv:
         self._state: SolverState | None = None
         self._last_lambda = 0.0
         self._done = True
-        self._trace: list[tuple[IterationRecord, float]] = []
+        self.records: list[IterationRecord] = []
+        self.rewards: list[float] = []
 
     @property
     def solver_state(self) -> SolverState:
@@ -129,44 +137,49 @@ class BAEnv:
         self._state = SolverState.initial(problem)
         self._last_lambda = 0.0
         self._done = False
-        self._trace = []
+        self.records = []
+        self.rewards = []
         return self._observation()
 
     def step(self, lam: float) -> StepOutcome:
         if self._done:
             raise EpisodeDoneError("episode is finished; call reset")
+        cfg = self.config
         state, record = lm_iterate(
             self._problem,
             self._state,
             float(lam),
-            deterministic_time=self.config.deterministic_time,
+            deterministic_time=cfg.deterministic_time,
+            accept_only_improving=cfg.accept_only_improving,
         )
         self._state = state
         self._last_lambda = float(lam)
 
+        # A rejected step leaves the error flat, which is not convergence.
         if state.failed:
-            converged = False
             outcome = OUTCOME_NUMERICAL_FAILURE
-        else:
-            converged = convergence_check(state.error_history, self.config.threshold)
-            outcome = OUTCOME_CONVERGED if converged else None
-        capped = outcome is None and state.iteration >= self.config.max_iterations
-        if capped:
+        elif state.last_step_accepted and convergence_check(state.error_history, cfg.threshold):
+            outcome = OUTCOME_CONVERGED
+        elif state.iteration >= cfg.max_iterations:
             outcome = OUTCOME_ITERATION_CAP
-        done = outcome is not None
-        self._done = done
+        else:
+            outcome = None
+        converged = outcome == OUTCOME_CONVERGED
+        capped = outcome == OUTCOME_ITERATION_CAP
+        self._done = done = outcome is not None
 
         current_error = state.error_history[-1]
         reward = compute_reward(
             record.duration_s,
             converged,
             state.iteration,
-            self.config.reward_variant,
-            bonus=self.config.convergence_bonus,
-            reduction_rate=self.config.reduction_rate,
+            cfg.reward_variant,
+            bonus=cfg.convergence_bonus,
+            reduction_rate=cfg.reduction_rate,
             error=current_error,
         )
-        self._trace.append((record, reward))
+        self.records.append(record)
+        self.rewards.append(reward)
         info = {
             "error": current_error,
             "duration_s": record.duration_s,
@@ -181,10 +194,5 @@ class BAEnv:
 
     def trace_csv(self) -> str:
         """Episode trace in the solver's CSV schema plus a reward column."""
-        lines = ["iter,lambda,error,duration_s,reward"]
-        for record, reward in self._trace:
-            error = "" if not np.isfinite(record.error) else repr(record.error)
-            lines.append(
-                f"{record.iteration},{record.lam!r},{error},{record.duration_s!r},{reward!r}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = (astuple(rec) + (reward,) for rec, reward in zip(self.records, self.rewards))
+        return csv_text(RECORD_COLUMNS + ("reward",), rows)

@@ -321,17 +321,11 @@ def mlp_to_arrays(net: Mlp, prefix: str = "") -> dict:
 
 
 def mlp_from_arrays(widths, arrays: dict, prefix: str = "") -> Mlp:
-    widths = [int(w) for w in widths]
-    weights = []
-    biases = []
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        w = arrays[f"{prefix}w{i}"]
-        b = arrays[f"{prefix}b{i}"]
-        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ValueError(f"layer {i}: arrays do not match widths {widths}")
-        weights.append(w)
-        biases.append(b)
-    return Mlp(widths=widths, weights=weights, biases=biases)
+    """Inverse of ``mlp_to_arrays``; ``Mlp`` rejects arrays that do not fit ``widths``."""
+    layers = range(len(widths) - 1)
+    return Mlp(
+        widths, [arrays[f"{prefix}w{i}"] for i in layers], [arrays[f"{prefix}b{i}"] for i in layers]
+    )
 
 
 def save_mlp(path, net: Mlp, meta: dict | None = None) -> None:

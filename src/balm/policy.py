@@ -183,16 +183,10 @@ class ZeroNetPolicy(DampingPolicy):
         self._raw_actions = []
 
     def next_lambda(self, obs: PolicyObservation) -> float:
-        from .baselines import zero_net_action
+        from .baselines import _pad_left, zero_net_action
 
-        actions = np.zeros(self.window)
-        if self._raw_actions:
-            recent = self._raw_actions[-self.window :]
-            actions[self.window - len(recent) :] = recent
-        rewards = np.zeros(self.window)
-        if obs.recent_durations:
-            recent = [-d for d in obs.recent_durations[-self.window :]]
-            rewards[self.window - len(recent) :] = recent
+        actions = _pad_left(self._raw_actions, self.window)
+        rewards = _pad_left([-d for d in obs.recent_durations], self.window)
         lam, action = zero_net_action(self.net, obs.state_vector, actions, rewards)
         self._raw_actions.append(action)
         return _clamp(lam)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -246,9 +246,10 @@ def _rotation_point_jacobian(
     theta = np.sqrt(theta2)
     small = theta2 < 1e-12
     safe = np.where(small, 1.0, theta)
+    safe2 = np.where(small, 1.0, theta2)  # not safe**2, which moves bits
 
     sinc = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-    omc = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / theta2)
+    omc = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe2)
     # d(cos t)/dw = -sinc * w; d(sinc)/dw = beta * w; d(omc)/dw = gamma * w.
     beta = np.where(
         small,
@@ -653,57 +654,63 @@ def solve(
     deterministic_time: bool = False,
     accept_only_improving: bool = False,
 ) -> SolveResult:
-    """Iterate until the error plateaus, the cap is hit, or numerics fail.
+    """Roll out one ``BAEnv`` episode with ``policy`` choosing every damping.
 
-    ``policy`` supplies the damping each iteration through
+    The episode ends when the error plateaus, the cap is hit, or numerics
+    fail. ``policy`` supplies the damping each iteration through
     ``next_lambda(observation)``; it is reset first so one instance can be
     reused across solves.
     """
-    from .policy import observe
+    from .env import BAEnv, EnvConfig
 
-    policy.reset()
-    state = SolverState.initial(problem)
-    records: list[IterationRecord] = []
-    last_lambda = 0.0
-    outcome = OUTCOME_ITERATION_CAP
-    while True:
-        obs = observe(state, policy.window, last_lambda)
-        lam = float(policy.next_lambda(obs))
-        state, record = lm_iterate(
-            problem,
-            state,
-            lam,
+    env = BAEnv(
+        EnvConfig(
+            window=policy.window,
+            max_iterations=max_iterations,
+            threshold=threshold,
             deterministic_time=deterministic_time,
             accept_only_improving=accept_only_improving,
         )
-        records.append(record)
-        last_lambda = lam
-        if state.failed:
-            outcome = OUTCOME_NUMERICAL_FAILURE
-            break
-        if state.last_step_accepted and convergence_check(state.error_history, threshold):
-            outcome = OUTCOME_CONVERGED
-            break
-        if state.iteration >= max_iterations:
-            outcome = OUTCOME_ITERATION_CAP
-            break
+    )
+    policy.reset()
+    out = env.step(policy.next_lambda(env.reset(problem)))
+    while not out.done:
+        out = env.step(policy.next_lambda(out.observation))
+    state = env.solver_state
     return SolveResult(
         params=state.params,
-        outcome=outcome,
+        outcome=out.info["outcome"],
         iterations=state.iteration,
         total_time_s=float(sum(state.durations)),
         final_error=state.error_history[-1],
         initial_error=state.error_history[0],
-        records=records,
+        records=env.records,
     )
 
 
-def records_to_csv(records: list[IterationRecord]) -> str:
-    lines = ["iter,lambda,error,duration_s"]
-    for rec in records:
-        error = "" if not np.isfinite(rec.error) else repr(rec.error)
-        lines.append(f"{rec.iteration},{rec.lam!r},{error},{rec.duration_s!r}")
+def _fmt(value) -> str:
+    """One CSV cell: NaN is blank, floats round-trip, sequences join with ';'."""
+    if isinstance(value, float):
+        if np.isnan(value):
+            return ""
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of ``columns``, then one line of ``_fmt`` cells per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+RECORD_COLUMNS = ("iter", "lambda", "error", "duration_s")  # IterationRecord's fields, in order
+
+
+def records_to_csv(records: list[IterationRecord]) -> str:
+    return csv_text(RECORD_COLUMNS, map(astuple, records))
 
 
 def result_to_json_dict(result: SolveResult) -> dict:

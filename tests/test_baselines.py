@@ -253,9 +253,8 @@ def test_policy_feeds_past_actions_and_negated_durations():
 
 def test_collected_windows_label_the_initial_state_too():
     problem = suite_problem(0, 4, 6)
-    inputs, targets = _collect_labeled_windows(
-        problem, None, DEFAULT_ORACLE_GRID, 5, 3, 1e-6, True
-    )
+    config = EnvConfig(window=5, max_iterations=3, threshold=1e-6, deterministic_time=True)
+    inputs, targets = _collect_labeled_windows(problem, None, DEFAULT_ORACLE_GRID, config)
     assert len(inputs) == len(targets) == 3
     first = inputs[0]
     assert first.shape == (15,)

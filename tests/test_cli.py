@@ -149,6 +149,27 @@ def trained_dir(tmp_path_factory):
     return out
 
 
+class TestScheduleAutoSolve:
+    def test_solve_resolves_schedule_from_checkpoint(self, tmp_path, trained_dir, scene_dir):
+        out = tmp_path / "auto"
+        assert run_cli(
+            "solve", "--problem", scene_dir / "scene-2.txt", "--pixel-sigma", 250.0,
+            "--policy", "scheduler", "--schedule", "auto",
+            "--checkpoint", trained_dir / "agent.ckpt",
+            "--deterministic-time", "--out-dir", out,
+        ) == 0
+        result = json.loads((out / "result.json").read_text())
+        trace_lines = (out / "trace.csv").read_text().splitlines()
+        assert len(trace_lines) == result["iterations"] + 1
+
+    def test_solve_auto_schedule_needs_checkpoint(self, tmp_path, scene_dir):
+        with pytest.raises(SystemExit):
+            run_cli(
+                "solve", "--problem", scene_dir / "scene-2.txt",
+                "--policy", "scheduler", "--schedule", "auto", "--out-dir", tmp_path,
+            )
+
+
 class TestTrain:
     def test_sac_outputs(self, trained_dir):
         from balm.sac import load_agent_checkpoint

@@ -156,6 +156,21 @@ class TestEpisodes:
         assert out.info["outcome"] == "iteration-cap"
         assert out.reward == -1.0
 
+    def test_rejected_steps_do_not_converge(self):
+        problem = generate_synthetic(10, 10, seed=7)
+        env = BAEnv(
+            EnvConfig(accept_only_improving=True, max_iterations=3, deterministic_time=True)
+        )
+        env.reset(problem)
+        initial = env.solver_state.error_history[0]
+        for step in (1, 2, 3):
+            out = env.step(1e-12)
+            assert env.solver_state.last_step_accepted is False
+            assert out.info["error"] == initial
+            assert out.done is (step == 3)
+        assert out.info["outcome"] == "iteration-cap"
+        assert out.info["timeout"] is True
+
     def test_step_after_done_raises(self, suite_problem_0):
         env = BAEnv(EnvConfig(max_iterations=1))
         env.reset(suite_problem_0)

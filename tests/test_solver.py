@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,17 @@ class TestJacobian:
         problem = generate_synthetic(4, 6, seed=2, focal=1.0, noise_std=0.01)
         params = ParamVector.from_problem(problem)
         lin = linearize(problem, params)
+        assert relative_gap(scatter_jacobian(lin), fd_jacobian(problem, params)) < 1e-5
+
+    def test_zero_rotation_linearizes_without_warnings(self):
+        # The series branch covers t = 0; the unused closed form must not
+        # divide by zero there.
+        problem = generate_synthetic(4, 6, seed=1)
+        params = ParamVector.from_problem(problem)
+        params.cameras[0, :3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin = linearize(problem, params)
         assert relative_gap(scatter_jacobian(lin), fd_jacobian(problem, params)) < 1e-5
 
     def test_block_assembly_matches_loops(self, tiny_problem):
@@ -608,6 +620,9 @@ class TestSolve:
         errors = [result.initial_error] + [rec.error for rec in result.records]
         for prev, cur in zip(errors, errors[1:]):
             assert cur <= prev
+        # a rejected step leaves the error flat, which must not read as converged
+        assert result.outcome == "iteration-cap"
+        assert result.iterations == 100
 
     def test_numerical_failure_outcome(self, tiny_problem, monkeypatch):
         calls = {"n": 0}
