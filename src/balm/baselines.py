@@ -113,13 +113,24 @@ def _pad_left(values, window: int) -> np.ndarray:
     return out
 
 
+def _reward_slots(recent_durations, window: int) -> np.ndarray:
+    """Reward slots of the zero-net input: -1 per completed iteration, zero-padded.
+
+    That is the negated duration deterministic timing records. Wall-clock
+    durations are never fed in, so the net's input, and with it its choice
+    of damping, does not depend on the clock or the timing mode.
+    """
+    return _pad_left([-1.0] * len(recent_durations), window)
+
+
 def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     """One rollout; every visited state is labeled with the greedy damping.
 
     With no net, the classic heuristic drives (warm-start epoch); otherwise
     the net drives its own rollout. Action slots carry the applied dampings
-    mapped back to squashed space, reward slots the negated durations, both
-    zero-padded exactly as the solve-time policy rebuilds them.
+    mapped back to squashed space, reward slots -1 per completed iteration
+    (``_reward_slots``), both zero-padded exactly as the solve-time policy
+    rebuilds them.
     """
     window = config.window
     env = BAEnv(config)
@@ -133,7 +144,7 @@ def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     while not done:
         states = obs.state_vector
         actions = _pad_left(applied, window)
-        rewards = _pad_left([-d for d in obs.recent_durations], window)
+        rewards = _reward_slots(obs.recent_durations, window)
         lam_star = zero_net_oracle(env.problem, env.solver_state, grid)
         inputs.append(np.concatenate([states, actions, rewards]))
         targets.append(raw_regression_target(lam_star))
@@ -165,9 +176,9 @@ def zero_net_train(
 ) -> Mlp:
     """Alternate labeled-rollout collection with regression in raw-u space.
 
-    Deterministic timing keeps the reward slots (negated durations) free of
-    wall-clock noise, so training is reproducible; evaluate the net under
-    the same timing mode it was trained with.
+    The reward slots hold -1 per completed iteration in either timing mode
+    (``_reward_slots``), so the trained net and its solves do not depend on
+    ``deterministic_time``; it only sets the durations the env records.
     """
     if not problems:
         raise ValueError("need at least one training problem")

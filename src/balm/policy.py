@@ -164,9 +164,9 @@ class AgentPolicy(DampingPolicy):
 class ZeroNetPolicy(DampingPolicy):
     """Supervised baseline: predicts from recent states, actions, and rewards.
 
-    The reward slots are reconstructed as negated iteration durations, the
-    same convention its training rollouts use; its own raw outputs fill the
-    action slots.
+    The reward slots hold -1 per completed iteration, as in its training
+    rollouts, whatever the timing mode, so its choices do not depend on the
+    clock; its own raw outputs fill the action slots.
     """
 
     kind = "zero_net"
@@ -183,10 +183,10 @@ class ZeroNetPolicy(DampingPolicy):
         self._raw_actions = []
 
     def next_lambda(self, obs: PolicyObservation) -> float:
-        from .baselines import _pad_left, zero_net_action
+        from .baselines import _pad_left, _reward_slots, zero_net_action
 
         actions = _pad_left(self._raw_actions, self.window)
-        rewards = _pad_left([-d for d in obs.recent_durations], self.window)
+        rewards = _reward_slots(obs.recent_durations, self.window)
         lam, action = zero_net_action(self.net, obs.state_vector, actions, rewards)
         self._raw_actions.append(action)
         return _clamp(lam)

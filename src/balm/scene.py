@@ -105,23 +105,28 @@ class BAProblem:
             raise ValueError("problem needs at least 1 point")
         if self.pixel_sigma <= 0:
             raise ValueError("pixel_sigma must be positive")
-        seen_cameras = set()
-        seen_points = set()
-        seen_pairs = set()
-        for i, obs in enumerate(self.observations):
-            if not 0 <= obs.camera_index < len(self.cameras):
+        cam_idx = np.array([o.camera_index for o in self.observations], dtype=int)
+        pt_idx = np.array([o.point_index for o in self.observations], dtype=int)
+        bad_camera = (cam_idx < 0) | (cam_idx >= self.num_cameras)
+        bad_point = (pt_idx < 0) | (pt_idx >= self.num_points)
+        # A pair is a duplicate unless it is its key's first occurrence; keys
+        # of out-of-range indices may collide, but those are faults already.
+        _, first = np.unique(cam_idx * self.num_points + pt_idx, return_index=True)
+        duplicate = np.ones(len(cam_idx), dtype=bool)
+        duplicate[first] = False
+        faults = np.flatnonzero(bad_camera | bad_point | duplicate)
+        if faults.size:
+            i = int(faults[0])
+            obs = self.observations[i]
+            if bad_camera[i]:
                 raise ValueError(f"observation {i}: camera index {obs.camera_index} out of range")
-            if not 0 <= obs.point_index < len(self.points):
+            if bad_point[i]:
                 raise ValueError(f"observation {i}: point index {obs.point_index} out of range")
             pair = (obs.camera_index, obs.point_index)
-            if pair in seen_pairs:
-                raise ValueError(f"observation {i}: duplicate camera/point pair {pair}")
-            seen_pairs.add(pair)
-            seen_cameras.add(obs.camera_index)
-            seen_points.add(obs.point_index)
-        if len(seen_cameras) != len(self.cameras):
+            raise ValueError(f"observation {i}: duplicate camera/point pair {pair}")
+        if np.unique(cam_idx).size != self.num_cameras:
             raise ValueError("every camera must appear in at least one observation")
-        if len(seen_points) != len(self.points):
+        if np.unique(pt_idx).size != self.num_points:
             raise ValueError("every point must appear in at least one observation")
 
     @property
@@ -160,13 +165,23 @@ def _rotation_coefficients(theta2: np.ndarray):
     return cos_t, sinc, one_minus_cos
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` over the last axis, to the bit, without its axis bookkeeping.
+
+    Each component is the same two products and one difference.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def rotate_points(rotvecs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply axis-angle rotations row-wise: result[i] = R(rotvecs[i]) @ points[i]."""
     rotvecs = np.asarray(rotvecs, dtype=float)
     points = np.asarray(points, dtype=float)
     theta2 = np.sum(rotvecs * rotvecs, axis=-1, keepdims=True)
     cos_t, sinc, omc = _rotation_coefficients(theta2)
-    cross = np.cross(rotvecs, points)
+    cross = _cross(rotvecs, points)
     dot = np.sum(rotvecs * points, axis=-1, keepdims=True)
     return cos_t * points + sinc * cross + omc * dot * rotvecs
 
@@ -222,19 +237,13 @@ def _look_at_rotation(center: np.ndarray, roll: float) -> np.ndarray:
     up = np.array([0.0, 0.0, 1.0])
     if abs(z_axis @ up) > 0.99:
         up = np.array([0.0, 1.0, 0.0])
-    x_axis = np.cross(up, z_axis)
+    x_axis = _cross(up, z_axis)
     x_axis /= np.linalg.norm(x_axis)
-    y_axis = np.cross(z_axis, x_axis)
+    y_axis = _cross(z_axis, x_axis)
     c, s = np.cos(roll), np.sin(roll)
     x_rolled = c * x_axis + s * y_axis
     y_rolled = -s * x_axis + c * y_axis
     return np.vstack([x_rolled, y_rolled, z_axis])
-
-
-def _matrix_to_rotvec(mat: np.ndarray) -> np.ndarray:
-    from scipy.spatial.transform import Rotation
-
-    return Rotation.from_matrix(mat).as_rotvec()
 
 
 def generate_synthetic(
@@ -260,11 +269,14 @@ def generate_synthetic(
     """
     if num_cameras < 2 or num_points < 1:
         raise ValueError("need at least 2 cameras and 1 point")
+    from scipy.spatial.transform import Rotation
+
     if noise_std is None:
         noise_std = pixel_sigma
     rng = np.random.default_rng(seed)
 
-    gt_cameras = []
+    rotation_matrices = []
+    translations = []
     for _ in range(num_cameras):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
@@ -272,24 +284,21 @@ def generate_synthetic(
         center = radius * direction
         roll = rng.uniform(-ROLL_RANGE, ROLL_RANGE)
         rot_mat = _look_at_rotation(center, roll)
-        gt_cameras.append(
-            CameraPose(
-                rotation=_matrix_to_rotvec(rot_mat),
-                translation=-rot_mat @ center,
-                focal=focal,
-                k1=0.0,
-                k2=0.0,
-            )
-        )
+        rotation_matrices.append(rot_mat)
+        translations.append(-rot_mat @ center)
+    rotvecs = Rotation.from_matrix(np.array(rotation_matrices)).as_rotvec()
+    gt_cameras = [
+        CameraPose(rotation=rotvec, translation=translation, focal=focal, k1=0.0, k2=0.0)
+        for rotvec, translation in zip(rotvecs, translations)
+    ]
+    depth_offsets = np.array(translations)[:, 2]
 
     gt_points = []
     for _ in range(num_points):
         for attempt in range(max_retries + 1):
             candidate = rng.uniform(-POINT_HALF_EXTENT, POINT_HALF_EXTENT, size=3)
-            depths = [
-                rotate_points(c.rotation, candidate)[2] + c.translation[2] for c in gt_cameras
-            ]
-            if all(abs(d) > MIN_GENERATED_DEPTH for d in depths):
+            depths = rotate_points(rotvecs, candidate)[:, 2] + depth_offsets
+            if np.all(np.abs(depths) > MIN_GENERATED_DEPTH):
                 gt_points.append(Point3(candidate))
                 break
         else:
@@ -298,11 +307,19 @@ def generate_synthetic(
                 f"after {max_retries} retries"
             )
 
-    observations = []
-    for ci, cam in enumerate(gt_cameras):
-        for pi, pt in enumerate(gt_points):
-            pixel = project(cam, pt) + rng.normal(0.0, noise_std, size=2)
-            observations.append(Observation(ci, pi, pixel))
+    # Observations are camera-major, the order of the pixel-noise draws.
+    # With k1 = k2 = 0 the distortion is exactly 1, so these pixels equal
+    # ``project`` per observation to the bit.
+    cam_idx = np.repeat(np.arange(num_cameras), num_points)
+    pt_idx = np.tile(np.arange(num_points), num_cameras)
+    camera_blocks = np.array([c.as_array() for c in gt_cameras])
+    point_blocks = np.array([p.position for p in gt_points])
+    clean, _ = project_many(camera_blocks, point_blocks, cam_idx, pt_idx)
+    pixels = clean + rng.normal(0.0, noise_std, size=clean.shape)
+    observations = [
+        Observation(ci, pi, pixel)
+        for ci, pi, pixel in zip(cam_idx.tolist(), pt_idx.tolist(), pixels)
+    ]
 
     init_cameras = []
     for cam in gt_cameras:
@@ -315,7 +332,8 @@ def generate_synthetic(
                 k2=cam.k2,
             )
         )
-    init_points = [Point3(p.position + rng.normal(0.0, init_noise, size=3)) for p in gt_points]
+    point_noise = rng.normal(0.0, init_noise, size=point_blocks.shape)
+    init_points = [Point3(position) for position in point_blocks + point_noise]
 
     ground_truth = BAProblem(
         cameras=gt_cameras,

@@ -38,9 +38,16 @@ import time
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .scene import DEPTH_EPS, BAProblem, _rotation_coefficients, project_many, rotate_points
+from .scene import (
+    DEPTH_EPS,
+    BAProblem,
+    _cross,
+    _rotation_coefficients,
+    project_many,
+    rotate_points,
+)
 
 LAMBDA_MIN = 1e-16
 LAMBDA_MAX = 1e16
@@ -265,7 +272,7 @@ def _rotation_point_jacobian(
 
     rotvecs = camera_rotvecs[cam_idx]
     dot = np.sum(rotvecs * points, axis=1)
-    w, p, c = rotvecs.T, points.T, np.cross(rotvecs, points).T
+    w, p, c = rotvecs.T, points.T, _cross(rotvecs, points).T
     gamma_dot = gamma * dot
     x, y, z = p
     skew = ((None, -z, y), (z, None, -x), (-y, x, None))  # [X]_x
@@ -295,7 +302,7 @@ def _rotation_matrices(rotvecs: np.ndarray) -> np.ndarray:
     eye = np.eye(3)
     columns = (
         cos_t[:, None, None] * eye
-        + sinc[:, None, None] * np.cross(rotvecs[:, None, :], eye)
+        + sinc[:, None, None] * _cross(rotvecs[:, None, :], eye)
         + _outer(omc[:, None] * rotvecs, rotvecs)
     )
     return columns.transpose(0, 2, 1)
@@ -417,11 +424,15 @@ def dense_system(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a least-squares fallback for semidefinite systems."""
-    try:
-        factor = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-        solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+    """Cholesky solve with a least-squares fallback for semidefinite systems.
+
+    Calls the LAPACK routines behind ``cho_factor``/``cho_solve`` directly,
+    which skips their argument checks and batching wrappers.
+    """
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info == 0:
+        solution, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
         try:
             solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:

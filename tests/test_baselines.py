@@ -242,7 +242,9 @@ def test_policy_feeds_past_actions_and_negated_durations():
     )
     lam1 = policy.next_lambda(obs1)
     actions = np.array([0.0, 0.0, 0.0, 0.0, u0])
-    rewards = np.array([0.0, 0.0, 0.0, 0.0, -0.5])
+    # A 0.5 s iteration fills its slot with -1, the negated duration that
+    # deterministic timing records: the slots count iterations, not seconds.
+    rewards = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
     want1, _ = zero_net_action(net, make_state([0.4, 0.3], 5), actions, rewards)
     assert lam1 == want1
 
@@ -313,6 +315,25 @@ def test_training_is_reproducible(tiny_trained_net):
         assert np.array_equal(a, b)
     for a, b in zip(tiny_trained_net.biases, again.biases):
         assert np.array_equal(a, b)
+
+
+def test_zero_net_does_not_depend_on_the_clock():
+    """Both timing modes train the same net, and it picks the same dampings in both."""
+    problems = [suite_problem(s) for s in (0, 1)]
+    nets = [
+        zero_net_train(
+            problems, epochs=2, seed=0, hidden=16, passes_per_epoch=5,
+            max_iterations=30, deterministic_time=mode,
+        )
+        for mode in (True, False)
+    ]
+    assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
+    lambdas = [
+        [rec.lam for rec in solve(suite_problem(100), ZeroNetPolicy(nets[0]),
+                                  deterministic_time=mode).records]
+        for mode in (True, False)
+    ]
+    assert lambdas[0] == lambdas[1]
 
 
 def test_training_requires_problems():

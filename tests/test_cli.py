@@ -7,8 +7,10 @@ repeated runs, which is what makes the eval pipeline auditable.
 
 import gzip
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,10 @@ class TestAblateCli:
 
 
 def test_module_entry_point(tmp_path):
+    # The subprocess does not see pytest's ``pythonpath``; put this checkout first.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = src + os.pathsep + inherited if inherited else src
     proc = subprocess.run(
         [
             sys.executable, "-m", "balm", "generate", "--count", "1",
@@ -294,6 +300,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert (tmp_path / "scene-0.txt").exists()

@@ -1,5 +1,9 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
+from conftest import suite_problem
 from scipy.spatial.transform import Rotation
 
 from balm import scene
@@ -33,6 +37,22 @@ def reference_rotate(rotvec, point):
     )
 
 
+def scene_digest(problems) -> str:
+    """sha256 over the camera, point and observation arrays of problems and ground truths."""
+    digest = hashlib.sha256()
+    for problem in problems:
+        for part in (problem, problem.ground_truth):
+            for array in (part.camera_array(), part.point_array(), *part.observation_arrays()):
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+# Suite scenes 0-9 and 100-109 and criterion 3's three scenes, as the
+# per-observation generator built them before it became array-at-a-time.
+GOLDEN_SCENE_DIGEST = "26c8c931b6b88cba4627c250aa1430fbf469bd08d4437f2671ecc0de66ab85cb"
+CRITERION_3_SCENES = ((6, 40, 0), (12, 100, 1), (20, 200, 2))
+
+
 def make_camera(rotation=(0, 0, 0), translation=(0, 0, 0), focal=1.0, k1=0.0, k2=0.0):
     return CameraPose(
         rotation=np.array(rotation, dtype=float),
@@ -44,6 +64,16 @@ def make_camera(rotation=(0, 0, 0), translation=(0, 0, 0), focal=1.0, k1=0.0, k2
 
 
 class TestRotation:
+    def test_cross_matches_numpy_bytes(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(0, 3, (200, 3)), rng.normal(0, 3, (200, 3))
+        assert scene._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert scene._cross(a[0], b[0]).tobytes() == np.cross(a[0], b[0]).tobytes()
+        assert scene._cross(a, b[0]).tobytes() == np.cross(a, b[0]).tobytes()
+        stacked, eye = a[:, None, :], np.eye(3)
+        assert scene._cross(stacked, eye).shape == (200, 3, 3)
+        assert scene._cross(stacked, eye).tobytes() == np.cross(stacked, eye).tobytes()
+
     def test_matches_normalized_axis_formula(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -190,6 +220,14 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(1, 5, seed=0)
 
+    def test_scenes_are_byte_stable(self):
+        problems = [suite_problem(s) for s in (*range(10), *range(100, 110))]
+        problems += [
+            generate_synthetic(nc, npts, seed=seed, focal=1.0, noise_std=0.01)
+            for nc, npts, seed in CRITERION_3_SCENES
+        ]
+        assert scene_digest(problems) == GOLDEN_SCENE_DIGEST
+
 
 class TestProblemInvariants:
     def make_valid(self):
@@ -229,6 +267,24 @@ class TestProblemInvariants:
         cameras, points, observations = self.make_valid()
         observations[0] = Observation(5, 0, np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="out of range"):
+            BAProblem(cameras, points, observations)
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            (
+                [(1, 0, 0), (2, 7, 9), (3, 0, 9)],
+                "observation 1: duplicate camera/point pair (0, 0)",
+            ),
+            ([(1, 7, 9), (2, 0, 0)], "observation 1: camera index 7 out of range"),
+            ([(2, 5, 0), (1, 0, -1)], "observation 1: point index -1 out of range"),
+        ],
+    )
+    def test_first_fault_is_reported(self, faults, message):
+        cameras, points, observations = self.make_valid()
+        for position, cam, pt in faults:
+            observations.insert(position, Observation(cam, pt, np.zeros(2)))
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             BAProblem(cameras, points, observations)
 
     def test_nonpositive_sigma(self):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from balm import solver
 from balm.baselines import zero_net_oracle
@@ -455,6 +456,17 @@ class TestDampedStep:
         lin.grad_cam[0, 0] = float("nan")
         with pytest.raises(SingularSystemError):
             damped_step(lin, 0.1, method="dense")
+
+    def test_spd_solve_is_cholesky_with_lstsq_fallback(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(12, 12))
+        spd, rhs = a @ a.T + np.eye(12), rng.normal(size=12)
+        factor = scipy.linalg.cho_factor(spd, lower=True)
+        expected = scipy.linalg.cho_solve(factor, rhs)
+        assert solver._solve_spd(spd, rhs).tobytes() == expected.tobytes()
+        semidefinite = np.diag([2.0, 1.0, 0.0])  # zero pivot: Cholesky fails
+        expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
+        np.testing.assert_array_equal(solver._solve_spd(semidefinite, rhs[:3]), expected)
 
 
 class TestLmIterate:
