@@ -8,10 +8,11 @@ counts stand in for time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 
 import numpy as np
 
+from .env import make_reversed_state
 from .policy import AgentPolicy, DampingPolicy, make_policy
 from .scene import BAProblem, generate_synthetic
 from .solver import SolveResult, csv_text, solve
@@ -351,8 +352,17 @@ def _train_for_ablation(train_problems, config: dict, **overrides):
     return nets
 
 
+class _ReversedStateAgent(AgentPolicy):
+    """Shown the negated durations it trained on, not ``solve``'s clipped errors."""
+
+    def next_lambda(self, obs):
+        state = make_reversed_state(obs.recent_durations, self.window)
+        return super().next_lambda(replace(obs, state_vector=state))
+
+
 def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
-    table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, config)
+    agent = _ReversedStateAgent if extra.get("reward_variant") == "reversed" else AgentPolicy
+    table = run_comparison(held_out, {"agent": agent(nets)}, config)
     row = dict(extra)
     row.update(table.aggregates[0])
     row.pop("policy", None)

@@ -8,7 +8,7 @@ two-coefficient radial distortion scaled by the focal length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,74 +84,121 @@ class Observation:
     pixel: np.ndarray
 
 
-@dataclass
 class BAProblem:
-    """A bundle-adjustment instance: estimates, observations, and noise scale.
+    """A bundle-adjustment instance: five arrays and the observation noise scale.
 
-    ``ground_truth`` optionally carries the generating scene for synthetic
-    problems; it plays no role in solving.
+    ``camera_blocks`` (n, 9) holds each camera's rotation, translation, focal,
+    k1 and k2, ``point_blocks`` (m, 3) the points, and observation k sees point
+    ``pt_idx[k]`` from camera ``cam_idx[k]`` at ``pixels[k]`` (k, 2). The
+    constructor converts ``CameraPose``/``Point3``/``Observation`` records
+    once; ``from_arrays`` keeps the arrays it is given, converting only a
+    differing dtype. Blocks and indices become read-only; ``pixels`` stays
+    writable. ``ground_truth`` optionally carries the generating scene for
+    synthetic problems; it plays no role in solving.
     """
 
-    cameras: list[CameraPose]
-    points: list[Point3]
-    observations: list[Observation]
-    pixel_sigma: float = 1.0
-    ground_truth: "BAProblem | None" = field(default=None, repr=False)
+    def __init__(self, cameras, points, observations, pixel_sigma=1.0, ground_truth=None):
+        self._store(
+            np.array([c.as_array() for c in cameras], dtype=float).reshape(len(cameras), 9),
+            np.array([p.as_array() for p in points], dtype=float).reshape(len(points), 3),
+            np.array([o.camera_index for o in observations], dtype=int),
+            np.array([o.point_index for o in observations], dtype=int),
+            np.array([o.pixel for o in observations], dtype=float).reshape(len(observations), 2),
+            pixel_sigma, ground_truth,
+        )
 
-    def __post_init__(self) -> None:
-        if len(self.cameras) < 2:
+    @classmethod
+    def from_arrays(
+        cls, camera_blocks, point_blocks, cam_idx, pt_idx, pixels, pixel_sigma=1.0,
+        ground_truth=None,
+    ) -> "BAProblem":
+        problem = cls.__new__(cls)
+        problem._store(
+            np.asarray(camera_blocks, dtype=float), np.asarray(point_blocks, dtype=float),
+            _index_array(cam_idx, "cam_idx"), _index_array(pt_idx, "pt_idx"),
+            np.asarray(pixels, dtype=float), pixel_sigma, ground_truth,
+        )
+        return problem
+
+    def _store(self, cameras, points, cam_idx, pt_idx, pixels, pixel_sigma, ground_truth):
+        """Validate, then keep, the arrays; the first fault raises ``ValueError``."""
+        if cameras.ndim != 2 or cameras.shape[1] != 9:
+            raise ValueError(f"camera_blocks must have shape (n, 9), got {cameras.shape}")
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"point_blocks must have shape (m, 3), got {points.shape}")
+        k = cam_idx.shape[:1]
+        if cam_idx.ndim != 1 or pt_idx.shape != k or pixels.shape != k + (2,):
+            raise ValueError(
+                f"cam_idx, pt_idx and pixels must have shapes (k,), (k,) and (k, 2), "
+                f"got {cam_idx.shape}, {pt_idx.shape} and {pixels.shape}"
+            )
+        if len(cameras) < 2:
             raise ValueError("problem needs at least 2 cameras")
-        if len(self.points) < 1:
+        if len(points) < 1:
             raise ValueError("problem needs at least 1 point")
-        if self.pixel_sigma <= 0:
+        if pixel_sigma <= 0:
             raise ValueError("pixel_sigma must be positive")
-        cam_idx = np.array([o.camera_index for o in self.observations], dtype=int)
-        pt_idx = np.array([o.point_index for o in self.observations], dtype=int)
-        bad_camera = (cam_idx < 0) | (cam_idx >= self.num_cameras)
-        bad_point = (pt_idx < 0) | (pt_idx >= self.num_points)
+        bad_camera = (cam_idx < 0) | (cam_idx >= len(cameras))
+        bad_point = (pt_idx < 0) | (pt_idx >= len(points))
         # A pair is a duplicate unless it is its key's first occurrence; keys
         # of out-of-range indices may collide, but those are faults already.
-        _, first = np.unique(cam_idx * self.num_points + pt_idx, return_index=True)
+        _, first = np.unique(cam_idx * len(points) + pt_idx, return_index=True)
         duplicate = np.ones(len(cam_idx), dtype=bool)
         duplicate[first] = False
         faults = np.flatnonzero(bad_camera | bad_point | duplicate)
         if faults.size:
             i = int(faults[0])
-            obs = self.observations[i]
+            pair = (int(cam_idx[i]), int(pt_idx[i]))
             if bad_camera[i]:
-                raise ValueError(f"observation {i}: camera index {obs.camera_index} out of range")
+                raise ValueError(f"observation {i}: camera index {pair[0]} out of range")
             if bad_point[i]:
-                raise ValueError(f"observation {i}: point index {obs.point_index} out of range")
-            pair = (obs.camera_index, obs.point_index)
+                raise ValueError(f"observation {i}: point index {pair[1]} out of range")
             raise ValueError(f"observation {i}: duplicate camera/point pair {pair}")
-        if np.unique(cam_idx).size != self.num_cameras:
+        if np.unique(cam_idx).size != len(cameras):
             raise ValueError("every camera must appear in at least one observation")
-        if np.unique(pt_idx).size != self.num_points:
+        if np.unique(pt_idx).size != len(points):
             raise ValueError("every point must appear in at least one observation")
+        for array in (cameras, points, cam_idx, pt_idx):
+            array.flags.writeable = False
+        self.camera_blocks, self.point_blocks = cameras, points
+        self.cam_idx, self.pt_idx, self.pixels = cam_idx, pt_idx, pixels
+        self.pixel_sigma, self.ground_truth = pixel_sigma, ground_truth
 
     @property
     def num_cameras(self) -> int:
-        return len(self.cameras)
+        return len(self.camera_blocks)
 
     @property
     def num_points(self) -> int:
-        return len(self.points)
+        return len(self.point_blocks)
 
     @property
     def num_observations(self) -> int:
-        return len(self.observations)
+        return len(self.cam_idx)
 
-    def camera_array(self) -> np.ndarray:
-        return np.array([c.as_array() for c in self.cameras], dtype=float)
+    # Fresh records on every read: editing one leaves the problem as it is.
+    @property
+    def cameras(self) -> list[CameraPose]:
+        return [CameraPose.from_array(block) for block in self.camera_blocks]
 
-    def point_array(self) -> np.ndarray:
-        return np.array([p.as_array() for p in self.points], dtype=float)
+    @property
+    def points(self) -> list[Point3]:
+        return [Point3(block.copy()) for block in self.point_blocks]
+
+    @property
+    def observations(self) -> list[Observation]:
+        index = zip(self.cam_idx.tolist(), self.pt_idx.tolist())
+        return [Observation(c, p, pixel.copy()) for (c, p), pixel in zip(index, self.pixels)]
 
     def observation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cam_idx = np.array([o.camera_index for o in self.observations], dtype=int)
-        pt_idx = np.array([o.point_index for o in self.observations], dtype=int)
-        pixels = np.array([o.pixel for o in self.observations], dtype=float)
-        return cam_idx, pt_idx, pixels
+        return self.cam_idx, self.pt_idx, self.pixels
+
+
+def _index_array(values, name: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+    return array.astype(int, copy=False)
 
 
 def _rotation_coefficients(theta2: np.ndarray):
@@ -215,8 +262,17 @@ def project_many(
     Returns (pixels, depths) so callers can detect degenerate depths without
     paying for a second pass.
     """
-    cams = camera_blocks[cam_idx]
-    pts = point_blocks[pt_idx]
+    cam_frame, _, _, _, pixels = _project_rows(camera_blocks[cam_idx], point_blocks[pt_idx])
+    return pixels, cam_frame[:, 2]
+
+
+def _project_rows(cams: np.ndarray, pts: np.ndarray):
+    """Project ``pts[n]`` through camera block ``cams[n]``, keeping the intermediates.
+
+    Returns the camera-frame points, the image-plane points, their squared
+    radius, the distortion factor and the pixels. A numerically zero depth
+    divides by 1 instead; the caller detects it.
+    """
     cam_frame = rotate_points(cams[:, 0:3], pts) + cams[:, 3:6]
     depth = cam_frame[:, 2]
     safe_depth = np.where(np.abs(depth) <= DEPTH_EPS, 1.0, depth)
@@ -224,7 +280,7 @@ def project_many(
     r2 = np.sum(plane * plane, axis=1)
     distortion = 1.0 + cams[:, 7] * r2 + cams[:, 8] * r2 * r2
     pixels = cams[:, 6, None] * distortion[:, None] * plane
-    return pixels, depth
+    return cam_frame, plane, r2, distortion, pixels
 
 
 def _look_at_rotation(center: np.ndarray, roll: float) -> np.ndarray:
@@ -275,31 +331,27 @@ def generate_synthetic(
         noise_std = pixel_sigma
     rng = np.random.default_rng(seed)
 
-    rotation_matrices = []
-    translations = []
-    for _ in range(num_cameras):
+    camera_blocks = np.zeros((num_cameras, 9))  # k1 = k2 = 0
+    camera_blocks[:, 6] = focal
+    rotation_matrices = np.empty((num_cameras, 3, 3))
+    for ci in range(num_cameras):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         radius = rng.uniform(*SHELL_RADIUS)
         center = radius * direction
         roll = rng.uniform(-ROLL_RANGE, ROLL_RANGE)
-        rot_mat = _look_at_rotation(center, roll)
-        rotation_matrices.append(rot_mat)
-        translations.append(-rot_mat @ center)
-    rotvecs = Rotation.from_matrix(np.array(rotation_matrices)).as_rotvec()
-    gt_cameras = [
-        CameraPose(rotation=rotvec, translation=translation, focal=focal, k1=0.0, k2=0.0)
-        for rotvec, translation in zip(rotvecs, translations)
-    ]
-    depth_offsets = np.array(translations)[:, 2]
+        rotation_matrices[ci] = _look_at_rotation(center, roll)
+        camera_blocks[ci, 3:6] = -rotation_matrices[ci] @ center
+    rotvecs = Rotation.from_matrix(rotation_matrices).as_rotvec()
+    camera_blocks[:, 0:3] = rotvecs
 
-    gt_points = []
-    for _ in range(num_points):
+    point_blocks = np.empty((num_points, 3))
+    for pj in range(num_points):
         for attempt in range(max_retries + 1):
             candidate = rng.uniform(-POINT_HALF_EXTENT, POINT_HALF_EXTENT, size=3)
-            depths = rotate_points(rotvecs, candidate)[:, 2] + depth_offsets
+            depths = rotate_points(rotvecs, candidate)[:, 2] + camera_blocks[:, 5]
             if np.all(np.abs(depths) > MIN_GENERATED_DEPTH):
-                gt_points.append(Point3(candidate))
+                point_blocks[pj] = candidate
                 break
         else:
             raise SceneGenerationError(
@@ -312,41 +364,19 @@ def generate_synthetic(
     # ``project`` per observation to the bit.
     cam_idx = np.repeat(np.arange(num_cameras), num_points)
     pt_idx = np.tile(np.arange(num_points), num_cameras)
-    camera_blocks = np.array([c.as_array() for c in gt_cameras])
-    point_blocks = np.array([p.position for p in gt_points])
     clean, _ = project_many(camera_blocks, point_blocks, cam_idx, pt_idx)
     pixels = clean + rng.normal(0.0, noise_std, size=clean.shape)
-    observations = [
-        Observation(ci, pi, pixel)
-        for ci, pi, pixel in zip(cam_idx.tolist(), pt_idx.tolist(), pixels)
-    ]
-
-    init_cameras = []
-    for cam in gt_cameras:
-        init_cameras.append(
-            CameraPose(
-                rotation=cam.rotation + rng.normal(0.0, rotation_noise, size=3),
-                translation=cam.translation + rng.normal(0.0, init_noise, size=3),
-                focal=cam.focal,
-                k1=cam.k1,
-                k2=cam.k2,
-            )
-        )
-    point_noise = rng.normal(0.0, init_noise, size=point_blocks.shape)
-    init_points = [Point3(position) for position in point_blocks + point_noise]
-
-    ground_truth = BAProblem(
-        cameras=gt_cameras,
-        points=gt_points,
-        observations=observations,
-        pixel_sigma=pixel_sigma,
+    ground_truth = BAProblem.from_arrays(
+        camera_blocks, point_blocks, cam_idx, pt_idx, pixels, pixel_sigma
     )
-    return BAProblem(
-        cameras=init_cameras,
-        points=init_points,
-        observations=observations,
-        pixel_sigma=pixel_sigma,
-        ground_truth=ground_truth,
+
+    init_cameras = camera_blocks.copy()
+    for block in init_cameras:  # rotation then translation noise, camera by camera
+        block[0:3] += rng.normal(0.0, rotation_noise, size=3)
+        block[3:6] += rng.normal(0.0, init_noise, size=3)
+    init_points = point_blocks + rng.normal(0.0, init_noise, size=point_blocks.shape)
+    return BAProblem.from_arrays(  # sharing its observation arrays with its ground truth
+        init_cameras, init_points, cam_idx, pt_idx, pixels, pixel_sigma, ground_truth
     )
 
 
@@ -357,15 +387,10 @@ def _format_value(value: float) -> str:
 def serialize_bal(problem: BAProblem) -> str:
     """Render a problem in BAL text format (parameters one value per line)."""
     lines = [f"{problem.num_cameras} {problem.num_points} {problem.num_observations}"]
-    for obs in problem.observations:
-        lines.append(
-            f"{obs.camera_index} {obs.point_index} "
-            f"{_format_value(obs.pixel[0])} {_format_value(obs.pixel[1])}"
-        )
-    for cam in problem.cameras:
-        lines.extend(_format_value(v) for v in cam.as_array())
-    for pt in problem.points:
-        lines.extend(_format_value(v) for v in pt.as_array())
+    rows = zip(problem.cam_idx.tolist(), problem.pt_idx.tolist(), problem.pixels.tolist())
+    lines.extend(f"{c} {p} {_format_value(x)} {_format_value(y)}" for c, p, (x, y) in rows)
+    lines.extend(map(_format_value, problem.camera_blocks.ravel().tolist()))
+    lines.extend(map(_format_value, problem.point_blocks.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -401,6 +426,11 @@ class _TokenStream:
         except ValueError:
             raise BalParseError(f"expected number for {what}, got {token!r}", line) from None
 
+    def next_blocks(self, what: str, count: int, width: int) -> np.ndarray:
+        """``count`` rows of ``width`` numbers; ``what.format(i, j)`` names entry (i, j)."""
+        names = (what.format(i, j) for i in range(count) for j in range(width))
+        return np.reshape([self.next_float(name)[0] for name in names], (count, width))
+
     def expect_end(self) -> None:
         if self.pos < len(self.tokens):
             token, line = self.tokens[self.pos]
@@ -424,32 +454,22 @@ def parse_bal(text: str, pixel_sigma: float = 1.0) -> BAProblem:
         counts.append(value)
     num_cameras, num_points, num_observations = counts
 
-    observations = []
+    pairs, pixels = [], []
     for i in range(num_observations):
-        cam_idx, cam_line = stream.next_int(f"observation {i} camera index")
-        pt_idx, pt_line = stream.next_int(f"observation {i} point index")
+        ci, cam_line = stream.next_int(f"observation {i} camera index")
+        pj, pt_line = stream.next_int(f"observation {i} point index")
         x, _ = stream.next_float(f"observation {i} pixel x")
         y, _ = stream.next_float(f"observation {i} pixel y")
-        if not 0 <= cam_idx < num_cameras:
-            raise BalParseError(
-                f"camera index {cam_idx} out of range [0, {num_cameras})", cam_line
-            )
-        if not 0 <= pt_idx < num_points:
-            raise BalParseError(f"point index {pt_idx} out of range [0, {num_points})", pt_line)
-        observations.append(Observation(cam_idx, pt_idx, np.array([x, y])))
+        if not 0 <= ci < num_cameras:
+            raise BalParseError(f"camera index {ci} out of range [0, {num_cameras})", cam_line)
+        if not 0 <= pj < num_points:
+            raise BalParseError(f"point index {pj} out of range [0, {num_points})", pt_line)
+        pairs.append((ci, pj))
+        pixels.append((x, y))
 
-    cameras = []
-    for i in range(num_cameras):
-        block = [stream.next_float(f"camera {i} parameter {j}")[0] for j in range(9)]
-        cameras.append(CameraPose.from_array(np.array(block)))
-    points = []
-    for i in range(num_points):
-        block = [stream.next_float(f"point {i} coordinate {j}")[0] for j in range(3)]
-        points.append(Point3(np.array(block)))
+    cameras = stream.next_blocks("camera {} parameter {}", num_cameras, 9)
+    points = stream.next_blocks("point {} coordinate {}", num_points, 3)
     stream.expect_end()
-    return BAProblem(
-        cameras=cameras,
-        points=points,
-        observations=observations,
-        pixel_sigma=pixel_sigma,
-    )
+    cam_idx, pt_idx = np.array(pairs, dtype=int).reshape(-1, 2).T.copy()
+    pixels = np.reshape(pixels, (num_observations, 2))
+    return BAProblem.from_arrays(cameras, points, cam_idx, pt_idx, pixels, pixel_sigma)

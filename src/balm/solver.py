@@ -44,9 +44,9 @@ from .scene import (
     DEPTH_EPS,
     BAProblem,
     _cross,
+    _project_rows,
     _rotation_coefficients,
     project_many,
-    rotate_points,
 )
 
 LAMBDA_MIN = 1e-16
@@ -81,7 +81,8 @@ class ParamVector:
 
     @staticmethod
     def from_problem(problem: BAProblem) -> "ParamVector":
-        return ParamVector(problem.camera_array(), problem.point_array())
+        # A copy: solver states move their parameters in place.
+        return ParamVector(problem.camera_blocks.copy(), problem.point_blocks.copy())
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.cameras.copy(), self.points.copy())
@@ -92,17 +93,6 @@ class ParamVector:
     def flat(self) -> np.ndarray:
         """Single vector in the fixed cameras-then-points layout."""
         return np.concatenate([self.cameras.ravel(), self.points.ravel()])
-
-
-@dataclass
-class Residuals:
-    """Per-observation residuals observed-minus-predicted, shape (n, 2)."""
-
-    values: np.ndarray
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.values.ravel()
 
 
 @dataclass
@@ -125,9 +115,6 @@ class Linearization:
     h_cp: np.ndarray  # (n, 9, 3), one cross block per observation
     num_cameras: int
     num_points: int
-    # (n, 2) observed pixels the residuals were taken against; linearize
-    # sets them so a step can be evaluated without rebuilding them.
-    pixels: np.ndarray | None = None
 
 
 @dataclass
@@ -181,38 +168,31 @@ class SolveResult:
         return self.outcome == OUTCOME_CONVERGED
 
 
-def residuals(problem: BAProblem, params: ParamVector) -> Residuals:
-    """Observed-minus-predicted pixels; degenerate depths become failures."""
-    return Residuals(values=_residual_values(params, *problem.observation_arrays()))
-
-
-def _residual_values(
-    params: ParamVector, cam_idx: np.ndarray, pt_idx: np.ndarray, pixels: np.ndarray
-) -> np.ndarray:
+def residuals(problem: BAProblem, params: ParamVector) -> np.ndarray:
+    """Observed-minus-predicted pixels, shape (k, 2); degenerate depths become failures."""
+    cam_idx, pt_idx, pixels = problem.observation_arrays()
     predicted, depths = project_many(params.cameras, params.points, cam_idx, pt_idx)
-    _check_depths(depths)
-    return _checked_residual(pixels - predicted)
+    return _checked_residual(pixels, predicted, depths)
 
 
-def _check_depths(depths: np.ndarray) -> None:
+def _checked_residual(pixels, predicted, depths) -> np.ndarray:
+    """``pixels - predicted``; a numerically zero depth or a non-finite value raises."""
     bad = np.abs(depths) <= DEPTH_EPS
     if np.any(bad):
         index = int(np.argmax(bad))
         raise NumericalFailureError(
             f"observation {index}: camera-frame depth is numerically zero", index
         )
-
-
-def _checked_residual(values: np.ndarray) -> np.ndarray:
+    values = pixels - predicted
     if not np.all(np.isfinite(values)):
         index = int(np.argmax(~np.isfinite(values).all(axis=1)))
         raise NumericalFailureError(f"observation {index}: non-finite residual", index)
     return values
 
 
-def estimation_error(res: Residuals, pixel_sigma: float) -> float:
+def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
     """Sum of squared sigma-whitened residuals."""
-    return float(np.sum(res.values * res.values) / (pixel_sigma * pixel_sigma))
+    return float(np.sum(res * res) / (pixel_sigma * pixel_sigma))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,20 +305,12 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     cams = params.cameras[cam_idx]
     pts = params.points[pt_idx]
-    rot = cams[:, 0:3]
-    focal = cams[:, 6]
-    k1 = cams[:, 7]
-    k2 = cams[:, 8]
+    focal, k1, k2 = cams[:, 6], cams[:, 7], cams[:, 8]
 
-    # One projection serves the residual and the Jacobian; it is the
-    # arithmetic of project_many, so the residual equals residuals()'s.
-    cam_frame = rotate_points(rot, pts) + cams[:, 3:6]
+    # One projection, project_many's, serves the residual and the Jacobian.
+    cam_frame, plane, r2, distortion, predicted = _project_rows(cams, pts)
     z = cam_frame[:, 2]
-    _check_depths(z)
-    plane = -cam_frame[:, :2] / z[:, None]
-    r2 = np.sum(plane * plane, axis=1)
-    distortion = 1.0 + k1 * r2 + k2 * r2 * r2
-    residual = _checked_residual(pixels - focal[:, None] * distortion[:, None] * plane)
+    residual = _checked_residual(pixels, predicted, z)
 
     n = len(cam_idx)
     # d(plane)/d(cam_frame): rows for x and y image axes.
@@ -400,7 +372,6 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
         h_cp=h_cp,
         num_cameras=nc,
         num_points=npts,
-        pixels=pixels,
     )
 
 
@@ -571,15 +542,13 @@ def evaluate_step(
 ) -> tuple[ParamVector, float]:
     """The damped step from ``params`` (linearized as ``lin``) and its error.
 
-    Returns the candidate parameters and their estimation error, read
-    against the observations ``lin`` was built from. Raises
+    Returns the candidate parameters and their estimation error. Raises
     ``NumericalFailureError`` or ``SingularSystemError`` when the step or its
     error cannot be evaluated.
     """
     delta_cam, delta_pt = damped_step(lin, lam, method=method)
     candidate = params.plus(delta_cam, delta_pt)
-    values = _residual_values(candidate, lin.cam_idx, lin.pt_idx, lin.pixels)
-    err = estimation_error(Residuals(values=values), problem.pixel_sigma)
+    err = estimation_error(residuals(problem, candidate), problem.pixel_sigma)
     if not np.isfinite(err):
         raise NumericalFailureError("estimation error is non-finite")
     return candidate, err

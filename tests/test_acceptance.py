@@ -72,8 +72,8 @@ def fd_jacobian(problem, params, h=1e-6):
         plus[k] += h
         minus = base.copy()
         minus[k] -= h
-        r_plus = residuals(problem, unflatten(problem, plus)).stacked
-        r_minus = residuals(problem, unflatten(problem, minus)).stacked
+        r_plus = residuals(problem, unflatten(problem, plus)).ravel()
+        r_minus = residuals(problem, unflatten(problem, minus)).ravel()
         jac[:, k] = (r_plus - r_minus) / (2.0 * h)
     return jac
 

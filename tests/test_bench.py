@@ -28,7 +28,7 @@ from balm.bench import (
     suite_scene,
     trace_to_csv,
 )
-from balm.env import EnvConfig
+from balm.env import BAEnv, EnvConfig
 from balm.policy import ClassicPolicy, DampingPolicy, FixedPolicy
 from balm.sac import init_agent
 from balm.solver import solve
@@ -337,6 +337,35 @@ class TestAblations:
         assert [row["reward_variant"] for row in result["rows"]] == ["duration", "reversed"]
         for row in result["rows"]:
             assert "error" in row or "success_rate" in row
+
+    def test_reversed_agent_is_evaluated_on_its_training_state(self, monkeypatch):
+        from balm import bench, sac
+
+        evaluations = []  # per run_comparison call, the states the agent was shown
+        original_select, original_compare = sac.select_action, bench.run_comparison
+
+        def recording_select(nets, state, deterministic=False, rng=None):
+            if deterministic:
+                evaluations[-1].append(np.array(state, dtype=float))
+            return original_select(nets, state, deterministic=deterministic, rng=rng)
+
+        def marking_compare(*args, **kwargs):
+            evaluations.append([])
+            return original_compare(*args, **kwargs)
+
+        monkeypatch.setattr(sac, "select_action", recording_select)
+        monkeypatch.setattr(bench, "run_comparison", marking_compare)
+        config = dict(TINY_ABLATION, num_cameras=10, num_points=10, eval_seeds=[100])
+        result = ablation_suite("reversed", config)
+        assert all("error" not in row for row in result["rows"])
+        assert len(evaluations) == 2  # the "duration" row, then the "reversed" row
+
+        env = BAEnv(EnvConfig(reward_variant="reversed", deterministic_time=True))
+        trained_on = env.reset(suite_scene(100)).state_vector
+        np.testing.assert_array_equal(trained_on, np.zeros(5))
+        np.testing.assert_array_equal(evaluations[1][0], trained_on)
+        # the duration agent still sees the clipped initial error
+        assert np.all(evaluations[0][0] > 0.0)
 
     def test_scheduler_rows(self):
         result = ablation_suite("scheduler", TINY_ABLATION)

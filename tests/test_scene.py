@@ -42,8 +42,16 @@ def scene_digest(problems) -> str:
     digest = hashlib.sha256()
     for problem in problems:
         for part in (problem, problem.ground_truth):
-            for array in (part.camera_array(), part.point_array(), *part.observation_arrays()):
+            for array in (part.camera_blocks, part.point_blocks, *part.observation_arrays()):
                 digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def scene_digest_of(problem) -> str:
+    """sha256 over one problem's five arrays, dtypes included."""
+    digest = hashlib.sha256()
+    for array in (problem.camera_blocks, problem.point_blocks, *problem.observation_arrays()):
+        digest.update(str(array.dtype).encode() + array.tobytes())
     return digest.hexdigest()
 
 
@@ -147,9 +155,8 @@ class TestProjection:
 
     def test_project_many_matches_scalar(self):
         problem = generate_synthetic(3, 5, seed=3)
-        cam_idx, pt_idx, _ = problem.observation_arrays()
         pixels, depths = project_many(
-            problem.camera_array(), problem.point_array(), cam_idx, pt_idx
+            problem.camera_blocks, problem.point_blocks, problem.cam_idx, problem.pt_idx
         )
         for k, obs in enumerate(problem.observations):
             expected = project(problem.cameras[obs.camera_index], problem.points[obs.point_index])
@@ -166,7 +173,7 @@ class TestSynthetic:
         pairs = {(o.camera_index, o.point_index) for o in problem.observations}
         assert len(pairs) == 24
         assert problem.ground_truth is not None
-        assert problem.ground_truth.observations is problem.observations
+        assert problem.ground_truth.pixels is problem.pixels
         assert problem.pixel_sigma == 1.0
         for cam in problem.ground_truth.cameras:
             assert cam.focal == scene.DEFAULT_FOCAL
@@ -175,24 +182,22 @@ class TestSynthetic:
     def test_same_seed_reproduces_scene(self):
         a = generate_synthetic(3, 4, seed=42)
         b = generate_synthetic(3, 4, seed=42)
-        np.testing.assert_array_equal(a.camera_array(), b.camera_array())
-        np.testing.assert_array_equal(a.point_array(), b.point_array())
-        np.testing.assert_array_equal(
-            a.observation_arrays()[2], b.observation_arrays()[2]
-        )
+        np.testing.assert_array_equal(a.camera_blocks, b.camera_blocks)
+        np.testing.assert_array_equal(a.point_blocks, b.point_blocks)
+        np.testing.assert_array_equal(a.pixels, b.pixels)
 
     def test_distinct_seeds_differ(self):
         a = generate_synthetic(3, 4, seed=1)
         b = generate_synthetic(3, 4, seed=2)
-        assert not np.array_equal(a.point_array(), b.point_array())
+        assert not np.array_equal(a.point_blocks, b.point_blocks)
 
     def test_noiseless_scene_reproduces_ground_truth(self):
         problem = generate_synthetic(
             3, 5, seed=9, init_noise=0.0, rotation_noise=0.0, noise_std=0.0
         )
         gt = problem.ground_truth
-        np.testing.assert_array_equal(problem.camera_array(), gt.camera_array())
-        np.testing.assert_array_equal(problem.point_array(), gt.point_array())
+        np.testing.assert_array_equal(problem.camera_blocks, gt.camera_blocks)
+        np.testing.assert_array_equal(problem.point_blocks, gt.point_blocks)
         for obs in problem.observations:
             predicted = project(gt.cameras[obs.camera_index], gt.points[obs.point_index])
             np.testing.assert_allclose(obs.pixel, predicted, atol=1e-12)
@@ -292,6 +297,104 @@ class TestProblemInvariants:
         with pytest.raises(ValueError, match="pixel_sigma"):
             BAProblem(cameras, points, observations, pixel_sigma=0.0)
 
+    def test_records_round_trip_byte_for_byte(self):
+        rng = np.random.default_rng(3)
+        cameras = [
+            CameraPose(rng.normal(size=3), rng.normal(size=3), *rng.uniform(0.0, 1.0, 3))
+            for _ in range(3)
+        ]
+        points = [Point3(rng.normal(size=3)) for _ in range(2)]
+        observations = [Observation(c, p, rng.normal(size=2)) for c in range(3) for p in range(2)]
+        problem = BAProblem(cameras, points, observations)
+        for before, after in zip(cameras, problem.cameras, strict=True):
+            assert before.as_array().tobytes() == after.as_array().tobytes()
+            assert type(after.focal) is float
+        for before, after in zip(points, problem.points, strict=True):
+            assert before.position.tobytes() == after.position.tobytes()
+        for before, after in zip(observations, problem.observations, strict=True):
+            index = (after.camera_index, after.point_index)
+            assert index == (before.camera_index, before.point_index)
+            assert all(type(i) is int for i in index)
+            assert before.pixel.tobytes() == after.pixel.tobytes()
+
+    def test_records_are_snapshots(self):
+        problem = BAProblem(*self.make_valid())
+        problem.cameras[0].focal = 1.0
+        problem.observations[0].pixel[:] = 9.0
+        assert problem.camera_blocks[0, 6] == 500.0
+        np.testing.assert_array_equal(problem.pixels[0], [1.5, -2.0])
+
+    def arrays(self):
+        problem = BAProblem(*self.make_valid())
+        return [
+            np.array(a)
+            for a in (
+                problem.camera_blocks,
+                problem.point_blocks,
+                problem.cam_idx,
+                problem.pt_idx,
+                problem.pixels,
+            )
+        ]
+
+    def test_from_arrays_matches_records(self):
+        from_records = BAProblem(*self.make_valid())
+        from_arrays = BAProblem.from_arrays(*self.arrays())
+        assert scene_digest_of(from_arrays) == scene_digest_of(from_records)
+
+    @pytest.mark.parametrize(
+        "position, shape, message",
+        [
+            (0, (2, 8), "camera_blocks must have shape (n, 9), got (2, 8)"),
+            (0, (18,), "camera_blocks must have shape (n, 9), got (18,)"),
+            (1, (2, 4), "point_blocks must have shape (m, 3), got (2, 4)"),
+            (2, (4, 1), "shapes (k,), (k,) and (k, 2), got (4, 1), (4,) and (4, 2)"),
+            (3, (3,), "got (4,), (3,) and (4, 2)"),
+            (4, (4, 3), "got (4,), (4,) and (4, 3)"),
+            (4, (8,), "got (4,), (4,) and (8,)"),
+        ],
+    )
+    def test_from_arrays_rejects_bad_shapes(self, position, shape, message):
+        arrays = self.arrays()
+        arrays[position] = np.zeros(shape, dtype=arrays[position].dtype)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BAProblem.from_arrays(*arrays)
+
+    def test_from_arrays_rejects_non_integer_indices(self):
+        arrays = self.arrays()
+        arrays[2] = arrays[2].astype(float)
+        with pytest.raises(ValueError, match="cam_idx must hold integers"):
+            BAProblem.from_arrays(*arrays)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [[(1, 0, 0), (2, 7, 9), (3, 0, 9)], [(1, 7, 9), (2, 0, 0)], [(2, 5, 0), (1, 0, -1)]],
+    )
+    def test_from_arrays_reports_the_record_paths_first_fault(self, faults):
+        cameras, points, observations = self.make_valid()
+        for position, cam, pt in faults:
+            observations.insert(position, Observation(cam, pt, np.zeros(2)))
+        with pytest.raises(ValueError) as from_records:
+            BAProblem(cameras, points, observations)
+        with pytest.raises(ValueError) as from_arrays:
+            BAProblem.from_arrays(
+                np.array([c.as_array() for c in cameras]),
+                np.array([p.position for p in points]),
+                np.array([o.camera_index for o in observations]),
+                np.array([o.point_index for o in observations]),
+                np.array([o.pixel for o in observations]),
+            )
+        assert str(from_arrays.value) == str(from_records.value)
+        assert str(from_arrays.value).startswith("observation 1: ")
+
+    def test_blocks_and_indices_are_read_only(self):
+        for problem in (BAProblem(*self.make_valid()), BAProblem.from_arrays(*self.arrays())):
+            frozen = (problem.camera_blocks, problem.point_blocks, problem.cam_idx, problem.pt_idx)
+            for array in frozen:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+            problem.pixels[0] = [0.0, 0.0]  # observed pixels stay editable
+
 
 SAMPLE_BAL = """\
 2 2 4
@@ -326,17 +429,12 @@ class TestBalFormat:
         problem = generate_synthetic(3, 7, seed=13)
         recovered = parse_bal(serialize_bal(problem))
         np.testing.assert_allclose(
-            recovered.camera_array(), problem.camera_array(), rtol=0, atol=1e-12
+            recovered.camera_blocks, problem.camera_blocks, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            recovered.point_array(), problem.point_array(), rtol=0, atol=1e-12
+            recovered.point_blocks, problem.point_blocks, rtol=0, atol=1e-12
         )
-        np.testing.assert_allclose(
-            recovered.observation_arrays()[2],
-            problem.observation_arrays()[2],
-            rtol=0,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(recovered.pixels, problem.pixels, rtol=0, atol=1e-12)
         assert [o.camera_index for o in recovered.observations] == [
             o.camera_index for o in problem.observations
         ]
@@ -356,7 +454,7 @@ class TestBalFormat:
         jumbled = " ".join(text.split()[:7]) + "\n" + "\n\n".join(text.split()[7:])
         a = parse_bal(text)
         b = parse_bal(jumbled)
-        np.testing.assert_array_equal(a.camera_array(), b.camera_array())
+        np.testing.assert_array_equal(a.camera_blocks, b.camera_blocks)
 
     def test_malformed_header(self):
         with pytest.raises(BalParseError, match="line 1.*header"):

@@ -24,7 +24,6 @@ from balm.solver import (
     Linearization,
     NumericalFailureError,
     ParamVector,
-    Residuals,
     SingularSystemError,
     SolverState,
     classic_lambda_update,
@@ -74,8 +73,8 @@ def fd_jacobian(problem, params, h=1e-6):
         plus[k] += h
         minus = base.copy()
         minus[k] -= h
-        r_plus = residuals(problem, unflatten(problem, plus)).stacked
-        r_minus = residuals(problem, unflatten(problem, minus)).stacked
+        r_plus = residuals(problem, unflatten(problem, plus)).ravel()
+        r_minus = residuals(problem, unflatten(problem, minus)).ravel()
         jac[:, k] = (r_plus - r_minus) / (2.0 * h)
     return jac
 
@@ -181,11 +180,11 @@ class TestResiduals:
         )
         params = ParamVector.from_problem(problem)
         res = residuals(problem, params)
-        np.testing.assert_array_equal(res.values, 0.0)
+        np.testing.assert_array_equal(res, 0.0)
         # shift one observation and the residual is exactly that shift
-        problem.observations[0].pixel = problem.observations[0].pixel + np.array([3.0, -4.0])
+        problem.pixels[0] += [3.0, -4.0]
         res = residuals(problem, params)
-        np.testing.assert_allclose(res.values[0], [3.0, -4.0], atol=1e-12)
+        np.testing.assert_allclose(res[0], [3.0, -4.0], atol=1e-12)
 
     def test_degenerate_depth_is_a_failure(self, tiny_problem):
         params = ParamVector.from_problem(tiny_problem)
@@ -208,7 +207,7 @@ class TestResiduals:
             assert failure.value.observation_index == first
 
     def test_estimation_error_frozen(self):
-        res = Residuals(values=np.array([[3.0, 4.0]]))
+        res = np.array([[3.0, 4.0]])
         assert estimation_error(res, 1.0) == 25.0
         assert estimation_error(res, 2.0) == 6.25
 
@@ -269,7 +268,7 @@ class TestJacobian:
             lin.num_points,
             tiny_problem.pixel_sigma,
         )
-        assert np.array_equal(lin.residual, residuals(tiny_problem, params).values)
+        assert np.array_equal(lin.residual, residuals(tiny_problem, params))
         np.testing.assert_allclose(lin.grad_cam, ref.grad_cam, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(lin.grad_pt, ref.grad_pt, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(lin.h_cc, ref.h_cc, rtol=1e-12, atol=1e-15)
@@ -502,19 +501,19 @@ class TestLmIterate:
         assert new.iteration == bad.iteration
         assert len(new.error_history) == len(bad.error_history)
 
-    def test_builds_observation_arrays_once(self, tiny_problem, monkeypatch):
-        calls = {"n": 0}
-        original = BAProblem.observation_arrays
+    def test_linearize_reads_the_stored_arrays(self, tiny_problem):
+        lin = linearize(tiny_problem, ParamVector.from_problem(tiny_problem))
+        assert lin.cam_idx is tiny_problem.cam_idx
+        assert lin.pt_idx is tiny_problem.pt_idx
 
-        def counted(problem):
-            calls["n"] += 1
-            return original(problem)
-
+    def test_solver_state_owns_its_parameters(self, tiny_problem):
+        cameras = tiny_problem.camera_blocks.tobytes()
+        points = tiny_problem.point_blocks.tobytes()
         state = SolverState.initial(tiny_problem)
-        monkeypatch.setattr(BAProblem, "observation_arrays", counted)
-        new, _ = lm_iterate(tiny_problem, state, 0.25)
-        assert not new.failed
-        assert calls["n"] == 1
+        state.params.cameras[:] = 0.0
+        state.params.points[:] = 0.0
+        assert tiny_problem.camera_blocks.tobytes() == cameras
+        assert tiny_problem.point_blocks.tobytes() == points
 
     def test_reject_worsening_step_when_asked(self, tiny_problem):
         state = SolverState.initial(tiny_problem)
