@@ -213,24 +213,48 @@ def _rotation_coefficients(theta2: np.ndarray):
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` over the last axis, to the bit, without its axis bookkeeping.
+    """``np.cross`` over the first axis, to the bit, without its axis bookkeeping.
 
-    Each component is the same two products and one difference.
+    Component-major: ``a[i]`` is the i-th component of every vector. Each
+    component is the same two products and one difference.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    return np.stack(
+        (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    )
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of ``a * b``: 0.0 + a[0] b[0] + a[1] b[1] + ..., in order.
+
+    On component-major arrays this is, to the bit, what ``np.sum`` over a
+    2- or 3-long last axis gives on row-major ones.
+    """
+    total = 0.0 + a[0] * b[0]
+    for k in range(1, len(a)):
+        total += a[k] * b[k]
+    return total
+
+
+def _rotate(w: np.ndarray, p: np.ndarray, coefficients) -> np.ndarray:
+    """R(w) p for component-major rotation vectors and points, shape (3, ...).
+
+    ``coefficients`` are ``_rotation_coefficients`` of ``_dot(w, w)``.
+    """
+    cos_t, sinc, omc = coefficients
+    rotated = cos_t * p
+    rotated += sinc * _cross(w, p)
+    rotated += omc * _dot(w, p) * w
+    return rotated
 
 
 def rotate_points(rotvecs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply axis-angle rotations row-wise: result[i] = R(rotvecs[i]) @ points[i]."""
-    rotvecs = np.asarray(rotvecs, dtype=float)
-    points = np.asarray(points, dtype=float)
-    theta2 = np.sum(rotvecs * rotvecs, axis=-1, keepdims=True)
-    cos_t, sinc, omc = _rotation_coefficients(theta2)
-    cross = _cross(rotvecs, points)
-    dot = np.sum(rotvecs * points, axis=-1, keepdims=True)
-    return cos_t * points + sinc * cross + omc * dot * rotvecs
+    rotvecs, points = np.broadcast_arrays(
+        np.asarray(rotvecs, dtype=float), np.asarray(points, dtype=float)
+    )
+    # Reversing every axis puts the vector axis first; the math is elementwise.
+    w = rotvecs.T
+    return _rotate(w, points.T, _rotation_coefficients(_dot(w, w))).T
 
 
 def rotation_matrix(rotvec: np.ndarray) -> np.ndarray:
@@ -262,25 +286,34 @@ def project_many(
     Returns (pixels, depths) so callers can detect degenerate depths without
     paying for a second pass.
     """
-    cam_frame, _, _, _, pixels = _project_rows(camera_blocks[cam_idx], point_blocks[pt_idx])
-    return pixels, cam_frame[:, 2]
+    _, _, cam_frame, _, _, _, pixels = _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx)
+    return pixels, cam_frame[2]
 
 
-def _project_rows(cams: np.ndarray, pts: np.ndarray):
-    """Project ``pts[n]`` through camera block ``cams[n]``, keeping the intermediates.
+def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
+    """Project every observation, keeping the intermediates.
 
-    Returns the camera-frame points, the image-plane points, their squared
-    radius, the distortion factor and the pixels. A numerically zero depth
+    Works component-major, observation index last. Returns the gathered
+    cameras (9, n) and points (3, n), the camera-frame points (3, n), the
+    image-plane points (2, n), their squared radius, the distortion factor
+    and the pixels, which alone are row-major (n, 2). The rotation
+    coefficients are computed once per camera. A numerically zero depth
     divides by 1 instead; the caller detects it.
     """
-    cam_frame = rotate_points(cams[:, 0:3], pts) + cams[:, 3:6]
-    depth = cam_frame[:, 2]
+    cams = np.ascontiguousarray(camera_blocks.T).take(cam_idx, axis=1)
+    pts = np.ascontiguousarray(point_blocks.T).take(pt_idx, axis=1)
+    rotvecs = camera_blocks[:, 0:3].T
+    coefficients = [c.take(cam_idx) for c in _rotation_coefficients(_dot(rotvecs, rotvecs))]
+    cam_frame = _rotate(cams[0:3], pts, coefficients)
+    cam_frame += cams[3:6]
+    depth = cam_frame[2]
     safe_depth = np.where(np.abs(depth) <= DEPTH_EPS, 1.0, depth)
-    plane = -cam_frame[:, :2] / safe_depth[:, None]
-    r2 = np.sum(plane * plane, axis=1)
-    distortion = 1.0 + cams[:, 7] * r2 + cams[:, 8] * r2 * r2
-    pixels = cams[:, 6, None] * distortion[:, None] * plane
-    return cam_frame, plane, r2, distortion, pixels
+    plane = -cam_frame[:2] / safe_depth
+    r2 = _dot(plane, plane)
+    distortion = 1.0 + cams[7] * r2 + cams[8] * r2 * r2
+    pixels = np.empty((len(depth), 2))
+    np.multiply(cams[6] * distortion, plane, out=pixels.T)
+    return cams, pts, cam_frame, plane, r2, distortion, pixels
 
 
 def _look_at_rotation(center: np.ndarray, roll: float) -> np.ndarray:

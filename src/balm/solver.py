@@ -22,18 +22,31 @@ batched product per chunk of pairs, and a segmented sum over the pairs
 sorted by (camera, camera) folds them into ``S``. Fixed-size chunks keep the
 temporaries small on scenes with many points.
 
+The per-observation arrays of an iteration are component-major, with the
+observation index last: the gathered cameras (9, n) and points (3, n), the
+camera-frame points (3, n), the Jacobian blocks (2, 9, n) and (2, 3, n),
+and the cross blocks ``H_cp`` and ``E`` (9, 3, n). Every elementwise
+operation then runs over contiguous length-n rows, and ``Linearization``
+exposes the arrays as transposed (n, ...) views.
+
 Sums keep a fixed order, so that making them faster cannot move a bit of
-the output: small batched products add their inner index in order
-(``_batched_matmul``, bit-equal to ``einsum``), scatters are one
-``bincount`` adding rows in observation order, and the pair products keep
-their ``matmul`` and ``np.add.reduceat``. Reordering a sum moves a step in
-its last bits, and along the near-singular gauge directions at small
-lambda by far more.
+the output: small batched products add their inner index in order, first
+term first (``_batched_matmul``); 2- and 3-term dot products add from 0.0
+in order, as ``np.sum`` over a short last axis does (``scene._dot``); and
+scatters are one ``bincount`` per block row, adding in observation order.
+Three sums stay bound to the row-major layout they read, because their
+order comes from their kernels: the pair products' ``matmul`` and
+``np.add.reduceat``, and the ``einsum`` contractions of the Schur
+right-hand side and back-substitution (over a contiguous 3-long axis,
+``einsum`` does not add in order). Reordering a sum moves a step in its
+last bits, and along the near-singular gauge directions at small lambda by
+far more.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import astuple, dataclass, field
 
@@ -44,6 +57,7 @@ from .scene import (
     DEPTH_EPS,
     BAProblem,
     _cross,
+    _dot,
     _project_rows,
     _rotation_coefficients,
     project_many,
@@ -100,7 +114,12 @@ class Linearization:
     """Residuals, block Jacobian, weighted gradient and Hessian blocks.
 
     ``jac_cam``/``jac_pt`` are the raw residual Jacobian blocks; gradient and
-    Hessian fold in the observation weight 1/pixel_sigma^2.
+    Hessian fold in the observation weight 1/pixel_sigma^2. ``linearize``
+    stores the Jacobian, gradient and Hessian blocks component-major, with
+    the observation or block index last, and these fields are transposed
+    views of that storage in the shapes below: ``jac_cam`` is a (n, 2, 9)
+    view of a (2, 9, n) array. ``damped_step`` and ``dense_system`` accept
+    any strides.
     """
 
     cam_idx: np.ndarray
@@ -195,33 +214,26 @@ def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
     return float(np.sum(res * res) / (pixel_sigma * pixel_sigma))
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise outer products, shape (n, i, j)."""
-    return a[:, :, None] * b[:, None, :]
-
-
 def _batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[n] @ b[n]`` with the inner index summed in order, first term first.
+    """``a[..., n] @ b[..., n]`` on component-major (i, j, n) and (j, k, n) arrays.
 
-    Bit-equal to ``einsum("nij,njk->nik")``, unlike ``matmul``, whose
-    kernels may block or fuse the sum. One output column at a time keeps
-    the vectorized operations long.
+    The inner index is summed in order, first term first, unlike ``matmul``
+    or ``einsum``, whose kernels may block, pair or fuse the sum. Each step
+    is one broadcast over contiguous rows.
     """
-    out = np.empty(a.shape[:2] + b.shape[2:])
-    for k in range(b.shape[2]):
-        column = a[:, :, 0] * b[:, 0, k, None]
-        for j in range(1, a.shape[2]):
-            column += a[:, :, j] * b[:, j, k, None]
-        out[:, :, k] = column
+    out = a[:, 0, None, :] * b[None, 0, :, :]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None, :] * b[None, j, :, :]
     return out
 
 
 def _rotation_point_jacobian(
-    camera_rotvecs: np.ndarray, cam_idx: np.ndarray, points: np.ndarray
+    camera_rotvecs: np.ndarray, cam_idx: np.ndarray, w: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
-    """d(R(w) @ X)/dw for each observation, shape (n, 3, 3).
+    """d(R(w) @ X)/dw for each observation, component-major (3, 3, n).
 
-    Observation n rotates ``points[n]`` by ``camera_rotvecs[cam_idx[n]]``.
+    Observation n rotates point column ``p[:, n]`` by ``w[:, n]``, which is
+    column ``cam_idx[n]`` of the (3, num_cameras) ``camera_rotvecs``.
     Derived from the unnormalized Rodrigues form
     R(w)X = cos(t) X + sinc(t) (w x X) + (1-cos t)/t^2 (w.X) w with t = |w|;
     all angle-dependent coefficients get series fallbacks near t = 0 and
@@ -229,7 +241,7 @@ def _rotation_point_jacobian(
     -sinc X_i w_j + beta (w x X)_i w_j + gamma (w.X) w_i w_j + omc w_i X_j
     + omc (w.X) [i = j] - sinc [X]_x[i, j], summed in that order.
     """
-    theta2 = np.sum(camera_rotvecs * camera_rotvecs, axis=1)
+    theta2 = _dot(camera_rotvecs, camera_rotvecs)
     theta = np.sqrt(theta2)
     small = theta2 < 1e-12
     safe = np.where(small, 1.0, theta)
@@ -250,126 +262,142 @@ def _rotation_point_jacobian(
     )
     sinc, omc, beta, gamma = sinc[cam_idx], omc[cam_idx], beta[cam_idx], gamma[cam_idx]
 
-    rotvecs = camera_rotvecs[cam_idx]
-    dot = np.sum(rotvecs * points, axis=1)
-    w, p, c = rotvecs.T, points.T, _cross(rotvecs, points).T
+    dot = _dot(w, p)
+    c = _cross(w, p)
     gamma_dot = gamma * dot
-    x, y, z = p
-    skew = ((None, -z, y), (z, None, -x), (-y, x, None))  # [X]_x
-    jac = np.empty((len(points), 3, 3))
+    jac = np.empty((3, 3, len(dot)))
     for i in range(3):
-        for j in range(3):
-            entry = -(sinc * (p[i] * w[j]))
-            entry += beta * (c[i] * w[j])
-            entry += gamma_dot * (w[i] * w[j])
-            entry += omc * (w[i] * p[j])
-            if i == j:
-                entry += omc * dot
-            else:
-                entry -= sinc * skew[i][j]
-            jac[:, i, j] = entry
+        row = jac[i]
+        np.multiply(c[i], w, out=row)
+        row *= beta
+        row -= sinc * (p[i] * w)  # -a + b is b - a to the bit
+        row += gamma_dot * (w[i] * w)
+        row += omc * (w[i] * p)
+    diagonal = omc * dot
+    for i in range(3):
+        jac[i, i] += diagonal
+    x, y, z = sinc * p  # - sinc [X]_x, where sinc * (-X_k) is -(sinc * X_k)
+    jac[0, 1] += z
+    jac[0, 2] -= y
+    jac[1, 0] -= z
+    jac[1, 2] += x
+    jac[2, 0] += y
+    jac[2, 1] -= x
     return jac
 
 
 def _rotation_matrices(rotvecs: np.ndarray) -> np.ndarray:
-    """R(w) for each row, shape (n, 3, 3), from one set of Rodrigues coefficients.
+    """R(w) of each column of the (3, n) ``rotvecs``, component-major (3, 3, n).
 
     Column k is ``rotate_points(w, e_k)`` to the bit: the same terms are
     summed in the same order.
     """
-    theta2 = np.sum(rotvecs * rotvecs, axis=1)
-    cos_t, sinc, omc = _rotation_coefficients(theta2)
-    eye = np.eye(3)
-    columns = (
-        cos_t[:, None, None] * eye
-        + sinc[:, None, None] * _cross(rotvecs[:, None, :], eye)
-        + _outer(omc[:, None] * rotvecs, rotvecs)
+    cos_t, sinc, omc = _rotation_coefficients(_dot(rotvecs, rotvecs))
+    eye = np.eye(3)[:, :, None]
+    return (
+        cos_t * eye
+        + sinc * _cross(rotvecs[:, None, :], eye)
+        + (omc * rotvecs)[None, :, :] * rotvecs[:, None, :]
     )
-    return columns.transpose(0, 2, 1)
 
 
-def _row_slots(index: np.ndarray, width: int) -> np.ndarray:
-    """Flat bincount slots of ``width``-wide rows ``index[n]``."""
-    return (index[:, None] * width + np.arange(width)).ravel()
+def _column_slots(index: np.ndarray, rows: int, length: int) -> np.ndarray:
+    """Flat bincount slots ``r * length + index[n]`` of a (rows, n) array."""
+    return (np.arange(rows)[:, None] * length + index).ravel()
 
 
-def _row_sums(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
-    """``out[index[n]] += values[n]`` over rows in order, as one bincount."""
-    width = values[0].size
-    sums = np.bincount(_row_slots(index, width), weights=values.ravel(), minlength=length * width)
-    return sums.reshape((length,) + values.shape[1:])
+def _column_sums(slots: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """``out[..., index[n]] += values[..., n]`` over n in order, as one bincount.
+
+    ``slots`` are ``_column_slots(index, rows, length)`` for the ``rows``
+    components of ``values``; the result has shape (..., length).
+    """
+    shape = values.shape[:-1] + (length,)
+    sums = np.bincount(slots, weights=values.ravel(), minlength=math.prod(shape))
+    return sums.reshape(shape)
+
+
+def _gram_sums(jac: np.ndarray, weight: float, slots: np.ndarray, length: int) -> np.ndarray:
+    """Per-block sums of ``weight * J^T J`` for a (2, width, n) ``jac``: (width, width, length).
+
+    Entry (j, k) of one observation is (J0j J0k + J1j J1k) * weight, the
+    same bits as entry (k, j), so each block row j sums only k >= j, one
+    bincount per row, and the lower triangle copies the upper one.
+    """
+    width, n = jac.shape[1:]
+    out = np.empty((width, width, length))
+    for j in range(width):
+        terms = jac[0, j] * jac[0, j:]
+        terms += jac[1, j] * jac[1, j:]
+        terms *= weight
+        out[j, j:] = _column_sums(slots[: (width - j) * n], terms, length)
+        out[j + 1 :, j] = out[j, j + 1 :]
+    return out
 
 
 def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     """Residuals plus analytic block Jacobian and weighted normal-equation blocks."""
     cam_idx, pt_idx, pixels = problem.observation_arrays()
-    cams = params.cameras[cam_idx]
-    pts = params.points[pt_idx]
-    focal, k1, k2 = cams[:, 6], cams[:, 7], cams[:, 8]
-
     # One projection, project_many's, serves the residual and the Jacobian.
-    cam_frame, plane, r2, distortion, predicted = _project_rows(cams, pts)
-    z = cam_frame[:, 2]
+    cams, pts, cam_frame, plane, r2, distortion, predicted = _project_rows(
+        params.cameras, params.points, cam_idx, pt_idx
+    )
+    focal, k1, k2 = cams[6], cams[7], cams[8]
+    z = cam_frame[2]
     residual = _checked_residual(pixels, predicted, z)
 
     n = len(cam_idx)
     # d(plane)/d(cam_frame): rows for x and y image axes.
-    dplane = np.zeros((n, 2, 3))
-    dplane[:, 0, 0] = -1.0 / z
-    dplane[:, 1, 1] = -1.0 / z
-    dplane[:, 0, 2] = cam_frame[:, 0] / (z * z)
-    dplane[:, 1, 2] = cam_frame[:, 1] / (z * z)
+    dplane = np.zeros((2, 3, n))
+    dplane[0, 0] = -1.0 / z
+    dplane[1, 1] = -1.0 / z
+    dplane[0, 2] = cam_frame[0] / (z * z)
+    dplane[1, 2] = cam_frame[1] / (z * z)
 
     # d(pixel)/d(plane) = f * (distortion * I + (2 k1 + 4 k2 r2) p p^T)
-    dpix_dplane = distortion[:, None, None] * np.eye(2)
-    dpix_dplane = dpix_dplane + (2.0 * k1 + 4.0 * k2 * r2)[:, None, None] * _outer(plane, plane)
-    dpix_dplane *= focal[:, None, None]
+    dpix_dplane = distortion * np.eye(2)[:, :, None]
+    dpix_dplane += (2.0 * k1 + 4.0 * k2 * r2) * (plane[:, None] * plane[None, :])
+    dpix_dplane *= focal
 
     chain = _batched_matmul(dpix_dplane, dplane)  # d(pixel)/d(cam_frame)
 
-    camera_rot = params.cameras[:, 0:3]
-    drot = _rotation_point_jacobian(camera_rot, cam_idx, pts)
-    rot_mat = _rotation_matrices(camera_rot)[cam_idx]
-
-    dpix_cam = np.zeros((n, 2, 9))
-    dpix_cam[:, :, 0:3] = _batched_matmul(chain, drot)
-    dpix_cam[:, :, 3:6] = chain
-    dpix_cam[:, :, 6] = distortion[:, None] * plane
-    dpix_cam[:, :, 7] = (focal * r2)[:, None] * plane
-    dpix_cam[:, :, 8] = (focal * r2 * r2)[:, None] * plane
-    dpix_pt = _batched_matmul(chain, rot_mat)
+    camera_rot = params.cameras[:, 0:3].T
+    drot = _rotation_point_jacobian(camera_rot, cam_idx, cams[0:3], pts)
+    rot_mat = _rotation_matrices(camera_rot)[:, :, cam_idx]
 
     # Residual is observed minus predicted, so its Jacobian is negated.
-    jac_cam = -dpix_cam
-    jac_pt = -dpix_pt
+    jac_cam = np.empty((2, 9, n))
+    np.negative(_batched_matmul(chain, drot), out=jac_cam[:, 0:3])
+    np.negative(chain, out=jac_cam[:, 3:6])
+    np.negative(distortion * plane, out=jac_cam[:, 6])
+    np.negative((focal * r2) * plane, out=jac_cam[:, 7])
+    np.negative((focal * r2 * r2) * plane, out=jac_cam[:, 8])
+    jac_pt = -_batched_matmul(chain, rot_mat)
 
     weight = 1.0 / (problem.pixel_sigma * problem.pixel_sigma)
     nc, npts = problem.num_cameras, problem.num_points
+    cam_slots = _column_slots(cam_idx, 9, nc)
+    pt_slots = _column_slots(pt_idx, 3, npts)
+    r0, r1 = residual.T
 
-    grad_cam = _row_sums(cam_idx, weight * np.einsum("nij,ni->nj", jac_cam, residual), nc)
-    grad_pt = _row_sums(pt_idx, weight * np.einsum("nij,ni->nj", jac_pt, residual), npts)
-    # One row of the 9x9 blocks at a time keeps the temporaries in cache.
-    row_slots = _row_slots(cam_idx, 9)
-    h_cc = np.empty((nc, 9, 9))
-    for j in range(9):
-        terms = jac_cam[:, 0, j, None] * jac_cam[:, 0, :]
-        terms += jac_cam[:, 1, j, None] * jac_cam[:, 1, :]
-        terms *= weight
-        h_cc[:, j] = np.bincount(row_slots, weights=terms.ravel(), minlength=nc * 9).reshape(nc, 9)
-    h_pp = _row_sums(pt_idx, weight * _batched_matmul(jac_pt.transpose(0, 2, 1), jac_pt), npts)
-    h_cp = weight * _batched_matmul(jac_cam.transpose(0, 2, 1), jac_pt)
+    grad_cam = _column_sums(cam_slots, weight * (jac_cam[0] * r0 + jac_cam[1] * r1), nc)
+    grad_pt = _column_sums(pt_slots, weight * (jac_pt[0] * r0 + jac_pt[1] * r1), npts)
+    h_cc = _gram_sums(jac_cam, weight, cam_slots, nc)
+    h_pp = _gram_sums(jac_pt, weight, pt_slots, npts)
+    h_cp = _batched_matmul(jac_cam.transpose(1, 0, 2), jac_pt)
+    h_cp *= weight
 
     return Linearization(
         cam_idx=cam_idx,
         pt_idx=pt_idx,
         residual=residual,
-        jac_cam=jac_cam,
-        jac_pt=jac_pt,
-        grad_cam=grad_cam,
-        grad_pt=grad_pt,
-        h_cc=h_cc,
-        h_pp=h_pp,
-        h_cp=h_cp,
+        jac_cam=jac_cam.transpose(2, 0, 1),
+        jac_pt=jac_pt.transpose(2, 0, 1),
+        grad_cam=grad_cam.T,
+        grad_pt=grad_pt.T,
+        h_cc=h_cc.transpose(2, 0, 1),
+        h_pp=h_pp.transpose(2, 0, 1),
+        h_cp=h_cp.transpose(2, 0, 1),
         num_cameras=nc,
         num_points=npts,
     )
@@ -473,11 +501,11 @@ def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes):
 
 def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``np.add.at(base.copy(), index, values)`` to the bit: base rows first."""
-    return _row_sums(
-        np.concatenate((np.arange(len(base)), index)),
-        np.concatenate((base, values)),
-        len(base),
-    )
+    length, width = base.shape
+    rows = np.concatenate((np.arange(length), index))
+    slots = (rows[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, weights=np.concatenate((base, values)).ravel(), minlength=base.size)
+    return sums.reshape(base.shape)
 
 
 def damped_step(
@@ -507,7 +535,12 @@ def damped_step(
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"point block inversion failed: {exc}") from exc
 
-    cross_dinv = _batched_matmul(lin.h_cp, np.take(point_inv, lin.pt_idx, axis=0))
+    # E = H_cp V^-1 component-major, then one copy to (n, 9, 3) for the pair gathers.
+    point_inv_columns = np.ascontiguousarray(point_inv.transpose(1, 2, 0))
+    cross_dinv = _batched_matmul(
+        lin.h_cp.transpose(1, 2, 0), point_inv_columns.take(lin.pt_idx, axis=2)
+    )
+    cross_dinv = np.ascontiguousarray(cross_dinv.transpose(2, 0, 1))
     cross_t = np.ascontiguousarray(lin.h_cp.transpose(0, 2, 1))
 
     blocks = np.zeros((nc * nc, 9, 9))

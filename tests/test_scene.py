@@ -75,12 +75,16 @@ class TestRotation:
     def test_cross_matches_numpy_bytes(self):
         rng = np.random.default_rng(11)
         a, b = rng.normal(0, 3, (200, 3)), rng.normal(0, 3, (200, 3))
-        assert scene._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+        def cross(u, v):  # _cross is component-major: the vector axis comes first
+            return np.moveaxis(scene._cross(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)), 0, -1)
+
+        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
         assert scene._cross(a[0], b[0]).tobytes() == np.cross(a[0], b[0]).tobytes()
-        assert scene._cross(a, b[0]).tobytes() == np.cross(a, b[0]).tobytes()
+        assert cross(a, b[0]).tobytes() == np.cross(a, b[0]).tobytes()
         stacked, eye = a[:, None, :], np.eye(3)
-        assert scene._cross(stacked, eye).shape == (200, 3, 3)
-        assert scene._cross(stacked, eye).tobytes() == np.cross(stacked, eye).tobytes()
+        assert cross(stacked, eye).shape == (200, 3, 3)
+        assert cross(stacked, eye).tobytes() == np.cross(stacked, eye).tobytes()
 
     def test_matches_normalized_axis_formula(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,11 @@
+import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +37,7 @@ from balm.solver import (
     damped_step,
     dense_system,
     estimation_error,
+    evaluate_step,
     linearize,
     lm_iterate,
     records_to_csv,
@@ -165,6 +172,39 @@ def thinned_problem(num_cameras=8, num_points=40, seed=0):
     return BAProblem(full.cameras, full.points, observations, pixel_sigma=full.pixel_sigma)
 
 
+def with_distortion(problem, k1, k2):
+    """``problem`` with every camera's radial distortion set to (k1, k2)."""
+    cameras = problem.camera_blocks.copy()
+    cameras[:, 7] = k1
+    cameras[:, 8] = k2
+    return BAProblem.from_arrays(
+        cameras, problem.point_blocks, problem.cam_idx, problem.pt_idx, problem.pixels,
+        problem.pixel_sigma,
+    )
+
+
+def few_view_problem(num_cameras=12, num_points=80, seed=4):
+    """A suite-like scene where each point keeps 2-5 of its views, as in BAL.
+
+    Point j keeps camera j mod num_cameras, so every camera stays observed,
+    plus 1-4 other cameras drawn at random.
+    """
+    full = generate_synthetic(
+        num_cameras, num_points, pixel_sigma=250.0, noise_std=0.5, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    keep = np.zeros((num_cameras, num_points), dtype=bool)
+    for pj in range(num_points):
+        others = [c for c in range(num_cameras) if c != pj % num_cameras]
+        extra = rng.choice(others, size=rng.integers(1, 5), replace=False)
+        keep[[pj % num_cameras, *extra], pj] = True
+    mask = keep[full.cam_idx, full.pt_idx]
+    return BAProblem.from_arrays(
+        full.camera_blocks, full.point_blocks, full.cam_idx[mask], full.pt_idx[mask],
+        full.pixels[mask], full.pixel_sigma,
+    )
+
+
 def relative_gap(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / denom))
@@ -237,12 +277,16 @@ class TestJacobian:
             assert relative_gap(analytic, numeric) < 1e-5
 
     def test_matches_finite_differences_with_distortion_scale(self):
-        # strong distortion coefficients come from the generator defaults;
-        # also cover the focal=1 regime used by the elimination tests
-        problem = generate_synthetic(4, 6, seed=2, focal=1.0, noise_std=0.01)
-        params = ParamVector.from_problem(problem)
-        lin = linearize(problem, params)
-        assert relative_gap(scatter_jacobian(lin), fd_jacobian(problem, params)) < 1e-5
+        # the generator writes k1 = k2 = 0, so set nonzero coefficients by
+        # hand; cover the focal=1 regime of the elimination tests and the
+        # suite's focal 500
+        for focal in (1.0, 500.0):
+            problem = with_distortion(
+                generate_synthetic(4, 6, seed=2, focal=focal, noise_std=0.01), 0.05, -0.01
+            )
+            params = ParamVector.from_problem(problem)
+            lin = linearize(problem, params)
+            assert relative_gap(scatter_jacobian(lin), fd_jacobian(problem, params)) < 1e-5
 
     def test_zero_rotation_linearizes_without_warnings(self):
         # The series branch covers t = 0; the unused closed form must not
@@ -466,6 +510,123 @@ class TestDampedStep:
         semidefinite = np.diag([2.0, 1.0, 0.0])  # zero pivot: Cholesky fails
         expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
         np.testing.assert_array_equal(solver._solve_spd(semidefinite, rhs[:3]), expected)
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+LIN_FIELDS = ("residual", "jac_cam", "jac_pt", "grad_cam", "grad_pt", "h_cc", "h_pp", "h_cp")
+GOLDEN_LAMBDAS = (1e-15, 1e-3, 1e4)
+GOLDEN_SCENES = {
+    "suite-100": lambda: suite_problem(100),
+    "thinned": thinned_problem,
+    "suite-100-distorted": lambda: with_distortion(
+        suite_problem(100), *np.random.default_rng(100).uniform(-0.05, 0.05, size=(2, 10))
+    ),
+    "few-view": few_view_problem,
+}
+# sha256 of the LM layer's outputs (see lm_layer_digest) on each scene, from
+# the initial state and after 3 classic iterations, with one BLAS thread.
+GOLDEN_LM_DIGESTS = {
+    "suite-100/0": "d0cae2caec5f703d1e61029e79c0dbbc895e4db509acb0a307729af0ea829769",
+    "suite-100/3": "d589d39b6077df7437accf925e2ab03e7cb84749b48da805d95787373a1bbc31",
+    "thinned/0": "c253a3339e732c7217cc4a5d629954e2ffae7c707e63f5334ec5c43b448fdbd0",
+    "thinned/3": "5cc4808e0440db8601ab4e6fc5160ec1cae0ab132abcaecdc7913ef14fe0c194",
+    "suite-100-distorted/0": "6436ac5849d9cc798563f3640f5127f26fee771120b116cb578600d6628daac7",
+    "suite-100-distorted/3": "1453e75ec873b9d6bba0f1c4a65fdca672a062598c12617b136342ac184aa5d5",
+    "few-view/0": "fb28a6e20e0c9d96a655b3a6a1c3d5d5f51c6b81cf125be8a1d38a74eb742859",
+    "few-view/3": "e5e565d733e3f452fe6bd615c11a99a4d0bafd7fe8c4bb3ce0572877cb43512f",
+}
+
+
+def lm_layer_digest(problem, params) -> str:
+    """sha256 over every ``linearize`` field, ``residuals``, and, at each golden
+    lambda, the schur/dense/auto steps with their candidates and errors."""
+    digest = hashlib.sha256()
+    lin = linearize(problem, params)
+    for name in LIN_FIELDS:
+        digest.update(name.encode() + getattr(lin, name).tobytes())
+    digest.update(residuals(problem, params).tobytes())
+    for lam in GOLDEN_LAMBDAS:
+        for method in ("schur", "dense", "auto"):
+            try:
+                delta_cam, delta_pt = damped_step(lin, lam, method=method)
+                candidate, err = evaluate_step(problem, params, lin, lam, method=method)
+            except (NumericalFailureError, SingularSystemError) as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            digest.update(delta_cam.tobytes() + delta_pt.tobytes())
+            digest.update(candidate.flat().tobytes() + np.float64(err).tobytes())
+    return digest.hexdigest()
+
+
+def golden_lm_digests() -> dict:
+    """``lm_layer_digest`` of every golden case."""
+    digests = {}
+    for case in GOLDEN_LM_DIGESTS:
+        scene, iterations = case.split("/")
+        problem = GOLDEN_SCENES[scene]()
+        params = ParamVector.from_problem(problem)
+        if int(iterations):
+            result = solve(
+                problem, ClassicPolicy(), max_iterations=int(iterations), deterministic_time=True
+            )
+            assert result.iterations == int(iterations)
+            params = result.params
+        digests[case] = lm_layer_digest(problem, params)
+    return digests
+
+
+@pytest.fixture(scope="module")
+def lm_layer_digests():
+    """The golden cases' digests from a child process with one BLAS thread.
+
+    OpenBLAS splits the Cholesky of a larger dense system across threads,
+    which moves the dense step's last bits with the thread count.
+    """
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join((str(Path(solver.__file__).parents[1]), str(TESTS_DIR))),
+    )
+    code = "import json, test_solver; print(json.dumps(test_solver.golden_lm_digests()))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=TESTS_DIR, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+class TestLmLayerBits:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LM_DIGESTS))
+    def test_outputs_are_byte_stable(self, case, lm_layer_digests):
+        assert lm_layer_digests[case] == GOLDEN_LM_DIGESTS[case]
+
+    @pytest.mark.parametrize("scene", ["suite-100", "few-view"])
+    def test_fields_keep_their_shapes_and_any_layout_gives_the_same_step(self, scene):
+        problem = GOLDEN_SCENES[scene]()
+        lin = linearize(problem, ParamVector.from_problem(problem))
+        n, nc, npts = problem.num_observations, problem.num_cameras, problem.num_points
+        shapes = {
+            "residual": (n, 2), "jac_cam": (n, 2, 9), "jac_pt": (n, 2, 3),
+            "grad_cam": (nc, 9), "grad_pt": (npts, 3), "h_cc": (nc, 9, 9),
+            "h_pp": (npts, 3, 3), "h_cp": (n, 9, 3),
+        }
+        assert {name: getattr(lin, name).shape for name in LIN_FIELDS} == shapes
+        assert lin.cam_idx is problem.cam_idx
+        assert lin.pt_idx is problem.pt_idx
+        # a deep row-major copy of every field, as a hand-built Linearization has
+        copied = dataclasses.replace(
+            lin, **{name: np.array(getattr(lin, name), order="C") for name in LIN_FIELDS}
+        )
+        for field in LIN_FIELDS:
+            assert getattr(copied, field).flags.c_contiguous
+        for a, b in zip(dense_system(lin), dense_system(copied)):
+            assert a.tobytes() == b.tobytes()
+        for lam in GOLDEN_LAMBDAS:
+            for method in ("schur", "dense"):
+                for a, b in zip(damped_step(lin, lam, method), damped_step(copied, lam, method)):
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestLmIterate:
