@@ -20,7 +20,13 @@ depends only on the observation indices, so it is built once per index set
 iteration, policy and oracle trial on that scene. The blocks come from one
 batched product per chunk of pairs, and a segmented sum over the pairs
 sorted by (camera, camera) folds them into ``S``. Fixed-size chunks keep the
-temporaries small on scenes with many points.
+temporaries small on scenes with many points. The Cholesky factorization
+reads only the lower triangle of ``S``, so only the blocks on or below the
+block diagonal are assembled; the upper ones are added only when it fails
+and the least-squares fallback needs the whole matrix. The plan also owns
+the scratch buffers that one chunk's gathers and products are written
+into, rewritten by every call: ``damped_step`` is therefore not reentrant
+across threads (balm starts none).
 
 The per-observation arrays of an iteration are component-major, with the
 observation index last: the gathered cameras (9, n) and points (3, n), the
@@ -48,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -422,16 +429,23 @@ def dense_system(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
     return hess, grad
 
 
-def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(
+    matrix: np.ndarray, rhs: np.ndarray, full: Callable[[], np.ndarray] | None = None
+) -> np.ndarray:
     """Cholesky solve with a least-squares fallback for semidefinite systems.
 
     Calls the LAPACK routines behind ``cho_factor``/``cho_solve`` directly,
-    which skips their argument checks and batching wrappers.
+    which skips their argument checks and batching wrappers. The Cholesky
+    factorization reads only the lower triangle of ``matrix``; the strict
+    upper one may hold anything if ``full()`` returns the whole matrix,
+    which the fallback then solves.
     """
     factor, info = dpotrf(matrix, lower=1, clean=0)
     if info == 0:
         solution, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
+        if full is not None:
+            matrix = full()
         try:
             solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:
@@ -466,14 +480,45 @@ def _camera_pairs(
     return first[by_block], second[by_block], block, starts
 
 
-def _pair_plan(
-    cam_idx: np.ndarray, pt_idx: np.ndarray, num_cameras: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The Schur assembly's pairs in PAIR_CHUNK-sized chunks, built once per index set.
+@dataclass(frozen=True)
+class _PairPlan:
+    """The Schur assembly's pairs in PAIR_CHUNK-sized chunks, with scratch buffers.
 
     Each chunk is (first, second, segment starts within the chunk, the
-    (camera, camera) block index of each segment). The plan is memoized on
-    the content of the indices, so it cannot go stale.
+    (camera, camera) block index of each segment). ``lower`` holds the pairs
+    whose block is on or below the block diagonal (camera of ``first`` >=
+    camera of ``second``), ``upper`` the rest. Both split one chunking of
+    the pairs in ``_camera_pairs`` order, segment by segment, so each
+    segment, and each part of a block split across a chunk edge, sums the
+    same products in the same order whichever side it is on. ``left``,
+    ``right`` and ``products`` hold one chunk's gathers and products; they
+    are sized to the largest chunk and rewritten by every call.
+    """
+
+    lower: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    upper: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    left: np.ndarray  # (k, 9, 3)
+    right: np.ndarray  # (k, 3, 9)
+    products: np.ndarray  # (k, 9, 9)
+
+    def subtract(self, blocks, chunks, cross_dinv, cross_t) -> None:
+        """``blocks[b] -= sum of cross_dinv[first] @ cross_t[second]`` over ``chunks``' pairs."""
+        for first, second, segment_starts, segment_blocks in chunks:
+            k = len(first)
+            # np.take gathers rows about twice as fast as fancy indexing; its
+            # default mode="raise" would copy ``out`` first, and the plan's
+            # indices are in range.
+            left = np.take(cross_dinv, first, axis=0, out=self.left[:k], mode="clip")
+            right = np.take(cross_t, second, axis=0, out=self.right[:k], mode="clip")
+            products = np.matmul(left, right, out=self.products[:k])
+            blocks[segment_blocks] -= np.add.reduceat(products, segment_starts, axis=0)
+
+
+def _pair_plan(cam_idx: np.ndarray, pt_idx: np.ndarray, num_cameras: int) -> _PairPlan:
+    """The Schur assembly's pair plan, built once per index set.
+
+    The plan is memoized on the content of the indices, so it cannot go
+    stale.
     """
     cam_idx = np.ascontiguousarray(cam_idx, dtype=np.intp)
     pt_idx = np.ascontiguousarray(pt_idx, dtype=np.intp)
@@ -481,22 +526,37 @@ def _pair_plan(
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes):
+def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes) -> _PairPlan:
     cam_idx = np.frombuffer(cam_bytes, dtype=np.intp)
     pt_idx = np.frombuffer(pt_bytes, dtype=np.intp)
     first, second, block_of, starts = _camera_pairs(cam_idx, pt_idx, num_cameras)
-    chunks = []
+    on_lower = block_of // num_cameras >= block_of % num_cameras
+    lower, upper = [], []
     for lo in range(0, len(first), PAIR_CHUNK):
         hi = min(lo + PAIR_CHUNK, len(first))
         # Segments of equal (camera, camera) block within the chunk; a block
         # whose segment crosses a chunk edge is summed in two parts.
         cuts = starts[np.searchsorted(starts, lo, "right") : np.searchsorted(starts, hi)]
-        segment_starts = np.concatenate(([0], cuts - lo))
-        chunk = (first[lo:hi], second[lo:hi], segment_starts, block_of[lo + segment_starts])
-        for array in chunk:
-            array.flags.writeable = False  # shared by every later call
-        chunks.append(chunk)
-    return tuple(chunks)
+        segment_starts = np.concatenate(([lo], cuts))
+        lengths = np.diff(np.append(segment_starts, hi))
+        for chunks, side in ((lower, on_lower[lo:hi]), (upper, ~on_lower[lo:hi])):
+            kept = side[segment_starts - lo]
+            if not kept.any():
+                continue
+            kept_lengths = lengths[kept]
+            chunk = (
+                first[lo:hi][side],
+                second[lo:hi][side],
+                np.cumsum(kept_lengths) - kept_lengths,
+                block_of[segment_starts[kept]],
+            )
+            for array in chunk:
+                array.flags.writeable = False  # shared by every later call
+            chunks.append(chunk)
+    k = max((len(chunk[0]) for chunk in lower + upper), default=0)
+    return _PairPlan(
+        tuple(lower), tuple(upper), np.empty((k, 9, 3)), np.empty((k, 3, 9)), np.empty((k, 9, 9))
+    )
 
 
 def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -543,21 +603,24 @@ def damped_step(
     cross_dinv = np.ascontiguousarray(cross_dinv.transpose(2, 0, 1))
     cross_t = np.ascontiguousarray(lin.h_cp.transpose(0, 2, 1))
 
+    plan = _pair_plan(lin.cam_idx, lin.pt_idx, nc)
     blocks = np.zeros((nc * nc, 9, 9))
     diagonal = np.arange(nc) * (nc + 1)
     blocks[diagonal] = lin.h_cc + lam * np.eye(9)
-    for first, second, segment_starts, segment_blocks in _pair_plan(lin.cam_idx, lin.pt_idx, nc):
-        # np.take gathers rows about twice as fast as fancy indexing.
-        products = np.matmul(np.take(cross_dinv, first, axis=0), np.take(cross_t, second, axis=0))
-        blocks[segment_blocks] -= np.add.reduceat(products, segment_starts, axis=0)
-    reduced = blocks.reshape(nc, nc, 9, 9).transpose(0, 2, 1, 3)
+
+    def reduced(chunks) -> np.ndarray:
+        """The reduced system with the pairs of ``chunks`` subtracted too."""
+        plan.subtract(blocks, chunks, cross_dinv, cross_t)
+        return blocks.reshape(nc, nc, 9, 9).transpose(0, 2, 1, 3).reshape(9 * nc, 9 * nc)
 
     rhs = _added_rows(
         -lin.grad_cam,
         lin.cam_idx,
         np.einsum("nij,nj->ni", cross_dinv, lin.grad_pt[lin.pt_idx]),
     )
-    delta_cam = _solve_spd(reduced.reshape(9 * nc, 9 * nc), rhs.ravel()).reshape(nc, 9)
+    # The upper triangle is assembled only for the least-squares fallback.
+    lower = reduced(plan.lower)
+    delta_cam = _solve_spd(lower, rhs.ravel(), lambda: reduced(plan.upper)).reshape(nc, 9)
 
     back = _added_rows(
         lin.grad_pt, lin.pt_idx, np.einsum("nij,ni->nj", lin.h_cp, delta_cam[lin.cam_idx])

@@ -468,6 +468,96 @@ class TestDampedStep:
         assert np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step) < 1e-8
         assert calls["n"] == 2
 
+    @pytest.mark.parametrize("chunk", [solver.PAIR_CHUNK, 64])
+    @pytest.mark.parametrize("make_problem", [few_view_problem, thinned_problem])
+    def test_pair_plan_splits_at_the_block_diagonal(self, make_problem, chunk, monkeypatch):
+        problem = make_problem()
+        cam_idx, pt_idx, nc = problem.cam_idx, problem.pt_idx, problem.num_cameras
+        solver._cached_pair_plan.cache_clear()
+        monkeypatch.setattr(solver, "PAIR_CHUNK", chunk)
+        plan = solver._pair_plan(cam_idx, pt_idx, nc)
+        solver._cached_pair_plan.cache_clear()
+        first, second, block_of, _ = solver._camera_pairs(cam_idx, pt_idx, nc)
+
+        def segments(chunks):
+            for chunk_first, chunk_second, starts, blocks in chunks:
+                assert 0 < len(chunk_first) <= chunk
+                ends = np.append(starts[1:], len(chunk_first))
+                for lo, hi, block in zip(starts, ends, blocks):
+                    assert lo < hi
+                    yield block, chunk_first[lo:hi], chunk_second[lo:hi]
+
+        lower, upper = list(segments(plan.lower)), list(segments(plan.upper))
+        lower_first = np.concatenate([f for _, f, _ in lower])
+        lower_second = np.concatenate([s for _, _, s in lower])
+        assert np.all(cam_idx[lower_first] >= cam_idx[lower_second])
+        assert all(np.all(cam_idx[f] < cam_idx[s]) for _, f, s in upper)
+        n, pairs = problem.num_observations, len(first)
+        assert len(lower_first) == n + (pairs - n) // 2
+        for block, f, s in lower + upper:
+            assert np.all(cam_idx[f] * nc + cam_idx[s] == block)
+
+        # Merged by block, the two sides give _camera_pairs' order, and every
+        # segment lies within one chunk of it and ends at a block change or a
+        # chunk edge.
+        merged = sorted(lower + upper, key=lambda segment: segment[0])
+        np.testing.assert_array_equal(np.concatenate([f for _, f, _ in merged]), first)
+        np.testing.assert_array_equal(np.concatenate([s for _, _, s in merged]), second)
+        lengths = np.array([len(f) for _, f, _ in merged])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        assert np.all(starts // chunk == (ends - 1) // chunk)
+        cut = np.flatnonzero(np.diff(block_of)) + 1
+        edges = np.arange(chunk, pairs, chunk)
+        np.testing.assert_array_equal(starts[1:], np.union1d(cut, edges))
+        assert plan.products.shape == (max(len(c[0]) for c in plan.lower + plan.upper), 9, 9)
+
+    def test_gauge_step_solves_the_full_matrix_when_cholesky_fails(self, monkeypatch):
+        # At lambda = 1e-15 a one-view point's depth is unobservable, the
+        # reduced system is not positive definite, and the least-squares
+        # fallback needs the upper triangle, which the Cholesky path skips.
+        matrices = []
+        lstsq = np.linalg.lstsq
+
+        def spy(matrix, rhs, **kwargs):
+            matrices.append(matrix.copy())
+            return lstsq(matrix, rhs, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        problem = thinned_problem()
+        damped_step(linearize(problem, ParamVector.from_problem(problem)), 1e-15, "schur")
+        assert len(matrices) == 1
+        matrix = matrices[0]
+        assert matrix.shape == (9 * problem.num_cameras,) * 2
+        upper = np.triu_indices(len(matrix), 1)
+        assert np.count_nonzero(matrix[upper]) > 0
+        np.testing.assert_array_equal(matrix == 0, (matrix == 0).T)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_scratch_buffers_do_not_alias(self, shared):
+        problem = few_view_problem()
+        if shared:
+            result = solve(problem, ClassicPolicy(), max_iterations=2, deterministic_time=True)
+            other = (problem, result.params)
+        else:
+            other = (suite_problem(100), ParamVector.from_problem(suite_problem(100)))
+        lins = [linearize(problem, ParamVector.from_problem(problem)), linearize(*other)]
+
+        def fresh(lin):
+            solver._cached_pair_plan.cache_clear()
+            return [a.tobytes() for a in damped_step(lin, 1e-3, "schur")]
+
+        expected = [fresh(lin) for lin in lins]
+        solver._cached_pair_plan.cache_clear()
+        results = [(i, damped_step(lins[i], 1e-3, "schur")) for i in (0, 1, 0)]
+        for lin in lins:
+            plan = solver._pair_plan(lin.cam_idx, lin.pt_idx, lin.num_cameras)
+            for buffer in (plan.left, plan.right, plan.products):
+                for _, step in results:
+                    assert not any(np.shares_memory(delta, buffer) for delta in step)
+        for i, step in results:
+            assert [a.tobytes() for a in step] == expected[i]
+
     def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
         assert tiny_problem.num_cameras < DENSE_CAMERA_LIMIT
         lin = linearize(tiny_problem, ParamVector.from_problem(tiny_problem))
@@ -510,6 +600,22 @@ class TestDampedStep:
         semidefinite = np.diag([2.0, 1.0, 0.0])  # zero pivot: Cholesky fails
         expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
         np.testing.assert_array_equal(solver._solve_spd(semidefinite, rhs[:3]), expected)
+
+    def test_spd_solve_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(90, 90))
+        spd, rhs = a @ a.T + np.eye(90), rng.normal(size=90)
+        lower = spd.copy()
+        lower[np.triu_indices(90, 1)] = np.nan
+        expected = solver._solve_spd(spd, rhs).tobytes()
+        assert solver._solve_spd(lower, rhs, full=lambda: pytest.fail("full")).tobytes() == expected
+        # the fallback solves the whole matrix that ``full`` returns
+        semidefinite = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        lower = semidefinite.copy()
+        lower[np.triu_indices(3, 1)] = np.nan
+        expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
+        solution = solver._solve_spd(lower, rhs[:3], full=lambda: semidefinite)
+        np.testing.assert_array_equal(solution, expected)
 
 
 TESTS_DIR = Path(__file__).resolve().parent
