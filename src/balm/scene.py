@@ -8,6 +8,7 @@ two-coefficient radial distortion scaled by the focal length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,75 @@ def _index_array(values, name: str) -> np.ndarray:
     return array.astype(int, copy=False)
 
 
+class _Workspace:
+    """One reusable buffer that a call carves its temporary arrays from.
+
+    ``frame()`` starts a call. Each request ``ws(*shape)`` then takes the
+    next stretch of the buffer, in whole 64-byte lines, and
+    ``ws.release(mark)`` hands back everything taken since ``mark =
+    ws.used``. A request past the end of the buffer gets a new array, and
+    the next frame starts with a buffer as long as the longest frame so far,
+    so once each kind of call has run, none allocates. The same request at
+    the same place returns the same view, made once. An array stays valid
+    until its stretch is handed out again: never return one from the call,
+    and never use a workspace from two threads.
+    """
+
+    LINE = 8  # float64 items per 64-byte line
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self.used = self.longest = 0
+        self.views = {}  # (start, shape, dtype) -> (view, end)
+
+    def frame(self) -> "_Workspace":
+        if self.longest > len(self.buffer):
+            self.buffer = np.empty(self.longest)
+            self.views.clear()
+        self.used = 0
+        return self
+
+    def release(self, mark: int) -> None:
+        self.used = mark
+
+    def __call__(self, *shape: int, dtype=np.float64) -> np.ndarray:
+        """An uninitialized array of ``shape`` and an 8-byte ``dtype``."""
+        key = (self.used, shape, dtype)
+        made = self.views.get(key)
+        if made is not None:
+            view, self.used = made
+            return view
+        size = math.prod(shape)
+        start = self.used
+        self.used += -(-size // self.LINE) * self.LINE
+        if self.used > len(self.buffer):
+            self.longest = max(self.longest, self.used)
+            return np.empty(shape, dtype)
+        view = self.buffer[start : start + size].view(dtype).reshape(shape)
+        self.views[key] = (view, self.used)
+        return view
+
+    def take(self, array: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+        """``array.take(index, axis)`` into the workspace; ``index`` must be in range."""
+        out = self(*array.shape[:axis], len(index), *array.shape[axis + 1 :])
+        # mode="clip" skips the bounds check, for which mode="raise" would
+        # first copy the output.
+        return array.take(index, axis=axis, out=out, mode="clip")
+
+
+class _Fresh:
+    """The workspace of a call that has none: every array is new."""
+
+    def __call__(self, *shape: int, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def take(self, array: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+        return array.take(index, axis=axis)
+
+
+_FRESH = _Fresh()
+
+
 def _rotation_coefficients(theta2: np.ndarray):
     """Rodrigues coefficients cos(t), sin(t)/t, (1-cos(t))/t^2, series-safe at 0."""
     theta = np.sqrt(theta2)
@@ -212,14 +282,15 @@ def _rotation_coefficients(theta2: np.ndarray):
     return cos_t, sinc, one_minus_cos
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.cross`` over the first axis, to the bit, without its axis bookkeeping.
 
     Component-major: ``a[i]`` is the i-th component of every vector. Each
     component is the same two products and one difference.
     """
     return np.stack(
-        (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]),
+        out=out,
     )
 
 
@@ -290,7 +361,7 @@ def project_many(
     return pixels, cam_frame[2]
 
 
-def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
+def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx, scratch=_FRESH):
     """Project every observation, keeping the intermediates.
 
     Works component-major, observation index last. Returns the gathered
@@ -298,20 +369,24 @@ def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
     image-plane points (2, n), their squared radius, the distortion factor
     and the pixels, which alone are row-major (n, 2). The rotation
     coefficients are computed once per camera. A numerically zero depth
-    divides by 1 instead; the caller detects it.
+    divides by 1 instead; the caller detects it. The gathered cameras and
+    points, the image-plane points and the pixels come from ``scratch`` (see
+    ``_Workspace``).
     """
-    cams = np.ascontiguousarray(camera_blocks.T).take(cam_idx, axis=1)
-    pts = np.ascontiguousarray(point_blocks.T).take(pt_idx, axis=1)
+    n = len(cam_idx)
+    cams = scratch.take(np.ascontiguousarray(camera_blocks.T), cam_idx, axis=1)
+    pts = scratch.take(np.ascontiguousarray(point_blocks.T), pt_idx, axis=1)
     rotvecs = camera_blocks[:, 0:3].T
     coefficients = [c.take(cam_idx) for c in _rotation_coefficients(_dot(rotvecs, rotvecs))]
     cam_frame = _rotate(cams[0:3], pts, coefficients)
     cam_frame += cams[3:6]
     depth = cam_frame[2]
     safe_depth = np.where(np.abs(depth) <= DEPTH_EPS, 1.0, depth)
-    plane = -cam_frame[:2] / safe_depth
+    plane = np.negative(cam_frame[:2], out=scratch(2, n))
+    plane /= safe_depth
     r2 = _dot(plane, plane)
     distortion = 1.0 + cams[7] * r2 + cams[8] * r2 * r2
-    pixels = np.empty((len(depth), 2))
+    pixels = scratch(n, 2)
     np.multiply(cams[6] * distortion, plane, out=pixels.T)
     return cams, pts, cam_frame, plane, r2, distortion, pixels
 

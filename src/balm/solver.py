@@ -22,11 +22,22 @@ batched product per chunk of pairs, and a segmented sum over the pairs
 sorted by (camera, camera) folds them into ``S``. Fixed-size chunks keep the
 temporaries small on scenes with many points. The Cholesky factorization
 reads only the lower triangle of ``S``, so only the blocks on or below the
-block diagonal are assembled; the upper ones are added only when it fails
-and the least-squares fallback needs the whole matrix. The plan also owns
-the scratch buffers that one chunk's gathers and products are written
-into, rewritten by every call: ``damped_step`` is therefore not reentrant
-across threads (balm starts none).
+block diagonal are assembled, and one transposing copy writes them into
+the Fortran-ordered matrix that is factored in place; the upper ones are
+added only when the factorization fails, and the least-squares fallback
+gets the whole matrix, copied again.
+
+The plan also owns a workspace (``scene._Workspace``): one buffer that
+holds every per-observation temporary of ``linearize`` and of the Schur
+``damped_step``, the reduced system and the pair gathers and products
+included. The two calls never overlap, so they share it, and every call
+rewrites it. Once each has run on an index set, neither allocates more
+than its results and a few small temporaries, so the allocator no longer
+hands megabytes back to the system each iteration, only to fault them in
+again on the next. ``linearize`` and ``damped_step`` are therefore not
+reentrant across threads (balm starts none). No ``Linearization`` field
+and no returned step is ever part of the workspace: a linearization stays
+valid while other calls reuse it, as the greedy oracle's trials do.
 
 The per-observation arrays of an iteration are component-major, with the
 observation index last: the gathered cameras (9, n) and points (3, n), the
@@ -63,6 +74,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .scene import (
     DEPTH_EPS,
     BAProblem,
+    _Workspace,
     _cross,
     _dot,
     _project_rows,
@@ -126,7 +138,8 @@ class Linearization:
     the observation or block index last, and these fields are transposed
     views of that storage in the shapes below: ``jac_cam`` is a (n, 2, 9)
     view of a (2, 9, n) array. ``damped_step`` and ``dense_system`` accept
-    any strides.
+    any strides. Every field is an array of its own, never part of the pair
+    plan's workspace, so a linearization outlives later calls.
     """
 
     cam_idx: np.ndarray
@@ -221,21 +234,24 @@ def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
     return float(np.sum(res * res) / (pixel_sigma * pixel_sigma))
 
 
-def _batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[..., n] @ b[..., n]`` on component-major (i, j, n) and (j, k, n) arrays.
+def _batched_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+    """``a[..., n] @ b[..., n]`` on component-major (i, j, n) and (j, k, n) arrays, into ``out``.
 
     The inner index is summed in order, first term first, unlike ``matmul``
     or ``einsum``, whose kernels may block, pair or fuse the sum. Each step
-    is one broadcast over contiguous rows.
+    is one broadcast over contiguous rows; the terms go through ``scratch``.
     """
-    out = a[:, 0, None, :] * b[None, 0, :, :]
+    np.multiply(a[:, 0, None, :], b[None, 0, :, :], out=out)
+    mark = scratch.used
+    term = scratch(*out.shape)
     for j in range(1, a.shape[1]):
-        out += a[:, j, None, :] * b[None, j, :, :]
+        out += np.multiply(a[:, j, None, :], b[None, j, :, :], out=term)
+    scratch.release(mark)
     return out
 
 
 def _rotation_point_jacobian(
-    camera_rotvecs: np.ndarray, cam_idx: np.ndarray, w: np.ndarray, p: np.ndarray
+    camera_rotvecs: np.ndarray, cam_idx: np.ndarray, w: np.ndarray, p: np.ndarray, scratch
 ) -> np.ndarray:
     """d(R(w) @ X)/dw for each observation, component-major (3, 3, n).
 
@@ -246,7 +262,8 @@ def _rotation_point_jacobian(
     all angle-dependent coefficients get series fallbacks near t = 0 and
     are computed once per camera. Entry (i, j) is
     -sinc X_i w_j + beta (w x X)_i w_j + gamma (w.X) w_i w_j + omc w_i X_j
-    + omc (w.X) [i = j] - sinc [X]_x[i, j], summed in that order.
+    + omc (w.X) [i = j] - sinc [X]_x[i, j], summed in that order. The
+    result and its temporaries come from ``scratch``.
     """
     theta2 = _dot(camera_rotvecs, camera_rotvecs)
     theta = np.sqrt(theta2)
@@ -268,28 +285,38 @@ def _rotation_point_jacobian(
         (safe * np.sin(safe) - 2.0 * (1.0 - np.cos(safe))) / safe**4,
     )
     sinc, omc, beta, gamma = sinc[cam_idx], omc[cam_idx], beta[cam_idx], gamma[cam_idx]
+    jac = scratch(3, 3, len(cam_idx))
+    mark = scratch.used
 
     dot = _dot(w, p)
-    c = _cross(w, p)
+    c = _cross(w, p, out=scratch(*p.shape))
     gamma_dot = gamma * dot
-    jac = np.empty((3, 3, len(dot)))
+    term = scratch(*p.shape)
     for i in range(3):
         row = jac[i]
         np.multiply(c[i], w, out=row)
         row *= beta
-        row -= sinc * (p[i] * w)  # -a + b is b - a to the bit
-        row += gamma_dot * (w[i] * w)
-        row += omc * (w[i] * p)
+        np.multiply(p[i], w, out=term)
+        term *= sinc
+        row -= term  # -a + b is b - a to the bit
+        np.multiply(w[i], w, out=term)
+        term *= gamma_dot
+        row += term
+        np.multiply(w[i], p, out=term)
+        term *= omc
+        row += term
     diagonal = omc * dot
     for i in range(3):
         jac[i, i] += diagonal
-    x, y, z = sinc * p  # - sinc [X]_x, where sinc * (-X_k) is -(sinc * X_k)
+    # - sinc [X]_x, where sinc * (-X_k) is -(sinc * X_k)
+    x, y, z = np.multiply(sinc, p, out=term)
     jac[0, 1] += z
     jac[0, 2] -= y
     jac[1, 0] -= z
     jac[1, 2] += x
     jac[2, 0] += y
     jac[2, 1] -= x
+    scratch.release(mark)
     return jac
 
 
@@ -308,9 +335,10 @@ def _rotation_matrices(rotvecs: np.ndarray) -> np.ndarray:
     )
 
 
-def _column_slots(index: np.ndarray, rows: int, length: int) -> np.ndarray:
-    """Flat bincount slots ``r * length + index[n]`` of a (rows, n) array."""
-    return (np.arange(rows)[:, None] * length + index).ravel()
+def _column_slots(index: np.ndarray, rows: int, length: int, scratch) -> np.ndarray:
+    """Flat bincount slots ``r * length + index[n]`` of a (rows, n) array, in ``scratch``."""
+    slots = scratch(rows, len(index), dtype=np.intp)
+    return np.add(np.arange(rows)[:, None] * length, index, out=slots).ravel()
 
 
 def _column_sums(slots: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
@@ -324,7 +352,22 @@ def _column_sums(slots: np.ndarray, values: np.ndarray, length: int) -> np.ndarr
     return sums.reshape(shape)
 
 
-def _gram_sums(jac: np.ndarray, weight: float, slots: np.ndarray, length: int) -> np.ndarray:
+def _gradient_sums(
+    jac: np.ndarray, residual: np.ndarray, weight: float, slots: np.ndarray, length: int, scratch
+) -> np.ndarray:
+    """Per-block sums of ``weight * J^T r`` for a (2, width, n) ``jac``: (width, length)."""
+    mark = scratch.used
+    terms = np.multiply(jac[0], residual[:, 0], out=scratch(*jac.shape[1:]))
+    terms += np.multiply(jac[1], residual[:, 1], out=scratch(*jac.shape[1:]))
+    terms *= weight
+    sums = _column_sums(slots, terms, length)
+    scratch.release(mark)
+    return sums
+
+
+def _gram_sums(
+    jac: np.ndarray, weight: float, slots: np.ndarray, length: int, scratch
+) -> np.ndarray:
     """Per-block sums of ``weight * J^T J`` for a (2, width, n) ``jac``: (width, width, length).
 
     Entry (j, k) of one observation is (J0j J0k + J1j J1k) * weight, the
@@ -333,65 +376,73 @@ def _gram_sums(jac: np.ndarray, weight: float, slots: np.ndarray, length: int) -
     """
     width, n = jac.shape[1:]
     out = np.empty((width, width, length))
+    mark = scratch.used
+    first, second = scratch(width, n), scratch(width, n)
     for j in range(width):
-        terms = jac[0, j] * jac[0, j:]
-        terms += jac[1, j] * jac[1, j:]
+        terms = np.multiply(jac[0, j], jac[0, j:], out=first[: width - j])
+        terms += np.multiply(jac[1, j], jac[1, j:], out=second[: width - j])
         terms *= weight
         out[j, j:] = _column_sums(slots[: (width - j) * n], terms, length)
         out[j + 1 :, j] = out[j, j + 1 :]
+    scratch.release(mark)
     return out
 
 
 def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
-    """Residuals plus analytic block Jacobian and weighted normal-equation blocks."""
+    """Residuals plus analytic block Jacobian and weighted normal-equation blocks.
+
+    The temporaries live in the pair plan's workspace; every returned array
+    is new.
+    """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
+    nc, npts, n = problem.num_cameras, problem.num_points, len(cam_idx)
+    scratch = _pair_plan(cam_idx, pt_idx, nc).workspace.frame()
     # One projection, project_many's, serves the residual and the Jacobian.
     cams, pts, cam_frame, plane, r2, distortion, predicted = _project_rows(
-        params.cameras, params.points, cam_idx, pt_idx
+        params.cameras, params.points, cam_idx, pt_idx, scratch
     )
     focal, k1, k2 = cams[6], cams[7], cams[8]
     z = cam_frame[2]
     residual = _checked_residual(pixels, predicted, z)
 
-    n = len(cam_idx)
     # d(plane)/d(cam_frame): rows for x and y image axes.
-    dplane = np.zeros((2, 3, n))
+    dplane = scratch(2, 3, n)
+    dplane.fill(0.0)
     dplane[0, 0] = -1.0 / z
     dplane[1, 1] = -1.0 / z
     dplane[0, 2] = cam_frame[0] / (z * z)
     dplane[1, 2] = cam_frame[1] / (z * z)
 
     # d(pixel)/d(plane) = f * (distortion * I + (2 k1 + 4 k2 r2) p p^T)
-    dpix_dplane = distortion * np.eye(2)[:, :, None]
-    dpix_dplane += (2.0 * k1 + 4.0 * k2 * r2) * (plane[:, None] * plane[None, :])
+    dpix_dplane = np.multiply(distortion, np.eye(2)[:, :, None], out=scratch(2, 2, n))
+    outer = np.multiply(plane[:, None], plane[None, :], out=scratch(2, 2, n))
+    outer *= 2.0 * k1 + 4.0 * k2 * r2
+    dpix_dplane += outer
     dpix_dplane *= focal
 
-    chain = _batched_matmul(dpix_dplane, dplane)  # d(pixel)/d(cam_frame)
+    chain = _batched_matmul(dpix_dplane, dplane, scratch(2, 3, n), scratch)  # d(pixel)/d(cam_frame)
 
     camera_rot = params.cameras[:, 0:3].T
-    drot = _rotation_point_jacobian(camera_rot, cam_idx, cams[0:3], pts)
-    rot_mat = _rotation_matrices(camera_rot)[:, :, cam_idx]
+    drot = _rotation_point_jacobian(camera_rot, cam_idx, cams[0:3], pts, scratch)
+    rot_mat = scratch.take(_rotation_matrices(camera_rot), cam_idx, axis=2)
 
     # Residual is observed minus predicted, so its Jacobian is negated.
     jac_cam = np.empty((2, 9, n))
-    np.negative(_batched_matmul(chain, drot), out=jac_cam[:, 0:3])
+    np.negative(_batched_matmul(chain, drot, scratch(2, 3, n), scratch), out=jac_cam[:, 0:3])
     np.negative(chain, out=jac_cam[:, 3:6])
-    np.negative(distortion * plane, out=jac_cam[:, 6])
-    np.negative((focal * r2) * plane, out=jac_cam[:, 7])
-    np.negative((focal * r2 * r2) * plane, out=jac_cam[:, 8])
-    jac_pt = -_batched_matmul(chain, rot_mat)
+    for column, factor in ((6, distortion), (7, focal * r2), (8, focal * r2 * r2)):
+        np.negative(np.multiply(factor, plane, out=jac_cam[:, column]), out=jac_cam[:, column])
+    jac_pt = np.negative(_batched_matmul(chain, rot_mat, scratch(2, 3, n), scratch))
+    scratch.release(0)  # the projection and the Jacobian's factors are spent
 
     weight = 1.0 / (problem.pixel_sigma * problem.pixel_sigma)
-    nc, npts = problem.num_cameras, problem.num_points
-    cam_slots = _column_slots(cam_idx, 9, nc)
-    pt_slots = _column_slots(pt_idx, 3, npts)
-    r0, r1 = residual.T
-
-    grad_cam = _column_sums(cam_slots, weight * (jac_cam[0] * r0 + jac_cam[1] * r1), nc)
-    grad_pt = _column_sums(pt_slots, weight * (jac_pt[0] * r0 + jac_pt[1] * r1), npts)
-    h_cc = _gram_sums(jac_cam, weight, cam_slots, nc)
-    h_pp = _gram_sums(jac_pt, weight, pt_slots, npts)
-    h_cp = _batched_matmul(jac_cam.transpose(1, 0, 2), jac_pt)
+    cam_slots = _column_slots(cam_idx, 9, nc, scratch)
+    pt_slots = _column_slots(pt_idx, 3, npts, scratch)
+    grad_cam = _gradient_sums(jac_cam, residual, weight, cam_slots, nc, scratch)
+    grad_pt = _gradient_sums(jac_pt, residual, weight, pt_slots, npts, scratch)
+    h_cc = _gram_sums(jac_cam, weight, cam_slots, nc, scratch)
+    h_pp = _gram_sums(jac_pt, weight, pt_slots, npts, scratch)
+    h_cp = _batched_matmul(jac_cam.transpose(1, 0, 2), jac_pt, np.empty((9, 3, n)), scratch)
     h_cp *= weight
 
     return Linearization(
@@ -436,11 +487,12 @@ def _solve_spd(
 
     Calls the LAPACK routines behind ``cho_factor``/``cho_solve`` directly,
     which skips their argument checks and batching wrappers. The Cholesky
-    factorization reads only the lower triangle of ``matrix``; the strict
-    upper one may hold anything if ``full()`` returns the whole matrix,
-    which the fallback then solves.
+    factorization reads only the lower triangle of ``matrix``. With
+    ``full``, the strict upper triangle may hold anything, a Fortran-ordered
+    ``matrix`` is factored in place, and ``full()`` returns the whole matrix
+    anew for the fallback to solve.
     """
-    factor, info = dpotrf(matrix, lower=1, clean=0)
+    factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=full is not None)
     if info == 0:
         solution, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
@@ -482,7 +534,7 @@ def _camera_pairs(
 
 @dataclass(frozen=True)
 class _PairPlan:
-    """The Schur assembly's pairs in PAIR_CHUNK-sized chunks, with scratch buffers.
+    """The Schur assembly's pairs in PAIR_CHUNK-sized chunks, and the LM layer's workspace.
 
     Each chunk is (first, second, segment starts within the chunk, the
     (camera, camera) block index of each segment). ``lower`` holds the pairs
@@ -490,28 +542,35 @@ class _PairPlan:
     camera of ``second``), ``upper`` the rest. Both split one chunking of
     the pairs in ``_camera_pairs`` order, segment by segment, so each
     segment, and each part of a block split across a chunk edge, sums the
-    same products in the same order whichever side it is on. ``left``,
-    ``right`` and ``products`` hold one chunk's gathers and products; they
-    are sized to the largest chunk and rewritten by every call.
+    same products in the same order whichever side it is on.
+
+    ``workspace`` holds every per-observation temporary of ``linearize``
+    and of the Schur ``damped_step`` on this index set: the projection, the
+    Jacobian's factors, the Gram and gradient terms and the bincount slots;
+    ``E`` in both layouts, ``H_cp^T``, the reduced camera system, the pair
+    gathers and products, and the gathered operands of the right-hand side
+    and the back-substitution. The two calls never overlap, so they share
+    it, and every call rewrites it. No ``Linearization`` field or returned
+    step is ever part of it.
     """
 
     lower: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     upper: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-    left: np.ndarray  # (k, 9, 3)
-    right: np.ndarray  # (k, 3, 9)
-    products: np.ndarray  # (k, 9, 9)
+    points_indexed: int  # 1 + the largest point index
+    workspace: _Workspace = field(default_factory=_Workspace)
 
     def subtract(self, blocks, chunks, cross_dinv, cross_t) -> None:
         """``blocks[b] -= sum of cross_dinv[first] @ cross_t[second]`` over ``chunks``' pairs."""
+        scratch = self.workspace
         for first, second, segment_starts, segment_blocks in chunks:
-            k = len(first)
-            # np.take gathers rows about twice as fast as fancy indexing; its
-            # default mode="raise" would copy ``out`` first, and the plan's
-            # indices are in range.
-            left = np.take(cross_dinv, first, axis=0, out=self.left[:k], mode="clip")
-            right = np.take(cross_t, second, axis=0, out=self.right[:k], mode="clip")
-            products = np.matmul(left, right, out=self.products[:k])
-            blocks[segment_blocks] -= np.add.reduceat(products, segment_starts, axis=0)
+            mark = scratch.used
+            # np.take gathers rows about twice as fast as fancy indexing.
+            left = scratch.take(cross_dinv, first, axis=0)
+            right = scratch.take(cross_t, second, axis=0)
+            products = np.matmul(left, right, out=scratch(len(first), 9, 9))
+            sums = scratch(len(segment_starts), 9, 9)
+            blocks[segment_blocks] -= np.add.reduceat(products, segment_starts, axis=0, out=sums)
+            scratch.release(mark)
 
 
 def _pair_plan(cam_idx: np.ndarray, pt_idx: np.ndarray, num_cameras: int) -> _PairPlan:
@@ -553,18 +612,21 @@ def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes) -> _P
             for array in chunk:
                 array.flags.writeable = False  # shared by every later call
             chunks.append(chunk)
-    k = max((len(chunk[0]) for chunk in lower + upper), default=0)
-    return _PairPlan(
-        tuple(lower), tuple(upper), np.empty((k, 9, 3)), np.empty((k, 3, 9)), np.empty((k, 9, 9))
-    )
+    return _PairPlan(tuple(lower), tuple(upper), int(pt_idx.max(initial=-1)) + 1)
 
 
-def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray, scratch) -> np.ndarray:
     """``np.add.at(base.copy(), index, values)`` to the bit: base rows first."""
     length, width = base.shape
-    rows = np.concatenate((np.arange(length), index))
-    slots = (rows[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(slots, weights=np.concatenate((base, values)).ravel(), minlength=base.size)
+    rows = length + len(index)
+    mark = scratch.used
+    slots = scratch(rows, width, dtype=np.intp)
+    np.multiply(np.arange(length)[:, None], width, out=slots[:length])
+    np.multiply(index[:, None], width, out=slots[length:])
+    slots += np.arange(width)
+    addends = np.concatenate((base, values), out=scratch(rows, width))
+    sums = np.bincount(slots.ravel(), weights=addends.ravel(), minlength=base.size)
+    scratch.release(mark)
     return sums.reshape(base.shape)
 
 
@@ -574,7 +636,8 @@ def damped_step(
     """Solve (H + lambda*I) delta = -g; returns (delta_cameras, delta_points).
 
     ``method`` is "auto" (Schur elimination unless the problem is tiny),
-    "schur", or "dense".
+    "schur", or "dense". The Schur path's temporaries live in the pair
+    plan's workspace; the returned steps are new arrays.
     """
     if lam < 0 or not np.isfinite(lam):
         raise ValueError(f"damping must be a non-negative finite scalar, got {lam}")
@@ -588,7 +651,11 @@ def damped_step(
     if method != "schur":
         raise ValueError(f"unknown method {method!r}")
 
-    nc = lin.num_cameras
+    nc, n = lin.num_cameras, len(lin.cam_idx)
+    plan = _pair_plan(lin.cam_idx, lin.pt_idx, nc)
+    if plan.points_indexed > len(lin.h_pp):
+        # The workspace's gathers do not check their indices.
+        raise IndexError(f"point index {plan.points_indexed - 1} is out of range")
     point_system = lin.h_pp + lam * np.eye(3)
     try:
         point_inv = np.linalg.inv(point_system)
@@ -596,35 +663,47 @@ def damped_step(
         raise SingularSystemError(f"point block inversion failed: {exc}") from exc
 
     # E = H_cp V^-1 component-major, then one copy to (n, 9, 3) for the pair gathers.
+    scratch = plan.workspace.frame()
+    cross_dinv = scratch(n, 9, 3)
+    mark = scratch.used
     point_inv_columns = np.ascontiguousarray(point_inv.transpose(1, 2, 0))
-    cross_dinv = _batched_matmul(
-        lin.h_cp.transpose(1, 2, 0), point_inv_columns.take(lin.pt_idx, axis=2)
+    cross_columns = _batched_matmul(
+        lin.h_cp.transpose(1, 2, 0),
+        scratch.take(point_inv_columns, lin.pt_idx, axis=2),
+        scratch(9, 3, n),
+        scratch,
     )
-    cross_dinv = np.ascontiguousarray(cross_dinv.transpose(2, 0, 1))
-    cross_t = np.ascontiguousarray(lin.h_cp.transpose(0, 2, 1))
+    np.copyto(cross_dinv, cross_columns.transpose(2, 0, 1))
+    scratch.release(mark)
 
-    plan = _pair_plan(lin.cam_idx, lin.pt_idx, nc)
-    blocks = np.zeros((nc * nc, 9, 9))
-    diagonal = np.arange(nc) * (nc + 1)
-    blocks[diagonal] = lin.h_cc + lam * np.eye(9)
+    grad_pt_rows = scratch.take(lin.grad_pt, lin.pt_idx, axis=0)
+    cross_grad = np.einsum("nij,nj->ni", cross_dinv, grad_pt_rows, out=scratch(n, 9))
+    rhs = _added_rows(-lin.grad_cam, lin.cam_idx, cross_grad, scratch)
+    scratch.release(mark)
+
+    cross_t = scratch(n, 3, 9)
+    np.copyto(cross_t, lin.h_cp.transpose(0, 2, 1))
+    blocks = scratch(nc * nc, 9, 9)  # block (a, b) of S at a * nc + b
+    blocks.fill(0.0)
+    blocks[np.arange(nc) * (nc + 1)] = lin.h_cc + lam * np.eye(9)
 
     def reduced(chunks) -> np.ndarray:
-        """The reduced system with the pairs of ``chunks`` subtracted too."""
+        """The reduced system, Fortran-ordered, with the pairs of ``chunks`` subtracted too."""
         plan.subtract(blocks, chunks, cross_dinv, cross_t)
-        return blocks.reshape(nc, nc, 9, 9).transpose(0, 2, 1, 3).reshape(9 * nc, 9 * nc)
+        # Element (a, r, b, s) of S is storage[b, s, a, r]: Fortran order, so
+        # the Cholesky factorization runs in place.
+        storage = scratch(nc, 9, nc, 9)
+        np.copyto(storage, blocks.reshape(nc, nc, 9, 9).transpose(1, 3, 0, 2))
+        return storage.reshape(9 * nc, 9 * nc).T
 
-    rhs = _added_rows(
-        -lin.grad_cam,
-        lin.cam_idx,
-        np.einsum("nij,nj->ni", cross_dinv, lin.grad_pt[lin.pt_idx]),
-    )
     # The upper triangle is assembled only for the least-squares fallback.
-    lower = reduced(plan.lower)
-    delta_cam = _solve_spd(lower, rhs.ravel(), lambda: reduced(plan.upper)).reshape(nc, 9)
+    delta_cam = _solve_spd(reduced(plan.lower), rhs.ravel(), lambda: reduced(plan.upper))
+    delta_cam = delta_cam.reshape(nc, 9)
+    scratch.release(0)
 
-    back = _added_rows(
-        lin.grad_pt, lin.pt_idx, np.einsum("nij,ni->nj", lin.h_cp, delta_cam[lin.cam_idx])
-    )
+    delta_cam_rows = scratch.take(delta_cam, lin.cam_idx, axis=0)
+    cross_step = np.einsum("nij,ni->nj", lin.h_cp, delta_cam_rows, out=scratch(n, 3))
+    back = _added_rows(lin.grad_pt, lin.pt_idx, cross_step, scratch)
     delta_pt = -np.einsum("nij,nj->ni", point_inv, back)
     return delta_cam, delta_pt
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -510,28 +511,42 @@ class TestDampedStep:
         cut = np.flatnonzero(np.diff(block_of)) + 1
         edges = np.arange(chunk, pairs, chunk)
         np.testing.assert_array_equal(starts[1:], np.union1d(cut, edges))
-        assert plan.products.shape == (max(len(c[0]) for c in plan.lower + plan.upper), 9, 9)
 
     def test_gauge_step_solves_the_full_matrix_when_cholesky_fails(self, monkeypatch):
         # At lambda = 1e-15 a one-view point's depth is unobservable, the
         # reduced system is not positive definite, and the least-squares
         # fallback needs the upper triangle, which the Cholesky path skips.
-        matrices = []
-        lstsq = np.linalg.lstsq
+        # The failed factorization overwrote the matrix in place, so the
+        # fallback must get it rebuilt whole, in the same workspace.
+        problem = thinned_problem()
+        lin = linearize(problem, ParamVector.from_problem(problem))
+        workspace = solver._pair_plan(lin.cam_idx, lin.pt_idx, lin.num_cameras).workspace
+        factored, solved = [], []
+        dpotrf, lstsq = solver.dpotrf, np.linalg.lstsq
 
-        def spy(matrix, rhs, **kwargs):
-            matrices.append(matrix.copy())
+        def factor_spy(matrix, **kwargs):
+            factored.append(matrix.copy())
+            return dpotrf(matrix, **kwargs)
+
+        def lstsq_spy(matrix, rhs, **kwargs):
+            solved.append((matrix.copy(), np.shares_memory(matrix, workspace.buffer)))
             return lstsq(matrix, rhs, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
-        problem = thinned_problem()
-        damped_step(linearize(problem, ParamVector.from_problem(problem)), 1e-15, "schur")
-        assert len(matrices) == 1
-        matrix = matrices[0]
-        assert matrix.shape == (9 * problem.num_cameras,) * 2
-        upper = np.triu_indices(len(matrix), 1)
-        assert np.count_nonzero(matrix[upper]) > 0
-        np.testing.assert_array_equal(matrix == 0, (matrix == 0).T)
+        monkeypatch.setattr(solver, "dpotrf", factor_spy)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+        for warm in (False, True):  # the first call sizes the workspace
+            factored.clear()
+            solved.clear()
+            damped_step(lin, 1e-15, "schur")
+            assert len(factored) == 1 and len(solved) == 1
+            matrix, in_place = solved[0]
+            assert in_place or not warm
+            assert matrix.shape == (9 * problem.num_cameras,) * 2
+            lower = np.tril_indices(len(matrix))
+            assert matrix[lower].tobytes() == factored[0][lower].tobytes()
+            upper = np.triu_indices(len(matrix), 1)
+            assert np.count_nonzero(matrix[upper]) > 0
+            np.testing.assert_array_equal(matrix == 0, (matrix == 0).T)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_scratch_buffers_do_not_alias(self, shared):
@@ -552,11 +567,72 @@ class TestDampedStep:
         results = [(i, damped_step(lins[i], 1e-3, "schur")) for i in (0, 1, 0)]
         for lin in lins:
             plan = solver._pair_plan(lin.cam_idx, lin.pt_idx, lin.num_cameras)
-            for buffer in (plan.left, plan.right, plan.products):
-                for _, step in results:
-                    assert not any(np.shares_memory(delta, buffer) for delta in step)
+            for _, step in results:
+                assert not any(np.shares_memory(delta, plan.workspace.buffer) for delta in step)
         for i, step in results:
             assert [a.tobytes() for a in step] == expected[i]
+
+    def test_interleaved_calls_on_one_plan_leak_no_state(self):
+        # Every suite scene has the same index set, so linearize and
+        # damped_step on two of them share one workspace.
+        problems = [suite_problem(100), suite_problem(101)]
+        params = [ParamVector.from_problem(problem) for problem in problems]
+        plans = {id(solver._pair_plan(p.cam_idx, p.pt_idx, p.num_cameras)) for p in problems}
+        assert len(plans) == 1
+
+        def lin_bytes(lin):
+            return [getattr(lin, name).tobytes() for name in LIN_FIELDS]
+
+        alone_lin, alone_step, lins = {}, {}, {}
+        for i in (0, 1):
+            solver._cached_pair_plan.cache_clear()
+            lins[i] = linearize(problems[i], params[i])
+            alone_lin[i] = lin_bytes(lins[i])
+            for lam in GOLDEN_LAMBDAS:
+                solver._cached_pair_plan.cache_clear()
+                alone_step[i, lam] = [a.tobytes() for a in damped_step(lins[i], lam, "schur")]
+
+        solver._cached_pair_plan.cache_clear()
+        plan = solver._pair_plan(problems[0].cam_idx, problems[0].pt_idx, 10)
+        calls = 0
+        for lam in GOLDEN_LAMBDAS + GOLDEN_LAMBDAS[::-1]:
+            for i in (0, 1, 0):
+                step = damped_step(lins[1 - i], lam, "schur")
+                assert [a.tobytes() for a in step] == alone_step[1 - i, lam]
+                lin = linearize(problems[i], params[i])
+                assert lin_bytes(lin) == alone_lin[i]
+                arrays = [getattr(lin, name) for name in LIN_FIELDS] + list(step)
+                assert not any(np.shares_memory(a, plan.workspace.buffer) for a in arrays)
+                calls += 1
+        assert plan.workspace.buffer.size > 0 and calls == 18
+
+    def test_warm_calls_allocate_little(self):
+        # 1,371 observations; counted in bytes, which do not depend on the host.
+        problem = few_view_problem(40, 400, 4)
+        params = ParamVector.from_problem(problem)
+        for _ in range(2):
+            damped_step(linearize(problem, params), 1e-3)
+        tracemalloc.start()
+        try:
+            lin = linearize(problem, params)
+            _, lin_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            damped_step(lin, 1e-3)
+            _, step_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(lin, name).nbytes for name in LIN_FIELDS)
+        assert returned > 600 * 1024
+        assert lin_peak <= 900 * 1024  # the returned arrays, plus slack
+        assert step_peak - held <= 900 * 1024
+        # The workspace is as large as the Schur step's largest phase needs:
+        # E and H_cp^T, the reduced system, and one chunk's gathers, products
+        # and sums.
+        plan = solver._pair_plan(problem.cam_idx, problem.pt_idx, problem.num_cameras)
+        chunk = max(len(c[0]) for c in plan.lower + plan.upper)
+        n, nc = problem.num_observations, problem.num_cameras
+        assert plan.workspace.buffer.size <= 54 * n + 81 * nc * nc + 216 * chunk
 
     def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
         assert tiny_problem.num_cameras < DENSE_CAMERA_LIMIT
@@ -582,6 +658,12 @@ class TestDampedStep:
             damped_step(lin, float("inf"))
         with pytest.raises(ValueError):
             damped_step(lin, 0.1, method="bogus")
+
+    def test_out_of_range_point_index_raises(self):
+        lin = random_linearization(seed=3, nc=5, npts=4)
+        bad = dataclasses.replace(lin, pt_idx=np.where(lin.pt_idx == 3, 4, lin.pt_idx))
+        with pytest.raises(IndexError):
+            damped_step(bad, 0.1, method="schur")
 
     def test_non_finite_system_raises_singular(self):
         lin = random_linearization(seed=4, nc=2, npts=4)
@@ -628,6 +710,8 @@ GOLDEN_SCENES = {
         suite_problem(100), *np.random.default_rng(100).uniform(-0.05, 0.05, size=(2, 10))
     ),
     "few-view": few_view_problem,
+    # 1,371 observations: 3,281 lower pairs in 6 chunks of the Schur assembly
+    "few-view-40x400": lambda: few_view_problem(40, 400, 4),
 }
 # sha256 of the LM layer's outputs (see lm_layer_digest) on each scene, from
 # the initial state and after 3 classic iterations, with one BLAS thread.
@@ -640,6 +724,8 @@ GOLDEN_LM_DIGESTS = {
     "suite-100-distorted/3": "1453e75ec873b9d6bba0f1c4a65fdca672a062598c12617b136342ac184aa5d5",
     "few-view/0": "fb28a6e20e0c9d96a655b3a6a1c3d5d5f51c6b81cf125be8a1d38a74eb742859",
     "few-view/3": "e5e565d733e3f452fe6bd615c11a99a4d0bafd7fe8c4bb3ce0572877cb43512f",
+    "few-view-40x400/0": "418c2cdf4451944596887e052df2436891d018f3febd82c0cb9606773aa21ae3",
+    "few-view-40x400/3": "cf634c3e04085870d4fa7c4a4717611d0f1f8ed7cac4b9d4aa73a80340062b5e",
 }
 
 
