@@ -16,7 +16,7 @@ The package is organised bottom-up:
 - :mod:`balm.sac` — soft actor-critic training of the damping agent.
 - :mod:`balm.baselines` — the greedy one-step-oracle regression baseline.
 - :mod:`balm.bench` — comparison runs, aggregate tables, performance profiles,
-  convergence traces, schedule extraction, and the ablation suite.
+  schedule extraction, and the ablation suite.
 - :mod:`balm.cli` — the ``balm`` command line (generate / solve / train /
   eval / profile / ablate).
 """
@@ -34,7 +34,6 @@ from .scene import (
     project,
     project_many,
     rotate_points,
-    rotation_matrix,
     serialize_bal,
 )
 from .solver import (
@@ -59,7 +58,6 @@ from .policy import (
     FixedPolicy,
     PolicyObservation,
     ZeroNetPolicy,
-    make_policy,
 )
 from .env import BAEnv, EnvConfig, StepOutcome, compute_reward
 from .sac import (
@@ -77,7 +75,6 @@ from .baselines import (
     load_zero_net_checkpoint,
     save_zero_net_checkpoint,
     zero_net_oracle,
-    zero_net_predict,
     zero_net_train,
 )
 from .bench import (
@@ -108,7 +105,6 @@ __all__ = [
     "project",
     "project_many",
     "rotate_points",
-    "rotation_matrix",
     "serialize_bal",
     # solver
     "IterationRecord",
@@ -131,7 +127,6 @@ __all__ = [
     "FixedPolicy",
     "PolicyObservation",
     "ZeroNetPolicy",
-    "make_policy",
     # env
     "BAEnv",
     "EnvConfig",
@@ -151,7 +146,6 @@ __all__ = [
     "load_zero_net_checkpoint",
     "save_zero_net_checkpoint",
     "zero_net_oracle",
-    "zero_net_predict",
     "zero_net_train",
     # bench
     "ComparisonTable",

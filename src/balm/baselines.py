@@ -100,10 +100,6 @@ def zero_net_action(net: Mlp, states, actions, rewards) -> tuple[float, float]:
     return lambda_from_action(u), u
 
 
-def zero_net_predict(net: Mlp, states, actions, rewards) -> float:
-    return zero_net_action(net, states, actions, rewards)[0]
-
-
 def _pad_left(values, window: int) -> np.ndarray:
     """The last ``window`` values, zero-padded on the left (zero-net input slots)."""
     out = np.zeros(window)

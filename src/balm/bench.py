@@ -1,4 +1,4 @@
-"""Experiment harness: comparison sweeps, performance profiles, traces.
+"""Experiment harness: comparison sweeps, performance profiles, ablations.
 
 Everything here reduces to repeated calls into the solver with different
 policies, then bookkeeping. Wall-clock rows are reported for information
@@ -8,12 +8,13 @@ counts stand in for time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .env import make_reversed_state
-from .policy import AgentPolicy, DampingPolicy, make_policy
+from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
+from .sac import TrainConfig, train_agent
 from .scene import BAProblem, generate_synthetic
 from .solver import SolveResult, csv_text, solve
 
@@ -54,7 +55,6 @@ def suite_scene(seed: int, num_cameras: int = 10, num_points: int = 10) -> BAPro
 class RunRecord:
     problem_id: str
     policy_kind: str
-    seed: int
     outcome: str
     iterations: int
     total_time_s: float
@@ -63,11 +63,10 @@ class RunRecord:
     trace: tuple = ()  # (lambda, error, duration_s) per iteration
 
     @classmethod
-    def from_result(cls, problem_id: str, policy_kind: str, seed: int, result: SolveResult):
+    def from_result(cls, problem_id: str, policy_kind: str, result: SolveResult):
         return cls(
             problem_id=problem_id,
             policy_kind=policy_kind,
-            seed=seed,
             outcome=result.outcome,
             iterations=result.iterations,
             total_time_s=result.total_time_s,
@@ -89,55 +88,40 @@ class ComparisonTable:
     aggregates: list
 
 
-def _as_policy(spec) -> DampingPolicy:
-    if isinstance(spec, DampingPolicy):
-        return spec
-    return make_policy(dict(spec))
+def run_comparison(problems: dict, policies: dict, env_config=None) -> ComparisonTable:
+    """Solve every (problem, policy) cell once; aggregate per policy.
 
-
-def run_comparison(problems, policies, env_config=None, seeds=(0,)) -> ComparisonTable:
-    """Solve every (problem, policy, seed) cell; aggregate per policy.
-
-    ``problems`` maps id -> problem, ``policies`` maps kind -> policy (or a
-    ``make_policy`` spec), ``env_config`` is an ``EnvConfig`` or a mapping
-    whose ``solve`` options are used (the others are ignored). Individual
-    failures become outcome rows; the sweep itself never aborts.
+    ``problems`` maps id -> problem, ``policies`` maps kind -> ``DampingPolicy``
+    and ``env_config`` is a mapping whose ``solve`` options are used (the
+    others are ignored). Solves are deterministic given their inputs, so one
+    run per cell is the whole measurement. Individual failures become outcome
+    rows; the sweep itself never aborts.
     """
-    problem_items = list(problems.items() if hasattr(problems, "items") else problems)
-    policy_items = [(kind, _as_policy(spec)) for kind, spec in (
-        policies.items() if hasattr(policies, "items") else policies
-    )]
-    seeds = list(seeds)
-    if not problem_items or not policy_items or not seeds:
-        raise ValueError("problems, policies, and seeds must all be non-empty")
-    if is_dataclass(env_config):
-        env_config = asdict(env_config)
+    if not problems or not policies:
+        raise ValueError("problems and policies must both be non-empty")
     env_config = env_config or {}
     # options the mapping leaves out keep solve's defaults
     solve_kwargs = {k: env_config[k] for k in SOLVE_OPTIONS if k in env_config}
     records = []
-    for problem_id, problem in problem_items:
-        for kind, policy in policy_items:
-            for seed in seeds:
-                try:
-                    result = solve(problem, policy, **solve_kwargs)
-                    records.append(RunRecord.from_result(str(problem_id), kind, seed, result))
-                except Exception as exc:  # noqa: BLE001 - sweep must survive
-                    records.append(
-                        RunRecord(
-                            problem_id=str(problem_id),
-                            policy_kind=kind,
-                            seed=seed,
-                            outcome=f"error: {exc}",
-                            iterations=0,
-                            total_time_s=float("nan"),
-                            initial_error=float("nan"),
-                            final_error=float("nan"),
-                        )
+    for problem_id, problem in problems.items():
+        for kind, policy in policies.items():
+            try:
+                result = solve(problem, policy, **solve_kwargs)
+                records.append(RunRecord.from_result(str(problem_id), kind, result))
+            except Exception as exc:  # noqa: BLE001 - sweep must survive
+                records.append(
+                    RunRecord(
+                        problem_id=str(problem_id),
+                        policy_kind=kind,
+                        outcome=f"error: {exc}",
+                        iterations=0,
+                        total_time_s=float("nan"),
+                        initial_error=float("nan"),
+                        final_error=float("nan"),
                     )
+                )
     aggregates = [
-        aggregate_rows([r for r in records if r.policy_kind == kind], kind)
-        for kind, _ in policy_items
+        aggregate_rows([r for r in records if r.policy_kind == kind], kind) for kind in policies
     ]
     return ComparisonTable(records=records, aggregates=aggregates)
 
@@ -159,14 +143,14 @@ def aggregate_rows(records, policy_kind: str) -> dict:
 
 
 COMPARISON_COLUMNS = (
-    "problem", "policy", "seed", "outcome",
+    "problem", "policy", "outcome",
     "iterations", "total_time_s", "initial_error", "final_error",
 )
 
 
 def comparison_to_csv(table: ComparisonTable) -> str:
     rows = (
-        (r.problem_id, r.policy_kind, r.seed, r.outcome,
+        (r.problem_id, r.policy_kind, r.outcome,
          r.iterations, r.total_time_s, r.initial_error, r.final_error)
         for r in table.records
     )
@@ -218,7 +202,7 @@ def performance_profile(records, tolerance: float) -> dict:
         raise ValueError("performance profiles need at least two policies")
     instances: dict = {}
     for r in records:
-        instances.setdefault((r.problem_id, r.seed), {})[r.policy_kind] = r
+        instances.setdefault(r.problem_id, {})[r.policy_kind] = r
     ratios = {kind: [] for kind in kinds}
     solved_instances = 0
     for _key, by_kind in sorted(instances.items()):
@@ -268,27 +252,6 @@ def profile_to_csv(curves: dict) -> str:
     return csv_text(("policy", "relative_time", "solved_fraction"), rows)
 
 
-def convergence_trace(record: RunRecord, tolerances=DEFAULT_TOLERANCES) -> dict:
-    """Cumulative-time/error series plus tolerance threshold lines."""
-    if len(record.trace) != record.iterations:
-        raise ValueError("record is missing its per-iteration trace")
-    times = [0.0]
-    errors = [record.initial_error]
-    for _lam, error, duration in record.trace:
-        times.append(times[-1] + duration)
-        errors.append(error)
-    thresholds = {
-        tau: record.final_error + tau * (record.initial_error - record.final_error)
-        for tau in tolerances
-    }
-    return {"times": times, "errors": errors, "thresholds": thresholds}
-
-
-def trace_to_csv(trace: dict) -> str:
-    rows = ((float(t), float(e)) for t, e in zip(trace["times"], trace["errors"]))
-    return csv_text(("cumulative_time_s", "error"), rows)
-
-
 def extract_schedule(nets, problems, steps: int = 4) -> list:
     """Average the agent's first damping choices across scenes.
 
@@ -306,22 +269,15 @@ def extract_schedule(nets, problems, steps: int = 4) -> list:
     return [float(s / c) for s, c in zip(sums, counts) if c > 0]
 
 
+# The scene keys, plus any TrainConfig field; the rest keep TrainConfig's defaults.
 DEFAULT_ABLATION_CONFIG = {
     "num_cameras": 10,
     "num_points": 10,
     "train_seeds": TRAIN_SEEDS,
     "eval_seeds": HOLDOUT_SEEDS,
-    "episodes": 300,
-    "hidden": 256,
-    "batch_size": 256,
-    "warmup_steps": 500,
-    "replay_capacity": 100_000,
-    "max_iterations": 100,
-    "threshold": 1e-6,
     "deterministic_time": True,
-    "seed": 0,
-    "lr": 3e-4,
 }
+ABLATION_SCENE_KEYS = ("num_cameras", "num_points", "train_seeds", "eval_seeds")
 
 
 def _ablation_problems(config: dict):
@@ -331,24 +287,9 @@ def _ablation_problems(config: dict):
     return train, held_out
 
 
-def _train_for_ablation(train_problems, config: dict, **overrides):
-    from .sac import TrainConfig, train_agent
-
-    fields = (
-        "episodes",
-        "seed",
-        "hidden",
-        "batch_size",
-        "warmup_steps",
-        "replay_capacity",
-        "max_iterations",
-        "threshold",
-        "deterministic_time",
-        "lr",
-    )
-    kwargs = {name: config[name] for name in fields}
-    kwargs.update(overrides)
-    nets, _logs = train_agent(train_problems, TrainConfig(**kwargs))
+def _train_for_ablation(train_problems, config: dict):
+    train_fields = {k: v for k, v in config.items() if k not in ABLATION_SCENE_KEYS}
+    nets, _logs = train_agent(train_problems, TrainConfig(**train_fields))
     return nets
 
 
@@ -370,18 +311,25 @@ def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
 
 
 def ablation_suite(kind: str, base_config=None) -> dict:
-    """Train and evaluate one family of variants on the shared scene suite."""
-    config = dict(DEFAULT_ABLATION_CONFIG)
-    config.update(base_config or {})
+    """Train and evaluate one family of variants on the shared scene suite.
+
+    ``base_config`` overrides ``DEFAULT_ABLATION_CONFIG``; a key that is
+    neither a scene key nor a ``TrainConfig`` field raises ``ValueError``.
+    """
+    config = {**DEFAULT_ABLATION_CONFIG, **(base_config or {})}
+    unknown = set(config) - set(ABLATION_SCENE_KEYS) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise ValueError(f"unknown ablation config keys: {sorted(unknown)}")
     train_problems, held_out = _ablation_problems(config)
     rows = []
 
     if kind in ABLATION_VARIANTS:
         column, values = ABLATION_VARIANTS[kind]
         for value in values:
+            variant = {**config, column: value}  # trained and evaluated with its own value
             try:
-                nets = _train_for_ablation(train_problems, config, **{column: value})
-                rows.append(_eval_rows(nets, held_out, config, {column: value}))
+                nets = _train_for_ablation(train_problems, variant)
+                rows.append(_eval_rows(nets, held_out, variant, {column: value}))
             except Exception as exc:  # noqa: BLE001 - record, keep sweeping
                 rows.append({column: value, "error": str(exc)})
     elif kind == "scheduler":
@@ -390,8 +338,8 @@ def ablation_suite(kind: str, base_config=None) -> dict:
             schedule = extract_schedule(nets, list(held_out.values()))
             policies = {
                 "agent": AgentPolicy(nets),
-                "scheduler": {"kind": "constant_scheduler", "schedule": schedule},
-                "classic": {"kind": "classic"},
+                "scheduler": ConstantSchedulerPolicy(schedule),
+                "classic": ClassicPolicy(),
             }
             table = run_comparison(held_out, policies, config)
             for agg in table.aggregates:

@@ -22,10 +22,8 @@ import scipy
 from . import __version__
 from .bench import (
     DEFAULT_TOLERANCES,
-    HOLDOUT_SEEDS,
     SUITE_NOISE_STD,
     SUITE_PIXEL_SIGMA,
-    TRAIN_SEEDS,
     ablation_suite,
     ablation_to_csv,
     aggregates_to_csv,
@@ -35,7 +33,17 @@ from .bench import (
     profile_to_csv,
     run_comparison,
 )
-from .policy import DEFAULT_SCHEDULE, make_policy
+from .baselines import load_zero_net_checkpoint, save_zero_net_checkpoint, zero_net_train
+from .policy import (
+    DEFAULT_SCHEDULE,
+    AgentPolicy,
+    ClassicPolicy,
+    ConstantSchedulerPolicy,
+    DampingPolicy,
+    FixedPolicy,
+    ZeroNetPolicy,
+)
+from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, train_agent
 from .scene import generate_synthetic, parse_bal, serialize_bal
 from .solver import records_to_csv, result_to_json_dict, solve
 
@@ -132,42 +140,38 @@ def _add_policy_options(parser):
     parser.add_argument("--schedule", default=None)
 
 
-def _policy_spec(token: str, args, problems) -> dict:
-    """The ``make_policy`` spec for one ``--policy``/``--policies`` token.
+def _policy(token: str, args, problems) -> DampingPolicy:
+    """The policy one ``--policy``/``--policies`` token names.
 
     ``--schedule auto`` averages the checkpointed agent's first dampings
     over ``problems``, the problems the command solves.
     """
     token = token.strip()
     if token == "classic":
-        return {"kind": "classic"}
+        return ClassicPolicy()
     if token == "classic-paper":
-        return {"kind": "classic", "mode": "paper"}
+        return ClassicPolicy(mode="paper")
     if token == "gn":
-        return {"kind": "fixed", "value": 1e-15}
+        return FixedPolicy(1e-15)
     if token == "fixed":
-        return {"kind": "fixed", "value": args.fixed_value}
+        return FixedPolicy(args.fixed_value)
     if token == "scheduler":
         if args.schedule == "auto":
-            from .sac import load_agent_checkpoint
-
             if not args.checkpoint:
                 raise SystemExit("--schedule auto requires --checkpoint")
             nets, _ = load_agent_checkpoint(args.checkpoint)
-            schedule = extract_schedule(nets, problems)
-        elif args.schedule:
-            schedule = [float(v) for v in args.schedule.split(",")]
-        else:
-            schedule = list(DEFAULT_SCHEDULE)
-        return {"kind": "constant_scheduler", "schedule": schedule}
+            return ConstantSchedulerPolicy(extract_schedule(nets, problems))
+        if args.schedule:
+            return ConstantSchedulerPolicy([float(v) for v in args.schedule.split(",")])
+        return ConstantSchedulerPolicy(DEFAULT_SCHEDULE)
     if token == "agent":
         if not args.checkpoint:
             raise SystemExit("--checkpoint is required for the agent policy")
-        return {"kind": "agent", "checkpoint_path": args.checkpoint}
+        return AgentPolicy(load_agent_checkpoint(args.checkpoint)[0])
     if token == "zero-net":
         if not args.checkpoint:
             raise SystemExit("--checkpoint is required for the zero-net policy")
-        return {"kind": "zero_net", "checkpoint_path": args.checkpoint}
+        return ZeroNetPolicy(load_zero_net_checkpoint(args.checkpoint))
     raise SystemExit(f"unknown policy {token!r}")
 
 
@@ -190,7 +194,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = parse_bal(read_text(args.problem), pixel_sigma=args.pixel_sigma)
-    policy = make_policy(_policy_spec(args.policy, args, [problem]))
+    policy = _policy(args.policy, args, [problem])
     result = solve(
         problem,
         policy,
@@ -220,8 +224,6 @@ def cmd_train(args) -> int:
     log_path = out_dir / "train_log.jsonl"
     entries = []
     if args.algo == "sac":
-        from .sac import TrainConfig, save_agent_checkpoint, train_agent
-
         cfg = TrainConfig(
             episodes=args.episodes,
             seed=args.seed,
@@ -243,8 +245,6 @@ def cmd_train(args) -> int:
         save_agent_checkpoint(checkpoint, nets, cfg)
         entries = logs
     elif args.algo == "zero-net":
-        from .baselines import save_zero_net_checkpoint, zero_net_train
-
         net = zero_net_train(
             problems,
             epochs=args.epochs,
@@ -276,7 +276,7 @@ def _resolve_policies(args, problems) -> dict:
         token = token.strip()
         if not token:
             continue
-        policies[token] = make_policy(_policy_spec(token, args, list(problems.values())))
+        policies[token] = _policy(token, args, list(problems.values()))
     if not policies:
         raise SystemExit("--policies must name at least one policy")
     return policies

@@ -11,7 +11,7 @@ it with a damping policy as the player.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +21,15 @@ from .solver import (
     OUTCOME_CONVERGED,
     OUTCOME_ITERATION_CAP,
     OUTCOME_NUMERICAL_FAILURE,
-    RECORD_COLUMNS,
     IterationRecord,
     SolverState,
     convergence_check,
-    csv_text,
     lm_iterate,
 )
 
 REWARD_VARIANTS = ("duration", "constant", "reduction", "reversed")
+CONVERGENCE_BONUS = 10.0
+REDUCTION_RATE = 0.01  # per-iteration decay of the ``reduction`` variant's bonus
 
 
 class EpisodeDoneError(RuntimeError):
@@ -39,8 +39,6 @@ class EpisodeDoneError(RuntimeError):
 @dataclass
 class EnvConfig:
     reward_variant: str = "duration"
-    convergence_bonus: float = 10.0
-    reduction_rate: float = 0.01
     window: int = 5
     max_iterations: int = 100
     threshold: float = 1e-6
@@ -72,8 +70,6 @@ def compute_reward(
     converged: bool,
     iteration: int,
     variant: str,
-    bonus: float = 10.0,
-    reduction_rate: float = 0.01,
     error: float = float("nan"),
 ) -> float:
     """Per-step reward for each variant; the bonus replaces the step penalty.
@@ -83,13 +79,13 @@ def compute_reward(
     swapped), keeping the plain bonus on convergence.
     """
     if variant == "duration":
-        return bonus if converged else -duration_s
+        return CONVERGENCE_BONUS if converged else -duration_s
     if variant == "constant":
-        return bonus if converged else -1.0
+        return CONVERGENCE_BONUS if converged else -1.0
     if variant == "reduction":
-        return bonus * (1.0 - reduction_rate) ** iteration if converged else 0.0
+        return CONVERGENCE_BONUS * (1.0 - REDUCTION_RATE) ** iteration if converged else 0.0
     if variant == "reversed":
-        return bonus if converged else -error
+        return CONVERGENCE_BONUS if converged else -error
     raise ValueError(f"unknown reward variant {variant!r}")
 
 
@@ -101,18 +97,16 @@ def make_reversed_state(durations, window: int) -> np.ndarray:
 class BAEnv:
     """Gym-style environment; the action is the damping for one iteration.
 
-    ``records`` and ``rewards`` hold the current episode's iterations and
-    their rewards, one entry per step, failed steps included.
+    ``records`` holds the current episode's iterations, one entry per step,
+    failed steps included.
     """
 
     def __init__(self, config: EnvConfig):
         self.config = config
         self._problem: BAProblem | None = None
         self._state: SolverState | None = None
-        self._last_lambda = 0.0
         self._done = True
         self.records: list[IterationRecord] = []
-        self.rewards: list[float] = []
 
     @property
     def solver_state(self) -> SolverState:
@@ -127,7 +121,7 @@ class BAEnv:
         return self._problem
 
     def _observation(self) -> PolicyObservation:
-        obs = observe(self._state, self.config.window, self._last_lambda)
+        obs = observe(self._state, self.config.window)
         if self.config.reward_variant == "reversed":
             obs.state_vector = make_reversed_state(self._state.durations, self.config.window)
         return obs
@@ -135,10 +129,8 @@ class BAEnv:
     def reset(self, problem: BAProblem) -> PolicyObservation:
         self._problem = problem
         self._state = SolverState.initial(problem)
-        self._last_lambda = 0.0
         self._done = False
         self.records = []
-        self.rewards = []
         return self._observation()
 
     def step(self, lam: float) -> StepOutcome:
@@ -153,7 +145,6 @@ class BAEnv:
             accept_only_improving=cfg.accept_only_improving,
         )
         self._state = state
-        self._last_lambda = float(lam)
 
         # A rejected step leaves the error flat, which is not convergence.
         if state.failed:
@@ -174,12 +165,9 @@ class BAEnv:
             converged,
             state.iteration,
             cfg.reward_variant,
-            bonus=cfg.convergence_bonus,
-            reduction_rate=cfg.reduction_rate,
             error=current_error,
         )
         self.records.append(record)
-        self.rewards.append(reward)
         info = {
             "error": current_error,
             "duration_s": record.duration_s,
@@ -191,8 +179,3 @@ class BAEnv:
         return StepOutcome(
             observation=self._observation(), reward=reward, done=done, info=info
         )
-
-    def trace_csv(self) -> str:
-        """Episode trace in the solver's CSV schema plus a reward column."""
-        rows = (astuple(rec) + (reward,) for rec, reward in zip(self.records, self.rewards))
-        return csv_text(RECORD_COLUMNS + ("reward",), rows)

@@ -252,12 +252,6 @@ def copy_params(target: Mlp, source: Mlp) -> None:
     target.flat[...] = source.flat
 
 
-def polyak_update(target: Mlp, source: Mlp, tau: float) -> None:
-    """target <- (1 - tau) * target + tau * source, in place."""
-    target.flat *= 1.0 - tau
-    target.flat += tau * source.flat
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints: magic + canonical JSON header + raw '<f8' buffers in header
 # order. No timestamps or environment data, so identical parameters always
@@ -326,17 +320,3 @@ def mlp_from_arrays(widths, arrays: dict, prefix: str = "") -> Mlp:
     return Mlp(
         widths, [arrays[f"{prefix}w{i}"] for i in layers], [arrays[f"{prefix}b{i}"] for i in layers]
     )
-
-
-def save_mlp(path, net: Mlp, meta: dict | None = None) -> None:
-    full_meta = {"kind": "mlp", "widths": list(net.widths)}
-    if meta:
-        full_meta.update(meta)
-    save_arrays(path, full_meta, mlp_to_arrays(net))
-
-
-def load_mlp(path) -> tuple[Mlp, dict]:
-    meta, arrays = load_arrays(path)
-    if meta.get("kind") != "mlp":
-        raise ValueError(f"{path}: checkpoint is not a plain net")
-    return mlp_from_arrays(meta["widths"], arrays), meta

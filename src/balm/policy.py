@@ -33,7 +33,6 @@ class PolicyObservation:
 
     state_vector: np.ndarray
     iteration_index: int
-    last_lambda: float
     raw_errors: tuple[float, ...] = ()
     recent_durations: tuple[float, ...] = ()
 
@@ -50,13 +49,12 @@ def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
     return np.minimum(np.asarray(padded, dtype=float), STATE_CLIP)
 
 
-def observe(state: SolverState, window: int, last_lambda: float) -> PolicyObservation:
+def observe(state: SolverState, window: int) -> PolicyObservation:
     """Build the policy observation for the solver's current state."""
     keep = max(window, 2)
     return PolicyObservation(
         state_vector=make_state(state.error_history, window),
         iteration_index=state.iteration,
-        last_lambda=last_lambda,
         raw_errors=tuple(state.error_history[-keep:]),
         recent_durations=tuple(state.durations[-window:]),
     )
@@ -68,8 +66,6 @@ def _clamp(lam: float) -> float:
 
 class DampingPolicy:
     """Base interface: ``next_lambda(obs)`` plus per-solve ``reset``."""
-
-    kind = "base"
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.window = window
@@ -83,8 +79,6 @@ class DampingPolicy:
 
 class ClassicPolicy(DampingPolicy):
     """Factor-of-two heuristic seeded at 1/4; carries its running lambda."""
-
-    kind = "classic"
 
     def __init__(
         self,
@@ -117,8 +111,6 @@ class ClassicPolicy(DampingPolicy):
 class ConstantSchedulerPolicy(DampingPolicy):
     """Cycles through a fixed schedule by iteration index."""
 
-    kind = "constant_scheduler"
-
     def __init__(self, schedule=DEFAULT_SCHEDULE, window: int = DEFAULT_WINDOW):
         super().__init__(window)
         schedule = tuple(float(v) for v in schedule)
@@ -131,8 +123,6 @@ class ConstantSchedulerPolicy(DampingPolicy):
 
 
 class FixedPolicy(DampingPolicy):
-    kind = "fixed"
-
     def __init__(self, value: float, window: int = DEFAULT_WINDOW):
         super().__init__(window)
         self.value = float(value)
@@ -147,8 +137,6 @@ class AgentPolicy(DampingPolicy):
     Evaluation always takes the squashed mean action; exploration noise is a
     training-loop concern, not a solve-time one.
     """
-
-    kind = "agent"
 
     def __init__(self, nets):
         super().__init__(window=nets.policy.widths[0])
@@ -169,8 +157,6 @@ class ZeroNetPolicy(DampingPolicy):
     clock; its own raw outputs fill the action slots.
     """
 
-    kind = "zero_net"
-
     def __init__(self, net):
         window = net.widths[0] // 3
         if net.widths[0] != 3 * window:
@@ -190,37 +176,3 @@ class ZeroNetPolicy(DampingPolicy):
         lam, action = zero_net_action(self.net, obs.state_vector, actions, rewards)
         self._raw_actions.append(action)
         return _clamp(lam)
-
-
-def make_policy(spec: dict) -> DampingPolicy:
-    """Build a policy from a config mapping with a ``kind`` discriminator."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    window = int(spec.pop("window", DEFAULT_WINDOW))
-    if kind == "classic":
-        return ClassicPolicy(
-            mode=spec.pop("mode", "standard"),
-            initial_lambda=float(spec.pop("initial_lambda", DEFAULT_INITIAL_LAMBDA)),
-            window=window,
-        )
-    if kind == "constant_scheduler":
-        return ConstantSchedulerPolicy(
-            schedule=spec.pop("schedule", DEFAULT_SCHEDULE), window=window
-        )
-    if kind == "fixed":
-        return FixedPolicy(value=spec.pop("value"), window=window)
-    if kind == "agent":
-        from .sac import load_agent_checkpoint
-
-        nets = spec.pop("nets", None)
-        if nets is None:
-            nets, _ = load_agent_checkpoint(spec.pop("checkpoint_path"))
-        return AgentPolicy(nets)
-    if kind == "zero_net":
-        from .baselines import load_zero_net_checkpoint
-
-        net = spec.pop("net", None)
-        if net is None:
-            net = load_zero_net_checkpoint(spec.pop("checkpoint_path"))
-        return ZeroNetPolicy(net)
-    raise ValueError(f"unknown policy kind {kind!r}")

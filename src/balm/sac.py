@@ -10,7 +10,7 @@ tanh squash rather than by autodiff.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .nn import (
     mlp_init,
     mlp_to_arrays,
     mse_loss,
-    polyak_update,
     save_arrays,
 )
 
@@ -178,17 +177,12 @@ class TrainConfig:
     replay_capacity: int = 100_000
     warmup_steps: int = 500
     target_refresh: int = 5
-    target_mode: str = "hard"
-    polyak_tau: float = 0.005
     reward_variant: str = "duration"
     max_iterations: int = 100
     threshold: float = 1e-6
     deterministic_time: bool = False
-    updates_per_step: int = 1
 
     def __post_init__(self) -> None:
-        if self.target_mode not in ("hard", "polyak"):
-            raise ValueError(f"target_mode must be 'hard' or 'polyak', got {self.target_mode!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         if self.batch_size < 1 or self.episodes < 1 or self.window < 1:
@@ -289,11 +283,8 @@ def sac_update(
     adam_step(nets.policy, p_grads, opt.policy, lr=cfg.lr)
 
     opt.updates += 1
-    if cfg.target_mode == "hard":
-        if opt.updates % cfg.target_refresh == 0:
-            copy_params(nets.target_value, nets.value)
-    else:
-        polyak_update(nets.target_value, nets.value, cfg.polyak_tau)
+    if opt.updates % cfg.target_refresh == 0:
+        copy_params(nets.target_value, nets.value)
 
     return UpdateStats(
         critic_loss=float(np.mean(critic_losses)),
@@ -352,19 +343,18 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
             done = out.done
             outcome = out.info["outcome"]
             if total_steps >= cfg.warmup_steps and len(buffer) >= cfg.batch_size:
-                for _ in range(cfg.updates_per_step):
-                    stats = sac_update(nets, opt, buffer.sample(cfg.batch_size, rng), cfg, rng)
-                    if not (
-                        np.isfinite(stats.critic_loss)
-                        and np.isfinite(stats.value_loss)
-                        and np.isfinite(stats.policy_loss)
-                    ):
-                        raise RuntimeError(
-                            "non-finite loss at episode "
-                            f"{episode}, step {total_steps}: critic={stats.critic_loss}, "
-                            f"value={stats.value_loss}, policy={stats.policy_loss}"
-                        )
-                    losses.append(stats)
+                stats = sac_update(nets, opt, buffer.sample(cfg.batch_size, rng), cfg, rng)
+                if not (
+                    np.isfinite(stats.critic_loss)
+                    and np.isfinite(stats.value_loss)
+                    and np.isfinite(stats.policy_loss)
+                ):
+                    raise RuntimeError(
+                        "non-finite loss at episode "
+                        f"{episode}, step {total_steps}: critic={stats.critic_loss}, "
+                        f"value={stats.value_loss}, policy={stats.policy_loss}"
+                    )
+                losses.append(stats)
         entry = {
             "episode": episode,
             "steps": steps,

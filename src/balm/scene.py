@@ -328,11 +328,6 @@ def rotate_points(rotvecs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return _rotate(w, points.T, _rotation_coefficients(_dot(w, w))).T
 
 
-def rotation_matrix(rotvec: np.ndarray) -> np.ndarray:
-    """Dense 3x3 rotation matrix for one axis-angle vector."""
-    return rotate_points(np.broadcast_to(rotvec, (3, 3)), np.eye(3).T).T
-
-
 def project(camera: CameraPose, point: Point3 | np.ndarray) -> np.ndarray:
     """Project one world point through one camera; returns a 2-vector pixel."""
     position = point.as_array() if isinstance(point, Point3) else np.asarray(point, dtype=float)

@@ -875,13 +875,9 @@ def result_to_json_dict(result: SolveResult) -> dict:
         "total_time_s": result.total_time_s,
         "final_error": result.final_error,
         "initial_error": result.initial_error,
+        # JSON has no NaN: a failed step's error is null
         "records": [
-            {
-                "iter": rec.iteration,
-                "lambda": rec.lam,
-                "error": None if not np.isfinite(rec.error) else rec.error,
-                "duration_s": rec.duration_s,
-            }
+            {col: v if np.isfinite(v) else None for col, v in zip(RECORD_COLUMNS, astuple(rec))}
             for rec in result.records
         ],
     }

@@ -4,11 +4,21 @@
 keeps estimation errors inside the policy observation clip and makes the
 factor-of-two heuristic pay a visible iteration cost next to light damping,
 while the mild pixel noise keeps undamped steps stable near the optimum.
+
+BLAS runs single-threaded unless the environment says otherwise: the golden
+digests and the benchmark are defined at one thread, and criterion 10's
+child process can then run alongside the in-process pipeline. The variables
+must be set before anything imports numpy.
 """
 
-import pytest
+import os
 
-from balm.scene import generate_synthetic
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import pytest  # noqa: E402
+
+from balm.scene import generate_synthetic  # noqa: E402
 
 
 def suite_problem(seed, num_cameras=10, num_points=10):

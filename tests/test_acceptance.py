@@ -497,7 +497,6 @@ def test_criterion_09_profile_validity():
         return RunRecord(
             problem_id=problem,
             policy_kind=kind,
-            seed=0,
             outcome="converged",
             iterations=1,
             total_time_s=reach_time,

@@ -23,12 +23,11 @@ from balm.baselines import (
     u_from_lambda,
     zero_net_action,
     zero_net_oracle,
-    zero_net_predict,
     zero_net_train,
 )
 from balm.env import BAEnv, EnvConfig
-from balm.nn import mlp_forward, mlp_init, save_mlp
-from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_policy, make_state
+from balm.nn import mlp_forward, save_arrays
+from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
 from balm.sac import lambda_from_action
 from balm.scene import generate_synthetic
 from balm.solver import SolverState, lm_iterate, solve
@@ -181,7 +180,7 @@ def test_zero_weight_net_predicts_from_output_bias():
     for b in net.biases:
         b[:] = 0.0
     net.biases[-1][0] = 0.3
-    lam = zero_net_predict(net, [1.0, 2.0], [0.1, -0.2], [0.0, -1.0])
+    lam, _ = zero_net_action(net, [1.0, 2.0], [0.1, -0.2], [0.0, -1.0])
     assert lam == pytest.approx(10.0 ** (9.0 * np.tanh(0.3) - 7.0), rel=1e-12)
 
 
@@ -194,14 +193,13 @@ def test_predict_composes_forward_tanh_and_action_map():
     raw = mlp_forward(net, x)[0, 0]
     assert u == pytest.approx(float(np.tanh(raw)), rel=1e-12)
     assert lam == pytest.approx(lambda_from_action(np.tanh(raw)), rel=1e-12)
-    assert zero_net_predict(net, states, actions, rewards) == lam
 
 
 def test_predict_is_pure():
     net = small_net(window=2, hidden=4, seed=1)
     states, actions, rewards = [0.5, 0.4], [0.1, 0.2], [-1.0, -1.0]
-    first = zero_net_predict(net, states, actions, rewards)
-    second = zero_net_predict(net, states, actions, rewards)
+    first = zero_net_action(net, states, actions, rewards)
+    second = zero_net_action(net, states, actions, rewards)
     assert first == second
     assert states == [0.5, 0.4]
 
@@ -209,7 +207,7 @@ def test_predict_is_pure():
 def test_predict_rejects_wrong_window_width():
     net = small_net(window=3, hidden=4)
     with pytest.raises(ValueError):
-        zero_net_predict(net, [1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
+        zero_net_action(net, [1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
 
 
 def test_default_net_shape():
@@ -225,7 +223,6 @@ def test_policy_feeds_past_actions_and_negated_durations():
     obs0 = PolicyObservation(
         state_vector=make_state([0.4], 5),
         iteration_index=0,
-        last_lambda=0.0,
         raw_errors=(0.4,),
         recent_durations=(),
     )
@@ -236,7 +233,6 @@ def test_policy_feeds_past_actions_and_negated_durations():
     obs1 = PolicyObservation(
         state_vector=make_state([0.4, 0.3], 5),
         iteration_index=1,
-        last_lambda=lam0,
         raw_errors=(0.4, 0.3),
         recent_durations=(0.5,),
     )
@@ -375,16 +371,15 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_rejects_other_kinds(tmp_path):
     path = tmp_path / "plain.net"
-    save_mlp(path, mlp_init([4, 8, 1], np.random.default_rng(0)))
+    save_arrays(path, {"kind": "mlp", "widths": [4, 8, 1]}, {"w0": np.zeros((4, 8))})
     with pytest.raises(ValueError):
         load_zero_net_checkpoint(path)
 
 
-def test_make_policy_loads_zero_net_checkpoint(tmp_path, tiny_trained_net):
+def test_policy_from_checkpoint_solves_like_the_trained_net(tmp_path, tiny_trained_net):
     path = tmp_path / "zero.net"
     save_zero_net_checkpoint(path, tiny_trained_net)
-    policy = make_policy({"kind": "zero_net", "checkpoint_path": str(path)})
-    assert isinstance(policy, ZeroNetPolicy)
+    policy = ZeroNetPolicy(load_zero_net_checkpoint(path))
     assert policy.window == 5
     problem = suite_problem(2)
     from_file = solve(problem, policy, deterministic_time=True)

@@ -20,33 +20,28 @@ from balm.bench import (
     ablation_to_csv,
     aggregates_to_csv,
     comparison_to_csv,
-    convergence_trace,
     extract_schedule,
     performance_profile,
     profile_to_csv,
     run_comparison,
     suite_scene,
-    trace_to_csv,
 )
 from balm.env import BAEnv, EnvConfig
-from balm.policy import ClassicPolicy, DampingPolicy, FixedPolicy
-from balm.sac import init_agent
+from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy
+from balm.sac import TrainConfig, init_agent
 from balm.solver import solve
 
 
 class ExplodingPolicy(DampingPolicy):
-    kind = "exploding"
-
     def next_lambda(self, obs):
         raise RuntimeError("boom")
 
 
-def record_with_time(problem_id, kind, initial, final, step_times, step_errors, seed=0):
+def record_with_time(problem_id, kind, initial, final, step_times, step_errors):
     trace = tuple((0.1, e, t) for e, t in zip(step_errors, step_times))
     return RunRecord(
         problem_id=problem_id,
         policy_kind=kind,
-        seed=seed,
         outcome="converged",
         iterations=len(trace),
         total_time_s=float(sum(step_times)),
@@ -68,7 +63,7 @@ def test_suite_scene_matches_test_fixture_family():
 
 def test_run_record_is_consistent_with_solve_result(tiny_problem):
     result = solve(tiny_problem, ClassicPolicy(), deterministic_time=True)
-    record = RunRecord.from_result("tiny", "classic", 0, result)
+    record = RunRecord.from_result("tiny", "classic", result)
     assert record.iterations == result.iterations == len(record.trace)
     assert record.final_error == result.final_error
     assert record.initial_error == result.initial_error
@@ -78,39 +73,27 @@ def test_run_record_is_consistent_with_solve_result(tiny_problem):
 
 
 class TestRunComparison:
-    def make_table(self, seeds=(0,)):
+    def make_table(self):
         problems = {
             "s2": suite_problem(2, 4, 6),
             "s3": suite_problem(3, 4, 6),
         }
         policies = {
-            "classic": {"kind": "classic"},
+            "classic": ClassicPolicy(),
             "gn": FixedPolicy(1e-15),
         }
         return run_comparison(
             problems,
             policies,
             env_config={"deterministic_time": True, "max_iterations": 50},
-            seeds=seeds,
         )
 
     def test_sweep_is_exhaustive(self):
-        table = self.make_table(seeds=(0, 1))
-        assert len(table.records) == 2 * 2 * 2
+        table = self.make_table()
+        assert len(table.records) == 2 * 2
         assert len(table.aggregates) == 2
-        cells = {(r.problem_id, r.policy_kind, r.seed) for r in table.records}
-        assert len(cells) == 8
-
-    def test_env_config_dataclass_is_accepted(self):
-        problems = {"s2": suite_problem(2, 4, 6)}
-        policies = {"gn": FixedPolicy(1e-15)}
-        from_dataclass = run_comparison(
-            problems, policies, env_config=EnvConfig(deterministic_time=True)
-        )
-        from_mapping = run_comparison(
-            problems, policies, env_config={"deterministic_time": True}
-        )
-        assert from_dataclass.records == from_mapping.records
+        cells = {(r.problem_id, r.policy_kind) for r in table.records}
+        assert cells == {(p, k) for p in ("s2", "s3") for k in ("classic", "gn")}
 
     def test_aggregates_recomputable_from_rows(self):
         table = self.make_table()
@@ -127,7 +110,7 @@ class TestRunComparison:
 
     def test_failure_becomes_outcome_row_and_sweep_survives(self):
         problems = {"s2": suite_problem(2, 4, 6)}
-        policies = {"classic": {"kind": "classic"}, "broken": ExplodingPolicy()}
+        policies = {"classic": ClassicPolicy(), "broken": ExplodingPolicy()}
         table = run_comparison(
             problems, policies, env_config={"deterministic_time": True}
         )
@@ -140,13 +123,9 @@ class TestRunComparison:
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
-            run_comparison({}, {"classic": {"kind": "classic"}})
+            run_comparison({}, {"classic": ClassicPolicy()})
         with pytest.raises(ValueError):
             run_comparison({"p": suite_problem(2, 4, 6)}, {})
-        with pytest.raises(ValueError):
-            run_comparison(
-                {"p": suite_problem(2, 4, 6)}, {"classic": {"kind": "classic"}}, seeds=()
-            )
 
     def test_csv_output_is_deterministic(self):
         first = self.make_table()
@@ -155,7 +134,7 @@ class TestRunComparison:
         assert aggregates_to_csv(first) == aggregates_to_csv(second)
         header = comparison_to_csv(first).splitlines()[0]
         assert header == (
-            "problem,policy,seed,outcome,iterations,total_time_s,initial_error,final_error"
+            "problem,policy,outcome,iterations,total_time_s,initial_error,final_error"
         )
         assert len(comparison_to_csv(first).splitlines()) == 1 + len(first.records)
 
@@ -199,7 +178,7 @@ class TestPerformanceProfile:
     def test_curves_are_valid_cdfs_on_real_runs(self):
         problems = {f"s{s}": suite_problem(s, 4, 6) for s in (2, 4)}
         policies = {
-            "classic": {"kind": "classic"},
+            "classic": ClassicPolicy(),
             "gn": FixedPolicy(1e-15),
             "half": FixedPolicy(0.5),
         }
@@ -242,45 +221,6 @@ class TestPerformanceProfile:
         assert lines[2] == "b,2.0,1.0"
 
 
-class TestConvergenceTrace:
-    def test_series_bookkeeping(self, tiny_problem):
-        result = solve(tiny_problem, ClassicPolicy(), deterministic_time=True)
-        record = RunRecord.from_result("tiny", "classic", 0, result)
-        trace = convergence_trace(record)
-        assert len(trace["times"]) == record.iterations + 1
-        assert len(trace["errors"]) == record.iterations + 1
-        assert trace["times"][0] == 0.0
-        assert all(b > a for a, b in zip(trace["times"], trace["times"][1:]))
-        assert trace["errors"][0] == record.initial_error
-        assert trace["errors"][-1] == record.final_error
-        for tau, level in trace["thresholds"].items():
-            assert level == record.final_error + tau * (
-                record.initial_error - record.final_error
-            )
-
-    def test_missing_trace_rejected(self):
-        record = RunRecord(
-            problem_id="p",
-            policy_kind="classic",
-            seed=0,
-            outcome="converged",
-            iterations=3,
-            total_time_s=3.0,
-            initial_error=10.0,
-            final_error=1.0,
-            trace=(),
-        )
-        with pytest.raises(ValueError):
-            convergence_trace(record)
-
-    def test_trace_csv(self, tiny_problem):
-        result = solve(tiny_problem, ClassicPolicy(), deterministic_time=True)
-        record = RunRecord.from_result("tiny", "classic", 0, result)
-        lines = trace_to_csv(convergence_trace(record)).splitlines()
-        assert lines[0] == "cumulative_time_s,error"
-        assert len(lines) == record.iterations + 2
-
-
 class TestExtractSchedule:
     def test_averages_first_choices(self):
         nets = init_agent(window=5, hidden=16, seed=0)
@@ -291,8 +231,6 @@ class TestExtractSchedule:
         # recompute from individual solves
         per_scene = []
         for problem in problems:
-            from balm.policy import AgentPolicy
-
             result = solve(problem, AgentPolicy(nets), max_iterations=4, deterministic_time=True)
             per_scene.append([rec.lam for rec in result.records])
         for i, lam in enumerate(schedule):
@@ -380,3 +318,52 @@ class TestAblations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ablation_suite("optimizer", TINY_ABLATION)
+
+    def test_config_fields_reach_train_config(self, monkeypatch):
+        from balm import bench
+
+        configs = []
+
+        def stub_train(problems, cfg):
+            configs.append(cfg)
+            return init_agent(window=cfg.window, hidden=cfg.hidden, seed=0), []
+
+        monkeypatch.setattr(bench, "train_agent", stub_train)
+        config = dict(TINY_ABLATION, gamma=0.5, alpha=0.1, target_refresh=3, lr=1e-3)
+        result = ablation_suite("scheduler", config)
+        assert all("error" not in row for row in result["rows"])
+        assert configs == [
+            TrainConfig(
+                episodes=2, hidden=8, batch_size=8, warmup_steps=5, replay_capacity=100,
+                max_iterations=8, deterministic_time=True,
+                gamma=0.5, alpha=0.1, target_refresh=3, lr=1e-3,
+            )
+        ]
+
+    @pytest.mark.parametrize("key", ["episode", "accept_only_improving"])
+    def test_unknown_config_key_raises(self, key):
+        with pytest.raises(ValueError, match=f"unknown ablation config keys: \\['{key}'\\]"):
+            ablation_suite("state_size", dict(TINY_ABLATION, **{key: 3}))
+
+    def test_each_variant_is_evaluated_with_its_own_value(self, monkeypatch):
+        from balm import bench
+
+        trained, solved = [], []
+
+        def stub_train(problems, cfg):
+            trained.append(cfg.threshold)
+            return init_agent(window=cfg.window, hidden=8, seed=0), []
+
+        def recording_solve(problem, policy, **kwargs):
+            solved.append(kwargs["threshold"])
+            return solve(problem, policy, **kwargs)
+
+        monkeypatch.setitem(bench.ABLATION_VARIANTS, "threshold", ("threshold", (1e-6, 1e-8)))
+        monkeypatch.setattr(bench, "train_agent", stub_train)
+        monkeypatch.setattr(bench, "solve", recording_solve)
+        config = dict(TINY_ABLATION, eval_seeds=[2, 3])
+        result = ablation_suite("threshold", config)
+        assert [row["threshold"] for row in result["rows"]] == [1e-6, 1e-8]
+        assert all("error" not in row for row in result["rows"])
+        assert trained == [1e-6, 1e-8]
+        assert solved == [1e-6, 1e-6, 1e-8, 1e-8]

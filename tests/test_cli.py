@@ -8,6 +8,7 @@ repeated runs, which is what makes the eval pipeline auditable.
 import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,17 @@ import numpy as np
 import pytest
 from conftest import suite_problem
 
-from balm.cli import main, parse_seed_list, read_text
+from balm.baselines import init_zero_net, save_zero_net_checkpoint
+from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
+from balm.policy import (
+    DEFAULT_SCHEDULE,
+    AgentPolicy,
+    ClassicPolicy,
+    ConstantSchedulerPolicy,
+    FixedPolicy,
+    ZeroNetPolicy,
+)
+from balm.sac import init_agent, save_agent_checkpoint
 from balm.scene import serialize_bal
 
 
@@ -48,6 +59,70 @@ class TestHelpers:
         packed.write_bytes(gzip.compress(b"4 6 24\n"))
         assert read_text(plain) == "4 6 24\n"
         assert read_text(packed) == "4 6 24\n"
+
+
+@pytest.fixture(scope="module")
+def policy_checkpoints(tmp_path_factory):
+    out = tmp_path_factory.mktemp("policies")
+    nets = init_agent(window=5, hidden=16, seed=11)
+    save_agent_checkpoint(out / "agent.ckpt", nets)
+    net = init_zero_net(window=4, hidden=8, seed=3)
+    save_zero_net_checkpoint(out / "zero-net.ckpt", net)
+    return out, nets, net
+
+
+def parse_policy(token, *options, checkpoints=None):
+    args = build_parser().parse_args(["eval", "--policies", token, *options])
+    if args.checkpoint:
+        args.checkpoint = str(checkpoints / args.checkpoint)
+    return _policy(token, args, [])
+
+
+class TestPolicyTokens:
+    """``_policy`` is the one place a command-line token becomes a policy."""
+
+    @pytest.mark.parametrize(
+        "token, options, cls, attrs",
+        [
+            ("classic", (), ClassicPolicy, {"mode": "standard", "initial_lambda": 0.25}),
+            ("classic-paper", (), ClassicPolicy, {"mode": "paper", "initial_lambda": 0.25}),
+            ("gn", (), FixedPolicy, {"value": 1e-15}),
+            ("fixed", ("--fixed-value", "0.5"), FixedPolicy, {"value": 0.5}),
+            ("scheduler", (), ConstantSchedulerPolicy, {"schedule": DEFAULT_SCHEDULE}),
+            ("scheduler", ("--schedule", "0.1,2e-3"), ConstantSchedulerPolicy,
+             {"schedule": (0.1, 2e-3)}),
+            ("agent", ("--checkpoint", "agent.ckpt"), AgentPolicy, {"window": 5}),
+            ("zero-net", ("--checkpoint", "zero-net.ckpt"), ZeroNetPolicy, {"window": 4}),
+        ],
+        ids=[
+            "classic", "classic-paper", "gn", "fixed", "scheduler-default", "scheduler-list",
+            "agent", "zero-net",
+        ],
+    )
+    def test_token_builds_policy(self, token, options, cls, attrs, policy_checkpoints):
+        checkpoints, nets, net = policy_checkpoints
+        policy = parse_policy(token, *options, checkpoints=checkpoints)
+        assert type(policy) is cls
+        assert {name: getattr(policy, name) for name in attrs} == attrs
+        if token == "agent":
+            for name in ("policy", "critic1", "critic2", "value", "target_value"):
+                saved, loaded = getattr(nets, name), getattr(policy.nets, name)
+                np.testing.assert_array_equal(loaded.flat, saved.flat)
+        if token == "zero-net":
+            np.testing.assert_array_equal(policy.net.flat, net.flat)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("agent", "--checkpoint is required for the agent policy"),
+            ("zero-net", "--checkpoint is required for the zero-net policy"),
+            ("annealed", "unknown policy 'annealed'"),
+        ],
+        ids=["agent", "zero-net", "unknown"],
+    )
+    def test_token_exits_with_message(self, token, message):
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            parse_policy(token)
 
 
 class TestGenerate:
@@ -225,7 +300,7 @@ class TestEvalAndProfile:
         ) == 0
         records = (out / "records.csv").read_text().splitlines()
         assert records[0] == (
-            "problem,policy,seed,outcome,iterations,total_time_s,initial_error,final_error"
+            "problem,policy,outcome,iterations,total_time_s,initial_error,final_error"
         )
         assert len(records) == 1 + 2 * 3  # 2 scenes x 3 policies
         aggregates = (out / "aggregates.csv").read_text().splitlines()

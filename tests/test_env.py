@@ -11,7 +11,7 @@ from balm.env import (
 )
 from balm.policy import ClassicPolicy, FixedPolicy
 from balm.scene import generate_synthetic
-from balm.solver import SingularSystemError, solve
+from balm.solver import SingularSystemError, records_to_csv, solve
 
 from conftest import suite_problem
 
@@ -50,10 +50,6 @@ class TestComputeReward:
         assert compute_reward(1.0, False, 2, "reversed", error=42.0) == -42.0
         assert compute_reward(1.0, True, 2, "reversed", error=42.0) == 10.0
 
-    def test_custom_bonus_and_rate(self):
-        assert compute_reward(0.1, True, 1, "duration", bonus=5.0) == 5.0
-        assert compute_reward(0.1, True, 2, "reduction", bonus=4.0, reduction_rate=0.5) == 1.0
-
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             compute_reward(0.1, False, 1, "other")
@@ -87,7 +83,6 @@ class TestEpisodes:
         env = BAEnv(EnvConfig())
         obs = env.reset(suite_problem_0)
         assert obs.iteration_index == 0
-        assert obs.last_lambda == 0.0
         first = env.solver_state.error_history[0]
         np.testing.assert_array_equal(obs.state_vector, [first] * 5)
 
@@ -212,7 +207,8 @@ class TestEpisodes:
         assert out.info["timeout"] is False
         # the state keeps its last valid error; the trace records the failure
         assert out.info["error"] == initial
-        assert ",0.25,," in env.trace_csv().splitlines()[1]
+        assert env.records[0].lam == 0.25
+        assert np.isnan(env.records[0].error)
 
 
 class TestAgreementWithSolve:
@@ -236,14 +232,14 @@ class TestAgreementWithSolve:
 class TestTrace:
     def test_trace_csv_schema(self, suite_problem_0):
         env = BAEnv(EnvConfig(deterministic_time=True))
-        rewards, _ = run_episode(env, suite_problem_0, ClassicPolicy())
-        lines = env.trace_csv().splitlines()
-        assert lines[0] == "iter,lambda,error,duration_s,reward"
+        rewards, infos = run_episode(env, suite_problem_0, ClassicPolicy())
+        lines = records_to_csv(env.records).splitlines()
+        assert lines[0] == "iter,lambda,error,duration_s"
         assert len(lines) == len(rewards) + 1
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == 0.25
-        assert float(first[4]) == rewards[0]
+        assert float(first[2]) == infos[0]["error"]
 
     def test_trace_resets_with_episode(self, suite_problem_0):
         env = BAEnv(EnvConfig(max_iterations=2, deterministic_time=True))
@@ -252,4 +248,4 @@ class TestTrace:
         env.step(0.25)
         env.reset(suite_problem_0)
         env.step(0.25)
-        assert len(env.trace_csv().splitlines()) == 2
+        assert len(env.records) == 1

@@ -11,17 +11,16 @@ from balm.nn import (
     adam_step,
     copy_params,
     load_arrays,
-    load_mlp,
     mlp_backward,
     mlp_copy,
     mlp_forward,
     mlp_forward_cached,
+    mlp_from_arrays,
     mlp_init,
+    mlp_to_arrays,
     mlp_train_step,
     mse_loss,
-    polyak_update,
     save_arrays,
-    save_mlp,
 )
 
 
@@ -295,22 +294,6 @@ class TestTargetHelpers:
         b.weights[0][0, 0] += 1.0
         assert a.weights[0][0, 0] != b.weights[0][0, 0]
 
-    def test_polyak_limits(self):
-        a = mlp_init([3, 4, 2], seed_or_rng=0)
-        b = mlp_init([3, 4, 2], seed_or_rng=1)
-        frozen = flatten_params(b).copy()
-        polyak_update(b, a, tau=0.0)
-        np.testing.assert_array_equal(flatten_params(b), frozen)
-        polyak_update(b, a, tau=1.0)
-        np.testing.assert_allclose(flatten_params(b), flatten_params(a), rtol=1e-15)
-
-    def test_polyak_blend(self):
-        a = Mlp(widths=[1, 1], weights=[np.array([[2.0]])], biases=[np.array([0.0])])
-        b = Mlp(widths=[1, 1], weights=[np.array([[1.0]])], biases=[np.array([1.0])])
-        polyak_update(b, a, tau=0.25)
-        assert b.weights[0][0, 0] == 1.25
-        assert b.biases[0][0] == 0.75
-
     def test_mlp_copy_is_deep(self):
         a = mlp_init([2, 3, 1], seed_or_rng=0)
         b = mlp_copy(a)
@@ -322,17 +305,17 @@ class TestCheckpoints:
     def test_round_trip_is_bitwise(self, tmp_path):
         net = mlp_init([4, 8, 3], seed_or_rng=9)
         path = tmp_path / "net.ckpt"
-        save_mlp(path, net, meta={"note": "x"})
-        loaded, meta = load_mlp(path)
-        assert meta["widths"] == [4, 8, 3]
-        assert meta["note"] == "x"
+        save_arrays(path, {"widths": net.widths, "note": "x"}, mlp_to_arrays(net, prefix="n."))
+        meta, arrays = load_arrays(path)
+        assert meta == {"widths": [4, 8, 3], "note": "x"}
+        loaded = mlp_from_arrays(meta["widths"], arrays, prefix="n.")
         np.testing.assert_array_equal(flatten_params(loaded), flatten_params(net))
 
     def test_repeated_saves_are_byte_identical(self, tmp_path):
         net = mlp_init([4, 8, 3], seed_or_rng=9)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_mlp(p1, net)
-        save_mlp(p2, net)
+        save_arrays(p1, {}, mlp_to_arrays(net))
+        save_arrays(p2, {}, mlp_to_arrays(net))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -344,7 +327,7 @@ class TestCheckpoints:
     def test_truncated_file_rejected(self, tmp_path):
         net = mlp_init([4, 8, 3], seed_or_rng=9)
         path = tmp_path / "net.ckpt"
-        save_mlp(path, net)
+        save_arrays(path, {}, mlp_to_arrays(net))
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(ValueError):
@@ -362,9 +345,3 @@ class TestCheckpoints:
         np.testing.assert_array_equal(back["a"], arrays["a"])
         assert back["b"].shape == ()
         assert float(back["b"]) == 4.0
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "raw.ckpt"
-        save_arrays(path, {"kind": "other"}, {"x": np.zeros(2)})
-        with pytest.raises(ValueError):
-            load_mlp(path)

@@ -8,18 +8,16 @@ from balm.policy import (
     ConstantSchedulerPolicy,
     FixedPolicy,
     PolicyObservation,
-    make_policy,
     make_state,
     observe,
 )
 from balm.solver import LAMBDA_MAX, LAMBDA_MIN, SolverState, ParamVector
 
 
-def obs_at(iteration, raw=(), state=(1.0,) * 5, last_lambda=0.0):
+def obs_at(iteration, raw=(), state=(1.0,) * 5):
     return PolicyObservation(
         state_vector=np.asarray(state, dtype=float),
         iteration_index=iteration,
-        last_lambda=last_lambda,
         raw_errors=tuple(raw),
     )
 
@@ -61,10 +59,9 @@ class TestObserve:
 
     def test_fields(self):
         state = self.make_solver_state([10.0, 8.0, 6.0], [0.1, 0.2])
-        obs = observe(state, 5, 0.25)
+        obs = observe(state, 5)
         np.testing.assert_array_equal(obs.state_vector, [10.0, 10.0, 10.0, 8.0, 6.0])
         assert obs.iteration_index == 2
-        assert obs.last_lambda == 0.25
         assert obs.raw_errors == (10.0, 8.0, 6.0)
         assert obs.recent_durations == (0.1, 0.2)
 
@@ -72,13 +69,13 @@ class TestObserve:
         # a window-1 observation still carries the error pair the classic
         # rule needs
         state = self.make_solver_state([10.0, 8.0, 6.0], [0.1, 0.2])
-        obs = observe(state, 1, 0.0)
+        obs = observe(state, 1)
         np.testing.assert_array_equal(obs.state_vector, [6.0])
         assert obs.raw_errors == (8.0, 6.0)
 
     def test_raw_errors_are_unclipped(self):
         state = self.make_solver_state([4e5, 2e5], [0.1])
-        obs = observe(state, 3, 0.0)
+        obs = observe(state, 3)
         np.testing.assert_array_equal(obs.state_vector, [STATE_CLIP] * 3)
         assert obs.raw_errors == (4e5, 2e5)
 
@@ -158,31 +155,3 @@ class TestFixedPolicy:
     def test_clamped_to_range(self):
         assert FixedPolicy(1e20).next_lambda(obs_at(0)) == LAMBDA_MAX
         assert FixedPolicy(0.0).next_lambda(obs_at(0)) == LAMBDA_MIN
-
-
-class TestMakePolicy:
-    def test_classic(self):
-        policy = make_policy({"kind": "classic", "mode": "paper", "initial_lambda": 0.5})
-        assert isinstance(policy, ClassicPolicy)
-        assert policy.mode == "paper"
-        assert policy.initial_lambda == 0.5
-
-    def test_scheduler(self):
-        policy = make_policy({"kind": "constant_scheduler", "schedule": [0.1, 0.2]})
-        assert isinstance(policy, ConstantSchedulerPolicy)
-        assert policy.schedule == (0.1, 0.2)
-
-    def test_fixed(self):
-        policy = make_policy({"kind": "fixed", "value": 2.0})
-        assert isinstance(policy, FixedPolicy)
-        assert policy.value == 2.0
-
-    def test_window_override(self):
-        policy = make_policy({"kind": "classic", "window": 7})
-        assert policy.window == 7
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_policy({"kind": "mystery"})
-        with pytest.raises(ValueError):
-            make_policy({})

@@ -20,7 +20,7 @@ from balm.scene import (
     Observation,
     generate_synthetic,
     project,
-    rotation_matrix,
+    rotate_points,
 )
 from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy
 from balm.solver import (
@@ -348,9 +348,7 @@ class TestJacobian:
         delta = np.array([0.3, -0.2, 0.5])
         shifted = params.copy()
         shifted.points += delta
-        for i in range(default_problem.num_cameras):
-            rot = rotation_matrix(shifted.cameras[i, 0:3])
-            shifted.cameras[i, 3:6] -= rot @ delta
+        shifted.cameras[:, 3:6] -= rotate_points(shifted.cameras[:, 0:3], delta)
         after = estimation_error(residuals(default_problem, shifted), default_problem.pixel_sigma)
         assert abs(after - base) / base < 1e-9
 
