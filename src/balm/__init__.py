@@ -45,6 +45,7 @@ from .solver import (
     dense_system,
     estimation_error,
     evaluate_step,
+    evaluate_steps,
     linearize,
     lm_iterate,
     residuals,
@@ -115,6 +116,7 @@ __all__ = [
     "dense_system",
     "estimation_error",
     "evaluate_step",
+    "evaluate_steps",
     "linearize",
     "lm_iterate",
     "residuals",

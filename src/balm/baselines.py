@@ -25,13 +25,7 @@ from .nn import (
 )
 from .policy import ClassicPolicy
 from .sac import ACTION_OFFSET, ACTION_SCALE, lambda_from_action
-from .solver import (
-    NumericalFailureError,
-    SingularSystemError,
-    SolverState,
-    evaluate_step,
-    linearize,
-)
+from .solver import NumericalFailureError, SolverState, evaluate_steps, linearize
 
 DEFAULT_ORACLE_GRID = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 10.0, 1e3)
 ZERO_NET_HIDDEN = 1280
@@ -57,10 +51,12 @@ def raw_regression_target(lam: float) -> float:
 def zero_net_oracle(problem, state: SolverState, grid=DEFAULT_ORACLE_GRID) -> float:
     """Greedy damping: the grid value whose trial step gives the lowest error.
 
-    The state is linearized once and every candidate's step is evaluated on
-    that linearization, as ``lm_iterate`` would from this state; the state
-    itself is not modified. Ties break toward the smaller candidate by
-    scanning in ascending order.
+    The state is linearized once, and every candidate's step and error come
+    from one batched evaluation on that linearization (``evaluate_steps``),
+    each to the bit what ``lm_iterate`` would give from this state; the
+    state itself is not modified. A candidate whose step or error fails is
+    skipped. Ties break toward the smaller candidate by scanning in
+    ascending order.
     """
     candidates = sorted(float(g) for g in grid)
     if not candidates:
@@ -69,19 +65,15 @@ def zero_net_oracle(problem, state: SolverState, grid=DEFAULT_ORACLE_GRID) -> fl
         lin = linearize(problem, state.params)
     except NumericalFailureError as exc:
         raise OracleFailureError(f"the state cannot be linearized: {exc}") from exc
-    best_lam = None
-    best_err = np.inf
-    for lam in candidates:
-        try:
-            _, err = evaluate_step(problem, state.params, lin, lam)
-        except (NumericalFailureError, SingularSystemError):
-            continue
-        if err < best_err:
-            best_err = err
-            best_lam = lam
-    if best_lam is None:
+    outcomes = evaluate_steps(problem, state.params, lin, candidates)
+    errors = {
+        lam: outcome[1]
+        for lam, outcome in zip(candidates, outcomes)
+        if not isinstance(outcome, Exception)
+    }
+    if not errors:
         raise OracleFailureError("every candidate damping failed the trial step")
-    return best_lam
+    return min(errors, key=errors.get)  # the first, smallest, of equal errors
 
 
 def init_zero_net(window: int = 5, hidden: int = ZERO_NET_HIDDEN, seed: int = 0) -> Mlp:

@@ -16,7 +16,7 @@ from .env import make_reversed_state
 from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
 from .sac import TrainConfig, train_agent
 from .scene import BAProblem, generate_synthetic
-from .solver import SolveResult, csv_text, solve
+from .solver import NumericalFailureError, SolveResult, csv_text, solve
 
 SUITE_PIXEL_SIGMA = 250.0
 SUITE_NOISE_STD = 0.5
@@ -31,6 +31,7 @@ ABLATION_VARIANTS = {
     "state_size": ("window", ABLATION_WINDOWS),
     "reward_variant": ("reward_variant", ABLATION_REWARDS),
     "reversed": ("reward_variant", ("duration", "reversed")),
+    "threshold": ("threshold", (1e-6, 1e-8)),
 }
 
 
@@ -94,8 +95,11 @@ def run_comparison(problems: dict, policies: dict, env_config=None) -> Compariso
     ``problems`` maps id -> problem, ``policies`` maps kind -> ``DampingPolicy``
     and ``env_config`` is a mapping whose ``solve`` options are used (the
     others are ignored). Solves are deterministic given their inputs, so one
-    run per cell is the whole measurement. Individual failures become outcome
-    rows; the sweep itself never aborts.
+    run per cell is the whole measurement. The one typed failure ``solve``
+    raises, ``NumericalFailureError`` (a zero depth or a non-finite error in
+    the initial state), becomes an outcome row and the sweep goes on; a
+    failed step is already a "numerical-failure" outcome. Any other
+    exception is a bug and propagates.
     """
     if not problems or not policies:
         raise ValueError("problems and policies must both be non-empty")
@@ -108,7 +112,7 @@ def run_comparison(problems: dict, policies: dict, env_config=None) -> Compariso
             try:
                 result = solve(problem, policy, **solve_kwargs)
                 records.append(RunRecord.from_result(str(problem_id), kind, result))
-            except Exception as exc:  # noqa: BLE001 - sweep must survive
+            except NumericalFailureError as exc:
                 records.append(
                     RunRecord(
                         problem_id=str(problem_id),

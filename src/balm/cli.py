@@ -333,7 +333,8 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     overrides = dict(args.ablation_config or {})
-    overrides.setdefault("deterministic_time", args.deterministic_time)
+    if args.deterministic_time:  # without the flag, DEFAULT_ABLATION_CONFIG's value stands
+        overrides.setdefault("deterministic_time", True)
     overrides.setdefault("seed", args.seed)
     result = ablation_suite(args.kind, overrides)
     csv_path = out_dir / f"ablation-{args.kind}.csv"
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate.add_argument(
         "--kind",
         default=None,
-        choices=("state_size", "reward_variant", "reversed", "scheduler"),
+        choices=("state_size", "reward_variant", "reversed", "threshold", "scheduler"),
     )
     p_ablate.add_argument(
         "--ablation-config",

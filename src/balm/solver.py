@@ -46,18 +46,41 @@ and the cross blocks ``H_cp`` and ``E`` (9, 3, n). Every elementwise
 operation then runs over contiguous length-n rows, and ``Linearization``
 exposes the arrays as transposed (n, ...) views.
 
+The Schur step runs on a leading damping axis of length L: ``evaluate_steps``
+evaluates a whole damping grid on one linearization (the greedy oracle's
+eleven trials) as one batch, and ``damped_step`` and ``evaluate_step`` are
+its L = 1 case. The point blocks ``h_pp + lambda*I`` and their inverses, E,
+the pair gathers, the right-hand side and the back-substitution each run
+once over all L dampings. The pair products and their segmented sums, the
+Cholesky solve and its fallback run per damping, and so does every
+failure, which stays with its own damping. Each damping's rows are the
+bits it gets alone. The candidates of all dampings are projected
+together, with each damping's residuals and error summed over its own
+contiguous rows.
+
 Sums keep a fixed order, so that making them faster cannot move a bit of
 the output: small batched products add their inner index in order, first
 term first (``_batched_matmul``); 2- and 3-term dot products add from 0.0
 in order, as ``np.sum`` over a short last axis does (``scene._dot``); and
 scatters are one ``bincount`` per block row, adding in observation order.
-Three sums stay bound to the row-major layout they read, because their
-order comes from their kernels: the pair products' ``matmul`` and
-``np.add.reduceat``, and the ``einsum`` contractions of the Schur
-right-hand side and back-substitution (over a contiguous 3-long axis,
-``einsum`` does not add in order). Reordering a sum moves a step in its
-last bits, and along the near-singular gauge directions at small lambda by
-far more.
+Three sums add in an order that numpy or BLAS fixes for the row-major
+layout they read:
+
+- ``np.add.reduceat`` of a segment a[start:end] is ``a[start]`` plus
+  numpy's pairwise sum of the rest, which adds in order below 8 terms,
+  in 8 interleaved accumulators from 8 to 128 terms, and by recursive
+  halving above 128. Over a damping axis it adds the same terms, through
+  a strided pairwise sum that is slower than one call per damping (1.14
+  against 0.85 ms for 11 dampings of the suite's 550 lower pairs).
+- The pair products' ``matmul`` (a BLAS kernel per 9x3 by 3x9 product) is
+  not the sequential sum ``((0 + a0 b0) + a1 b1) + a2 b2``: on 600 products
+  of standard-normal factors, 16,057 of the 48,600 entries differ.
+- The ``einsum`` contractions of the Schur right-hand side and
+  back-substitution: over a contiguous 3-long axis, ``einsum`` does not
+  add in order.
+
+Reordering a sum moves a step in its last bits, and along the
+near-singular gauge directions at small lambda by far more.
 """
 
 from __future__ import annotations
@@ -119,9 +142,6 @@ class ParamVector:
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.cameras.copy(), self.points.copy())
-
-    def plus(self, delta_cameras: np.ndarray, delta_points: np.ndarray) -> "ParamVector":
-        return ParamVector(self.cameras + delta_cameras, self.points + delta_points)
 
     def flat(self) -> np.ndarray:
         """Single vector in the fixed cameras-then-points layout."""
@@ -235,17 +255,18 @@ def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
 
 
 def _batched_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
-    """``a[..., n] @ b[..., n]`` on component-major (i, j, n) and (j, k, n) arrays, into ``out``.
+    """``a @ b`` per trailing index, on component-major (i, j, ...) and (j, k, ...) arrays.
 
-    The inner index is summed in order, first term first, unlike ``matmul``
-    or ``einsum``, whose kernels may block, pair or fuse the sum. Each step
-    is one broadcast over contiguous rows; the terms go through ``scratch``.
+    The result goes into ``out``, and the trailing axes broadcast. The inner
+    index is summed in order, first term first, unlike ``matmul`` or
+    ``einsum``, whose kernels may block, pair or fuse the sum. Each step is
+    one broadcast over contiguous rows; the terms go through ``scratch``.
     """
-    np.multiply(a[:, 0, None, :], b[None, 0, :, :], out=out)
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
     mark = scratch.used
     term = scratch(*out.shape)
     for j in range(1, a.shape[1]):
-        out += np.multiply(a[:, j, None, :], b[None, j, :, :], out=term)
+        out += np.multiply(a[:, j, None], b[None, j], out=term)
     scratch.release(mark)
     return out
 
@@ -545,31 +566,45 @@ class _PairPlan:
     same products in the same order whichever side it is on.
 
     ``workspace`` holds every per-observation temporary of ``linearize``
-    and of the Schur ``damped_step`` on this index set: the projection, the
+    and of the Schur step on this index set: the projection, the
     Jacobian's factors, the Gram and gradient terms and the bincount slots;
-    ``E`` in both layouts, ``H_cp^T``, the reduced camera system, the pair
+    ``E`` in both layouts, ``H_cp^T``, the reduced camera systems, the pair
     gathers and products, and the gathered operands of the right-hand side
-    and the back-substitution. The two calls never overlap, so they share
-    it, and every call rewrites it. No ``Linearization`` field or returned
-    step is ever part of it.
+    and the back-substitution, for every damping of a batch. The calls
+    never overlap, so they share it, and every call rewrites it. No
+    ``Linearization`` field or returned step is ever part of it.
+    ``row_slots`` keeps the bincount slots of ``_added_rows``, which depend
+    only on the indices and the batch's shape.
     """
 
     lower: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     upper: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     points_indexed: int  # 1 + the largest point index
     workspace: _Workspace = field(default_factory=_Workspace)
+    row_slots: dict = field(default_factory=dict)  # ``_added_rows``' bincount slots
 
     def subtract(self, blocks, chunks, cross_dinv, cross_t) -> None:
-        """``blocks[b] -= sum of cross_dinv[first] @ cross_t[second]`` over ``chunks``' pairs."""
+        """``blocks[l, b] -= sum of cross_dinv[l, first] @ cross_t[second]`` over ``chunks``' pairs.
+
+        ``blocks`` is (L, num_blocks, 9, 9) and ``cross_dinv`` (L, n, 9, 3),
+        one row per damping; ``cross_t`` (n, 3, 9) is shared by all of them.
+        """
         scratch = self.workspace
+        count = len(blocks)
         for first, second, segment_starts, segment_blocks in chunks:
             mark = scratch.used
             # np.take gathers rows about twice as fast as fancy indexing.
-            left = scratch.take(cross_dinv, first, axis=0)
+            left = scratch.take(cross_dinv, first, axis=1)
             right = scratch.take(cross_t, second, axis=0)
-            products = np.matmul(left, right, out=scratch(len(first), 9, 9))
+            # One damping's products at a time keeps the workspace near its
+            # one-damping size; reduceat runs per damping anyway (see the
+            # module docstring).
+            products = scratch(len(first), 9, 9)
             sums = scratch(len(segment_starts), 9, 9)
-            blocks[segment_blocks] -= np.add.reduceat(products, segment_starts, axis=0, out=sums)
+            for damping in range(count):
+                np.matmul(left[damping], right, out=products)
+                np.add.reduceat(products, segment_starts, axis=0, out=sums)
+                blocks[damping][segment_blocks] -= sums
             scratch.release(mark)
 
 
@@ -615,19 +650,162 @@ def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes) -> _P
     return _PairPlan(tuple(lower), tuple(upper), int(pt_idx.max(initial=-1)) + 1)
 
 
-def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray, scratch) -> np.ndarray:
-    """``np.add.at(base.copy(), index, values)`` to the bit: base rows first."""
+def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray, plan) -> np.ndarray:
+    """``np.add.at(base.copy(), index, values[l])`` for each l, to the bit: base rows first.
+
+    ``values`` is (L, len(index), width), and ``index`` is the camera or the
+    point index array of ``plan``; the result is an (L, *base.shape) view.
+    One bincount adds every l's rows, with l the middle slot index. The
+    slots depend only on the index and the shapes, so the plan keeps them.
+    """
     length, width = base.shape
-    rows = length + len(index)
+    count, rows = len(values), length + len(index)
+    key = (length, width, count)  # width 9 for camera rows, 3 for point rows
+    slots = plan.row_slots.get(key)
+    if slots is None:
+        rows_index = np.concatenate((np.arange(length), index))
+        slots = (rows_index[:, None] * (count * width) + np.arange(count * width)).ravel()
+        slots.flags.writeable = False
+        plan.row_slots[key] = slots
+    scratch = plan.workspace
     mark = scratch.used
-    slots = scratch(rows, width, dtype=np.intp)
-    np.multiply(np.arange(length)[:, None], width, out=slots[:length])
-    np.multiply(index[:, None], width, out=slots[length:])
-    slots += np.arange(width)
-    addends = np.concatenate((base, values), out=scratch(rows, width))
-    sums = np.bincount(slots.ravel(), weights=addends.ravel(), minlength=base.size)
+    addends = scratch(rows, count, width)
+    np.copyto(addends[:length], base[:, None])
+    np.copyto(addends[length:], values.transpose(1, 0, 2))
+    sums = np.bincount(slots, weights=addends.ravel(), minlength=count * base.size)
     scratch.release(mark)
-    return sums.reshape(base.shape)
+    return sums.reshape(length, count, width).transpose(1, 0, 2)
+
+
+def _damped_steps(lin: Linearization, lams, method: str = "auto"):
+    """The steps of (H + lambda*I) delta = -g at each damping of ``lams``, as one batch.
+
+    Returns (delta_cameras (L, num_cameras, 9), delta_points (L,
+    num_points, 3), failures), where ``failures[l]`` is the
+    ``SingularSystemError`` of damping l, or None when its rows hold its
+    step. A damping's rows are, to the bit, what the batch of it alone
+    gives. The Schur path's temporaries live in the pair plan's workspace.
+    """
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        if lam < 0 or not math.isfinite(lam):
+            raise ValueError(f"damping must be a non-negative finite scalar, got {lam}")
+    if method == "auto":
+        method = "dense" if lin.num_cameras < DENSE_CAMERA_LIMIT else "schur"
+    count, nc = len(lams), lin.num_cameras
+    failures = [None] * count
+    if method == "dense":
+        hess, grad = dense_system(lin)
+        delta = np.zeros((count, len(hess)))
+        for damping, lam in enumerate(lams):
+            try:
+                delta[damping] = _solve_spd(hess + lam * np.eye(len(hess)), -grad)
+            except SingularSystemError as exc:
+                failures[damping] = exc
+        split = 9 * nc
+        delta_cam, delta_pt = delta[:, :split], delta[:, split:]
+        return delta_cam.reshape(count, -1, 9), delta_pt.reshape(count, -1, 3), failures
+    if method != "schur":
+        raise ValueError(f"unknown method {method!r}")
+
+    n = len(lin.cam_idx)
+    plan = _pair_plan(lin.cam_idx, lin.pt_idx, nc)
+    if plan.points_indexed > len(lin.h_pp):
+        # The workspace's gathers do not check their indices.
+        raise IndexError(f"point index {plan.points_indexed - 1} is out of range")
+    damping_axis = np.array(lams).reshape(count, 1, 1, 1)
+    point_system = lin.h_pp + damping_axis * np.eye(3)
+    try:
+        point_inv = np.linalg.inv(point_system.reshape(-1, 3, 3)).reshape(point_system.shape)
+    except np.linalg.LinAlgError:
+        # Find the dampings whose point blocks are singular; the rest go on.
+        point_inv = np.zeros(point_system.shape)
+        for damping in range(count):
+            try:
+                point_inv[damping] = np.linalg.inv(point_system[damping])
+            except np.linalg.LinAlgError as exc:
+                failures[damping] = SingularSystemError(f"point block inversion failed: {exc}")
+
+    # E = H_cp V^-1 component-major, then one copy to (L, n, 9, 3) for the pair gathers.
+    scratch = plan.workspace.frame()
+    cross_dinv = scratch(count, n, 9, 3)
+    mark = scratch.used
+    point_inv_columns = np.ascontiguousarray(point_inv.transpose(2, 3, 0, 1))
+    cross_columns = _batched_matmul(
+        lin.h_cp.transpose(1, 2, 0)[:, :, None],
+        scratch.take(point_inv_columns, lin.pt_idx, axis=3),
+        scratch(9, 3, count, n),
+        scratch,
+    )
+    np.copyto(cross_dinv, cross_columns.transpose(2, 3, 0, 1))
+    scratch.release(mark)
+
+    # The right-hand side over the L * n rows of every damping at once.
+    grad_pt_rows = scratch(count, n, 3)
+    lin.grad_pt.take(lin.pt_idx, axis=0, out=grad_pt_rows[0], mode="clip")
+    grad_pt_rows[1:] = grad_pt_rows[0]
+    cross_grad = np.einsum(
+        "nij,nj->ni",
+        cross_dinv.reshape(count * n, 9, 3),
+        grad_pt_rows.reshape(count * n, 3),
+        out=scratch(count * n, 9),
+    )
+    rhs = _added_rows(-lin.grad_cam, lin.cam_idx, cross_grad.reshape(count, n, 9), plan)
+    scratch.release(mark)
+
+    cross_t = scratch(n, 3, 9)
+    np.copyto(cross_t, lin.h_cp.transpose(0, 2, 1))
+    blocks = scratch(count, nc * nc, 9, 9)  # block (a, b) of damping l's S at [l, a * nc + b]
+    blocks.fill(0.0)
+    blocks[:, np.arange(nc) * (nc + 1)] = lin.h_cc + damping_axis * np.eye(9)
+    plan.subtract(blocks, plan.lower, cross_dinv, cross_t)
+
+    def fortran(damping: int) -> np.ndarray:
+        """Damping ``damping``'s reduced system, as a Fortran-ordered matrix in ``scratch``."""
+        # Element (a, r, b, s) of S is storage[b, s, a, r]: Fortran order, so
+        # the Cholesky factorization runs in place.
+        storage = scratch(nc, 9, nc, 9)
+        np.copyto(storage, blocks[damping].reshape(nc, nc, 9, 9).transpose(1, 3, 0, 2))
+        return storage.reshape(9 * nc, 9 * nc).T
+
+    def full(damping: int) -> np.ndarray:
+        """The whole matrix, with the upper pairs subtracted too."""
+        rows = slice(damping, damping + 1)
+        plan.subtract(blocks[rows], plan.upper, cross_dinv[rows], cross_t)
+        return fortran(damping)
+
+    delta_cam = np.zeros((count, nc, 9))
+    for damping in range(count):
+        if failures[damping] is not None:
+            continue
+        mark = scratch.used
+        # The upper triangle is assembled only for the least-squares fallback.
+        try:
+            solution = _solve_spd(
+                fortran(damping), rhs[damping].ravel(), functools.partial(full, damping)
+            )
+            delta_cam[damping] = solution.reshape(nc, 9)
+        except SingularSystemError as exc:
+            failures[damping] = exc
+        scratch.release(mark)
+    scratch.release(0)
+
+    delta_cam_rows = scratch.take(delta_cam, lin.cam_idx, axis=1)
+    # One damping reads H_cp as it is; more read a C-ordered copy per damping,
+    # whose sums are the same bits.
+    h_cp_rows = lin.h_cp if count == 1 else np.concatenate((lin.h_cp,) * count)
+    cross_step = np.einsum(
+        "nij,ni->nj", h_cp_rows, delta_cam_rows.reshape(count * n, 9), out=scratch(count * n, 3)
+    )
+    back = _added_rows(lin.grad_pt, lin.pt_idx, cross_step.reshape(count, n, 3), plan)
+    npts = len(lin.grad_pt)
+    delta_pt = -np.einsum(
+        "nij,nj->ni", point_inv.reshape(count * npts, 3, 3), back.reshape(count * npts, 3)
+    ).reshape(count, npts, 3)
+    for damping, failure in enumerate(failures):
+        if failure is not None:
+            delta_pt[damping] = 0.0  # a failed damping's rows are zero
+    return delta_cam, delta_pt, failures
 
 
 def damped_step(
@@ -639,73 +817,46 @@ def damped_step(
     "schur", or "dense". The Schur path's temporaries live in the pair
     plan's workspace; the returned steps are new arrays.
     """
-    if lam < 0 or not np.isfinite(lam):
-        raise ValueError(f"damping must be a non-negative finite scalar, got {lam}")
-    if method == "auto":
-        method = "dense" if lin.num_cameras < DENSE_CAMERA_LIMIT else "schur"
-    if method == "dense":
-        hess, grad = dense_system(lin)
-        delta = _solve_spd(hess + lam * np.eye(len(hess)), -grad)
-        split = 9 * lin.num_cameras
-        return delta[:split].reshape(-1, 9), delta[split:].reshape(-1, 3)
-    if method != "schur":
-        raise ValueError(f"unknown method {method!r}")
-
-    nc, n = lin.num_cameras, len(lin.cam_idx)
-    plan = _pair_plan(lin.cam_idx, lin.pt_idx, nc)
-    if plan.points_indexed > len(lin.h_pp):
-        # The workspace's gathers do not check their indices.
-        raise IndexError(f"point index {plan.points_indexed - 1} is out of range")
-    point_system = lin.h_pp + lam * np.eye(3)
-    try:
-        point_inv = np.linalg.inv(point_system)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"point block inversion failed: {exc}") from exc
-
-    # E = H_cp V^-1 component-major, then one copy to (n, 9, 3) for the pair gathers.
-    scratch = plan.workspace.frame()
-    cross_dinv = scratch(n, 9, 3)
-    mark = scratch.used
-    point_inv_columns = np.ascontiguousarray(point_inv.transpose(1, 2, 0))
-    cross_columns = _batched_matmul(
-        lin.h_cp.transpose(1, 2, 0),
-        scratch.take(point_inv_columns, lin.pt_idx, axis=2),
-        scratch(9, 3, n),
-        scratch,
-    )
-    np.copyto(cross_dinv, cross_columns.transpose(2, 0, 1))
-    scratch.release(mark)
-
-    grad_pt_rows = scratch.take(lin.grad_pt, lin.pt_idx, axis=0)
-    cross_grad = np.einsum("nij,nj->ni", cross_dinv, grad_pt_rows, out=scratch(n, 9))
-    rhs = _added_rows(-lin.grad_cam, lin.cam_idx, cross_grad, scratch)
-    scratch.release(mark)
-
-    cross_t = scratch(n, 3, 9)
-    np.copyto(cross_t, lin.h_cp.transpose(0, 2, 1))
-    blocks = scratch(nc * nc, 9, 9)  # block (a, b) of S at a * nc + b
-    blocks.fill(0.0)
-    blocks[np.arange(nc) * (nc + 1)] = lin.h_cc + lam * np.eye(9)
-
-    def reduced(chunks) -> np.ndarray:
-        """The reduced system, Fortran-ordered, with the pairs of ``chunks`` subtracted too."""
-        plan.subtract(blocks, chunks, cross_dinv, cross_t)
-        # Element (a, r, b, s) of S is storage[b, s, a, r]: Fortran order, so
-        # the Cholesky factorization runs in place.
-        storage = scratch(nc, 9, nc, 9)
-        np.copyto(storage, blocks.reshape(nc, nc, 9, 9).transpose(1, 3, 0, 2))
-        return storage.reshape(9 * nc, 9 * nc).T
-
-    # The upper triangle is assembled only for the least-squares fallback.
-    delta_cam = _solve_spd(reduced(plan.lower), rhs.ravel(), lambda: reduced(plan.upper))
-    delta_cam = delta_cam.reshape(nc, 9)
-    scratch.release(0)
-
-    delta_cam_rows = scratch.take(delta_cam, lin.cam_idx, axis=0)
-    cross_step = np.einsum("nij,ni->nj", lin.h_cp, delta_cam_rows, out=scratch(n, 3))
-    back = _added_rows(lin.grad_pt, lin.pt_idx, cross_step, scratch)
-    delta_pt = -np.einsum("nij,nj->ni", point_inv, back)
+    (delta_cam,), (delta_pt,), (failure,) = _damped_steps(lin, (lam,), method)
+    if failure is not None:
+        raise failure
     return delta_cam, delta_pt
+
+
+def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_pt, failures):
+    """Per damping l, the candidate ``params + delta_*[l]`` and its error, or its failure.
+
+    One projection covers every damping's candidate: the cameras are
+    stacked as (L * num_cameras, 9) and the points as (L * num_points, 3),
+    with the observation indices offset for each damping. Each damping's
+    residual and error then come from its own contiguous rows, so they are
+    the bits a projection of that candidate alone gives.
+    """
+    cam_idx, pt_idx, pixels = problem.observation_arrays()
+    n, count = len(cam_idx), len(failures)
+    cameras = params.cameras + delta_cam
+    points = params.points + delta_pt
+    if count > 1:
+        offsets = np.arange(count)[:, None]
+        cam_idx = (cam_idx + offsets * len(params.cameras)).ravel()
+        pt_idx = (pt_idx + offsets * len(params.points)).ravel()
+    predicted, depths = project_many(
+        cameras.reshape(-1, 9), points.reshape(-1, 3), cam_idx, pt_idx
+    )
+    outcomes = list(failures)
+    for damping, failure in enumerate(failures):
+        if failure is not None:
+            continue
+        rows = slice(damping * n, (damping + 1) * n)
+        try:
+            res = _checked_residual(pixels, predicted[rows], depths[rows])
+            err = estimation_error(res, problem.pixel_sigma)
+            if not np.isfinite(err):
+                raise NumericalFailureError("estimation error is non-finite")
+            outcomes[damping] = (ParamVector(cameras[damping], points[damping]), err)
+        except NumericalFailureError as exc:
+            outcomes[damping] = exc
+    return outcomes
 
 
 def evaluate_step(
@@ -722,11 +873,26 @@ def evaluate_step(
     error cannot be evaluated.
     """
     delta_cam, delta_pt = damped_step(lin, lam, method=method)
-    candidate = params.plus(delta_cam, delta_pt)
-    err = estimation_error(residuals(problem, candidate), problem.pixel_sigma)
-    if not np.isfinite(err):
-        raise NumericalFailureError("estimation error is non-finite")
-    return candidate, err
+    (outcome,) = _candidate_errors(problem, params, delta_cam[None], delta_pt[None], [None])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def evaluate_steps(
+    problem: BAProblem, params: ParamVector, lin: Linearization, lams
+) -> list:
+    """``evaluate_step`` at every damping of ``lams`` from one linearization, as one batch.
+
+    Returns, per damping, what ``evaluate_step`` gives there, to the bit:
+    ``(candidate, error)``, or the ``NumericalFailureError`` or
+    ``SingularSystemError`` it would raise, as a value. A failure stays
+    with its own damping. Invalid dampings raise ``ValueError``.
+    """
+    lams = list(lams)
+    if not lams:
+        return []
+    return _candidate_errors(problem, params, *_damped_steps(lin, lams))
 
 
 def lm_iterate(

@@ -29,6 +29,7 @@ from balm.bench import (
 from balm.env import BAEnv, EnvConfig
 from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy
 from balm.sac import TrainConfig, init_agent
+from balm.scene import BAProblem
 from balm.solver import solve
 
 
@@ -109,17 +110,35 @@ class TestRunComparison:
             assert agg["median_final_error"] == np.median([r.final_error for r in rows])
 
     def test_failure_becomes_outcome_row_and_sweep_survives(self):
-        problems = {"s2": suite_problem(2, 4, 6)}
-        policies = {"classic": ClassicPolicy(), "broken": ExplodingPolicy()}
+        # Every point at the origin, seen from cameras at the origin: the
+        # initial state has zero depths, so solve raises NumericalFailureError.
+        good = suite_problem(2, 4, 6)
+        cameras = good.camera_blocks.copy()
+        cameras[:, 3:6] = 0.0
+        flat = BAProblem.from_arrays(
+            cameras, np.zeros_like(good.point_blocks), good.cam_idx, good.pt_idx, good.pixels,
+            good.pixel_sigma,
+        )
+        problems = {"s2": good, "flat": flat}
+        policies = {"classic": ClassicPolicy(), "gn": FixedPolicy(1e-15)}
         table = run_comparison(
             problems, policies, env_config={"deterministic_time": True}
         )
-        by_kind = {r.policy_kind: r for r in table.records}
-        assert by_kind["broken"].outcome.startswith("error:")
-        assert np.isnan(by_kind["broken"].final_error)
-        assert by_kind["classic"].outcome == "converged"
-        broken_agg = next(a for a in table.aggregates if a["policy"] == "broken")
-        assert broken_agg["success_rate"] == 0.0
+        by_cell = {(r.problem_id, r.policy_kind): r for r in table.records}
+        for kind in policies:
+            assert by_cell["flat", kind].outcome.startswith("error:")
+            assert "depth" in by_cell["flat", kind].outcome
+            assert np.isnan(by_cell["flat", kind].final_error)
+            assert by_cell["s2", kind].outcome == "converged"
+        assert [a["success_rate"] for a in table.aggregates] == [0.5, 0.5]
+
+    def test_a_bug_raises_instead_of_becoming_a_row(self):
+        problems = {"s2": suite_problem(2, 4, 6)}
+        with pytest.raises(RuntimeError, match="boom"):
+            run_comparison(problems, {"broken": ExplodingPolicy()})
+        # a policy spec as a dict is not a DampingPolicy
+        with pytest.raises(AttributeError, match="window"):
+            run_comparison({"s": suite_scene(0, 4, 6)}, {"classic": {"kind": "classic"}})
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
@@ -358,7 +377,6 @@ class TestAblations:
             solved.append(kwargs["threshold"])
             return solve(problem, policy, **kwargs)
 
-        monkeypatch.setitem(bench.ABLATION_VARIANTS, "threshold", ("threshold", (1e-6, 1e-8)))
         monkeypatch.setattr(bench, "train_agent", stub_train)
         monkeypatch.setattr(bench, "solve", recording_solve)
         config = dict(TINY_ABLATION, eval_seeds=[2, 3])

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 from conftest import suite_problem
 
+from balm import cli
 from balm.baselines import init_zero_net, save_zero_net_checkpoint
+from balm.bench import DEFAULT_ABLATION_CONFIG
 from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
 from balm.policy import (
     DEFAULT_SCHEDULE,
@@ -360,6 +362,25 @@ class TestAblateCli:
     def test_missing_kind_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("ablate", "--out-dir", tmp_path)
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ((), True),
+            (("--deterministic-time",), True),
+            (("--ablation-config", '{"deterministic_time": false}'), False),
+        ],
+    )
+    def test_timing_mode_that_reaches_the_suite(self, tmp_path, monkeypatch, flags, expected):
+        configs = []
+
+        def stub_suite(kind, base_config=None):  # trains nothing
+            configs.append({**DEFAULT_ABLATION_CONFIG, **(base_config or {})})
+            return {"kind": kind, "rows": []}
+
+        monkeypatch.setattr(cli, "ablation_suite", stub_suite)
+        assert run_cli("ablate", "--kind", "scheduler", *flags, "--out-dir", tmp_path) == 0
+        assert [config["deterministic_time"] for config in configs] == [expected]
 
 
 def test_module_entry_point(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from balm import solver
-from balm.baselines import zero_net_oracle
+from balm.baselines import DEFAULT_ORACLE_GRID, zero_net_oracle
 from balm.scene import (
     BAProblem,
     CameraPose,
@@ -39,6 +39,7 @@ from balm.solver import (
     dense_system,
     estimation_error,
     evaluate_step,
+    evaluate_steps,
     linearize,
     lm_iterate,
     records_to_csv,
@@ -817,6 +818,100 @@ class TestLmLayerBits:
             for method in ("schur", "dense"):
                 for a, b in zip(damped_step(lin, lam, method), damped_step(copied, lam, method)):
                     assert a.tobytes() == b.tobytes()
+
+
+# The golden scenes, plus one under DENSE_CAMERA_LIMIT cameras (the dense path).
+BATCH_SCENES = {**GOLDEN_SCENES, "tiny-dense": lambda: generate_synthetic(4, 6, seed=1)}
+BATCH_LAMBDAS = tuple(sorted(set(GOLDEN_LAMBDAS) | set(DEFAULT_ORACLE_GRID)))
+
+
+def outcome_bytes(outcome):
+    """A candidate's parameters and error as bytes, or a failure's type."""
+    if isinstance(outcome, Exception):
+        return type(outcome)
+    candidate, err = outcome
+    return candidate.cameras.tobytes(), candidate.points.tobytes(), np.float64(err).tobytes()
+
+
+def each_alone(problem, params, lin, lams):
+    """Per damping: (step bytes, outcome bytes) of damped_step and evaluate_step alone."""
+    results = []
+    for lam in lams:
+        try:
+            step = [a.tobytes() for a in damped_step(lin, lam)]
+            outcome = evaluate_step(problem, params, lin, lam)
+        except (NumericalFailureError, SingularSystemError) as exc:
+            results.append((None, type(exc)))
+            continue
+        results.append((step, outcome_bytes(outcome)))
+    return results
+
+
+class TestEvaluateSteps:
+    @pytest.mark.parametrize("iterations", [0, 3])
+    @pytest.mark.parametrize("scene", sorted(BATCH_SCENES))
+    def test_batch_is_each_damping_alone_to_the_bit(self, scene, iterations, monkeypatch):
+        problem = BATCH_SCENES[scene]()
+        params = ParamVector.from_problem(problem)
+        if iterations:
+            params = solve(
+                problem, ClassicPolicy(), max_iterations=iterations, deterministic_time=True
+            ).params
+        lin = linearize(problem, params)
+        expected = each_alone(problem, params, lin, BATCH_LAMBDAS)
+        fallbacks = []
+        lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            fallbacks.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        delta_cam, delta_pt, failures = solver._damped_steps(lin, BATCH_LAMBDAS)
+        batch = evaluate_steps(problem, params, lin, BATCH_LAMBDAS)
+        for k, (step, outcome) in enumerate(expected):
+            assert outcome_bytes(batch[k]) == outcome
+            if step is None:
+                continue
+            assert failures[k] is None
+            assert [delta_cam[k].tobytes(), delta_pt[k].tobytes()] == step
+        if scene == "thinned" and not iterations:
+            # 1e-16, 1e-15 and 1e-12 take the least-squares fallback, in both calls
+            assert len(fallbacks) == 6
+
+    def test_failures_stay_with_their_own_damping(self):
+        # Point 0 keeps only camera 0's view, and camera 0 has zero focal
+        # length, so point 0's block of H is exactly zero: its inversion fails
+        # at lambda = 0 and succeeds at every positive damping.
+        full = suite_problem(100)
+        keep = (full.pt_idx != 0) | (full.cam_idx == 0)
+        cameras = full.camera_blocks.copy()
+        cameras[0, 6] = 0.0
+        problem = BAProblem.from_arrays(
+            cameras, full.point_blocks, full.cam_idx[keep], full.pt_idx[keep],
+            full.pixels[keep], full.pixel_sigma,
+        )
+        state = SolverState.initial(problem)
+        lin = linearize(problem, state.params)
+        lams = (1e-4, 0.0, 1e-16, 1.0, 0.0)
+        batch = evaluate_steps(problem, state.params, lin, lams)
+        failed = [isinstance(outcome, SingularSystemError) for outcome in batch]
+        assert failed == [False, True, False, False, True]
+        alone = each_alone(problem, state.params, lin, lams)
+        assert [outcome_bytes(outcome) for outcome in batch] == [o for _, o in alone]
+        # the oracle skips the failed candidate and keeps the best of the rest
+        errors = {lam: batch[k][1] for k, lam in enumerate(lams) if lam > 0}
+        assert zero_net_oracle(problem, state, lams) == min(errors, key=errors.get) == 1e-16
+
+    @pytest.mark.parametrize("scene", ["tiny-dense", "suite-100"])
+    def test_bad_damping_raises_and_an_empty_batch_is_empty(self, scene):
+        problem = BATCH_SCENES[scene]()
+        params = ParamVector.from_problem(problem)
+        lin = linearize(problem, params)
+        for lams in ((0.1, -1.0), (float("nan"), 0.1)):
+            with pytest.raises(ValueError):
+                evaluate_steps(problem, params, lin, lams)
+        assert evaluate_steps(problem, params, lin, ()) == []
 
 
 class TestLmIterate:
