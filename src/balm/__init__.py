@@ -63,6 +63,7 @@ from .policy import (
 from .env import BAEnv, EnvConfig, StepOutcome, compute_reward
 from .sac import (
     AgentNets,
+    NonFiniteLossError,
     TrainConfig,
     init_agent,
     lambda_from_action,
@@ -136,6 +137,7 @@ __all__ = [
     "compute_reward",
     # sac
     "AgentNets",
+    "NonFiniteLossError",
     "TrainConfig",
     "init_agent",
     "lambda_from_action",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .env import make_reversed_state
 from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
-from .sac import TrainConfig, train_agent
+from .sac import NonFiniteLossError, TrainConfig, train_agent
 from .scene import BAProblem, generate_synthetic
 from .solver import NumericalFailureError, SolveResult, csv_text, solve
 
@@ -282,6 +282,9 @@ DEFAULT_ABLATION_CONFIG = {
     "deterministic_time": True,
 }
 ABLATION_SCENE_KEYS = ("num_cameras", "num_points", "train_seeds", "eval_seeds")
+# The typed failures of training and evaluation; an ablation records them as
+# an ``error`` row, and anything else (a bug) raises.
+ABLATION_FAILURES = (NonFiniteLossError, NumericalFailureError)
 
 
 def _ablation_problems(config: dict):
@@ -319,6 +322,8 @@ def ablation_suite(kind: str, base_config=None) -> dict:
 
     ``base_config`` overrides ``DEFAULT_ABLATION_CONFIG``; a key that is
     neither a scene key nor a ``TrainConfig`` field raises ``ValueError``.
+    A variant that fails with one of ``ABLATION_FAILURES`` becomes a row
+    with an ``error`` column; any other exception raises.
     """
     config = {**DEFAULT_ABLATION_CONFIG, **(base_config or {})}
     unknown = set(config) - set(ABLATION_SCENE_KEYS) - {f.name for f in fields(TrainConfig)}
@@ -334,7 +339,7 @@ def ablation_suite(kind: str, base_config=None) -> dict:
             try:
                 nets = _train_for_ablation(train_problems, variant)
                 rows.append(_eval_rows(nets, held_out, variant, {column: value}))
-            except Exception as exc:  # noqa: BLE001 - record, keep sweeping
+            except ABLATION_FAILURES as exc:  # record, keep sweeping
                 rows.append({column: value, "error": str(exc)})
     elif kind == "scheduler":
         try:
@@ -351,7 +356,7 @@ def ablation_suite(kind: str, base_config=None) -> dict:
                 if row["policy"] == "scheduler":
                     row["schedule"] = schedule
                 rows.append(row)
-        except Exception as exc:  # noqa: BLE001
+        except ABLATION_FAILURES as exc:
             rows.append({"error": str(exc)})
     else:
         raise ValueError(f"unknown ablation kind {kind!r}")

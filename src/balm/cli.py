@@ -64,8 +64,10 @@ def parse_seed_list(text: str) -> list:
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"descending seed range {part!r} in {text!r}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:

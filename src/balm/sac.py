@@ -41,6 +41,10 @@ LOG_TWO = float(np.log(2.0))
 HALF_LOG_TWO_PI = float(0.5 * np.log(2.0 * np.pi))
 
 
+class NonFiniteLossError(RuntimeError):
+    """A SAC update produced a non-finite critic, value or policy loss."""
+
+
 def lambda_from_action(u: float) -> float:
     """Map a squashed action in [-1, 1] to damping in [1e-16, 1e2]."""
     return float(10.0 ** (ACTION_SCALE * float(u) + ACTION_OFFSET))
@@ -349,7 +353,7 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
                     and np.isfinite(stats.value_loss)
                     and np.isfinite(stats.policy_loss)
                 ):
-                    raise RuntimeError(
+                    raise NonFiniteLossError(
                         "non-finite loss at episode "
                         f"{episode}, step {total_steps}: critic={stats.critic_loss}, "
                         f"value={stats.value_loss}, policy={stats.policy_loss}"

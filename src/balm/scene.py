@@ -286,12 +286,16 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     """``np.cross`` over the first axis, to the bit, without its axis bookkeeping.
 
     Component-major: ``a[i]`` is the i-th component of every vector. Each
-    component is the same two products and one difference.
+    component is the same two products and one difference, written straight
+    into ``out``.
     """
-    return np.stack(
-        (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]),
-        out=out,
-    )
+    first = a[1] * b[2] - a[2] * b[1]
+    if out is None:
+        out = np.empty((3, *first.shape))
+    out[0, ...] = first
+    out[1, ...] = a[2] * b[0] - a[0] * b[2]
+    out[2, ...] = a[0] * b[1] - a[1] * b[0]
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,7 +457,7 @@ def generate_synthetic(
         for attempt in range(max_retries + 1):
             candidate = rng.uniform(-POINT_HALF_EXTENT, POINT_HALF_EXTENT, size=3)
             depths = rotate_points(rotvecs, candidate)[:, 2] + camera_blocks[:, 5]
-            if np.all(np.abs(depths) > MIN_GENERATED_DEPTH):
+            if (np.abs(depths) > MIN_GENERATED_DEPTH).all():
                 point_blocks[pj] = candidate
                 break
         else:

@@ -39,6 +39,18 @@ reentrant across threads (balm starts none). No ``Linearization`` field
 and no returned step is ever part of the workspace: a linearization stays
 valid while other calls reuse it, as the greedy oracle's trials do.
 
+Each LM state is projected once. The step that scores a lone candidate
+keeps its whole projection (the gathered cameras and points, the camera
+frame, the image plane, r^2, the distortion and the pixels) on the
+candidate ``ParamVector``, and ``SolverState.initial`` does the same for
+the starting parameters; the ``linearize`` that starts from those
+parameters uses it instead of projecting again, so a k-iteration solve
+makes k + 1 projections, not 2k + 1. Like the pair plan, the carried
+projection is keyed on content: it is used only while the parameters
+still equal (``np.array_equal``) the snapshot taken when it was made, so
+an edit in place makes ``linearize`` project again. A batch of several
+dampings keeps none.
+
 The per-observation arrays of an iteration are component-major, with the
 observation index last: the gathered cameras (9, n) and points (3, n), the
 camera-frame points (3, n), the Jacobian blocks (2, 9, n) and (2, 3, n),
@@ -110,6 +122,9 @@ LAMBDA_MAX = 1e16
 CONVERGENCE_FLOOR = 1e-30
 DENSE_CAMERA_LIMIT = 5  # below this, skip the Schur elimination entirely
 PAIR_CHUNK = 1024  # observation pairs per batched product in the Schur assembly
+_EYE2, _EYE3, _EYE9 = np.eye(2), np.eye(3), np.eye(9)
+for _eye in (_EYE2, _EYE3, _EYE9):
+    _eye.flags.writeable = False
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_ITERATION_CAP = "iteration-cap"
@@ -128,12 +143,33 @@ class SingularSystemError(RuntimeError):
     """The damped normal equations could not be solved."""
 
 
-@dataclass
-class ParamVector:
-    """Packed optimization variables: camera blocks (n,9) and point blocks (m,3)."""
+@dataclass(frozen=True)
+class _Projection:
+    """``_project_rows`` of a snapshot of ``cameras`` and ``points`` over ``cam_idx``/``pt_idx``.
+
+    ``rows`` are new arrays, never part of a workspace, and nothing writes
+    to them, so parameter vectors may share one projection.
+    """
 
     cameras: np.ndarray
     points: np.ndarray
+    cam_idx: np.ndarray
+    pt_idx: np.ndarray
+    rows: tuple
+
+
+@dataclass
+class ParamVector:
+    """Packed optimization variables: camera blocks (n,9) and point blocks (m,3).
+
+    ``projection`` optionally carries the projection the solver made of
+    these values when it scored them, for ``linearize`` to reuse; it is
+    used only while the arrays still hold the values it was made from.
+    """
+
+    cameras: np.ndarray
+    points: np.ndarray
+    projection: _Projection | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_problem(problem: BAProblem) -> "ParamVector":
@@ -141,7 +177,7 @@ class ParamVector:
         return ParamVector(problem.camera_blocks.copy(), problem.point_blocks.copy())
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.cameras.copy(), self.points.copy())
+        return ParamVector(self.cameras.copy(), self.points.copy(), self.projection)
 
     def flat(self) -> np.ndarray:
         """Single vector in the fixed cameras-then-points layout."""
@@ -197,13 +233,21 @@ class SolverState:
 
     @staticmethod
     def initial(problem: BAProblem) -> "SolverState":
+        """The problem's parameters and error; the first ``linearize`` reuses their projection."""
         params = ParamVector.from_problem(problem)
-        err = estimation_error(residuals(problem, params), problem.pixel_sigma)
+        cam_idx, pt_idx, pixels = problem.observation_arrays()
+        rows = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
+        err = estimation_error(_checked_residual(pixels, rows[6], rows[2][2]), problem.pixel_sigma)
+        _carry(params, cam_idx, pt_idx, rows)
         return SolverState(params=params, error_history=[err], durations=[])
 
     def copy(self) -> "SolverState":
+        return self._holding(self.params.copy())
+
+    def _holding(self, params: ParamVector) -> "SolverState":
+        """A copy of this state that holds ``params`` as they are."""
         return SolverState(
-            params=self.params.copy(),
+            params=params,
             error_history=list(self.error_history),
             durations=list(self.durations),
             iteration=self.iteration,
@@ -234,16 +278,42 @@ def residuals(problem: BAProblem, params: ParamVector) -> np.ndarray:
     return _checked_residual(pixels, predicted, depths)
 
 
+def _carry(params: ParamVector, cam_idx, pt_idx, rows) -> None:
+    """Attach ``rows``, the projection of ``params``' current values, to ``params``."""
+    params.projection = _Projection(
+        params.cameras.copy(), params.points.copy(), cam_idx, pt_idx, rows
+    )
+
+
+def _carried_rows(params: ParamVector, cam_idx, pt_idx):
+    """``params``' carried projection over these indices, or None if it is not theirs.
+
+    The projection is keyed on content: it counts only while the parameters
+    hold the values it was made from, so an edit in place makes the caller
+    project again.
+    """
+    carried = params.projection
+    if (
+        carried is None
+        or carried.cam_idx is not cam_idx
+        or carried.pt_idx is not pt_idx
+        or not np.array_equal(carried.cameras, params.cameras)
+        or not np.array_equal(carried.points, params.points)
+    ):
+        return None
+    return carried.rows
+
+
 def _checked_residual(pixels, predicted, depths) -> np.ndarray:
     """``pixels - predicted``; a numerically zero depth or a non-finite value raises."""
     bad = np.abs(depths) <= DEPTH_EPS
-    if np.any(bad):
+    if bad.any():
         index = int(np.argmax(bad))
         raise NumericalFailureError(
             f"observation {index}: camera-frame depth is numerically zero", index
         )
     values = pixels - predicted
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         index = int(np.argmax(~np.isfinite(values).all(axis=1)))
         raise NumericalFailureError(f"observation {index}: non-finite residual", index)
     return values
@@ -251,7 +321,7 @@ def _checked_residual(pixels, predicted, depths) -> np.ndarray:
 
 def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
     """Sum of squared sigma-whitened residuals."""
-    return float(np.sum(res * res) / (pixel_sigma * pixel_sigma))
+    return float((res * res).sum() / (pixel_sigma * pixel_sigma))
 
 
 def _batched_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
@@ -348,7 +418,7 @@ def _rotation_matrices(rotvecs: np.ndarray) -> np.ndarray:
     summed in the same order.
     """
     cos_t, sinc, omc = _rotation_coefficients(_dot(rotvecs, rotvecs))
-    eye = np.eye(3)[:, :, None]
+    eye = _EYE3[:, :, None]
     return (
         cos_t * eye
         + sinc * _cross(rotvecs[:, None, :], eye)
@@ -412,16 +482,18 @@ def _gram_sums(
 def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     """Residuals plus analytic block Jacobian and weighted normal-equation blocks.
 
-    The temporaries live in the pair plan's workspace; every returned array
-    is new.
+    The projection ``params`` carry from the step that scored them is used
+    when it is still theirs; otherwise they are projected again. The
+    temporaries live in the pair plan's workspace; every returned array is
+    new.
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     nc, npts, n = problem.num_cameras, problem.num_points, len(cam_idx)
     scratch = _pair_plan(cam_idx, pt_idx, nc).workspace.frame()
-    # One projection, project_many's, serves the residual and the Jacobian.
-    cams, pts, cam_frame, plane, r2, distortion, predicted = _project_rows(
-        params.cameras, params.points, cam_idx, pt_idx, scratch
-    )
+    # One projection, carried or made here, serves the residual and the Jacobian.
+    cams, pts, cam_frame, plane, r2, distortion, predicted = _carried_rows(
+        params, cam_idx, pt_idx
+    ) or _project_rows(params.cameras, params.points, cam_idx, pt_idx, scratch)
     focal, k1, k2 = cams[6], cams[7], cams[8]
     z = cam_frame[2]
     residual = _checked_residual(pixels, predicted, z)
@@ -435,7 +507,7 @@ def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
     dplane[1, 2] = cam_frame[1] / (z * z)
 
     # d(pixel)/d(plane) = f * (distortion * I + (2 k1 + 4 k2 r2) p p^T)
-    dpix_dplane = np.multiply(distortion, np.eye(2)[:, :, None], out=scratch(2, 2, n))
+    dpix_dplane = np.multiply(distortion, _EYE2[:, :, None], out=scratch(2, 2, n))
     outer = np.multiply(plane[:, None], plane[None, :], out=scratch(2, 2, n))
     outer *= 2.0 * k1 + 4.0 * k2 * r2
     dpix_dplane += outer
@@ -523,7 +595,7 @@ def _solve_spd(
             solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"least-squares fallback failed: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
+    if not np.isfinite(solution).all():
         raise SingularSystemError("damped system produced a non-finite step")
     return solution
 
@@ -714,7 +786,7 @@ def _damped_steps(lin: Linearization, lams, method: str = "auto"):
         # The workspace's gathers do not check their indices.
         raise IndexError(f"point index {plan.points_indexed - 1} is out of range")
     damping_axis = np.array(lams).reshape(count, 1, 1, 1)
-    point_system = lin.h_pp + damping_axis * np.eye(3)
+    point_system = lin.h_pp + damping_axis * _EYE3
     try:
         point_inv = np.linalg.inv(point_system.reshape(-1, 3, 3)).reshape(point_system.shape)
     except np.linalg.LinAlgError:
@@ -757,7 +829,7 @@ def _damped_steps(lin: Linearization, lams, method: str = "auto"):
     np.copyto(cross_t, lin.h_cp.transpose(0, 2, 1))
     blocks = scratch(count, nc * nc, 9, 9)  # block (a, b) of damping l's S at [l, a * nc + b]
     blocks.fill(0.0)
-    blocks[:, np.arange(nc) * (nc + 1)] = lin.h_cc + damping_axis * np.eye(9)
+    blocks[:, np.arange(nc) * (nc + 1)] = lin.h_cc + damping_axis * _EYE9
     plan.subtract(blocks, plan.lower, cross_dinv, cross_t)
 
     def fortran(damping: int) -> np.ndarray:
@@ -830,7 +902,8 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
     stacked as (L * num_cameras, 9) and the points as (L * num_points, 3),
     with the observation indices offset for each damping. Each damping's
     residual and error then come from its own contiguous rows, so they are
-    the bits a projection of that candidate alone gives.
+    the bits a projection of that candidate alone gives. A lone candidate
+    carries its projection, for the ``linearize`` that starts from it.
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     n, count = len(cam_idx), len(failures)
@@ -840,9 +913,8 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
         offsets = np.arange(count)[:, None]
         cam_idx = (cam_idx + offsets * len(params.cameras)).ravel()
         pt_idx = (pt_idx + offsets * len(params.points)).ravel()
-    predicted, depths = project_many(
-        cameras.reshape(-1, 9), points.reshape(-1, 3), cam_idx, pt_idx
-    )
+    projection = _project_rows(cameras.reshape(-1, 9), points.reshape(-1, 3), cam_idx, pt_idx)
+    predicted, depths = projection[6], projection[2][2]
     outcomes = list(failures)
     for damping, failure in enumerate(failures):
         if failure is not None:
@@ -851,9 +923,12 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
         try:
             res = _checked_residual(pixels, predicted[rows], depths[rows])
             err = estimation_error(res, problem.pixel_sigma)
-            if not np.isfinite(err):
+            if not math.isfinite(err):
                 raise NumericalFailureError("estimation error is non-finite")
-            outcomes[damping] = (ParamVector(cameras[damping], points[damping]), err)
+            candidate = ParamVector(cameras[damping], points[damping])
+            if count == 1:
+                _carry(candidate, cam_idx, pt_idx, projection)
+            outcomes[damping] = (candidate, err)
         except NumericalFailureError as exc:
             outcomes[damping] = exc
     return outcomes
@@ -913,12 +988,12 @@ def lm_iterate(
     instead of raising.
     """
     start = time.perf_counter()
-    new_state = state.copy()
     try:
         lin = linearize(problem, state.params)
         candidate, err = evaluate_step(problem, state.params, lin, lam, method=method)
     except (NumericalFailureError, SingularSystemError):
         duration = 1.0 if deterministic_time else time.perf_counter() - start
+        new_state = state.copy()
         new_state.failed = True
         record = IterationRecord(
             iteration=state.iteration + 1, lam=lam, error=float("nan"), duration_s=duration
@@ -928,9 +1003,10 @@ def lm_iterate(
     previous = state.error_history[-1]
     if accept_only_improving and err > previous:
         err = previous
+        new_state = state.copy()  # keeps its parameters, as a copy of their own
         new_state.last_step_accepted = False
     else:
-        new_state.params = candidate
+        new_state = state._holding(candidate)
         new_state.last_step_accepted = True
     duration = 1.0 if deterministic_time else time.perf_counter() - start
     new_state.iteration += 1
@@ -964,7 +1040,7 @@ def classic_lambda_update(
         factor = 0.5 if err_t < err_prev else 2.0
     else:
         raise ValueError(f"unknown classic mode {mode!r}")
-    return float(np.clip(lam * factor, LAMBDA_MIN, LAMBDA_MAX))
+    return float(min(max(lam * factor, LAMBDA_MIN), LAMBDA_MAX))  # np.clip's value
 
 
 def solve(
@@ -999,7 +1075,9 @@ def solve(
         out = env.step(policy.next_lambda(out.observation))
     state = env.solver_state
     return SolveResult(
-        params=state.params,
+        # The parameters without their carried projection, which a result
+        # would otherwise keep alive (about 0.9 MB at 40x1500).
+        params=ParamVector(state.params.cameras, state.params.points),
         outcome=out.info["outcome"],
         iterations=state.iteration,
         total_time_s=float(sum(state.durations)),

@@ -28,7 +28,7 @@ from balm.bench import (
 )
 from balm.env import BAEnv, EnvConfig
 from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy
-from balm.sac import TrainConfig, init_agent
+from balm.sac import NonFiniteLossError, TrainConfig, init_agent
 from balm.scene import BAProblem
 from balm.solver import solve
 
@@ -337,6 +337,28 @@ class TestAblations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ablation_suite("optimizer", TINY_ABLATION)
+
+    @pytest.mark.parametrize("kind", ["state_size", "scheduler"])
+    def test_a_typed_training_failure_becomes_an_error_row(self, kind, monkeypatch):
+        from balm import bench
+
+        def diverging(problems, config):
+            raise NonFiniteLossError("non-finite loss at episode 0")
+
+        monkeypatch.setattr(bench, "_train_for_ablation", diverging)
+        rows = ablation_suite(kind, TINY_ABLATION)["rows"]
+        assert rows and all(row["error"] == "non-finite loss at episode 0" for row in rows)
+
+    @pytest.mark.parametrize("kind", ["state_size", "scheduler"])
+    def test_a_bug_in_training_raises(self, kind, monkeypatch):
+        from balm import bench
+
+        def broken(problems, config):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(bench, "_train_for_ablation", broken)
+        with pytest.raises(TypeError, match="boom"):
+            ablation_suite(kind, TINY_ABLATION)
 
     def test_config_fields_reach_train_config(self, monkeypatch):
         from balm import bench

@@ -53,6 +53,11 @@ class TestHelpers:
         assert parse_seed_list("0-2,7") == [0, 1, 2, 7]
         with pytest.raises(ValueError):
             parse_seed_list("")
+        # a descending range is an error that names it, not an empty range
+        with pytest.raises(ValueError, match="'9-5'"):
+            parse_seed_list("0,9-5")
+        with pytest.raises(ValueError, match="descending seed range '9-5'"):
+            parse_seed_list("9-5")
 
     def test_read_text_transparent_gzip(self, tmp_path):
         plain = tmp_path / "data.txt"

@@ -369,6 +369,17 @@ class TestTraining:
         with pytest.raises(RuntimeError, match="non-finite loss"):
             train_agent(problems, self.tiny_cfg())
 
+    def test_non_finite_loss_has_its_own_type(self, monkeypatch):
+        import balm.sac as sac_module
+
+        def poisoned_update(nets, opt, batch, cfg, rng):
+            return UpdateStats(critic_loss=1.0, value_loss=1.0, policy_loss=float("inf"))
+
+        monkeypatch.setattr(sac_module, "sac_update", poisoned_update)
+        problems = [suite_problem(0, num_cameras=4, num_points=6)]
+        with pytest.raises(sac_module.NonFiniteLossError, match="policy=inf"):
+            train_agent(problems, self.tiny_cfg())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(gamma=0.0)

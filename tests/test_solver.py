@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from balm import scene as scene_module
 from balm import solver
 from balm.baselines import DEFAULT_ORACLE_GRID, zero_net_oracle
 from balm.scene import (
@@ -22,6 +23,7 @@ from balm.scene import (
     project,
     rotate_points,
 )
+from balm.env import BAEnv, EnvConfig, StepOutcome
 from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy
 from balm.solver import (
     DENSE_CAMERA_LIMIT,
@@ -972,6 +974,73 @@ class TestLmIterate:
                 worst = new
         if worst is not None:
             np.testing.assert_array_equal(worst.params.cameras, state.params.cameras)
+
+
+def counted_projections(monkeypatch) -> list:
+    """Wrap ``scene._project_rows`` where the solver and ``project_many`` call it.
+
+    Returns the list that gains one entry per projection.
+    """
+    calls = []
+    project_rows = scene_module._project_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return project_rows(*args, **kwargs)
+
+    monkeypatch.setattr(scene_module, "_project_rows", counted)
+    monkeypatch.setattr(solver, "_project_rows", counted)
+    return calls
+
+
+class TestCarriedProjection:
+    @pytest.mark.parametrize("scene", ["suite-100", "few-view-40x400", "thinned"])
+    def test_carried_linearization_is_a_fresh_one_to_the_byte(self, scene, monkeypatch):
+        problem = GOLDEN_SCENES[scene]()
+        calls = counted_projections(monkeypatch)
+        policy = ClassicPolicy()
+        env = BAEnv(EnvConfig(window=policy.window, deterministic_time=True))
+        policy.reset()
+        out = StepOutcome(env.reset(problem), 0.0, False)
+        while not out.done:
+            params = env.solver_state.params
+            made = len(calls)
+            carried = linearize(problem, params)
+            assert len(calls) == made  # linearized from the step's projection
+            fresh = linearize(problem, ParamVector(params.cameras.copy(), params.points.copy()))
+            assert len(calls) == made + 1
+            for name in LIN_FIELDS:
+                assert getattr(carried, name).tobytes() == getattr(fresh, name).tobytes(), name
+            out = env.step(policy.next_lambda(out.observation))
+        assert env.solver_state.iteration > 3
+
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_a_solve_projects_each_state_once(self, iterations, monkeypatch):
+        problem = suite_problem(100)
+        calls = counted_projections(monkeypatch)
+        result = solve(problem, ClassicPolicy(), max_iterations=iterations, deterministic_time=True)
+        assert result.iterations == iterations
+        assert len(calls) == iterations + 1
+
+    def test_an_edit_in_place_makes_linearize_project_again(self, monkeypatch):
+        problem = suite_problem(100)
+        state, _ = lm_iterate(problem, SolverState.initial(problem), 1e-3)
+        assert state.params.projection is not None
+        state.params.points[:] = 0.0
+        state.params.cameras[:, 3:6] = 0.0  # every depth is zero
+        calls = counted_projections(monkeypatch)
+        with pytest.raises(NumericalFailureError, match="depth"):
+            linearize(problem, state.params)
+        assert len(calls) == 1
+
+    def test_only_a_lone_candidate_carries_its_projection(self):
+        problem = suite_problem(100)
+        state = SolverState.initial(problem)
+        lin = linearize(problem, state.params)
+        candidate, _ = evaluate_step(problem, state.params, lin, 1e-3)
+        assert candidate.projection is not None
+        batch = evaluate_steps(problem, state.params, lin, (1e-3, 1.0))
+        assert [candidate.projection for candidate, _ in batch] == [None, None]
 
 
 class TestConvergenceCheck:
