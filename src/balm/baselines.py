@@ -1,9 +1,9 @@
 """Greedy supervised baseline: a net regressed toward one-step-optimal damping.
 
-The oracle tries every candidate damping on a copy of the solver state and
-keeps whichever minimizes the very next estimation error. A wide MLP maps
-the recent (states, actions, rewards) window to that greedy choice through
-the same tanh action squash the agent uses. By construction the baseline
+The oracle tries every candidate damping from the solver state and keeps
+whichever minimizes the very next estimation error. A wide MLP maps the
+recent (states, actions, rewards) window to that greedy choice through the
+same tanh action squash the agent uses. By construction the baseline
 never sees episode return, only the next step.
 """
 
@@ -25,7 +25,7 @@ from .nn import (
 )
 from .policy import ClassicPolicy
 from .sac import ACTION_OFFSET, ACTION_SCALE, lambda_from_action
-from .solver import NumericalFailureError, SolverState, evaluate_steps, linearize
+from .solver import NumericalFailureError, SolverState, evaluate_steps
 
 DEFAULT_ORACLE_GRID = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 10.0, 1e3)
 ZERO_NET_HIDDEN = 1280
@@ -51,18 +51,18 @@ def raw_regression_target(lam: float) -> float:
 def zero_net_oracle(problem, state: SolverState, grid=DEFAULT_ORACLE_GRID) -> float:
     """Greedy damping: the grid value whose trial step gives the lowest error.
 
-    The state is linearized once, and every candidate's step and error come
-    from one batched evaluation on that linearization (``evaluate_steps``),
-    each to the bit what ``lm_iterate`` would give from this state; the
-    state itself is not modified. A candidate whose step or error fails is
-    skipped. Ties break toward the smaller candidate by scanning in
-    ascending order.
+    Every candidate's step and error come from one batched evaluation on
+    the state's own linearization (``evaluate_steps``), each to the bit what
+    ``lm_iterate`` would give from this state; ``lm_iterate`` then reuses
+    that linearization. The state's parameters and history are not
+    modified. A candidate whose step or error fails is skipped. Ties break
+    toward the smaller candidate by scanning in ascending order.
     """
     candidates = sorted(float(g) for g in grid)
     if not candidates:
         raise ValueError("candidate grid must be non-empty")
     try:
-        lin = linearize(problem, state.params)
+        lin = state.linearization(problem)
     except NumericalFailureError as exc:
         raise OracleFailureError(f"the state cannot be linearized: {exc}") from exc
     outcomes = evaluate_steps(problem, state.params, lin, candidates)

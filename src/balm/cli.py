@@ -225,12 +225,13 @@ def cmd_train(args) -> int:
     problems = list(_suite_problems(args, seeds).values())
     log_path = out_dir / "train_log.jsonl"
     entries = []
+    hidden = {} if args.hidden is None else {"hidden": args.hidden}  # else each trainer's default
     if args.algo == "sac":
         cfg = TrainConfig(
             episodes=args.episodes,
             seed=args.seed,
             window=args.window,
-            hidden=args.hidden if args.hidden is not None else 256,
+            **hidden,
             gamma=args.gamma,
             alpha=args.alpha,
             lr=args.lr,
@@ -252,7 +253,7 @@ def cmd_train(args) -> int:
             epochs=args.epochs,
             seed=args.seed,
             window=args.window,
-            hidden=args.hidden if args.hidden is not None else 1280,
+            **hidden,
             lr=args.lr,
             passes_per_epoch=args.passes_per_epoch,
             max_iterations=args.max_iterations,

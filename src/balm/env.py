@@ -11,6 +11,7 @@ it with a damping policy as the player.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,8 @@ class EnvConfig:
             raise ValueError("window must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
 
 
 @dataclass

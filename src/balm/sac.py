@@ -191,6 +191,8 @@ class TrainConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.batch_size < 1 or self.episodes < 1 or self.window < 1:
             raise ValueError("episodes, window, and batch_size must be positive")
+        if self.target_refresh < 1:
+            raise ValueError("target_refresh must be at least 1")
 
 
 @dataclass

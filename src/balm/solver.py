@@ -39,17 +39,17 @@ reentrant across threads (balm starts none). No ``Linearization`` field
 and no returned step is ever part of the workspace: a linearization stays
 valid while other calls reuse it, as the greedy oracle's trials do.
 
-Each LM state is projected once. The step that scores a lone candidate
-keeps its whole projection (the gathered cameras and points, the camera
-frame, the image plane, r^2, the distortion and the pixels) on the
-candidate ``ParamVector``, and ``SolverState.initial`` does the same for
-the starting parameters; the ``linearize`` that starts from those
-parameters uses it instead of projecting again, so a k-iteration solve
-makes k + 1 projections, not 2k + 1. Like the pair plan, the carried
-projection is keyed on content: it is used only while the parameters
-still equal (``np.array_equal``) the snapshot taken when it was made, so
-an edit in place makes ``linearize`` project again. A batch of several
-dampings keeps none.
+Each LM state is projected once and linearized once. A ``SolverState``
+owns the projection and the ``Linearization`` of its parameters, and it
+makes the parameter arrays read-only, so neither can go stale.
+``SolverState.initial`` keeps the projection that scored the starting
+parameters, and ``lm_iterate`` the one that scored a lone accepted
+candidate; the first ``SolverState.linearization`` request builds the
+Jacobian from it through ``linearize`` and then drops it. A k-iteration
+solve therefore makes k + 1 projections, not 2k + 1, and the greedy
+oracle and the iteration that follows it share one linearization. The
+successor of a rejected or failed step shares its parameters and their
+linearization. A batch of several dampings keeps no projection.
 
 The per-observation arrays of an iteration are component-major, with the
 observation index last: the gathered cameras (9, n) and points (3, n), the
@@ -101,7 +101,7 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -143,41 +143,19 @@ class SingularSystemError(RuntimeError):
     """The damped normal equations could not be solved."""
 
 
-@dataclass(frozen=True)
-class _Projection:
-    """``_project_rows`` of a snapshot of ``cameras`` and ``points`` over ``cam_idx``/``pt_idx``.
-
-    ``rows`` are new arrays, never part of a workspace, and nothing writes
-    to them, so parameter vectors may share one projection.
-    """
-
-    cameras: np.ndarray
-    points: np.ndarray
-    cam_idx: np.ndarray
-    pt_idx: np.ndarray
-    rows: tuple
-
-
 @dataclass
 class ParamVector:
-    """Packed optimization variables: camera blocks (n,9) and point blocks (m,3).
-
-    ``projection`` optionally carries the projection the solver made of
-    these values when it scored them, for ``linearize`` to reuse; it is
-    used only while the arrays still hold the values it was made from.
-    """
+    """Packed optimization variables: camera blocks (n,9) and point blocks (m,3)."""
 
     cameras: np.ndarray
     points: np.ndarray
-    projection: _Projection | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_problem(problem: BAProblem) -> "ParamVector":
-        # A copy: solver states move their parameters in place.
         return ParamVector(problem.camera_blocks.copy(), problem.point_blocks.copy())
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.cameras.copy(), self.points.copy(), self.projection)
+        return ParamVector(self.cameras.copy(), self.points.copy())
 
     def flat(self) -> np.ndarray:
         """Single vector in the fixed cameras-then-points layout."""
@@ -222,7 +200,13 @@ class IterationRecord:
 
 @dataclass
 class SolverState:
-    """Mutable optimization state; ``error_history`` has iteration+1 entries."""
+    """One LM state; ``error_history`` has iteration+1 entries.
+
+    The state owns its parameters, whose arrays it makes read-only, and
+    their projection and linearization over the observations of the
+    problem it was made for; pass it only to calls on that problem.
+    ``dataclasses.replace`` carries neither onto other parameters.
+    """
 
     params: ParamVector
     error_history: list[float]
@@ -230,30 +214,38 @@ class SolverState:
     iteration: int = 0
     failed: bool = False
     last_step_accepted: bool = True
+    _projection: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _linearization: Linearization | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.params.cameras.flags.writeable = False
+        self.params.points.flags.writeable = False
 
     @staticmethod
     def initial(problem: BAProblem) -> "SolverState":
-        """The problem's parameters and error; the first ``linearize`` reuses their projection."""
+        """The problem's parameters and error; their projection is kept for ``linearization``."""
         params = ParamVector.from_problem(problem)
         cam_idx, pt_idx, pixels = problem.observation_arrays()
         rows = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
         err = estimation_error(_checked_residual(pixels, rows[6], rows[2][2]), problem.pixel_sigma)
-        _carry(params, cam_idx, pt_idx, rows)
-        return SolverState(params=params, error_history=[err], durations=[])
+        state = SolverState(params=params, error_history=[err], durations=[])
+        state._projection = rows
+        return state
+
+    def linearization(self, problem: BAProblem) -> Linearization:
+        """The parameters' ``linearize``, built on the first request from the kept projection."""
+        if self._linearization is None:
+            self._linearization = linearize(problem, self.params, _projection=self._projection)
+            self._projection = None
+        return self._linearization
 
     def copy(self) -> "SolverState":
-        return self._holding(self.params.copy())
-
-    def _holding(self, params: ParamVector) -> "SolverState":
-        """A copy of this state that holds ``params`` as they are."""
-        return SolverState(
-            params=params,
-            error_history=list(self.error_history),
-            durations=list(self.durations),
-            iteration=self.iteration,
-            failed=self.failed,
-            last_step_accepted=self.last_step_accepted,
-        )
+        """This state with lists of its own; the parameters and what is built on them are shared."""
+        twin = replace(self, error_history=list(self.error_history), durations=list(self.durations))
+        twin._projection, twin._linearization = self._projection, self._linearization
+        return twin
 
 
 @dataclass
@@ -276,32 +268,6 @@ def residuals(problem: BAProblem, params: ParamVector) -> np.ndarray:
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     predicted, depths = project_many(params.cameras, params.points, cam_idx, pt_idx)
     return _checked_residual(pixels, predicted, depths)
-
-
-def _carry(params: ParamVector, cam_idx, pt_idx, rows) -> None:
-    """Attach ``rows``, the projection of ``params``' current values, to ``params``."""
-    params.projection = _Projection(
-        params.cameras.copy(), params.points.copy(), cam_idx, pt_idx, rows
-    )
-
-
-def _carried_rows(params: ParamVector, cam_idx, pt_idx):
-    """``params``' carried projection over these indices, or None if it is not theirs.
-
-    The projection is keyed on content: it counts only while the parameters
-    hold the values it was made from, so an edit in place makes the caller
-    project again.
-    """
-    carried = params.projection
-    if (
-        carried is None
-        or carried.cam_idx is not cam_idx
-        or carried.pt_idx is not pt_idx
-        or not np.array_equal(carried.cameras, params.cameras)
-        or not np.array_equal(carried.points, params.points)
-    ):
-        return None
-    return carried.rows
 
 
 def _checked_residual(pixels, predicted, depths) -> np.ndarray:
@@ -479,21 +445,21 @@ def _gram_sums(
     return out
 
 
-def linearize(problem: BAProblem, params: ParamVector) -> Linearization:
+def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> Linearization:
     """Residuals plus analytic block Jacobian and weighted normal-equation blocks.
 
-    The projection ``params`` carry from the step that scored them is used
-    when it is still theirs; otherwise they are projected again. The
-    temporaries live in the pair plan's workspace; every returned array is
-    new.
+    ``_projection`` is ``SolverState``'s kept projection of ``params``
+    (``SolverState.linearization`` passes it); without it, ``params`` are
+    projected here. The temporaries live in the pair plan's workspace;
+    every returned array is new.
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     nc, npts, n = problem.num_cameras, problem.num_points, len(cam_idx)
     scratch = _pair_plan(cam_idx, pt_idx, nc).workspace.frame()
-    # One projection, carried or made here, serves the residual and the Jacobian.
-    cams, pts, cam_frame, plane, r2, distortion, predicted = _carried_rows(
-        params, cam_idx, pt_idx
-    ) or _project_rows(params.cameras, params.points, cam_idx, pt_idx, scratch)
+    # One projection, kept or made here, serves the residual and the Jacobian.
+    cams, pts, cam_frame, plane, r2, distortion, predicted = _projection or _project_rows(
+        params.cameras, params.points, cam_idx, pt_idx, scratch
+    )
     focal, k1, k2 = cams[6], cams[7], cams[8]
     z = cam_frame[2]
     residual = _checked_residual(pixels, predicted, z)
@@ -902,8 +868,8 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
     stacked as (L * num_cameras, 9) and the points as (L * num_points, 3),
     with the observation indices offset for each damping. Each damping's
     residual and error then come from its own contiguous rows, so they are
-    the bits a projection of that candidate alone gives. A lone candidate
-    carries its projection, for the ``linearize`` that starts from it.
+    the bits a projection of that candidate alone gives. Returns the
+    outcomes and the projection, which for a lone candidate is its own.
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     n, count = len(cam_idx), len(failures)
@@ -925,13 +891,10 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
             err = estimation_error(res, problem.pixel_sigma)
             if not math.isfinite(err):
                 raise NumericalFailureError("estimation error is non-finite")
-            candidate = ParamVector(cameras[damping], points[damping])
-            if count == 1:
-                _carry(candidate, cam_idx, pt_idx, projection)
-            outcomes[damping] = (candidate, err)
+            outcomes[damping] = (ParamVector(cameras[damping], points[damping]), err)
         except NumericalFailureError as exc:
             outcomes[damping] = exc
-    return outcomes
+    return outcomes, projection
 
 
 def evaluate_step(
@@ -940,18 +903,24 @@ def evaluate_step(
     lin: Linearization,
     lam: float,
     method: str = "auto",
+    *,
+    _keep_projection: bool = False,
 ) -> tuple[ParamVector, float]:
     """The damped step from ``params`` (linearized as ``lin``) and its error.
 
     Returns the candidate parameters and their estimation error. Raises
     ``NumericalFailureError`` or ``SingularSystemError`` when the step or its
-    error cannot be evaluated.
+    error cannot be evaluated. ``lm_iterate`` sets ``_keep_projection`` to
+    get the candidate's projection as a third value, for the state it
+    accepts the candidate into.
     """
     delta_cam, delta_pt = damped_step(lin, lam, method=method)
-    (outcome,) = _candidate_errors(problem, params, delta_cam[None], delta_pt[None], [None])
+    (outcome,), projection = _candidate_errors(
+        problem, params, delta_cam[None], delta_pt[None], [None]
+    )
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    return (*outcome, projection) if _keep_projection else outcome
 
 
 def evaluate_steps(
@@ -967,7 +936,7 @@ def evaluate_steps(
     lams = list(lams)
     if not lams:
         return []
-    return _candidate_errors(problem, params, *_damped_steps(lin, lams))
+    return _candidate_errors(problem, params, *_damped_steps(lin, lams))[0]
 
 
 def lm_iterate(
@@ -980,17 +949,21 @@ def lm_iterate(
 ) -> tuple[SolverState, IterationRecord]:
     """Run one damped iteration from ``state``; returns the successor state.
 
-    The iteration is ``linearize`` followed by ``evaluate_step``. The step
-    is applied additively to every parameter block and accepted
-    unconditionally unless ``accept_only_improving`` is set, in which case a
-    worsening step leaves the parameters (and error) unchanged. Failures
-    (degenerate depth, non-finite error, unsolvable system) mark the state
-    instead of raising.
+    The iteration is the state's linearization followed by
+    ``evaluate_step``. The step is applied additively to every parameter
+    block and accepted unconditionally unless ``accept_only_improving`` is
+    set, in which case a worsening step leaves the parameters (and error)
+    unchanged. Failures (degenerate depth, non-finite error, unsolvable
+    system) mark the state instead of raising. An accepted candidate keeps
+    the projection that scored it; the successor of a rejected or failed
+    step shares the state's parameters and linearization.
     """
     start = time.perf_counter()
     try:
-        lin = linearize(problem, state.params)
-        candidate, err = evaluate_step(problem, state.params, lin, lam, method=method)
+        lin = state.linearization(problem)
+        candidate, err, projection = evaluate_step(
+            problem, state.params, lin, lam, method=method, _keep_projection=True
+        )
     except (NumericalFailureError, SingularSystemError):
         duration = 1.0 if deterministic_time else time.perf_counter() - start
         new_state = state.copy()
@@ -1003,11 +976,17 @@ def lm_iterate(
     previous = state.error_history[-1]
     if accept_only_improving and err > previous:
         err = previous
-        new_state = state.copy()  # keeps its parameters, as a copy of their own
+        new_state = state.copy()
         new_state.last_step_accepted = False
     else:
-        new_state = state._holding(candidate)
-        new_state.last_step_accepted = True
+        new_state = replace(
+            state,
+            params=candidate,
+            error_history=list(state.error_history),
+            durations=list(state.durations),
+            last_step_accepted=True,
+        )
+        new_state._projection = projection
     duration = 1.0 if deterministic_time else time.perf_counter() - start
     new_state.iteration += 1
     new_state.error_history.append(err)
@@ -1075,9 +1054,7 @@ def solve(
         out = env.step(policy.next_lambda(out.observation))
     state = env.solver_state
     return SolveResult(
-        # The parameters without their carried projection, which a result
-        # would otherwise keep alive (about 0.9 MB at 40x1500).
-        params=ParamVector(state.params.cameras, state.params.points),
+        params=state.params,
         outcome=out.info["outcome"],
         iterations=state.iteration,
         total_time_s=float(sum(state.durations)),

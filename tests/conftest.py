@@ -18,6 +18,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest  # noqa: E402
 
+from balm import solver  # noqa: E402
 from balm.scene import generate_synthetic  # noqa: E402
 
 
@@ -42,3 +43,17 @@ def default_problem():
 @pytest.fixture(scope="session")
 def suite_problem_0():
     return suite_problem(0)
+
+
+@pytest.fixture
+def linearize_calls(monkeypatch):
+    """The list that gains one entry per ``solver.linearize`` call in the test."""
+    calls = []
+    original = solver.linearize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "linearize", counted)
+    return calls

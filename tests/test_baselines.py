@@ -7,11 +7,13 @@ family, where a full Gauss-Newton step is decisively the right move, so the
 regressed net has clean structure to learn.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import suite_problem
 
-from balm import baselines
+from balm import suite_scene
 from balm.baselines import (
     DEFAULT_ORACLE_GRID,
     OracleFailureError,
@@ -30,7 +32,7 @@ from balm.nn import mlp_forward, save_arrays
 from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
 from balm.sac import lambda_from_action
 from balm.scene import generate_synthetic
-from balm.solver import SolverState, lm_iterate, solve
+from balm.solver import ParamVector, SolverState, lm_iterate, solve
 
 
 def small_net(window=5, hidden=8, seed=0):
@@ -127,19 +129,22 @@ def test_oracle_matches_exhaustive_recheck_along_rollout():
         assert picked == min(l for l, e in errors.items() if e == best)
 
 
-def test_oracle_linearizes_the_state_once(monkeypatch):
+def test_oracle_linearizes_the_state_once(linearize_calls):
     problem = suite_problem(0, 4, 6)
     state = SolverState.initial(problem)
-    calls = {"n": 0}
-    original = baselines.linearize
-
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(baselines, "linearize", counted)
     zero_net_oracle(problem, state)
-    assert calls["n"] == 1
+    assert len(linearize_calls) == 1
+
+
+def test_collector_linearizes_each_labelled_state_once(linearize_calls):
+    # The oracle and the iteration that follows it share the state's linearization.
+    config = EnvConfig(window=5, deterministic_time=True)
+    labels = 0
+    for seed in range(10):
+        _, targets = _collect_labeled_windows(suite_scene(seed), None, DEFAULT_ORACLE_GRID, config)
+        labels += len(targets)
+    assert labels == 272
+    assert len(linearize_calls) == labels
 
 
 def test_oracle_does_not_mutate_the_snapshot():
@@ -156,9 +161,10 @@ def test_oracle_does_not_mutate_the_snapshot():
 
 def test_oracle_raises_when_every_candidate_fails():
     problem = generate_synthetic(6, 8, seed=0)
-    state = SolverState.initial(problem)
-    state.params.points[:] = 0.0
-    state.params.cameras[:, 3:6] = 0.0  # all observations hit zero depth
+    params = ParamVector.from_problem(problem)
+    params.points[:] = 0.0
+    params.cameras[:, 3:6] = 0.0  # all observations hit zero depth
+    state = dataclasses.replace(SolverState.initial(problem), params=params)
     with pytest.raises(OracleFailureError):
         zero_net_oracle(problem, state)
 

@@ -76,6 +76,9 @@ class TestEnvConfig:
             EnvConfig(window=0)
         with pytest.raises(ValueError):
             EnvConfig(max_iterations=0)
+        for threshold in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="threshold"):
+                EnvConfig(threshold=threshold)
 
 
 class TestEpisodes:

@@ -1,13 +1,16 @@
-"""The benchmark's use of the problem API, checked in the main suite.
+"""The benchmark's use of the package, checked in the main suite.
 
 ``perfbench/`` builds its sparse scenes from ``CameraPose``/``Point3``/
 ``Observation`` records and reads them back through the problem's record
-properties. Its own tests are not part of this suite, so a change to
-``BAProblem`` that broke the benchmark would otherwise pass here. The
-modules are imported as they are, without edits.
+properties, and its tracer wraps the package's functions by name. Its own
+tests are not part of this suite, so a change to ``BAProblem`` or to a
+traced name that broke the benchmark would otherwise pass here. The modules
+are imported as they are, without edits.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +19,8 @@ import pytest
 
 from balm.solver import ParamVector, estimation_error, residuals
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 MODULES = ("scenes", "reference")
 
 
@@ -49,3 +53,50 @@ def test_ground_truth_error_matches_the_solvers(perfbench, seed):
     truth = problem.ground_truth
     ours = estimation_error(residuals(truth, ParamVector.from_problem(truth)), truth.pixel_sigma)
     assert reference.ground_truth_error(problem) == pytest.approx(ours, rel=1e-12)
+
+
+# Installing the tracer rebinds the package's functions for good, so it runs
+# in a child process. It prints the names the tracer looks up that do not
+# resolve, and the name of every span.
+TRACED_COLLECTION = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from tracer import ORACLE, TRACED_METHODS, TRACED_MODULES, ZERO_NET_TRAIN, Tracer
+
+t = Tracer()
+t.install()
+modules = {name: sys.modules["balm." + name] for name in TRACED_MODULES}
+names = [(m, c + "." + f) for m, c, f, _ in TRACED_METHODS]
+names += [tuple(n.split(".")) for n in (ORACLE, ZERO_NET_TRAIN)]
+missing = []
+for module, path in names:
+    value = modules[module]
+    for attr in path.split("."):
+        value = getattr(value, attr, None)
+    if value is None:
+        missing.append(module + "." + path)
+
+from balm import suite_scene
+from balm.baselines import DEFAULT_ORACLE_GRID, _collect_labeled_windows
+from balm.env import EnvConfig
+
+config = EnvConfig(max_iterations=3, deterministic_time=True)
+_collect_labeled_windows(suite_scene(0), None, DEFAULT_ORACLE_GRID, config)
+print(json.dumps({"missing": missing, "spans": [span[0] for span in t.spans]}))
+"""
+
+
+def test_the_tracer_sees_one_linearization_per_label():
+    child = subprocess.run(
+        [sys.executable, "-c", TRACED_COLLECTION, str(PERFBENCH), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["missing"] == []
+    spans = report["spans"]
+    assert spans.count("baselines.zero_net_oracle") == 3
+    assert spans.count("solver.linearize") == spans.count("baselines.zero_net_oracle")
+    assert {"solver.lm_iterate", "solver.damped_step"} <= set(spans)

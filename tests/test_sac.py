@@ -358,6 +358,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_agent([], self.tiny_cfg())
 
+    def test_rejects_a_target_refresh_below_one(self):
+        for refresh in (0, -1):
+            with pytest.raises(ValueError, match="target_refresh"):
+                self.tiny_cfg(target_refresh=refresh)
+
     def test_aborts_on_non_finite_loss(self, monkeypatch):
         import balm.sac as sac_module
 

@@ -938,16 +938,17 @@ class TestLmIterate:
         assert rec.duration_s == 1.0
 
     def test_failure_marks_state_without_advancing(self, tiny_problem):
-        state = SolverState.initial(tiny_problem)
-        bad = state.copy()
-        bad.params.points[:] = 0.0
-        bad.params.cameras[:, 3:6] = 0.0
+        params = ParamVector.from_problem(tiny_problem)
+        params.points[:] = 0.0
+        params.cameras[:, 3:6] = 0.0
+        bad = dataclasses.replace(SolverState.initial(tiny_problem), params=params)
         new, rec = lm_iterate(tiny_problem, bad, 0.25)
         assert new.failed
         assert np.isnan(rec.error)
         assert rec.iteration == 1
         assert new.iteration == bad.iteration
         assert len(new.error_history) == len(bad.error_history)
+        assert new.params is bad.params  # shared, not copied
 
     def test_linearize_reads_the_stored_arrays(self, tiny_problem):
         lin = linearize(tiny_problem, ParamVector.from_problem(tiny_problem))
@@ -958,10 +959,36 @@ class TestLmIterate:
         cameras = tiny_problem.camera_blocks.tobytes()
         points = tiny_problem.point_blocks.tobytes()
         state = SolverState.initial(tiny_problem)
-        state.params.cameras[:] = 0.0
-        state.params.points[:] = 0.0
+        assert (state.params.cameras.tobytes(), state.params.points.tobytes()) == (cameras, points)
+        # a state built from fresh arrays holds those, and the problem keeps its own
+        params = ParamVector.from_problem(tiny_problem)
+        params.cameras[:] = 0.0
+        params.points[:] = 0.0
+        zeroed = dataclasses.replace(state, params=params)
+        assert zeroed.params is params
         assert tiny_problem.camera_blocks.tobytes() == cameras
         assert tiny_problem.point_blocks.tobytes() == points
+
+    def test_a_states_parameters_are_read_only(self, tiny_problem):
+        state = SolverState.initial(tiny_problem)
+        fresh = ParamVector.from_problem(tiny_problem)
+        for owner in (state, lm_iterate(tiny_problem, state, 0.25)[0], SolverState(fresh, [], [])):
+            with pytest.raises(ValueError):
+                owner.params.cameras[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                owner.params.points[:] = 0.0
+
+    def test_a_rejected_step_keeps_the_linearization(self, linearize_calls):
+        problem = generate_synthetic(10, 10, seed=7)
+        env = BAEnv(EnvConfig(accept_only_improving=True, deterministic_time=True))
+        env.reset(problem)
+        while env.solver_state.last_step_accepted:
+            before = env.solver_state
+            assert not env.step(1e-12).done
+        assert env.solver_state.params is before.params  # shared, not copied
+        made = len(linearize_calls)
+        env.step(1e-12)
+        assert len(linearize_calls) == made
 
     def test_reject_worsening_step_when_asked(self, tiny_problem):
         state = SolverState.initial(tiny_problem)
@@ -1005,7 +1032,7 @@ class TestCarriedProjection:
         while not out.done:
             params = env.solver_state.params
             made = len(calls)
-            carried = linearize(problem, params)
+            carried = env.solver_state.linearization(problem)
             assert len(calls) == made  # linearized from the step's projection
             fresh = linearize(problem, ParamVector(params.cameras.copy(), params.points.copy()))
             assert len(calls) == made + 1
@@ -1022,25 +1049,33 @@ class TestCarriedProjection:
         assert result.iterations == iterations
         assert len(calls) == iterations + 1
 
-    def test_an_edit_in_place_makes_linearize_project_again(self, monkeypatch):
+    def test_other_parameters_are_projected_again(self, monkeypatch):
         problem = suite_problem(100)
         state, _ = lm_iterate(problem, SolverState.initial(problem), 1e-3)
-        assert state.params.projection is not None
-        state.params.points[:] = 0.0
-        state.params.cameras[:, 3:6] = 0.0  # every depth is zero
+        params = ParamVector.from_problem(problem)
+        params.points[:] = 0.0
+        params.cameras[:, 3:6] = 0.0  # every depth is zero
+        zeroed = dataclasses.replace(state, params=params)  # carries no projection
         calls = counted_projections(monkeypatch)
         with pytest.raises(NumericalFailureError, match="depth"):
-            linearize(problem, state.params)
+            zeroed.linearization(problem)
         assert len(calls) == 1
+        state.linearization(problem)
+        assert len(calls) == 1  # the accepted step's projection
 
-    def test_only_a_lone_candidate_carries_its_projection(self):
+    def test_only_an_accepted_step_keeps_its_projection(self, monkeypatch):
         problem = suite_problem(100)
         state = SolverState.initial(problem)
-        lin = linearize(problem, state.params)
-        candidate, _ = evaluate_step(problem, state.params, lin, 1e-3)
-        assert candidate.projection is not None
-        batch = evaluate_steps(problem, state.params, lin, (1e-3, 1.0))
-        assert [candidate.projection for candidate, _ in batch] == [None, None]
+        lin = state.linearization(problem)
+        accepted, _ = lm_iterate(problem, state, 1e-3)
+        outcomes = [evaluate_step(problem, state.params, lin, 1e-3)]
+        outcomes += evaluate_steps(problem, state.params, lin, (1e-3, 1.0))
+        calls = counted_projections(monkeypatch)
+        accepted.linearization(problem)
+        assert len(calls) == 0
+        for candidate, err in outcomes:
+            SolverState(candidate, [err], []).linearization(problem)
+        assert len(calls) == 3
 
 
 class TestConvergenceCheck:
