@@ -21,6 +21,13 @@ The package is organised bottom-up:
   eval / profile / ablate).
 """
 
+import os
+
+# One BLAS thread unless the environment says otherwise (README, Reproducibility).
+# It binds only before numpy loads: here, as ``python -m balm`` runs this first.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .scene import (
     BAProblem,
     BalParseError,

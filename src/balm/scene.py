@@ -409,6 +409,34 @@ def _look_at_rotation(center: np.ndarray, roll: float) -> np.ndarray:
     return np.vstack([x_rolled, y_rolled, z_axis])
 
 
+def _matrix_rotvec(matrix: np.ndarray) -> list[float]:
+    """scipy's ``Rotation.from_matrix(matrix).as_rotvec()`` of an orthonormal
+    ``matrix``, to the bit: scipy's steps in order, in libm as its compiled
+    backend does (quaternion from the largest of diagonal and trace,
+    normalization, canonical sign, ``2 atan2`` and the Taylor branch)."""
+    m = matrix.tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    decision = [m[0][0], m[1][1], m[2][2], trace]
+    i = decision.index(max(decision))
+    if i == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = [0.0, 0.0, 0.0, m[k][j] - m[j][k]]
+        q[i], q[j], q[k] = 1 - trace + 2 * m[i][i], m[j][i] + m[i][j], m[k][i] + m[i][k]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0 or (w == 0 and (x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))))):
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return [scale * x, scale * y, scale * z]
+
+
 def generate_synthetic(
     num_cameras: int,
     num_points: int,
@@ -432,24 +460,22 @@ def generate_synthetic(
     """
     if num_cameras < 2 or num_points < 1:
         raise ValueError("need at least 2 cameras and 1 point")
-    from scipy.spatial.transform import Rotation
-
     if noise_std is None:
         noise_std = pixel_sigma
     rng = np.random.default_rng(seed)
 
     camera_blocks = np.zeros((num_cameras, 9))  # k1 = k2 = 0
     camera_blocks[:, 6] = focal
-    rotation_matrices = np.empty((num_cameras, 3, 3))
+    rotvecs = np.empty((num_cameras, 3))
     for ci in range(num_cameras):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         radius = rng.uniform(*SHELL_RADIUS)
         center = radius * direction
         roll = rng.uniform(-ROLL_RANGE, ROLL_RANGE)
-        rotation_matrices[ci] = _look_at_rotation(center, roll)
-        camera_blocks[ci, 3:6] = -rotation_matrices[ci] @ center
-    rotvecs = Rotation.from_matrix(rotation_matrices).as_rotvec()
+        rotation = _look_at_rotation(center, roll)
+        rotvecs[ci] = _matrix_rotvec(rotation)
+        camera_blocks[ci, 3:6] = -rotation @ center
     camera_blocks[:, 0:3] = rotvecs
 
     point_blocks = np.empty((num_points, 3))

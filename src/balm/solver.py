@@ -93,18 +93,25 @@ layout they read:
 
 Reordering a sum moves a step in its last bits, and along the
 near-singular gauge directions at small lambda by far more.
+
+The Cholesky routines ``dpotrf``/``dpotrs`` are loaded from the file of scipy's
+LAPACK extension ``scipy.linalg._flapack``: importing ``scipy.linalg`` for them
+would more than double balm's import time.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .scene import (
     DEPTH_EPS,
@@ -539,13 +546,34 @@ def dense_system(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
     return hess, grad
 
 
+def _flapack():
+    """``scipy.linalg._flapack``, loaded from its file unless already imported,
+    and registered under its name for a later ``import scipy.linalg`` to reuse."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    linalg = os.path.join(os.path.dirname(scipy_spec.origin), "linalg") if scipy_spec else None
+    spec = linalg and FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if not spec:
+        raise ImportError(f"scipy's LAPACK extension {name} was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+dpotrf, dpotrs = _flapack().dpotrf, _flapack().dpotrs
+
+
 def _solve_spd(
     matrix: np.ndarray, rhs: np.ndarray, full: Callable[[], np.ndarray] | None = None
 ) -> np.ndarray:
     """Cholesky solve with a least-squares fallback for semidefinite systems.
 
-    Calls the LAPACK routines behind ``cho_factor``/``cho_solve`` directly,
-    which skips their argument checks and batching wrappers. The Cholesky
+    Calls LAPACK's ``dpotrf``/``dpotrs`` from scipy's ``_flapack`` extension
+    (the routines behind ``scipy.linalg.cho_factor``/``cho_solve``) directly,
+    which skips those wrappers' argument checks and batching. The Cholesky
     factorization reads only the lower triangle of ``matrix``. With
     ``full``, the strict upper triangle may hold anything, a Fortran-ordered
     ``matrix`` is factored in place, and ``full()`` returns the whole matrix

@@ -388,21 +388,44 @@ class TestAblateCli:
         assert [config["deterministic_time"] for config in configs] == [expected]
 
 
-def test_module_entry_point(tmp_path):
+def run_module(*argv, env=os.environ):
+    """``python -m balm`` in a child process with ``env``."""
     # The subprocess does not see pytest's ``pythonpath``; put this checkout first.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    inherited = os.environ.get("PYTHONPATH")
+    inherited = env.get("PYTHONPATH")
     pythonpath = src + os.pathsep + inherited if inherited else src
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "balm", "generate", "--count", "1",
-            "--num-cameras", "4", "--num-points", "6",
-            "--out-dir", str(tmp_path),
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "balm", *(str(a) for a in argv)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env={**env, "PYTHONPATH": pythonpath},
+    )
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_module(
+        "generate", "--count", "1", "--num-cameras", "4", "--num-points", "6",
+        "--out-dir", tmp_path,
     )
     assert proc.returncode == 0
     assert (tmp_path / "scene-0.txt").exists()
     assert "wrote 1 scenes" in proc.stdout
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: BLAS has one thread anyway")
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 24 cameras make a 216-unknown reduced camera system; OpenBLAS splits
+    # dpotrf across threads, and moves its bits, from about 192 unknowns up.
+    scene = tmp_path / "scene.txt"
+    scene.write_text(serialize_bal(suite_problem(0, num_cameras=24, num_points=30)))
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unpinned = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    pinned = {**unpinned, **dict.fromkeys(blas_vars, "1")}
+    for name, env in (("unpinned", unpinned), ("pinned", pinned)):
+        proc = run_module(
+            "solve", "--problem", scene, "--pixel-sigma", "250", "--deterministic-time",
+            "--out-dir", tmp_path / name, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+    result = (tmp_path / "pinned" / "result.json").read_bytes()
+    assert (tmp_path / "unpinned" / "result.json").read_bytes() == result

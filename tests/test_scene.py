@@ -126,6 +126,64 @@ class TestRotation:
         np.testing.assert_allclose(below, reference_rotate([0.0, 9.9e-7, 0.0], point), atol=1e-15)
 
 
+class TestMatrixRotvec:
+    """``_matrix_rotvec`` gives scipy's ``from_matrix(m).as_rotvec()`` to the bit."""
+
+    @staticmethod
+    def assert_matches_scipy(matrices):
+        got = np.array([scene._matrix_rotvec(m) for m in matrices])
+        assert got.tobytes() == Rotation.from_matrix(matrices).as_rotvec().tobytes()
+
+    def test_look_at_rotations(self):
+        rng = np.random.default_rng(11)
+        directions = rng.standard_normal((10_000, 3))
+        # a quarter within the "up" switch, where _look_at_rotation uses +y
+        directions[::4, :2] *= 0.01
+        centers = rng.uniform(*scene.SHELL_RADIUS, (10_000, 1)) * directions
+        rolls = rng.uniform(-np.pi, np.pi, 10_000)
+        uses_y = np.abs(directions[:, 2]) / np.linalg.norm(directions, axis=1) > 0.99
+        assert 2_000 < uses_y.sum() < 8_000
+        self.assert_matches_scipy(
+            np.array([scene._look_at_rotation(c, r) for c, r in zip(centers, rolls)])
+        )
+
+    def test_random_rotations(self):
+        self.assert_matches_scipy(Rotation.random(10_000, random_state=12).as_matrix())
+
+    def test_half_turns(self):
+        # w = 0: the canonical sign picks the first nonzero of x, y, z positive.
+        axes = np.random.default_rng(13).standard_normal((2_000, 3))
+        axes[:6] = np.concatenate([np.eye(3), -np.eye(3)])
+        axes[6:9] = [[0.0, 1.0, -1.0], [0.0, -1.0, 1.0], [1.0, -1.0, 0.0]]
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        half_turns = 2.0 * axes[:, :, None] * axes[:, None, :] - np.eye(3)
+        self.assert_matches_scipy(half_turns)
+
+    def test_tied_diagonal(self):
+        # Axes (a, a, b) past 120 degrees: the two largest of the diagonal tie
+        # above the trace, and the first of them must pick the quaternion.
+        rng = np.random.default_rng(15)
+        a, b = rng.uniform(0.1, 1.0, 500), rng.uniform(-1.0, 1.0, 500)
+        axes = np.stack([a, a, b], axis=1) / np.hypot(np.hypot(a, a), b)[:, None]
+        cross = np.zeros((500, 3, 3))
+        cross[:, 0, 1], cross[:, 0, 2], cross[:, 1, 2] = -axes[:, 2], axes[:, 1], -axes[:, 0]
+        cross -= cross.transpose(0, 2, 1)
+        angle = rng.uniform(2.2, np.pi, (500, 1, 1))
+        matrices = np.cos(angle) * np.eye(3) + np.sin(angle) * cross
+        matrices += (1 - np.cos(angle)) * axes[:, :, None] * axes[:, None, :]
+        diagonal = np.diagonal(matrices, axis1=1, axis2=2)
+        assert (diagonal[:, 0] == diagonal[:, 1]).all()
+        assert (diagonal[:, 0] > np.maximum(diagonal[:, 2], diagonal.sum(axis=1))).sum() > 100
+        self.assert_matches_scipy(matrices)
+
+    def test_small_angles(self):
+        rng = np.random.default_rng(14)
+        axes = rng.standard_normal((3_000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([rng.uniform(0, 1e-3, 2_000), rng.uniform(1e-3, 3e-3, 999), [0.0]])
+        self.assert_matches_scipy(Rotation.from_rotvec(axes * angles[:, None]).as_matrix())
+
+
 class TestProjection:
     def test_on_axis_point_maps_to_image_origin(self):
         camera = make_camera(focal=1.0)

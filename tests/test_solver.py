@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import os
 import subprocess
@@ -699,6 +701,50 @@ class TestDampedStep:
         expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
         solution = solver._solve_spd(lower, rhs[:3], full=lambda: semidefinite)
         np.testing.assert_array_equal(solution, expected)
+
+
+LIGHT_IMPORT = """
+import sys
+import balm
+from balm.bench import suite_scene
+
+balm.solve(suite_scene(100), balm.ClassicPolicy(), deterministic_time=True)
+loaded = sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith("scipy.spatial"))
+assert not loaded, loaded
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack
+
+assert scipy.linalg.lapack._flapack is flapack
+assert balm.solver.dpotrf is scipy.linalg.lapack.dpotrf
+assert balm.solver.dpotrs is scipy.linalg.lapack.dpotrs
+"""
+SCIPY_FIRST = """
+import scipy.linalg.lapack
+import balm
+
+assert balm.solver.dpotrf is scipy.linalg.lapack.dpotrf
+assert balm.solver.dpotrs is scipy.linalg.lapack.dpotrs
+"""
+
+
+class TestLapackSource:
+    """``dpotrf``/``dpotrs`` are scipy's own, loaded without ``scipy.linalg``."""
+
+    @pytest.mark.parametrize("code", [LIGHT_IMPORT, SCIPY_FIRST], ids=["balm-first", "scipy-first"])
+    def test_fresh_interpreter(self, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+
+    def test_missing_extension_raises_import_error(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        fake_scipy = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "x.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake_scipy)
+        with pytest.raises(ImportError, match="_flapack"):
+            solver._flapack()
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="_flapack"):
+            solver._flapack()
 
 
 TESTS_DIR = Path(__file__).resolve().parent
