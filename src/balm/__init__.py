@@ -55,7 +55,6 @@ from .solver import (
     evaluate_steps,
     linearize,
     lm_iterate,
-    residuals,
     solve,
 )
 from .policy import (
@@ -127,7 +126,6 @@ __all__ = [
     "evaluate_steps",
     "linearize",
     "lm_iterate",
-    "residuals",
     "solve",
     # policy
     "AgentPolicy",

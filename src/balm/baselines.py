@@ -16,19 +16,19 @@ from .nn import (
     Mlp,
     adam_init,
     load_arrays,
-    mlp_forward,
     mlp_from_arrays,
     mlp_init,
     mlp_to_arrays,
     mlp_train_step,
     save_arrays,
 )
-from .policy import ClassicPolicy
-from .sac import ACTION_OFFSET, ACTION_SCALE, lambda_from_action
+from .policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy
+from .sac import ACTION_OFFSET, ACTION_SCALE
 from .solver import NumericalFailureError, SolverState, evaluate_steps
 
 DEFAULT_ORACLE_GRID = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 10.0, 1e3)
 ZERO_NET_HIDDEN = 1280
+ZERO_NET_BATCH = 64
 ATANH_CLIP = 1.0 - 1e-9
 
 
@@ -44,8 +44,7 @@ def u_from_lambda(lam: float) -> float:
 
 def raw_regression_target(lam: float) -> float:
     """Pre-squash regression target; grid ends land on the atanh clip."""
-    u = (np.log10(lam) - ACTION_OFFSET) / ACTION_SCALE
-    return float(np.arctanh(np.clip(u, -ATANH_CLIP, ATANH_CLIP)))
+    return float(np.arctanh(np.clip(u_from_lambda(lam), -ATANH_CLIP, ATANH_CLIP)))
 
 
 def zero_net_oracle(problem, state: SolverState, grid=DEFAULT_ORACLE_GRID) -> float:
@@ -82,80 +81,54 @@ def init_zero_net(window: int = 5, hidden: int = ZERO_NET_HIDDEN, seed: int = 0)
     )
 
 
-def zero_net_action(net: Mlp, states, actions, rewards) -> tuple[float, float]:
-    """Damping and squashed action for one (states, actions, rewards) window."""
-    x = np.concatenate(
-        [np.asarray(states, float), np.asarray(actions, float), np.asarray(rewards, float)]
-    ).reshape(1, -1)
-    raw = float(mlp_forward(net, x)[0, 0])
-    u = float(np.tanh(raw))
-    return lambda_from_action(u), u
+def zero_net_input(obs: PolicyObservation, applied_lambdas, window: int) -> np.ndarray:
+    """The zero-net's input row: (states, actions, rewards) slots, ``window`` each.
 
-
-def _pad_left(values, window: int) -> np.ndarray:
-    """The last ``window`` values, zero-padded on the left (zero-net input slots)."""
-    out = np.zeros(window)
-    vals = list(values)[-window:]
-    if vals:
-        out[window - len(vals) :] = vals
-    return out
-
-
-def _reward_slots(recent_durations, window: int) -> np.ndarray:
-    """Reward slots of the zero-net input: -1 per completed iteration, zero-padded.
-
-    That is the negated duration deterministic timing records. Wall-clock
-    durations are never fed in, so the net's input, and with it its choice
-    of damping, does not depend on the clock or the timing mode.
+    The states are the observation's error window. The actions are the last
+    ``window`` applied dampings mapped back to squashed space. The rewards
+    are -1 per completed iteration, the negated duration deterministic
+    timing records, so the row does not depend on the clock or the timing
+    mode. Action and reward slots are zero-padded on the left. The
+    collector labels these rows and ``ZeroNetPolicy`` feeds them to the net.
     """
-    return _pad_left([-1.0] * len(recent_durations), window)
+    row = np.zeros(3 * window)
+    row[:window] = obs.state_vector
+    actions = [u_from_lambda(lam) for lam in applied_lambdas[-window:]]
+    row[2 * window - len(actions) : 2 * window] = actions
+    row[3 * window - len(obs.recent_durations) :] = -1.0
+    return row
 
 
 def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     """One rollout; every visited state is labeled with the greedy damping.
 
-    With no net, the classic heuristic drives (warm-start epoch); otherwise
-    the net drives its own rollout. Action slots carry the applied dampings
-    mapped back to squashed space, reward slots -1 per completed iteration
-    (``_reward_slots``), both zero-padded exactly as the solve-time policy
-    rebuilds them.
+    The rollout is ``solve``'s: ``ClassicPolicy`` picks every damping with
+    no net (warm-start epoch), ``ZeroNetPolicy(net)`` otherwise. Each
+    state's input is the ``zero_net_input`` row of the dampings applied so
+    far, the very row the policy is served there.
     """
-    window = config.window
+    policy = ClassicPolicy(window=config.window) if net is None else ZeroNetPolicy(net)
+    policy.reset()
     env = BAEnv(config)
-    classic = ClassicPolicy(window=window)
-    classic.reset()
     obs = env.reset(problem)
-    applied: list[float] = []
     inputs = []
     targets = []
     done = False
     while not done:
-        states = obs.state_vector
-        actions = _pad_left(applied, window)
-        rewards = _reward_slots(obs.recent_durations, window)
-        lam_star = zero_net_oracle(env.problem, env.solver_state, grid)
-        inputs.append(np.concatenate([states, actions, rewards]))
-        targets.append(raw_regression_target(lam_star))
-        if net is None:
-            lam = classic.next_lambda(obs)
-        else:
-            lam, _ = zero_net_action(net, states, actions, rewards)
-        out = env.step(lam)
-        applied.append(u_from_lambda(lam))
-        obs = out.observation
-        done = out.done
+        inputs.append(zero_net_input(obs, [record.lam for record in env.records], config.window))
+        targets.append(raw_regression_target(zero_net_oracle(env.problem, env.solver_state, grid)))
+        out = env.step(policy.next_lambda(obs))
+        obs, done = out.observation, out.done
     return inputs, targets
 
 
 def zero_net_train(
     problems,
-    grid=DEFAULT_ORACLE_GRID,
     epochs: int = 2,
     seed: int = 0,
     window: int = 5,
     hidden: int = ZERO_NET_HIDDEN,
     lr: float = 3e-4,
-    batch_size: int = 64,
     passes_per_epoch: int = 150,
     max_iterations: int = 100,
     threshold: float = 1e-6,
@@ -164,9 +137,9 @@ def zero_net_train(
 ) -> Mlp:
     """Alternate labeled-rollout collection with regression in raw-u space.
 
-    The reward slots hold -1 per completed iteration in either timing mode
-    (``_reward_slots``), so the trained net and its solves do not depend on
-    ``deterministic_time``; it only sets the durations the env records.
+    The reward slots count iterations in either timing mode
+    (``zero_net_input``), so the trained net and its solves do not depend
+    on ``deterministic_time``; it only sets the durations the env records.
     """
     if not problems:
         raise ValueError("need at least one training problem")
@@ -184,7 +157,7 @@ def zero_net_train(
         xs: list = []
         ys: list = []
         for problem in problems:
-            inputs, targets = _collect_labeled_windows(problem, driver, grid, config)
+            inputs, targets = _collect_labeled_windows(problem, driver, DEFAULT_ORACLE_GRID, config)
             xs.extend(inputs)
             ys.extend(targets)
         features = np.asarray(xs)
@@ -192,8 +165,8 @@ def zero_net_train(
         loss = float("nan")
         for _ in range(passes_per_epoch):
             order = rng.permutation(len(features))
-            for start in range(0, len(features), batch_size):
-                idx = order[start : start + batch_size]
+            for start in range(0, len(features), ZERO_NET_BATCH):
+                idx = order[start : start + ZERO_NET_BATCH]
                 loss = mlp_train_step(net, adam, features[idx], labels[idx], lr=lr)
         if progress is not None:
             progress({"epoch": epoch, "samples": len(features), "loss": loss})

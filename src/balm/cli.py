@@ -1,11 +1,12 @@
 """Command-line entry points for scene generation, solving, and experiments.
 
 Every subcommand accepts ``--config`` (a JSON file whose keys mirror the
-long option names with underscores), ``--seed``, ``--deterministic-time``,
-and ``--out-dir``. Explicit command-line flags override config-file values,
-which override built-in defaults. Output manifests record the resolved
-configuration and library versions but never timestamps or absolute paths,
-so reruns with the same inputs are byte-identical.
+long option names with underscores; other keys are an error), ``--seed``,
+``--deterministic-time``, and ``--out-dir``. Explicit command-line flags
+override config-file values, which override built-in defaults. Output
+manifests record the resolved configuration and library versions but never
+timestamps or absolute paths, so reruns with the same inputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .bench import (
     run_comparison,
 )
 from .baselines import load_zero_net_checkpoint, save_zero_net_checkpoint, zero_net_train
+from .env import REWARD_VARIANTS
 from .policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", type=int, default=256)
     p_train.add_argument("--replay-capacity", type=int, default=100_000)
     p_train.add_argument("--warmup-steps", type=int, default=500)
-    p_train.add_argument("--reward-variant", default="duration")
+    p_train.add_argument("--reward-variant", choices=REWARD_VARIANTS, default="duration")
     p_train.add_argument("--epochs", type=int, default=2)
     p_train.add_argument("--passes-per-epoch", type=int, default=150)
     p_train.set_defaults(func=cmd_train)
@@ -447,11 +449,13 @@ def main(argv=None) -> int:
         overrides = json.loads(read_text(args.config))
         if not isinstance(overrides, dict):
             raise SystemExit("--config must contain a JSON object")
+        known = {a.dest for sub in parser.subcommand_parsers.values() for a in sub._actions}
+        unknown = sorted(set(overrides) - known - {"help"})
+        if unknown:
+            raise SystemExit(f"--config: unknown key(s) {', '.join(map(repr, unknown))}")
         for sub in parser.subcommand_parsers.values():
             sub.set_defaults(**overrides)
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

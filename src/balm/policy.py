@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import mlp_forward
 from .solver import LAMBDA_MAX, LAMBDA_MIN, SolverState, classic_lambda_update
 
 STATE_CLIP = 1000.0
@@ -152,9 +153,9 @@ class AgentPolicy(DampingPolicy):
 class ZeroNetPolicy(DampingPolicy):
     """Supervised baseline: predicts from recent states, actions, and rewards.
 
-    The reward slots hold -1 per completed iteration, as in its training
-    rollouts, whatever the timing mode, so its choices do not depend on the
-    clock; its own raw outputs fill the action slots.
+    Each call feeds the net the ``zero_net_input`` row of the dampings this
+    policy returned so far, the row its training rollouts labeled, so its
+    choices do not depend on the clock.
     """
 
     def __init__(self, net):
@@ -163,16 +164,16 @@ class ZeroNetPolicy(DampingPolicy):
             raise ValueError("zero-net input width must be divisible by 3")
         super().__init__(window=window)
         self.net = net
-        self._raw_actions: list[float] = []
+        self._lambdas: list[float] = []
 
     def reset(self) -> None:
-        self._raw_actions = []
+        self._lambdas = []
 
     def next_lambda(self, obs: PolicyObservation) -> float:
-        from .baselines import _pad_left, _reward_slots, zero_net_action
+        from .baselines import zero_net_input
+        from .sac import lambda_from_action
 
-        actions = _pad_left(self._raw_actions, self.window)
-        rewards = _reward_slots(obs.recent_durations, self.window)
-        lam, action = zero_net_action(self.net, obs.state_vector, actions, rewards)
-        self._raw_actions.append(action)
-        return _clamp(lam)
+        x = zero_net_input(obs, self._lambdas, self.window)
+        lam = _clamp(lambda_from_action(np.tanh(mlp_forward(self.net, x[None])[0, 0])))
+        self._lambdas.append(lam)
+        return lam

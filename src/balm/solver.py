@@ -121,7 +121,6 @@ from .scene import (
     _dot,
     _project_rows,
     _rotation_coefficients,
-    project_many,
 )
 
 LAMBDA_MIN = 1e-16
@@ -163,10 +162,6 @@ class ParamVector:
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.cameras.copy(), self.points.copy())
-
-    def flat(self) -> np.ndarray:
-        """Single vector in the fixed cameras-then-points layout."""
-        return np.concatenate([self.cameras.ravel(), self.points.ravel()])
 
 
 @dataclass
@@ -268,13 +263,6 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.outcome == OUTCOME_CONVERGED
-
-
-def residuals(problem: BAProblem, params: ParamVector) -> np.ndarray:
-    """Observed-minus-predicted pixels, shape (k, 2); degenerate depths become failures."""
-    cam_idx, pt_idx, pixels = problem.observation_arrays()
-    predicted, depths = project_many(params.cameras, params.points, cam_idx, pt_idx)
-    return _checked_residual(pixels, predicted, depths)
 
 
 def _checked_residual(pixels, predicted, depths) -> np.ndarray:
@@ -973,7 +961,6 @@ def lm_iterate(
     lam: float,
     deterministic_time: bool = False,
     accept_only_improving: bool = False,
-    method: str = "auto",
 ) -> tuple[SolverState, IterationRecord]:
     """Run one damped iteration from ``state``; returns the successor state.
 
@@ -990,7 +977,7 @@ def lm_iterate(
     try:
         lin = state.linearization(problem)
         candidate, err, projection = evaluate_step(
-            problem, state.params, lin, lam, method=method, _keep_projection=True
+            problem, state.params, lin, lam, _keep_projection=True
         )
     except (NumericalFailureError, SingularSystemError):
         duration = 1.0 if deterministic_time else time.perf_counter() - start

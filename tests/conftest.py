@@ -16,16 +16,28 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from balm import solver  # noqa: E402
-from balm.scene import generate_synthetic  # noqa: E402
+from balm.scene import generate_synthetic, project_many  # noqa: E402
 
 
 def suite_problem(seed, num_cameras=10, num_points=10):
     return generate_synthetic(
         num_cameras, num_points, pixel_sigma=250.0, noise_std=0.5, seed=seed
     )
+
+
+def residuals(problem, params):
+    """Observed-minus-predicted pixels, shape (k, 2), formed as the solver forms them."""
+    cam_idx, pt_idx, pixels = problem.observation_arrays()
+    return pixels - project_many(params.cameras, params.points, cam_idx, pt_idx)[0]
+
+
+def flat(params):
+    """The parameters as one vector, cameras then points."""
+    return np.concatenate([params.cameras.ravel(), params.points.ravel()])
 
 
 @pytest.fixture(scope="session")

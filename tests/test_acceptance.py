@@ -49,11 +49,10 @@ from balm.solver import (
     damped_step,
     dense_system,
     linearize,
-    residuals,
     solve,
 )
 
-from conftest import suite_problem
+from conftest import flat, residuals, suite_problem
 
 
 def verdict(num, ok, detail):
@@ -64,16 +63,16 @@ def verdict(num, ok, detail):
 # Local oracles (independent of the package's vectorized paths).
 
 
-def unflatten(problem, flat):
+def unflatten(problem, vector):
     split = 9 * problem.num_cameras
     return ParamVector(
-        flat[:split].reshape(-1, 9).copy(), flat[split:].reshape(-1, 3).copy()
+        vector[:split].reshape(-1, 9).copy(), vector[split:].reshape(-1, 3).copy()
     )
 
 
 def fd_jacobian(problem, params, h=1e-6):
     """Central-difference Jacobian of the stacked residual vector."""
-    base = params.flat()
+    base = flat(params)
     jac = np.zeros((2 * problem.num_observations, base.size))
     for k in range(base.size):
         plus = base.copy()

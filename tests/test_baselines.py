@@ -8,6 +8,7 @@ regressed net has clean structure to learn.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from balm.baselines import (
     raw_regression_target,
     save_zero_net_checkpoint,
     u_from_lambda,
-    zero_net_action,
+    zero_net_input,
     zero_net_oracle,
     zero_net_train,
 )
@@ -179,6 +180,20 @@ def test_oracle_rejects_empty_grid():
 # prediction
 
 
+def observation(errors, window, iteration=0, durations=()):
+    return PolicyObservation(
+        state_vector=make_state(errors, window),
+        iteration_index=iteration,
+        raw_errors=tuple(errors),
+        recent_durations=tuple(durations),
+    )
+
+
+def net_lambda(net, row):
+    """The damping the net's squashed output maps to for one input row."""
+    return lambda_from_action(np.tanh(mlp_forward(net, np.asarray(row)[None])[0, 0]))
+
+
 def test_zero_weight_net_predicts_from_output_bias():
     net = small_net(window=2, hidden=4)
     for w in net.weights:
@@ -186,34 +201,35 @@ def test_zero_weight_net_predicts_from_output_bias():
     for b in net.biases:
         b[:] = 0.0
     net.biases[-1][0] = 0.3
-    lam, _ = zero_net_action(net, [1.0, 2.0], [0.1, -0.2], [0.0, -1.0])
+    lam = ZeroNetPolicy(net).next_lambda(observation([1.0, 2.0], 2, 1, (1.0,)))
     assert lam == pytest.approx(10.0 ** (9.0 * np.tanh(0.3) - 7.0), rel=1e-12)
 
 
 def test_predict_composes_forward_tanh_and_action_map():
     net = small_net(window=3, hidden=16, seed=4)
-    rng = np.random.default_rng(7)
-    states, actions, rewards = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-    lam, u = zero_net_action(net, states, actions, rewards)
-    x = np.concatenate([states, actions, rewards]).reshape(1, -1)
-    raw = mlp_forward(net, x)[0, 0]
-    assert u == pytest.approx(float(np.tanh(raw)), rel=1e-12)
+    obs = observation(list(np.random.default_rng(7).uniform(1.0, 9.0, size=3)), 3, 2, (1.0, 1.0))
+    lam = ZeroNetPolicy(net).next_lambda(obs)
+    raw = mlp_forward(net, zero_net_input(obs, [], 3)[None])[0, 0]
     assert lam == pytest.approx(lambda_from_action(np.tanh(raw)), rel=1e-12)
 
 
 def test_predict_is_pure():
+    # A reset policy repeats its dampings, and the observations stay as they were.
     net = small_net(window=2, hidden=4, seed=1)
-    states, actions, rewards = [0.5, 0.4], [0.1, 0.2], [-1.0, -1.0]
-    first = zero_net_action(net, states, actions, rewards)
-    second = zero_net_action(net, states, actions, rewards)
-    assert first == second
-    assert states == [0.5, 0.4]
+    policy = ZeroNetPolicy(net)
+    observations = [observation([0.5], 2), observation([0.5, 0.4], 2, 1, (1.0,))]
+    runs = []
+    for _ in range(2):
+        policy.reset()
+        runs.append([policy.next_lambda(obs) for obs in observations])
+    assert runs[0] == runs[1]
+    assert observations[1].state_vector.tolist() == [0.5, 0.4]
 
 
 def test_predict_rejects_wrong_window_width():
     net = small_net(window=3, hidden=4)
     with pytest.raises(ValueError):
-        zero_net_action(net, [1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
+        ZeroNetPolicy(net).next_lambda(observation([1.0, 2.0], 2))
 
 
 def test_default_net_shape():
@@ -226,29 +242,37 @@ def test_policy_feeds_past_actions_and_negated_durations():
     policy = ZeroNetPolicy(net)
     policy.reset()
 
-    obs0 = PolicyObservation(
-        state_vector=make_state([0.4], 5),
-        iteration_index=0,
-        raw_errors=(0.4,),
-        recent_durations=(),
-    )
-    lam0 = policy.next_lambda(obs0)
-    want0, u0 = zero_net_action(net, make_state([0.4], 5), np.zeros(5), np.zeros(5))
-    assert lam0 == want0
+    lam0 = policy.next_lambda(observation([0.4], 5))
+    assert lam0 == net_lambda(net, np.concatenate([make_state([0.4], 5), np.zeros(10)]))
 
-    obs1 = PolicyObservation(
-        state_vector=make_state([0.4, 0.3], 5),
-        iteration_index=1,
-        raw_errors=(0.4, 0.3),
-        recent_durations=(0.5,),
-    )
-    lam1 = policy.next_lambda(obs1)
-    actions = np.array([0.0, 0.0, 0.0, 0.0, u0])
     # A 0.5 s iteration fills its slot with -1, the negated duration that
     # deterministic timing records: the slots count iterations, not seconds.
-    rewards = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
-    want1, _ = zero_net_action(net, make_state([0.4, 0.3], 5), actions, rewards)
-    assert lam1 == want1
+    lam1 = policy.next_lambda(observation([0.4, 0.3], 5, 1, (0.5,)))
+    actions = [0.0, 0.0, 0.0, 0.0, u_from_lambda(lam0)]
+    rewards = [0.0, 0.0, 0.0, 0.0, -1.0]
+    assert lam1 == net_lambda(net, np.concatenate([make_state([0.4, 0.3], 5), actions, rewards]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_collector_rows_are_the_rows_the_policy_is_served(monkeypatch, seed):
+    # The net is trained on the collector's rows; solve must serve it the same bytes.
+    net = small_net(window=5, hidden=16, seed=seed)
+    config = EnvConfig(window=5, max_iterations=8, deterministic_time=True)
+    rows, _ = _collect_labeled_windows(suite_scene(0), net, DEFAULT_ORACLE_GRID, config)
+
+    served = []
+    forward = sys.modules["balm.nn"].mlp_forward
+
+    def spy(net, x):
+        served.append(np.array(x[0]))
+        return forward(net, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "balm" and getattr(module, "mlp_forward", None) is forward:
+            monkeypatch.setattr(module, "mlp_forward", spy)
+    result = solve(suite_scene(0), ZeroNetPolicy(net), max_iterations=8, deterministic_time=True)
+    assert len(served) == len(rows) == result.iterations
+    assert np.asarray(served).tobytes() == np.asarray(rows).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ class TestGenerate:
         assert "out_dir" not in manifest["config"]
         assert "balm" in manifest["versions"] and "numpy" in manifest["versions"]
 
+    def test_config_key_no_subcommand_defines_is_rejected(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"episode": 3, "count": 1}))
+        out = tmp_path / "scenes"
+        with pytest.raises(SystemExit, match="^--config: unknown key\\(s\\) 'episode'$"):
+            run_cli("generate", "--config", config, "--out-dir", out)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
@@ -272,6 +280,12 @@ class TestTrain:
         manifest = json.loads((trained_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["outputs"] == ["agent.ckpt", "train_log.jsonl"]
+
+    def test_unknown_reward_variant_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("train", "--reward-variant", "bogus", "--out-dir", tmp_path)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_zero_net_outputs(self, tmp_path):
         out = tmp_path / "zn"

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from balm.solver import ParamVector, estimation_error, residuals
+from balm.solver import SolverState
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -51,7 +51,7 @@ def test_ground_truth_error_matches_the_solvers(perfbench, seed):
     scenes, reference = perfbench
     problem = scenes.sparse_scene(8, 40, seed)
     truth = problem.ground_truth
-    ours = estimation_error(residuals(truth, ParamVector.from_problem(truth)), truth.pixel_sigma)
+    ours = SolverState.initial(truth).error_history[0]
     assert reference.ground_truth_error(problem) == pytest.approx(ours, rel=1e-12)
 
 
@@ -100,3 +100,19 @@ def test_the_tracer_sees_one_linearization_per_label():
     assert spans.count("baselines.zero_net_oracle") == 3
     assert spans.count("solver.linearize") == spans.count("baselines.zero_net_oracle")
     assert {"solver.lm_iterate", "solver.damped_step"} <= set(spans)
+
+
+def test_tiny_zero_net_benchmark_runs_correctly(tmp_path):
+    child = subprocess.run(
+        [
+            sys.executable, str(PERFBENCH / "run.py"), "--workload", "zero-net-train",
+            "--tiny", "--seconds", "1", "--out-dir", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["correct"] is True, child.stdout
+    assert result["failed"] == 0

@@ -47,12 +47,11 @@ from balm.solver import (
     linearize,
     lm_iterate,
     records_to_csv,
-    residuals,
     result_to_json_dict,
     solve,
 )
 
-from conftest import suite_problem
+from conftest import flat, residuals, suite_problem
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +69,24 @@ def loop_error(problem, params):
     return total
 
 
-def unflatten(problem, flat):
+def unflatten(problem, vector):
     split = 9 * problem.num_cameras
     return ParamVector(
-        flat[:split].reshape(-1, 9).copy(), flat[split:].reshape(-1, 3).copy()
+        vector[:split].reshape(-1, 9).copy(), vector[split:].reshape(-1, 3).copy()
     )
+
+
+def initial_error(problem, params):
+    """The error ``SolverState.initial`` finds at ``params`` on ``problem``'s observations."""
+    moved = BAProblem.from_arrays(
+        params.cameras, params.points, *problem.observation_arrays(), problem.pixel_sigma
+    )
+    return SolverState.initial(moved).error_history[0]
 
 
 def fd_jacobian(problem, params, h=1e-6):
     """Central-difference Jacobian of the stacked residual vector."""
-    base = params.flat()
+    base = flat(params)
     jac = np.zeros((2 * problem.num_observations, base.size))
     for k in range(base.size):
         plus = base.copy()
@@ -237,7 +244,7 @@ class TestResiduals:
         params.points[:] = 0.0
         params.cameras[:, 3:6] = 0.0
         indices = []
-        for evaluate in (residuals, linearize):
+        for evaluate in (initial_error, linearize):
             with pytest.raises(NumericalFailureError, match="depth") as failure:
                 evaluate(tiny_problem, params)
             indices.append(failure.value.observation_index)
@@ -247,7 +254,7 @@ class TestResiduals:
         params = ParamVector.from_problem(tiny_problem)
         params.cameras[2, 6] = float("nan")
         first = [o.camera_index for o in tiny_problem.observations].index(2)
-        for evaluate in (residuals, linearize):
+        for evaluate in (initial_error, linearize):
             with pytest.raises(NumericalFailureError, match="non-finite") as failure:
                 evaluate(tiny_problem, params)
             assert failure.value.observation_index == first
@@ -331,7 +338,7 @@ class TestJacobian:
         params = ParamVector.from_problem(tiny_problem)
         lin = linearize(tiny_problem, params)
         _, grad = dense_system(lin)
-        base = params.flat()
+        base = flat(params)
         h = 1e-6
         rng = np.random.default_rng(0)
         for k in rng.choice(base.size, size=8, replace=False):
@@ -777,7 +784,7 @@ GOLDEN_LM_DIGESTS = {
 
 
 def lm_layer_digest(problem, params) -> str:
-    """sha256 over every ``linearize`` field, ``residuals``, and, at each golden
+    """sha256 over every ``linearize`` field, the residuals, and, at each golden
     lambda, the schur/dense/auto steps with their candidates and errors."""
     digest = hashlib.sha256()
     lin = linearize(problem, params)
@@ -793,7 +800,7 @@ def lm_layer_digest(problem, params) -> str:
                 digest.update(type(exc).__name__.encode())
                 continue
             digest.update(delta_cam.tobytes() + delta_pt.tobytes())
-            digest.update(candidate.flat().tobytes() + np.float64(err).tobytes())
+            digest.update(flat(candidate).tobytes() + np.float64(err).tobytes())
     return digest.hexdigest()
 
 
