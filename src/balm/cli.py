@@ -453,6 +453,16 @@ def main(argv=None) -> int:
         unknown = sorted(set(overrides) - known - {"help"})
         if unknown:
             raise SystemExit(f"--config: unknown key(s) {', '.join(map(repr, unknown))}")
+        # argparse checks choices only on the command line, not on defaults
+        for sub in parser.subcommand_parsers.values():
+            for action in sub._actions:
+                if action.choices and action.dest in overrides:
+                    value = overrides[action.dest]
+                    if value not in action.choices:
+                        allowed = ", ".join(map(repr, action.choices))
+                        parser.error(
+                            f"--config: {action.dest!r} must be one of {allowed}, got {value!r}"
+                        )
         for sub in parser.subcommand_parsers.values():
             sub.set_defaults(**overrides)
     args = parser.parse_args(argv)

@@ -3,6 +3,11 @@
 Everything is plain numpy so training runs are bit-reproducible for a fixed
 seed; checkpoints are byte-identical across saves of the same parameters
 (raw little-endian buffers behind a canonical JSON header, no timestamps).
+
+A training step is one backward sweep from the output layer down: each
+layer's gradient goes into a one-layer buffer owned by the net's
+``AdamState``, the delta is carried through the layer's weights, and Adam
+then updates that layer in place. No gradient of the whole net is built.
 """
 
 from __future__ import annotations
@@ -23,22 +28,30 @@ ADAM_EPS = 1e-8
 ADAM_BLOCK = 16_384  # elements per in-place Adam block; two scratch blocks fit in L2
 
 
+def _layer_slices(widths: list[int]) -> list[slice]:
+    """Each layer's span of the flat layout w0, b0, w1, b1, ..., its weights then its biases."""
+    slices = []
+    offset = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        slices.append(slice(offset, offset + (fan_in + 1) * fan_out))
+        offset += (fan_in + 1) * fan_out
+    return slices
+
+
 def _layer_views(flat: np.ndarray, widths: list[int]):
     """Per-layer (weights, biases) views into ``flat``, laid out w0, b0, w1, b1, ..."""
     weights = []
     biases = []
-    offset = 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        end = offset + fan_in * fan_out
-        weights.append(flat[offset:end].reshape(fan_in, fan_out))
-        biases.append(flat[end : end + fan_out])
-        offset = end + fan_out
+    for fan_in, fan_out, layer in zip(widths[:-1], widths[1:], _layer_slices(widths)):
+        end = layer.start + fan_in * fan_out
+        weights.append(flat[layer.start : end].reshape(fan_in, fan_out))
+        biases.append(flat[end : layer.stop])
     return weights, biases
 
 
 def _pack(widths: list[int], weights, biases) -> np.ndarray:
     """Copy per-layer arrays into one fresh flat buffer, checking their shapes."""
-    flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:])))
+    flat = np.empty(_layer_slices(widths)[-1].stop)
     dst_weights, dst_biases = _layer_views(flat, widths)
     if len(weights) != len(dst_weights) or len(biases) != len(dst_biases):
         raise ValueError(f"expected {len(dst_weights)} weight and bias arrays for widths {widths}")
@@ -55,17 +68,20 @@ class _FlatLayers:
     ``weights[k]`` (fan_in, fan_out) and ``biases[k]`` (fan_out,) are views
     into ``flat``, laid out w0, b0, w1, b1, ..., so a write through either
     side shows in the other and whole-net arithmetic is one vector operation.
+    ``layers[k]`` is layer k's slice of ``flat``, its weights then its biases.
     """
 
     widths: list[int]
     flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    layers: list[slice]
 
     def _bind(self, widths, flat: np.ndarray) -> None:
         self.widths = [int(w) for w in widths]
         self.flat = flat
         self.weights, self.biases = _layer_views(flat, self.widths)
+        self.layers = _layer_slices(self.widths)
 
     @classmethod
     def from_flat(cls, widths, flat: np.ndarray):
@@ -98,7 +114,11 @@ class MlpGrads(_FlatLayers):
 
 
 def mlp_init(widths, seed_or_rng=0) -> Mlp:
-    """Fan-in uniform weights U(+-1/sqrt(fan_in)), zero biases."""
+    """Fan-in uniform weights U(+-1/sqrt(fan_in)), zero biases.
+
+    Each layer is drawn straight into the net's buffer; ``r * 2b - b`` for
+    ``r`` in [0, 1) is the value ``rng.uniform(-b, b)`` forms, to the bit.
+    """
     widths = [int(w) for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"widths must be at least [in, out] of positive ints, got {widths}")
@@ -107,11 +127,13 @@ def mlp_init(widths, seed_or_rng=0) -> Mlp:
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    weights = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    return Mlp(widths, weights, [np.zeros(w) for w in widths[1:]])
+    net = Mlp.from_flat(widths, np.zeros(_layer_slices(widths)[-1].stop))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        rng.random(out=w)
+        w *= 2.0 * bound
+        w -= bound
+    return net
 
 
 def _as_batch(x: np.ndarray, width: int) -> np.ndarray:
@@ -147,25 +169,52 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
     return activations[-1], activations
 
 
+def _backprop(net: Mlp, activations: list[np.ndarray], grad_out, layer_done, to_input: bool):
+    """The backward loop, output layer first; returns d/d(input), or None without ``to_input``.
+
+    ``layer_done(k, delta)`` receives the gradient at layer k's output once
+    it has been carried through the layer's weights, so it may change them.
+    """
+    delta = np.asarray(grad_out, dtype=float)
+    for k in reversed(range(net.num_layers)):
+        below = None
+        if k > 0 or to_input:
+            w = net.weights[k]
+            # with one output each entry is a single product, so a broadcast
+            # gives the K=1 GEMM's bits without the BLAS call
+            below = delta * w.T if w.shape[1] == 1 else delta @ w.T
+            if k > 0:
+                # ReLU gate; activations store max(z, 0) so positivity is the mask
+                np.multiply(below, activations[k] > 0.0, out=below)
+        if layer_done is not None:
+            layer_done(k, delta)
+        delta = below
+    return delta
+
+
+def _layer_grads(activation: np.ndarray, delta: np.ndarray, grad_w: np.ndarray, grad_b) -> None:
+    np.matmul(activation.T, delta, out=grad_w)
+    np.sum(delta, axis=0, out=grad_b)
+
+
 def mlp_backward(
     net: Mlp, activations: list[np.ndarray], grad_out: np.ndarray, input_only: bool = False
 ) -> tuple[MlpGrads | None, np.ndarray]:
     """Backprop ``grad_out`` (B, out); returns parameter grads and d/d(input).
 
     With ``input_only`` no parameter gradient is built and ``None`` stands in
-    for it; the input gradient is the same either way.
+    for it; the input gradient is the same either way. Training does not
+    build these whole-net gradients (see ``mlp_backward_adam``); they are the
+    reference that sweep is checked against.
     """
-    delta = np.asarray(grad_out, dtype=float)
-    grads = None if input_only else MlpGrads.from_flat(net.widths, np.empty_like(net.flat))
-    for k in reversed(range(net.num_layers)):
-        if grads is not None:
-            np.matmul(activations[k].T, delta, out=grads.weights[k])
-            np.sum(delta, axis=0, out=grads.biases[k])
-        delta = delta @ net.weights[k].T
-        if k > 0:
-            # ReLU gate; activations store max(z, 0) so positivity is the mask
-            np.multiply(delta, activations[k] > 0.0, out=delta)
-    return grads, delta
+    if input_only:
+        return None, _backprop(net, activations, grad_out, None, to_input=True)
+    grads = MlpGrads.from_flat(net.widths, np.empty_like(net.flat))
+
+    def write(k, delta):
+        _layer_grads(activations[k], delta, grads.weights[k], grads.biases[k])
+
+    return grads, _backprop(net, activations, grad_out, write, to_input=True)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -176,46 +225,61 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First and second moments over a net's flat parameter buffer."""
+    """First and second moments over a net's flat parameter buffer.
+
+    ``grad`` holds one layer's gradient during a backward sweep and
+    ``scratch`` the two blocks Adam works in. Both are reused by every step,
+    and the states ``adam_states`` makes together share them.
+    """
 
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
 
-def adam_init(net: Mlp) -> AdamState:
-    return AdamState(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
+def adam_states(nets: list[Mlp]) -> list[AdamState]:
+    """Zero moments for each net, and one set of work buffers for them all.
 
-
-def adam_step(
-    net: Mlp,
-    grads: MlpGrads,
-    state: AdamState,
-    lr: float = ADAM_LR,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
-    """One bias-corrected Adam update applied in place.
-
-    Runs over the flat buffers in ``ADAM_BLOCK``-element blocks with two
-    block-sized scratch arrays, so no full-size temporary is built and each
-    block stays in cache across its operations. Every element sees the
-    operations of ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``,
-    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` in that order, so the result is
-    bit-identical to the unblocked expression.
+    The nets must take their steps one at a time: they share the gradient
+    buffer, sized for the largest layer among them, and the scratch blocks.
     """
-    state.step += 1
+    grad = np.empty(max(layer.stop - layer.start for net in nets for layer in net.layers))
+    scratch = np.empty((2, min(ADAM_BLOCK, max(net.flat.size for net in nets))))
+    return [
+        AdamState(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat), grad=grad, scratch=scratch)
+        for net in nets
+    ]
+
+
+def adam_init(net: Mlp) -> AdamState:
+    return adam_states([net])[0]
+
+
+def _adam_update(state: AdamState, params, grad, first, second, lr: float) -> None:
+    """Bias-corrected Adam at ``state.step`` on ``params``, in place.
+
+    ``params``, ``grad``, ``first`` and ``second`` are matching slices of the
+    parameters, their gradient and the two moments. The loop runs in
+    ``ADAM_BLOCK``-element blocks through the state's two scratch blocks, so
+    no full-size temporary is built and each block stays in cache across its
+    operations. Every element sees the operations of
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``,
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)`` in that order, so the result is
+    bit-identical to the unblocked expression whatever the slice and
+    wherever the block edges fall.
+    """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     correct1 = 1.0 - beta1**state.step
     correct2 = 1.0 - beta2**state.step
-    scratch_a = np.empty(ADAM_BLOCK)
-    scratch_b = np.empty(ADAM_BLOCK)
-    for start in range(0, net.flat.size, ADAM_BLOCK):
+    scratch_a, scratch_b = state.scratch
+    for start in range(0, params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
-        p = net.flat[block]
-        g = grads.flat[block]
-        m = state.m[block]
-        v = state.v[block]
+        p = params[block]
+        g = grad[block]
+        m = first[block]
+        v = second[block]
         a = scratch_a[: p.size]
         b = scratch_b[: p.size]
         np.multiply(m, beta1, out=m)
@@ -234,12 +298,45 @@ def adam_step(
         np.subtract(p, b, out=p)
 
 
+def adam_step(net: Mlp, grads: MlpGrads, state: AdamState, lr: float = ADAM_LR) -> None:
+    """One Adam update of the whole net from whole-net gradients, in place.
+
+    Training takes the per-layer sweep ``mlp_backward_adam`` instead; this
+    is the reference the sweep is checked against.
+    """
+    state.step += 1
+    _adam_update(state, net.flat, grads.flat, state.m, state.v, lr)
+
+
+def mlp_backward_adam(
+    net: Mlp, adam: AdamState, activations: list[np.ndarray], grad_out, lr: float = ADAM_LR
+) -> None:
+    """Backprop ``grad_out`` (B, out) and take one Adam step, one layer at a time.
+
+    From the output layer down, layer k's gradient is written into
+    ``adam.grad``, the delta is carried through the layer's not yet updated
+    weights, and Adam then updates the layer's slice of the parameters and
+    moments. The result is bit-identical to ``mlp_backward`` followed by
+    ``adam_step``, without a gradient the size of the net; the gradient
+    with respect to the input is not formed.
+    """
+    adam.step += 1
+
+    def update(k, delta):
+        layer = net.layers[k]
+        g = adam.grad[: layer.stop - layer.start]
+        (grad_w,), (grad_b,) = _layer_views(g, net.widths[k : k + 2])
+        _layer_grads(activations[k], delta, grad_w, grad_b)
+        _adam_update(adam, net.flat[layer], g, adam.m[layer], adam.v[layer], lr)
+
+    _backprop(net, activations, grad_out, update, to_input=False)
+
+
 def mlp_train_step(net: Mlp, adam: AdamState, x, y, lr: float = ADAM_LR) -> float:
     """One squared-error gradient step; returns the pre-update loss."""
     pred, cache = mlp_forward_cached(net, x)
     loss, grad = mse_loss(pred, np.atleast_2d(np.asarray(y, dtype=float)))
-    grads, _ = mlp_backward(net, cache, grad)
-    adam_step(net, grads, adam, lr=lr)
+    mlp_backward_adam(net, adam, cache, grad, lr=lr)
     return loss
 
 

@@ -18,11 +18,11 @@ from .env import BAEnv, EnvConfig
 from .nn import (
     AdamState,
     Mlp,
-    adam_init,
-    adam_step,
+    adam_states,
     copy_params,
     load_arrays,
     mlp_backward,
+    mlp_backward_adam,
     mlp_copy,
     mlp_forward,
     mlp_forward_cached,
@@ -205,12 +205,12 @@ class AgentOptimizers:
 
 
 def init_optimizers(nets: AgentNets) -> AgentOptimizers:
-    return AgentOptimizers(
-        policy=adam_init(nets.policy),
-        critic1=adam_init(nets.critic1),
-        critic2=adam_init(nets.critic2),
-        value=adam_init(nets.value),
+    """Adam states for the four trained nets, which update one after another
+    and so share one set of work buffers."""
+    policy, critic1, critic2, value = adam_states(
+        [nets.policy, nets.critic1, nets.critic2, nets.value]
     )
+    return AgentOptimizers(policy=policy, critic1=critic1, critic2=critic2, value=value)
 
 
 @dataclass
@@ -272,8 +272,7 @@ def sac_update(
     for critic, adam in ((nets.critic1, opt.critic1), (nets.critic2, opt.critic2)):
         q, cache = mlp_forward_cached(critic, stored)
         loss, grad = mse_loss(q, targets)
-        grads, _ = mlp_backward(critic, cache, grad)
-        adam_step(critic, grads, adam, lr=cfg.lr)
+        mlp_backward_adam(critic, adam, cache, grad, lr=cfg.lr)
         critic_losses.append(loss)
 
     eps = rng.standard_normal(len(states))
@@ -282,11 +281,8 @@ def sac_update(
     v, v_cache = mlp_forward_cached(nets.value, states)
     v_target = (aux["q_min"] - cfg.alpha * aux["log_pi"])[:, None]
     value_loss, v_grad = mse_loss(v, v_target)
-    v_grads, _ = mlp_backward(nets.value, v_cache, v_grad)
-    adam_step(nets.value, v_grads, opt.value, lr=cfg.lr)
-
-    p_grads, _ = mlp_backward(nets.policy, aux["cache"], grad_out)
-    adam_step(nets.policy, p_grads, opt.policy, lr=cfg.lr)
+    mlp_backward_adam(nets.value, opt.value, v_cache, v_grad, lr=cfg.lr)
+    mlp_backward_adam(nets.policy, opt.policy, aux["cache"], grad_out, lr=cfg.lr)
 
     opt.updates += 1
     if opt.updates % cfg.target_refresh == 0:

@@ -287,6 +287,27 @@ class TestTrain:
         assert exit_info.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("key", "value", "allowed"),
+        [
+            ("reward_variant", "bogus", "'duration', 'constant', 'reduction', 'reversed'"),
+            ("algo", "ppo", "'sac', 'zero-net'"),
+        ],
+        ids=["reward_variant", "algo"],
+    )
+    def test_config_value_outside_choices_is_a_usage_error(
+        self, tmp_path, capsys, key, value, allowed
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("train", "--config", config, "--out-dir", out)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--config: {key!r} must be one of {allowed}, got {value!r}" in err
+        assert not out.exists()
+
     def test_zero_net_outputs(self, tmp_path):
         out = tmp_path / "zn"
         assert run_cli(

@@ -1,6 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from balm.baselines import init_zero_net
 from balm.nn import (
     ADAM_BLOCK,
     ADAM_LR,
@@ -12,6 +16,7 @@ from balm.nn import (
     copy_params,
     load_arrays,
     mlp_backward,
+    mlp_backward_adam,
     mlp_copy,
     mlp_forward,
     mlp_forward_cached,
@@ -22,6 +27,7 @@ from balm.nn import (
     mse_loss,
     save_arrays,
 )
+from balm.sac import ReplayBuffer, TrainConfig, init_agent, init_optimizers, sac_update
 
 
 def loop_forward(net, x):
@@ -282,6 +288,126 @@ class TestFlatLayout:
         none, input_only = mlp_backward(net, cache, grad_out, input_only=True)
         assert none is None and grads is not None
         assert np.array_equal(input_only, full)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBackwardSweep:
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            [6, 8, 1],
+            [5, 7, 7, 2],
+            # layer 1 holds 24,120 parameters: whole-net blocks span layer
+            # edges and the sweep's block edge falls inside the layer
+            [15, 200, 120, 1],
+        ],
+    )
+    def test_matches_reference_backward_and_whole_net_adam(self, widths):
+        net = mlp_init(widths, seed_or_rng=0)
+        ref = mlp_copy(net)
+        adam, ref_adam = adam_init(net), adam_init(ref)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            x = rng.normal(0, 1, (16, widths[0]))
+            y = rng.normal(0, 1, (16, widths[-1]))
+            pred, cache = mlp_forward_cached(ref, x)
+            _, grad_out = mse_loss(pred, y)
+            grads, _ = mlp_backward(ref, cache, grad_out)
+            adam_step(ref, grads, ref_adam, lr=1e-2)
+            _, cache = mlp_forward_cached(net, x)
+            mlp_backward_adam(net, adam, cache, grad_out, lr=1e-2)
+            assert net.flat.tobytes() == ref.flat.tobytes()
+        assert adam.m.tobytes() == ref_adam.m.tobytes()
+        assert adam.v.tobytes() == ref_adam.v.tobytes()
+        assert adam.step == ref_adam.step == 3
+
+    def test_buffers_are_sized_for_one_layer(self):
+        net = mlp_init([15, 512, 512, 1], seed_or_rng=0)
+        adam = adam_init(net)
+        assert adam.grad.size == 513 * 512
+        assert adam.scratch.shape == (2, ADAM_BLOCK)
+        assert adam_init(mlp_init([2, 3, 1])).scratch.shape == (2, 13)
+
+    def test_sac_optimizers_share_buffers_sized_for_the_largest_layer(self):
+        # a wide window makes a critic's first layer (302 x 8) the largest
+        nets = init_agent(window=300, hidden=8, seed=0)
+        opt = init_optimizers(nets)
+        states = [opt.policy, opt.critic1, opt.critic2, opt.value]
+        assert all(s.grad is opt.policy.grad and s.scratch is opt.policy.scratch for s in states)
+        assert opt.policy.grad.size == 302 * 8
+        assert len({id(s.m) for s in states} | {id(s.v) for s in states}) == 8
+
+    def test_warm_train_step_allocates_under_half_the_net(self):
+        net = mlp_init([15, 512, 512, 512, 1], seed_or_rng=0)
+        adam = adam_init(net)
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, (64, 15))
+        y = rng.normal(0, 1, (64, 1))
+        mlp_train_step(net, adam, x, y)
+        _, peak = traced_peak(lambda: mlp_train_step(net, adam, x, y))
+        assert peak < net.flat.nbytes / 2
+
+    def test_init_allocates_about_one_net(self):
+        # one layer holds 98% of the parameters, so a temporary per layer shows
+        net, peak = traced_peak(lambda: mlp_init([15, 1024, 1024, 1], seed_or_rng=0))
+        assert peak < 1.5 * net.flat.nbytes
+
+
+# sha256 of each net's parameter buffer after a few updates at the training
+# sizes (see nn_digests), with one BLAS thread. They were recorded from
+# whole-net gradients followed by whole-net Adam, so they hold the per-layer
+# sweep to those bits.
+GOLDEN_NN_DIGESTS = {
+    "sac.policy": "5424f19aae172882010ebc5357a32e9f809a291d47df382a762dcfa172834f91",
+    "sac.critic1": "cd32b6faa79ac10cd9f529bf4889c64722fc07304f8753964f494fc7eb8c114e",
+    "sac.critic2": "71f7e443f284f20fc5f905ebe0138e8ae7371f33f25ae13a9954dd32b9cbaf79",
+    "sac.value": "306a6ca9a9d28bef4e08679a07dbdd2d418f29c0b389578b0cf629714de2f1a0",
+    "sac.target_value": "b50a712fb4092581a28d9b13412eba9260ab35a3e2243edf3f0e2bbb7b075084",
+    "zero_net": "728da89befb765c1fea83f7a3498ed2d7bb3029c2d855265df5aa960ddede3db",
+}
+
+
+@pytest.fixture(scope="module")
+def nn_digests():
+    """The five SAC nets after 3 ``sac_update``s at the ``TrainConfig``
+    defaults (seed 2) from a synthetic replay buffer, and a zero-net after
+    2 ``mlp_train_step``s at batch 64."""
+    digests = {}
+    cfg = TrainConfig(seed=2)
+    rng = np.random.default_rng(cfg.seed)
+    buffer = ReplayBuffer(4 * cfg.batch_size, cfg.window)
+    for _ in range(buffer.capacity):
+        buffer.add(
+            rng.uniform(0.0, 2.0, cfg.window), rng.uniform(-1.0, 1.0), -rng.uniform(),
+            rng.uniform(0.0, 2.0, cfg.window), float(rng.uniform() < 0.1),
+        )
+    nets = init_agent(window=cfg.window, hidden=cfg.hidden, seed=cfg.seed)
+    opt = init_optimizers(nets)
+    for _ in range(3):
+        sac_update(nets, opt, buffer.sample(cfg.batch_size, rng), cfg, rng)
+    for name in ("policy", "critic1", "critic2", "value", "target_value"):
+        digests[f"sac.{name}"] = hashlib.sha256(getattr(nets, name).flat.tobytes()).hexdigest()
+    net = init_zero_net(seed=cfg.seed)
+    adam = adam_init(net)
+    for _ in range(2):
+        mlp_train_step(net, adam, rng.normal(size=(64, 15)), rng.normal(size=(64, 1)))
+    digests["zero_net"] = hashlib.sha256(net.flat.tobytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NN_DIGESTS))
+def test_trained_nets_are_byte_stable(name, nn_digests):
+    assert nn_digests[name] == GOLDEN_NN_DIGESTS[name]
 
 
 class TestTargetHelpers:

@@ -102,11 +102,12 @@ def test_the_tracer_sees_one_linearization_per_label():
     assert {"solver.lm_iterate", "solver.damped_step"} <= set(spans)
 
 
-def test_tiny_zero_net_benchmark_runs_correctly(tmp_path):
+def run_tiny_workload(workload: str, out_dir) -> None:
+    """Run one workload of the benchmark at its tiny size in a child; it must be correct."""
     child = subprocess.run(
         [
-            sys.executable, str(PERFBENCH / "run.py"), "--workload", "zero-net-train",
-            "--tiny", "--seconds", "1", "--out-dir", str(tmp_path),
+            sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+            "--tiny", "--seconds", "1", "--out-dir", str(out_dir),
         ],
         capture_output=True,
         text=True,
@@ -116,3 +117,11 @@ def test_tiny_zero_net_benchmark_runs_correctly(tmp_path):
     result = json.loads(child.stdout.splitlines()[-1])
     assert result["correct"] is True, child.stdout
     assert result["failed"] == 0
+
+
+def test_tiny_zero_net_benchmark_runs_correctly(tmp_path):
+    run_tiny_workload("zero-net-train", tmp_path)
+
+
+def test_tiny_sac_pipeline_benchmark_runs_correctly(tmp_path):
+    run_tiny_workload("sac-pipeline", tmp_path)

@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from balm.nn import mlp_backward, mlp_forward
+from balm.nn import mlp_backward, mlp_backward_adam, mlp_forward
 from balm.nn import save_arrays
 from balm.policy import AgentPolicy, PolicyObservation
 from balm.sac import (
@@ -242,21 +242,29 @@ class TestUpdates:
     def test_update_builds_parameter_gradients_once_per_trained_net(self, monkeypatch):
         import balm.sac
 
-        built = []
+        swept = []
+        backward_input_only = []
+
+        def counting_sweep(net, adam, activations, grad_out, lr):
+            swept.append(net)
+            return mlp_backward_adam(net, adam, activations, grad_out, lr=lr)
 
         def counting_backward(net, activations, grad_out, input_only=False):
             grads, grad_in = mlp_backward(net, activations, grad_out, input_only=input_only)
-            built.append(grads is not None)
+            backward_input_only.append(grads is None)
             return grads, grad_in
 
+        monkeypatch.setattr(balm.sac, "mlp_backward_adam", counting_sweep)
         monkeypatch.setattr(balm.sac, "mlp_backward", counting_backward)
         nets = init_agent(window=5, hidden=32, seed=0)
         batch = constant_batch(np.zeros(5), 0.2, -1.0, np.zeros(5), 0.0, 8)
         sac_update(nets, init_optimizers(nets), batch, self.small_cfg(), np.random.default_rng(0))
         # both critics, the value net and the policy; the policy objective
         # needs only the critics' action gradients
-        assert built.count(True) == 4
-        assert built.count(False) == 2
+        assert [id(net) for net in swept] == [
+            id(nets.critic1), id(nets.critic2), id(nets.value), id(nets.policy)
+        ]
+        assert backward_input_only == [True, True]
 
     def test_value_loss_halves_on_single_transition(self):
         # lr must outrun the moving value target within the 200-update
