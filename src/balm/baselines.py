@@ -23,7 +23,7 @@ from .nn import (
     save_arrays,
 )
 from .policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy
-from .sac import ACTION_OFFSET, ACTION_SCALE
+from .sac import ACTION_OFFSET, ACTION_SCALE, NonFiniteLossError
 from .solver import NumericalFailureError, SolverState, evaluate_steps
 
 DEFAULT_ORACLE_GRID = (1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.5, 1.0, 10.0, 1e3)
@@ -122,6 +122,17 @@ def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     return inputs, targets
 
 
+def check_zero_net_args(epochs: int, passes_per_epoch: int, lr: float) -> None:
+    """Raise ``ValueError``, naming the value, for ``zero_net_train`` arguments
+    that would leave the net untrained (no epoch or pass) or non-finite."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if passes_per_epoch < 1:
+        raise ValueError(f"passes_per_epoch must be at least 1, got {passes_per_epoch}")
+    if not (np.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+
+
 def zero_net_train(
     problems,
     epochs: int = 2,
@@ -140,9 +151,12 @@ def zero_net_train(
     The reward slots count iterations in either timing mode
     (``zero_net_input``), so the trained net and its solves do not depend
     on ``deterministic_time``; it only sets the durations the env records.
+    Arguments ``check_zero_net_args`` rejects raise ``ValueError`` before any
+    work, and a non-finite regression loss raises ``NonFiniteLossError``.
     """
     if not problems:
         raise ValueError("need at least one training problem")
+    check_zero_net_args(epochs, passes_per_epoch, lr)
     config = EnvConfig(
         window=window,
         max_iterations=max_iterations,
@@ -168,6 +182,8 @@ def zero_net_train(
             for start in range(0, len(features), ZERO_NET_BATCH):
                 idx = order[start : start + ZERO_NET_BATCH]
                 loss = mlp_train_step(net, adam, features[idx], labels[idx], lr=lr)
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(f"non-finite regression loss {loss} at epoch {epoch}")
         if progress is not None:
             progress({"epoch": epoch, "samples": len(features), "loss": loss})
     return net

@@ -16,7 +16,15 @@ from .env import make_reversed_state
 from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
 from .sac import NonFiniteLossError, TrainConfig, train_agent
 from .scene import BAProblem, generate_synthetic
-from .solver import NumericalFailureError, SolveResult, csv_text, solve
+from .solver import (
+    OUTCOME_CONVERGED,
+    OUTCOME_ITERATION_CAP,
+    OUTCOME_NUMERICAL_FAILURE,
+    NumericalFailureError,
+    SolveResult,
+    csv_text,
+    solve,
+)
 
 SUITE_PIXEL_SIGMA = 250.0
 SUITE_NOISE_STD = 0.5
@@ -134,7 +142,8 @@ def aggregate_rows(records, policy_kind: str) -> dict:
     iterations = np.array([r.iterations for r in records], dtype=float)
     times = np.array([r.total_time_s for r in records], dtype=float)
     finals = np.array([r.final_error for r in records], dtype=float)
-    converged = np.array([r.outcome == "converged" for r in records], dtype=float)
+    outcomes = [r.outcome for r in records]
+    converged = np.array([o == OUTCOME_CONVERGED for o in outcomes], dtype=float)
     return {
         "policy": policy_kind,
         "runs": len(records),
@@ -143,6 +152,9 @@ def aggregate_rows(records, policy_kind: str) -> dict:
         "median_iterations": float(np.median(iterations)) if records else float("nan"),
         "mean_time_s": float(np.mean(times)) if records else float("nan"),
         "median_final_error": float(np.median(finals)) if records else float("nan"),
+        "capped": outcomes.count(OUTCOME_ITERATION_CAP),
+        "numerical_failures": outcomes.count(OUTCOME_NUMERICAL_FAILURE),
+        "errors": sum(o.startswith("error:") for o in outcomes),  # run_comparison's error rows
     }
 
 
@@ -169,6 +181,9 @@ AGGREGATE_COLUMNS = (
     "median_iterations",
     "mean_time_s",
     "median_final_error",
+    "capped",
+    "numerical_failures",
+    "errors",
 )
 
 

@@ -34,7 +34,12 @@ from .bench import (
     profile_to_csv,
     run_comparison,
 )
-from .baselines import load_zero_net_checkpoint, save_zero_net_checkpoint, zero_net_train
+from .baselines import (
+    check_zero_net_args,
+    load_zero_net_checkpoint,
+    save_zero_net_checkpoint,
+    zero_net_train,
+)
 from .env import REWARD_VARIANTS
 from .policy import (
     DEFAULT_SCHEDULE,
@@ -221,30 +226,37 @@ def cmd_solve(args) -> int:
 
 
 def cmd_train(args) -> int:
+    hidden = {} if args.hidden is None else {"hidden": args.hidden}  # else each trainer's default
+    try:  # the arguments only: a training run that fails raises
+        if args.algo == "sac":
+            cfg = TrainConfig(
+                episodes=args.episodes,
+                seed=args.seed,
+                window=args.window,
+                **hidden,
+                gamma=args.gamma,
+                alpha=args.alpha,
+                lr=args.lr,
+                batch_size=args.batch_size,
+                replay_capacity=args.replay_capacity,
+                warmup_steps=args.warmup_steps,
+                reward_variant=args.reward_variant,
+                max_iterations=args.max_iterations,
+                threshold=args.threshold,
+                deterministic_time=args.deterministic_time,
+            )
+        elif args.algo == "zero-net":
+            check_zero_net_args(args.epochs, args.passes_per_epoch, args.lr)
+    except ValueError as exc:
+        print(f"balm train: error: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = parse_seed_list(args.train_seeds)
     problems = list(_suite_problems(args, seeds).values())
     log_path = out_dir / "train_log.jsonl"
     entries = []
-    hidden = {} if args.hidden is None else {"hidden": args.hidden}  # else each trainer's default
     if args.algo == "sac":
-        cfg = TrainConfig(
-            episodes=args.episodes,
-            seed=args.seed,
-            window=args.window,
-            **hidden,
-            gamma=args.gamma,
-            alpha=args.alpha,
-            lr=args.lr,
-            batch_size=args.batch_size,
-            replay_capacity=args.replay_capacity,
-            warmup_steps=args.warmup_steps,
-            reward_variant=args.reward_variant,
-            max_iterations=args.max_iterations,
-            threshold=args.threshold,
-            deterministic_time=args.deterministic_time,
-        )
         nets, logs = train_agent(problems, cfg)
         checkpoint = out_dir / "agent.ckpt"
         save_agent_checkpoint(checkpoint, nets, cfg)

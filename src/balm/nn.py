@@ -4,10 +4,13 @@ Everything is plain numpy so training runs are bit-reproducible for a fixed
 seed; checkpoints are byte-identical across saves of the same parameters
 (raw little-endian buffers behind a canonical JSON header, no timestamps).
 
-A training step is one backward sweep from the output layer down: each
-layer's gradient goes into a one-layer buffer owned by the net's
-``AdamState``, the delta is carried through the layer's weights, and Adam
-then updates that layer in place. No gradient of the whole net is built.
+A training step is one backward sweep from the output layer down. The
+delta is carried through each layer's weights first; the layer's gradient
+is then made one panel of weight rows at a time (a wide layer is cut into
+``PANEL_ROWS``-row panels, the last one carrying the biases) into a
+one-panel buffer owned by the net's ``AdamState``, and Adam updates the
+panel's parameters in place while its gradient is still in cache. No
+gradient of the whole net, or of a whole wide layer, is built.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_BLOCK = 16_384  # elements per in-place Adam block; two scratch blocks fit in L2
+PANEL_ROWS = 64  # weight rows per gradient panel of a wide layer
 
 
 def _layer_slices(widths: list[int]) -> list[slice]:
@@ -36,6 +40,26 @@ def _layer_slices(widths: list[int]) -> list[slice]:
         slices.append(slice(offset, offset + (fan_in + 1) * fan_out))
         offset += (fan_in + 1) * fan_out
     return slices
+
+
+def _row_panels(fan_in: int, fan_out: int) -> list[tuple[int, int, slice]]:
+    """The weight rows [lo, hi) of each gradient panel of a layer, with the
+    panel's span of the layer's slice of ``flat``.
+
+    A layer whose weights fit in four Adam blocks, or that has fewer than
+    ``2 * PANEL_ROWS`` rows, is one panel. A wider one is cut into panels of
+    ``PANEL_ROWS`` rows, and a shorter tail joins the panel before it, so no
+    panel has fewer than ``PANEL_ROWS`` rows. The biases follow the weights
+    in ``flat``, so the last panel's span covers them too.
+    """
+    if fan_in * fan_out <= 4 * ADAM_BLOCK or fan_in < 2 * PANEL_ROWS:
+        edges = [0, fan_in]
+    else:
+        edges = list(range(0, fan_in - PANEL_ROWS + 1, PANEL_ROWS)) + [fan_in]
+    return [
+        (lo, hi, slice(lo * fan_out, (hi + (hi == fan_in)) * fan_out))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
 
 
 def _layer_views(flat: np.ndarray, widths: list[int]):
@@ -192,9 +216,26 @@ def _backprop(net: Mlp, activations: list[np.ndarray], grad_out, layer_done, to_
     return delta
 
 
-def _layer_grads(activation: np.ndarray, delta: np.ndarray, grad_w: np.ndarray, grad_b) -> None:
-    np.matmul(activation.T, delta, out=grad_w)
-    np.sum(delta, axis=0, out=grad_b)
+def _layer_grads(activation: np.ndarray, delta: np.ndarray, grad_of):
+    """A layer's weight and bias gradient, one ``_row_panels`` panel at a time.
+
+    For each panel, ``grad_of(span)`` gives the array its gradient is
+    written into, for the panel's span of the layer's slice; the rows come
+    from one GEMM and, in the last panel, the biases from a last one-row
+    sum. Yields ``(span, grad)`` once the panel is written. A panel's rows
+    are the same rows of the whole layer's GEMM only for some shapes (not
+    for a ``fan_out`` of 257 or 1281, nor for a one-row panel, which BLAS
+    runs as a GEMV), so training and its reference both make their
+    gradients here.
+    """
+    fan_in, fan_out = activation.shape[1], delta.shape[1]
+    for lo, hi, span in _row_panels(fan_in, fan_out):
+        grad = grad_of(span)
+        rows = (hi - lo) * fan_out
+        np.matmul(activation.T[lo:hi], delta, out=grad[:rows].reshape(hi - lo, fan_out))
+        if hi == fan_in:
+            np.sum(delta, axis=0, out=grad[rows:])
+        yield span, grad
 
 
 def mlp_backward(
@@ -212,7 +253,8 @@ def mlp_backward(
     grads = MlpGrads.from_flat(net.widths, np.empty_like(net.flat))
 
     def write(k, delta):
-        _layer_grads(activations[k], delta, grads.weights[k], grads.biases[k])
+        for _ in _layer_grads(activations[k], delta, grads.flat[net.layers[k]].__getitem__):
+            pass
 
     return grads, _backprop(net, activations, grad_out, write, to_input=True)
 
@@ -227,7 +269,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 class AdamState:
     """First and second moments over a net's flat parameter buffer.
 
-    ``grad`` holds one layer's gradient during a backward sweep and
+    ``grad`` holds one gradient panel during a backward sweep and
     ``scratch`` the two blocks Adam works in. Both are reused by every step,
     and the states ``adam_states`` makes together share them.
     """
@@ -243,9 +285,17 @@ def adam_states(nets: list[Mlp]) -> list[AdamState]:
     """Zero moments for each net, and one set of work buffers for them all.
 
     The nets must take their steps one at a time: they share the gradient
-    buffer, sized for the largest layer among them, and the scratch blocks.
+    buffer, sized for the largest gradient panel among them (a narrow
+    layer is one panel, its weights and biases), and the scratch blocks.
     """
-    grad = np.empty(max(layer.stop - layer.start for net in nets for layer in net.layers))
+    grad = np.empty(
+        max(
+            span.stop - span.start
+            for net in nets
+            for fan_in, fan_out in zip(net.widths[:-1], net.widths[1:])
+            for _lo, _hi, span in _row_panels(fan_in, fan_out)
+        )
+    )
     scratch = np.empty((2, min(ADAM_BLOCK, max(net.flat.size for net in nets))))
     return [
         AdamState(m=np.zeros_like(net.flat), v=np.zeros_like(net.flat), grad=grad, scratch=scratch)
@@ -311,23 +361,26 @@ def adam_step(net: Mlp, grads: MlpGrads, state: AdamState, lr: float = ADAM_LR) 
 def mlp_backward_adam(
     net: Mlp, adam: AdamState, activations: list[np.ndarray], grad_out, lr: float = ADAM_LR
 ) -> None:
-    """Backprop ``grad_out`` (B, out) and take one Adam step, one layer at a time.
+    """Backprop ``grad_out`` (B, out) and take one Adam step, one panel at a time.
 
-    From the output layer down, layer k's gradient is written into
-    ``adam.grad``, the delta is carried through the layer's not yet updated
-    weights, and Adam then updates the layer's slice of the parameters and
-    moments. The result is bit-identical to ``mlp_backward`` followed by
-    ``adam_step``, without a gradient the size of the net; the gradient
+    From the output layer down, the delta is carried through layer k's not
+    yet updated weights; then, for each of the layer's gradient panels
+    (``_row_panels``), the panel's gradient is written into ``adam.grad``
+    and Adam updates the same span of the parameters and moments. The
+    result is bit-identical to ``mlp_backward`` followed by ``adam_step``,
+    without a gradient the size of the net or of a wide layer; the gradient
     with respect to the input is not formed.
     """
     adam.step += 1
 
+    def grad_of(span):
+        return adam.grad[: span.stop - span.start]
+
     def update(k, delta):
         layer = net.layers[k]
-        g = adam.grad[: layer.stop - layer.start]
-        (grad_w,), (grad_b,) = _layer_views(g, net.widths[k : k + 2])
-        _layer_grads(activations[k], delta, grad_w, grad_b)
-        _adam_update(adam, net.flat[layer], g, adam.m[layer], adam.v[layer], lr)
+        params, first, second = net.flat[layer], adam.m[layer], adam.v[layer]
+        for span, grad in _layer_grads(activations[k], delta, grad_of):
+            _adam_update(adam, params[span], grad, first[span], second[span], lr)
 
     _backprop(net, activations, grad_out, update, to_input=False)
 

@@ -188,11 +188,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.batch_size < 1 or self.episodes < 1 or self.window < 1:
-            raise ValueError("episodes, window, and batch_size must be positive")
-        if self.target_refresh < 1:
-            raise ValueError("target_refresh must be at least 1")
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        for name in ("episodes", "window", "batch_size", "target_refresh"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
 
 
 @dataclass

@@ -31,7 +31,7 @@ from balm.baselines import (
 from balm.env import BAEnv, EnvConfig
 from balm.nn import mlp_forward, save_arrays
 from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
-from balm.sac import lambda_from_action
+from balm.sac import NonFiniteLossError, lambda_from_action
 from balm.scene import generate_synthetic
 from balm.solver import ParamVector, SolverState, lm_iterate, solve
 
@@ -365,6 +365,34 @@ def test_zero_net_does_not_depend_on_the_clock():
 def test_training_requires_problems():
     with pytest.raises(ValueError):
         zero_net_train([])
+
+
+TINY_ZERO_NET = dict(seed=0, window=5, hidden=8, passes_per_epoch=2, max_iterations=5)
+
+
+def test_training_rejects_zero_epochs():
+    # with no epoch the net would be returned as initialized
+    with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
+        zero_net_train([suite_problem(0, 4, 6)], **{**TINY_ZERO_NET, "epochs": 0})
+
+
+def test_training_rejects_zero_passes():
+    # with no pass the epoch's loss would be logged as nan and nothing learned
+    with pytest.raises(ValueError, match="passes_per_epoch must be at least 1, got 0"):
+        zero_net_train([suite_problem(0, 4, 6)], **{**TINY_ZERO_NET, "passes_per_epoch": 0})
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_training_rejects_a_non_finite_or_non_positive_lr(lr):
+    with pytest.raises(ValueError, match=f"lr must be finite and positive, got {lr}"):
+        zero_net_train([suite_problem(0, 4, 6)], **TINY_ZERO_NET, lr=lr)
+
+
+def test_non_finite_regression_loss_raises():
+    # a step of 1e300 per weight overflows the next forward pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLossError, match="non-finite regression loss"):
+            zero_net_train([suite_problem(0, 4, 6)], **TINY_ZERO_NET, lr=1e300)
 
 
 def test_training_reports_progress():

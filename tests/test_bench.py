@@ -18,6 +18,7 @@ from balm.bench import (
     RunRecord,
     ablation_suite,
     ablation_to_csv,
+    aggregate_rows,
     aggregates_to_csv,
     comparison_to_csv,
     extract_schedule,
@@ -109,6 +110,25 @@ class TestRunComparison:
             assert agg["mean_time_s"] == np.mean([r.total_time_s for r in rows])
             assert agg["median_final_error"] == np.median([r.final_error for r in rows])
 
+    def test_aggregates_count_failures_by_type(self):
+        outcomes = [
+            "converged", "iteration-cap", "iteration-cap", "numerical-failure",
+            "error: zero depth at observation 3", "converged",
+        ]
+        records = [
+            RunRecord(f"s{i}", "classic", outcome, 5, 0.1, 1.0, 0.5)
+            for i, outcome in enumerate(outcomes)
+        ]
+        agg = aggregate_rows(records, "classic")
+        assert (agg["capped"], agg["numerical_failures"], agg["errors"]) == (2, 1, 1)
+        assert agg["success_rate"] == 2 / 6
+        empty = aggregate_rows([], "classic")
+        assert (empty["capped"], empty["numerical_failures"], empty["errors"]) == (0, 0, 0)
+        table = ComparisonTable(records=records, aggregates=[agg])
+        header, row = aggregates_to_csv(table).splitlines()
+        assert header.endswith(",median_final_error,capped,numerical_failures,errors")
+        assert row.endswith(",2,1,1")
+
     def test_failure_becomes_outcome_row_and_sweep_survives(self):
         # Every point at the origin, seen from cameras at the origin: the
         # initial state has zero depths, so solve raises NumericalFailureError.
@@ -131,6 +151,7 @@ class TestRunComparison:
             assert np.isnan(by_cell["flat", kind].final_error)
             assert by_cell["s2", kind].outcome == "converged"
         assert [a["success_rate"] for a in table.aggregates] == [0.5, 0.5]
+        assert [a["errors"] for a in table.aggregates] == [1, 1]
 
     def test_a_bug_raises_instead_of_becoming_a_row(self):
         problems = {"s2": suite_problem(2, 4, 6)}

@@ -281,6 +281,37 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["outputs"] == ["agent.ckpt", "train_log.jsonl"]
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (("--episodes", "0"), "episodes must be at least 1, got 0"),
+            (("--lr", "-1"), "lr must be finite and positive, got -1.0"),
+            (("--alpha", "nan"), "alpha must be finite and non-negative, got nan"),
+            (("--algo", "zero-net", "--epochs", "0"), "epochs must be at least 1, got 0"),
+            (
+                ("--algo", "zero-net", "--passes-per-epoch", "0"),
+                "passes_per_epoch must be at least 1, got 0",
+            ),
+            (("--algo", "zero-net", "--lr", "nan"), "lr must be finite and positive, got nan"),
+        ],
+        ids=["episodes", "lr", "alpha", "zero-net-epochs", "zero-net-passes", "zero-net-lr"],
+    )
+    def test_rejected_training_value_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run_cli("train", *flags, "--out-dir", out) == 2
+        assert f"balm train: error: {message}" in capsys.readouterr().err
+        assert not out.exists()  # and so no checkpoint
+
+    @pytest.mark.parametrize("algo", ["sac", "zero-net"])
+    def test_a_failing_training_run_is_not_a_usage_error(self, tmp_path, monkeypatch, algo):
+        def failing_run(*args, **kwargs):
+            raise ValueError("raised by the training run")
+
+        monkeypatch.setattr(cli, "train_agent", failing_run)
+        monkeypatch.setattr(cli, "zero_net_train", failing_run)
+        with pytest.raises(ValueError, match="raised by the training run"):
+            run_cli("train", "--algo", algo, *TINY_TRAIN, "--out-dir", tmp_path)
+
     def test_unknown_reward_variant_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("train", "--reward-variant", "bogus", "--out-dir", tmp_path)

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from balm.baselines import init_zero_net
+from balm.baselines import ZERO_NET_HIDDEN, init_zero_net
 from balm.nn import (
     ADAM_BLOCK,
     ADAM_LR,
+    PANEL_ROWS,
     AdamState,
     Mlp,
     MlpGrads,
@@ -310,6 +311,8 @@ class TestBackwardSweep:
             # layer 1 holds 24,120 parameters: whole-net blocks span layer
             # edges and the sweep's block edge falls inside the layer
             [15, 200, 120, 1],
+            # layer 1 (300 x 320) is cut into panels of 64, 64, 64 and 108 rows
+            [15, 300, 320, 1],
         ],
     )
     def test_matches_reference_backward_and_whole_net_adam(self, widths):
@@ -317,9 +320,9 @@ class TestBackwardSweep:
         ref = mlp_copy(net)
         adam, ref_adam = adam_init(net), adam_init(ref)
         rng = np.random.default_rng(1)
-        for _ in range(3):
-            x = rng.normal(0, 1, (16, widths[0]))
-            y = rng.normal(0, 1, (16, widths[-1]))
+        for batch in (16, 37, 5):
+            x = rng.normal(0, 1, (batch, widths[0]))
+            y = rng.normal(0, 1, (batch, widths[-1]))
             pred, cache = mlp_forward_cached(ref, x)
             _, grad_out = mse_loss(pred, y)
             grads, _ = mlp_backward(ref, cache, grad_out)
@@ -331,14 +334,31 @@ class TestBackwardSweep:
         assert adam.v.tobytes() == ref_adam.v.tobytes()
         assert adam.step == ref_adam.step == 3
 
-    def test_buffers_are_sized_for_one_layer(self):
+    def test_buffers_are_sized_for_one_panel(self):
+        # the 512 x 512 layer is cut into 8 panels of 64 rows, the last one
+        # with the biases; the 15 x 512 layer (7,680 weights) is one panel
         net = mlp_init([15, 512, 512, 1], seed_or_rng=0)
         adam = adam_init(net)
-        assert adam.grad.size == 513 * 512
+        assert adam.grad.size == (PANEL_ROWS + 1) * 512
         assert adam.scratch.shape == (2, ADAM_BLOCK)
         assert adam_init(mlp_init([2, 3, 1])).scratch.shape == (2, 13)
+        # a short tail joins the panel before it: 300 rows are 64, 64, 64, 108
+        assert adam_init(mlp_init([15, 300, 320, 1])).grad.size == (108 + 1) * 320
+        # 127 rows are too few to cut, however wide the layer
+        assert adam_init(mlp_init([2, 127, 1024, 1])).grad.size == 128 * 1024
+
+    def test_zero_net_gradient_buffer_is_one_panel(self):
+        # one 64-row panel of a 1280 x 1280 layer and its biases, not the
+        # whole 1281 x 1280 layer (13.1 MB)
+        adam = adam_init(init_zero_net())
+        assert adam.grad.size == (PANEL_ROWS + 1) * ZERO_NET_HIDDEN
+        assert adam.grad.nbytes < 2**20
 
     def test_sac_optimizers_share_buffers_sized_for_the_largest_layer(self):
+        # SAC's layers are each one panel: at the training sizes the shared
+        # buffer holds one 256-wide hidden layer with its biases
+        opt = init_optimizers(init_agent(window=5, hidden=256, seed=0))
+        assert opt.policy.grad.size == 257 * 256
         # a wide window makes a critic's first layer (302 x 8) the largest
         nets = init_agent(window=300, hidden=8, seed=0)
         opt = init_optimizers(nets)
@@ -346,6 +366,22 @@ class TestBackwardSweep:
         assert all(s.grad is opt.policy.grad and s.scratch is opt.policy.scratch for s in states)
         assert opt.policy.grad.size == 302 * 8
         assert len({id(s.m) for s in states} | {id(s.v) for s in states}) == 8
+
+    @pytest.mark.parametrize("batch", [64, 16])
+    def test_panel_gemm_rows_equal_the_whole_layer_gemm(self, batch):
+        # The sweep and its reference share the panel code, but the golden
+        # digests below were recorded from one GEMM per layer. They hold
+        # because, with this BLAS, a 64-row panel of the zero-net's 1280 x
+        # 1280 weight gradient sums exactly as those rows of the whole GEMM
+        # do. That is not so for every shape (an odd fan_out, a 1-row panel
+        # run as a GEMV); if a BLAS change breaks it, this test names why.
+        rng = np.random.default_rng(batch)
+        activation = np.maximum(rng.normal(size=(batch, ZERO_NET_HIDDEN)), 0.0)
+        delta = rng.normal(size=(batch, ZERO_NET_HIDDEN))
+        whole = activation.T @ delta
+        for lo in range(0, ZERO_NET_HIDDEN, PANEL_ROWS):
+            panel = np.matmul(activation.T[lo : lo + PANEL_ROWS], delta)
+            assert panel.tobytes() == whole[lo : lo + PANEL_ROWS].tobytes(), f"rows {lo}+"
 
     def test_warm_train_step_allocates_under_half_the_net(self):
         net = mlp_init([15, 512, 512, 512, 1], seed_or_rng=0)

@@ -399,6 +399,21 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_a_non_finite_or_non_positive_lr(self, lr):
+        # lr=-1 ascends the losses: three tiny episodes end at a critic
+        # loss near 1e8 without an error
+        with pytest.raises(ValueError, match=f"lr must be finite and positive, got {lr}"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
+    def test_config_rejects_a_negative_or_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and non-negative, got {alpha}"):
+            TrainConfig(alpha=alpha)
+
+    def test_config_accepts_zero_alpha(self):
+        assert TrainConfig(alpha=0.0).alpha == 0.0
+
 
 class TestCheckpointAndPolicy:
     def test_round_trip(self, tmp_path):
