@@ -122,13 +122,17 @@ def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     return inputs, targets
 
 
-def check_zero_net_args(epochs: int, passes_per_epoch: int, lr: float) -> None:
+def check_zero_net_args(
+    epochs: int, passes_per_epoch: int, lr: float, hidden: int = ZERO_NET_HIDDEN
+) -> None:
     """Raise ``ValueError``, naming the value, for ``zero_net_train`` arguments
-    that would leave the net untrained (no epoch or pass) or non-finite."""
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if passes_per_epoch < 1:
-        raise ValueError(f"passes_per_epoch must be at least 1, got {passes_per_epoch}")
+    that would leave the net untrained (no epoch or pass), without a hidden
+    unit, or non-finite."""
+    for name, value in (
+        ("epochs", epochs), ("passes_per_epoch", passes_per_epoch), ("hidden", hidden)
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if not (np.isfinite(lr) and lr > 0.0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
 
@@ -156,7 +160,7 @@ def zero_net_train(
     """
     if not problems:
         raise ValueError("need at least one training problem")
-    check_zero_net_args(epochs, passes_per_epoch, lr)
+    check_zero_net_args(epochs, passes_per_epoch, lr, hidden)
     config = EnvConfig(
         window=window,
         max_iterations=max_iterations,

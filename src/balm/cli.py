@@ -246,7 +246,7 @@ def cmd_train(args) -> int:
                 deterministic_time=args.deterministic_time,
             )
         elif args.algo == "zero-net":
-            check_zero_net_args(args.epochs, args.passes_per_epoch, args.lr)
+            check_zero_net_args(args.epochs, args.passes_per_epoch, args.lr, **hidden)
     except ValueError as exc:
         print(f"balm train: error: {exc}", file=sys.stderr)
         return 2

@@ -189,9 +189,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        for name in ("episodes", "window", "batch_size", "target_refresh"):
+        for name in (
+            "episodes", "window", "hidden", "batch_size", "replay_capacity", "target_refresh",
+            "max_iterations",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be non-negative, got {self.warmup_steps}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not (np.isfinite(self.alpha) and self.alpha >= 0.0):

@@ -1,12 +1,11 @@
 """Damped least-squares core for bundle adjustment.
 
 One iteration linearizes the reprojection residuals, solves the damped
-normal equations ``(H + lambda*I) delta = -g`` (eliminating point blocks via
-the Schur complement when the camera count warrants it), and applies the
-step additively to all parameter blocks. Steps are accepted unconditionally
-unless the caller opts into accept-on-improve. ``H`` and ``g`` carry the
-observation weight 1/pixel_sigma^2; lambda is added to that weighted ``H``
-as it is, with no rescaling.
+normal equations ``(H + lambda*I) delta = -g`` (eliminating the point
+blocks via the Schur complement), and applies the step additively to all
+parameter blocks. Steps are accepted unconditionally unless the caller
+opts into accept-on-improve. ``H`` and ``g`` carry the observation weight
+1/pixel_sigma^2; lambda is added to that weighted ``H`` with no rescaling.
 
 The Schur elimination builds the reduced camera system
 ``S = blockdiag(H_cc + lambda*I) - W V^-1 W^T``, with ``W`` the
@@ -22,10 +21,11 @@ batched product per chunk of pairs, and a segmented sum over the pairs
 sorted by (camera, camera) folds them into ``S``. Fixed-size chunks keep the
 temporaries small on scenes with many points. The Cholesky factorization
 reads only the lower triangle of ``S``, so only the blocks on or below the
-block diagonal are assembled, and one transposing copy writes them into
-the Fortran-ordered matrix that is factored in place; the upper ones are
-added only when the factorization fails, and the least-squares fallback
-gets the whole matrix, copied again.
+block diagonal are ever assembled, and one transposing copy writes them
+into the Fortran-ordered matrix that is factored in place. When the
+factorization fails, it has overwritten that matrix, so the copy is made
+again, and the least-squares fallback solves its lower triangle mirrored:
+the symmetric matrix that the factorization was given.
 
 The plan also owns a workspace (``scene._Workspace``): one buffer that
 holds every per-observation temporary of ``linearize`` and of the Schur
@@ -126,7 +126,6 @@ from .scene import (
 LAMBDA_MIN = 1e-16
 LAMBDA_MAX = 1e16
 CONVERGENCE_FLOOR = 1e-30
-DENSE_CAMERA_LIMIT = 5  # below this, skip the Schur elimination entirely
 PAIR_CHUNK = 1024  # observation pairs per batched product in the Schur assembly
 _EYE2, _EYE3, _EYE9 = np.eye(2), np.eye(3), np.eye(9)
 for _eye in (_EYE2, _EYE3, _EYE9):
@@ -555,26 +554,27 @@ dpotrf, dpotrs = _flapack().dpotrf, _flapack().dpotrs
 
 
 def _solve_spd(
-    matrix: np.ndarray, rhs: np.ndarray, full: Callable[[], np.ndarray] | None = None
+    matrix: np.ndarray, rhs: np.ndarray, rebuild: Callable[[], np.ndarray] | None = None
 ) -> np.ndarray:
     """Cholesky solve with a least-squares fallback for semidefinite systems.
 
     Calls LAPACK's ``dpotrf``/``dpotrs`` from scipy's ``_flapack`` extension
     (the routines behind ``scipy.linalg.cho_factor``/``cho_solve``) directly,
-    which skips those wrappers' argument checks and batching. The Cholesky
-    factorization reads only the lower triangle of ``matrix``. With
-    ``full``, the strict upper triangle may hold anything, a Fortran-ordered
-    ``matrix`` is factored in place, and ``full()`` returns the whole matrix
-    anew for the fallback to solve.
+    which skips those wrappers' argument checks and batching. The
+    factorization reads only the lower triangle of ``matrix``, and the
+    fallback solves the symmetric matrix with that lower triangle, its
+    strict part mirrored into the upper one. With ``rebuild``, a
+    Fortran-ordered ``matrix`` is factored in place, and ``rebuild()``
+    returns it anew for the fallback, since a failed factorization has
+    overwritten it.
     """
-    factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=full is not None)
+    factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=rebuild is not None)
     if info == 0:
         solution, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
-        if full is not None:
-            matrix = full()
+        lower = np.tril(matrix if rebuild is None else rebuild())
         try:
-            solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+            solution, *_ = np.linalg.lstsq(lower + np.tril(lower, -1).T, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"least-squares fallback failed: {exc}") from exc
     if not np.isfinite(solution).all():
@@ -614,10 +614,10 @@ class _PairPlan:
     Each chunk is (first, second, segment starts within the chunk, the
     (camera, camera) block index of each segment). ``lower`` holds the pairs
     whose block is on or below the block diagonal (camera of ``first`` >=
-    camera of ``second``), ``upper`` the rest. Both split one chunking of
-    the pairs in ``_camera_pairs`` order, segment by segment, so each
-    segment, and each part of a block split across a chunk edge, sums the
-    same products in the same order whichever side it is on.
+    camera of ``second``), the only blocks that the Cholesky factorization
+    reads and so the only ones assembled. Its chunks are the lower pairs of
+    a chunking of all the pairs in ``_camera_pairs`` order, so a block that
+    crosses a chunk edge of that order is summed in two parts.
 
     ``workspace`` holds every per-observation temporary of ``linearize``
     and of the Schur step on this index set: the projection, the
@@ -632,20 +632,19 @@ class _PairPlan:
     """
 
     lower: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-    upper: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     points_indexed: int  # 1 + the largest point index
     workspace: _Workspace = field(default_factory=_Workspace)
     row_slots: dict = field(default_factory=dict)  # ``_added_rows``' bincount slots
 
-    def subtract(self, blocks, chunks, cross_dinv, cross_t) -> None:
-        """``blocks[l, b] -= sum of cross_dinv[l, first] @ cross_t[second]`` over ``chunks``' pairs.
+    def subtract(self, blocks, cross_dinv, cross_t) -> None:
+        """``blocks[l, b] -= sum of cross_dinv[l, first] @ cross_t[second]`` over the lower pairs.
 
         ``blocks`` is (L, num_blocks, 9, 9) and ``cross_dinv`` (L, n, 9, 3),
         one row per damping; ``cross_t`` (n, 3, 9) is shared by all of them.
         """
         scratch = self.workspace
         count = len(blocks)
-        for first, second, segment_starts, segment_blocks in chunks:
+        for first, second, segment_starts, segment_blocks in self.lower:
             mark = scratch.used
             # np.take gathers rows about twice as fast as fancy indexing.
             left = scratch.take(cross_dinv, first, axis=1)
@@ -679,29 +678,28 @@ def _cached_pair_plan(num_cameras: int, cam_bytes: bytes, pt_bytes: bytes) -> _P
     pt_idx = np.frombuffer(pt_bytes, dtype=np.intp)
     first, second, block_of, starts = _camera_pairs(cam_idx, pt_idx, num_cameras)
     on_lower = block_of // num_cameras >= block_of % num_cameras
-    lower, upper = [], []
+    lower = []
     for lo in range(0, len(first), PAIR_CHUNK):
         hi = min(lo + PAIR_CHUNK, len(first))
         # Segments of equal (camera, camera) block within the chunk; a block
         # whose segment crosses a chunk edge is summed in two parts.
         cuts = starts[np.searchsorted(starts, lo, "right") : np.searchsorted(starts, hi)]
         segment_starts = np.concatenate(([lo], cuts))
-        lengths = np.diff(np.append(segment_starts, hi))
-        for chunks, side in ((lower, on_lower[lo:hi]), (upper, ~on_lower[lo:hi])):
-            kept = side[segment_starts - lo]
-            if not kept.any():
-                continue
-            kept_lengths = lengths[kept]
-            chunk = (
-                first[lo:hi][side],
-                second[lo:hi][side],
-                np.cumsum(kept_lengths) - kept_lengths,
-                block_of[segment_starts[kept]],
-            )
-            for array in chunk:
-                array.flags.writeable = False  # shared by every later call
-            chunks.append(chunk)
-    return _PairPlan(tuple(lower), tuple(upper), int(pt_idx.max(initial=-1)) + 1)
+        kept = on_lower[segment_starts]
+        if not kept.any():
+            continue
+        kept_lengths = np.diff(np.append(segment_starts, hi))[kept]
+        side = on_lower[lo:hi]
+        chunk = (
+            first[lo:hi][side],
+            second[lo:hi][side],
+            np.cumsum(kept_lengths) - kept_lengths,
+            block_of[segment_starts[kept]],
+        )
+        for array in chunk:
+            array.flags.writeable = False  # shared by every later call
+        lower.append(chunk)
+    return _PairPlan(tuple(lower), int(pt_idx.max(initial=-1)) + 1)
 
 
 def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray, plan) -> np.ndarray:
@@ -731,7 +729,7 @@ def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray, plan) -
     return sums.reshape(length, count, width).transpose(1, 0, 2)
 
 
-def _damped_steps(lin: Linearization, lams, method: str = "auto"):
+def _damped_steps(lin: Linearization, lams, method: str = "schur"):
     """The steps of (H + lambda*I) delta = -g at each damping of ``lams``, as one batch.
 
     Returns (delta_cameras (L, num_cameras, 9), delta_points (L,
@@ -744,8 +742,6 @@ def _damped_steps(lin: Linearization, lams, method: str = "auto"):
     for lam in lams:
         if lam < 0 or not math.isfinite(lam):
             raise ValueError(f"damping must be a non-negative finite scalar, got {lam}")
-    if method == "auto":
-        method = "dense" if lin.num_cameras < DENSE_CAMERA_LIMIT else "schur"
     count, nc = len(lams), lin.num_cameras
     failures = [None] * count
     if method == "dense":
@@ -812,7 +808,7 @@ def _damped_steps(lin: Linearization, lams, method: str = "auto"):
     blocks = scratch(count, nc * nc, 9, 9)  # block (a, b) of damping l's S at [l, a * nc + b]
     blocks.fill(0.0)
     blocks[:, np.arange(nc) * (nc + 1)] = lin.h_cc + damping_axis * _EYE9
-    plan.subtract(blocks, plan.lower, cross_dinv, cross_t)
+    plan.subtract(blocks, cross_dinv, cross_t)
 
     def fortran(damping: int) -> np.ndarray:
         """Damping ``damping``'s reduced system, as a Fortran-ordered matrix in ``scratch``."""
@@ -822,21 +818,14 @@ def _damped_steps(lin: Linearization, lams, method: str = "auto"):
         np.copyto(storage, blocks[damping].reshape(nc, nc, 9, 9).transpose(1, 3, 0, 2))
         return storage.reshape(9 * nc, 9 * nc).T
 
-    def full(damping: int) -> np.ndarray:
-        """The whole matrix, with the upper pairs subtracted too."""
-        rows = slice(damping, damping + 1)
-        plan.subtract(blocks[rows], plan.upper, cross_dinv[rows], cross_t)
-        return fortran(damping)
-
     delta_cam = np.zeros((count, nc, 9))
     for damping in range(count):
         if failures[damping] is not None:
             continue
         mark = scratch.used
-        # The upper triangle is assembled only for the least-squares fallback.
         try:
             solution = _solve_spd(
-                fortran(damping), rhs[damping].ravel(), functools.partial(full, damping)
+                fortran(damping), rhs[damping].ravel(), functools.partial(fortran, damping)
             )
             delta_cam[damping] = solution.reshape(nc, 9)
         except SingularSystemError as exc:
@@ -863,13 +852,14 @@ def _damped_steps(lin: Linearization, lams, method: str = "auto"):
 
 
 def damped_step(
-    lin: Linearization, lam: float, method: str = "auto"
+    lin: Linearization, lam: float, method: str = "schur"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (H + lambda*I) delta = -g; returns (delta_cameras, delta_points).
 
-    ``method`` is "auto" (Schur elimination unless the problem is tiny),
-    "schur", or "dense". The Schur path's temporaries live in the pair
-    plan's workspace; the returned steps are new arrays.
+    ``method`` is "schur" (Schur elimination of the point blocks) or
+    "dense" (the whole Hessian of ``dense_system``, the reference the
+    tests check the Schur step against). The Schur path's temporaries live
+    in the pair plan's workspace; the returned steps are new arrays.
     """
     (delta_cam,), (delta_pt,), (failure,) = _damped_steps(lin, (lam,), method)
     if failure is not None:
@@ -918,7 +908,7 @@ def evaluate_step(
     params: ParamVector,
     lin: Linearization,
     lam: float,
-    method: str = "auto",
+    method: str = "schur",
     *,
     _keep_projection: bool = False,
 ) -> tuple[ParamVector, float]:

@@ -42,7 +42,7 @@ def flat(params):
 
 @pytest.fixture(scope="session")
 def tiny_problem():
-    """Four cameras: small enough that the dense path is the automatic choice."""
+    """Four cameras and six points."""
     return generate_synthetic(4, 6, seed=1)
 
 

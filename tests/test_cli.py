@@ -293,8 +293,16 @@ class TestTrain:
                 "passes_per_epoch must be at least 1, got 0",
             ),
             (("--algo", "zero-net", "--lr", "nan"), "lr must be finite and positive, got nan"),
+            (("--hidden", "0"), "hidden must be at least 1, got 0"),
+            (("--replay-capacity", "0"), "replay_capacity must be at least 1, got 0"),
+            (("--max-iterations", "0"), "max_iterations must be at least 1, got 0"),
+            (("--warmup-steps", "-1"), "warmup_steps must be non-negative, got -1"),
+            (("--algo", "zero-net", "--hidden", "0"), "hidden must be at least 1, got 0"),
         ],
-        ids=["episodes", "lr", "alpha", "zero-net-epochs", "zero-net-passes", "zero-net-lr"],
+        ids=[
+            "episodes", "lr", "alpha", "zero-net-epochs", "zero-net-passes", "zero-net-lr",
+            "hidden", "replay-capacity", "max-iterations", "warmup-steps", "zero-net-hidden",
+        ],
     )
     def test_rejected_training_value_is_a_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"

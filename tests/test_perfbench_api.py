@@ -125,3 +125,9 @@ def test_tiny_zero_net_benchmark_runs_correctly(tmp_path):
 
 def test_tiny_sac_pipeline_benchmark_runs_correctly(tmp_path):
     run_tiny_workload("sac-pipeline", tmp_path)
+
+
+def test_tiny_sparse_benchmark_runs_correctly(tmp_path):
+    # The Schur layer's pair plan on partial visibility, checked against the
+    # benchmark's independent reference.
+    run_tiny_workload("sparse-solve", tmp_path)

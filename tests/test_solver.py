@@ -28,7 +28,6 @@ from balm.scene import (
 from balm.env import BAEnv, EnvConfig, StepOutcome
 from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy
 from balm.solver import (
-    DENSE_CAMERA_LIMIT,
     LAMBDA_MAX,
     LAMBDA_MIN,
     IterationRecord,
@@ -498,36 +497,38 @@ class TestDampedStep:
                     assert lo < hi
                     yield block, chunk_first[lo:hi], chunk_second[lo:hi]
 
-        lower, upper = list(segments(plan.lower)), list(segments(plan.upper))
+        lower = list(segments(plan.lower))
         lower_first = np.concatenate([f for _, f, _ in lower])
         lower_second = np.concatenate([s for _, _, s in lower])
         assert np.all(cam_idx[lower_first] >= cam_idx[lower_second])
-        assert all(np.all(cam_idx[f] < cam_idx[s]) for _, f, s in upper)
         n, pairs = problem.num_observations, len(first)
         assert len(lower_first) == n + (pairs - n) // 2
-        for block, f, s in lower + upper:
+        for block, f, s in lower:
             assert np.all(cam_idx[f] * nc + cam_idx[s] == block)
 
-        # Merged by block, the two sides give _camera_pairs' order, and every
-        # segment lies within one chunk of it and ends at a block change or a
-        # chunk edge.
-        merged = sorted(lower + upper, key=lambda segment: segment[0])
-        np.testing.assert_array_equal(np.concatenate([f for _, f, _ in merged]), first)
-        np.testing.assert_array_equal(np.concatenate([s for _, _, s in merged]), second)
-        lengths = np.array([len(f) for _, f, _ in merged])
+        # The segments are the lower pairs in _camera_pairs' order, and each
+        # one is a run of that order that lies within one chunk of it and
+        # starts at a block change or a chunk edge.
+        on_lower = block_of // nc >= block_of % nc
+        np.testing.assert_array_equal(lower_first, first[on_lower])
+        np.testing.assert_array_equal(lower_second, second[on_lower])
+        position = np.flatnonzero(on_lower)
+        lengths = np.array([len(f) for _, f, _ in lower])
         ends = np.cumsum(lengths)
-        starts = ends - lengths
-        assert np.all(starts // chunk == (ends - 1) // chunk)
+        starts, lasts = position[ends - lengths], position[ends - 1]
+        np.testing.assert_array_equal(lasts - starts, lengths - 1)
+        assert np.all(starts // chunk == lasts // chunk)
         cut = np.flatnonzero(np.diff(block_of)) + 1
         edges = np.arange(chunk, pairs, chunk)
-        np.testing.assert_array_equal(starts[1:], np.union1d(cut, edges))
+        boundaries = np.union1d(np.union1d(cut, edges), [0])
+        np.testing.assert_array_equal(starts, boundaries[on_lower[boundaries]])
 
     def test_gauge_step_solves_the_full_matrix_when_cholesky_fails(self, monkeypatch):
-        # At lambda = 1e-15 a one-view point's depth is unobservable, the
-        # reduced system is not positive definite, and the least-squares
-        # fallback needs the upper triangle, which the Cholesky path skips.
-        # The failed factorization overwrote the matrix in place, so the
-        # fallback must get it rebuilt whole, in the same workspace.
+        # At lambda = 1e-15 a one-view point's depth is unobservable and the
+        # reduced system is not positive definite. The failed factorization
+        # overwrote the matrix in place, so the fallback rebuilds it in the
+        # workspace and solves the lower triangle that the factorization was
+        # given, mirrored: the upper blocks are never assembled.
         problem = thinned_problem()
         lin = linearize(problem, ParamVector.from_problem(problem))
         workspace = solver._pair_plan(lin.cam_idx, lin.pt_idx, lin.num_cameras).workspace
@@ -535,11 +536,11 @@ class TestDampedStep:
         dpotrf, lstsq = solver.dpotrf, np.linalg.lstsq
 
         def factor_spy(matrix, **kwargs):
-            factored.append(matrix.copy())
+            factored.append((matrix.copy(), np.shares_memory(matrix, workspace.buffer)))
             return dpotrf(matrix, **kwargs)
 
         def lstsq_spy(matrix, rhs, **kwargs):
-            solved.append((matrix.copy(), np.shares_memory(matrix, workspace.buffer)))
+            solved.append(matrix.copy())
             return lstsq(matrix, rhs, **kwargs)
 
         monkeypatch.setattr(solver, "dpotrf", factor_spy)
@@ -549,14 +550,45 @@ class TestDampedStep:
             solved.clear()
             damped_step(lin, 1e-15, "schur")
             assert len(factored) == 1 and len(solved) == 1
-            matrix, in_place = solved[0]
+            (given, in_place), matrix = factored[0], solved[0]
             assert in_place or not warm
             assert matrix.shape == (9 * problem.num_cameras,) * 2
-            lower = np.tril_indices(len(matrix))
-            assert matrix[lower].tobytes() == factored[0][lower].tobytes()
-            upper = np.triu_indices(len(matrix), 1)
-            assert np.count_nonzero(matrix[upper]) > 0
-            np.testing.assert_array_equal(matrix == 0, (matrix == 0).T)
+            lower = np.tril(given)
+            assert matrix.tobytes() == (lower + np.tril(lower, -1).T).tobytes()
+
+    def test_fallback_matrix_is_symmetric(self, monkeypatch):
+        # The reduced system's two triangles differ by rounding that a
+        # one-view point's near-singular V^-1 amplifies: max |S - S^T| is
+        # 1.1e-3 of max |S| when both are assembled.
+        problem = thinned_problem()
+        lin = linearize(problem, ParamVector.from_problem(problem))
+        solved, lstsq = [], np.linalg.lstsq
+
+        def lstsq_spy(matrix, rhs, **kwargs):
+            solved.append(matrix.copy())
+            return lstsq(matrix, rhs, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+        damped_step(lin, 1e-15)
+        (matrix,) = solved
+        assert np.count_nonzero(np.triu(matrix, 1)) > 0
+        np.testing.assert_array_equal(matrix, matrix.T)
+
+    def test_fallback_steps_converge_at_unit_pixel_sigma(self, monkeypatch):
+        # At pixel sigma 1, balm solve's default, lambda = 1e-12 steps take
+        # the least-squares fallback. Solving both assembled triangles took 8
+        # iterations here.
+        fallbacks, lstsq = [], np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            fallbacks.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        problem = generate_synthetic(10, 10, pixel_sigma=1.0, noise_std=0.5, seed=100)
+        result = solve(problem, FixedPolicy(1e-12), deterministic_time=True)
+        assert result.converged and result.iterations <= 6
+        assert len(fallbacks) >= result.iterations // 2
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_scratch_buffers_do_not_alias(self, shared):
@@ -640,25 +672,18 @@ class TestDampedStep:
         # E and H_cp^T, the reduced system, and one chunk's gathers, products
         # and sums.
         plan = solver._pair_plan(problem.cam_idx, problem.pt_idx, problem.num_cameras)
-        chunk = max(len(c[0]) for c in plan.lower + plan.upper)
+        chunk = max(len(c[0]) for c in plan.lower)
         n, nc = problem.num_observations, problem.num_cameras
         assert plan.workspace.buffer.size <= 54 * n + 81 * nc * nc + 216 * chunk
 
-    def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
-        assert tiny_problem.num_cameras < DENSE_CAMERA_LIMIT
+    def test_tiny_scenes_take_the_schur_step(self, tiny_problem):
+        assert tiny_problem.num_cameras == 4
         lin = linearize(tiny_problem, ParamVector.from_problem(tiny_problem))
-        auto = damped_step(lin, 0.1, method="auto")
-        dense = damped_step(lin, 0.1, method="dense")
-        np.testing.assert_array_equal(auto[0], dense[0])
-        np.testing.assert_array_equal(auto[1], dense[1])
-
-    def test_auto_uses_schur_at_camera_limit(self, default_problem):
-        assert default_problem.num_cameras >= DENSE_CAMERA_LIMIT
-        lin = linearize(default_problem, ParamVector.from_problem(default_problem))
-        auto = damped_step(lin, 0.1, method="auto")
+        step = damped_step(lin, 0.1)
         schur = damped_step(lin, 0.1, method="schur")
-        np.testing.assert_array_equal(auto[0], schur[0])
-        np.testing.assert_array_equal(auto[1], schur[1])
+        assert [a.tobytes() for a in step] == [a.tobytes() for a in schur]
+        with pytest.raises(ValueError, match="auto"):
+            damped_step(lin, 0.1, method="auto")
 
     def test_rejects_bad_damping(self):
         lin = random_linearization(seed=3, nc=2, npts=4)
@@ -700,14 +725,17 @@ class TestDampedStep:
         lower = spd.copy()
         lower[np.triu_indices(90, 1)] = np.nan
         expected = solver._solve_spd(spd, rhs).tobytes()
-        assert solver._solve_spd(lower, rhs, full=lambda: pytest.fail("full")).tobytes() == expected
-        # the fallback solves the whole matrix that ``full`` returns
+        unused = lambda: pytest.fail("rebuild")  # noqa: E731
+        assert solver._solve_spd(lower, rhs, rebuild=unused).tobytes() == expected
+        # the fallback solves the lower triangle, mirrored: with ``rebuild``,
+        # the one that ``rebuild`` returns
         semidefinite = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         lower = semidefinite.copy()
         lower[np.triu_indices(3, 1)] = np.nan
         expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
-        solution = solver._solve_spd(lower, rhs[:3], full=lambda: semidefinite)
-        np.testing.assert_array_equal(solution, expected)
+        for rebuild in (lower.copy, None):
+            solution = solver._solve_spd(lower.copy(), rhs[:3], rebuild=rebuild)
+            np.testing.assert_array_equal(solution, expected)
 
 
 LIGHT_IMPORT = """
@@ -770,29 +798,29 @@ GOLDEN_SCENES = {
 # sha256 of the LM layer's outputs (see lm_layer_digest) on each scene, from
 # the initial state and after 3 classic iterations, with one BLAS thread.
 GOLDEN_LM_DIGESTS = {
-    "suite-100/0": "d0cae2caec5f703d1e61029e79c0dbbc895e4db509acb0a307729af0ea829769",
-    "suite-100/3": "d589d39b6077df7437accf925e2ab03e7cb84749b48da805d95787373a1bbc31",
-    "thinned/0": "c253a3339e732c7217cc4a5d629954e2ffae7c707e63f5334ec5c43b448fdbd0",
-    "thinned/3": "5cc4808e0440db8601ab4e6fc5160ec1cae0ab132abcaecdc7913ef14fe0c194",
-    "suite-100-distorted/0": "6436ac5849d9cc798563f3640f5127f26fee771120b116cb578600d6628daac7",
-    "suite-100-distorted/3": "1453e75ec873b9d6bba0f1c4a65fdca672a062598c12617b136342ac184aa5d5",
-    "few-view/0": "fb28a6e20e0c9d96a655b3a6a1c3d5d5f51c6b81cf125be8a1d38a74eb742859",
-    "few-view/3": "e5e565d733e3f452fe6bd615c11a99a4d0bafd7fe8c4bb3ce0572877cb43512f",
-    "few-view-40x400/0": "418c2cdf4451944596887e052df2436891d018f3febd82c0cb9606773aa21ae3",
-    "few-view-40x400/3": "cf634c3e04085870d4fa7c4a4717611d0f1f8ed7cac4b9d4aa73a80340062b5e",
+    "suite-100/0": "59c4d59c2b94e8c2e42b40eaa8715d196f31885f6d85994973b33ea5d2788760",
+    "suite-100/3": "c909b4fe724416dbf64e98b6e6503778e471b5e055060cacecbd0b1035474a2a",
+    "thinned/0": "b81d44a8bceb646d67193436e7171959574a8e0e803afa5b675fc45b9055fba4",
+    "thinned/3": "f3d78d18c33f8cffdd7478b3dfd1a16e9ba999ac9a5f0576fbe7fa0e24cca185",
+    "suite-100-distorted/0": "156520dd7425c2bf1769cec0513a26b2d6af15538fdcf621a316f021f978cd88",
+    "suite-100-distorted/3": "a8f41146054ce30e239097c79cf0c23e767bd63dd55332f0d8dead0ddab79a30",
+    "few-view/0": "eb995f69db831324f67d9aadfc63401a2e0d31308d6b6347a91e47a82841dfb5",
+    "few-view/3": "79c0a8addb32420a721f613437bb4d2df9178fce3170955c690ce6cee7f906fb",
+    "few-view-40x400/0": "64ddedce94395204536ee0ee8e8c5afd86c91f45fc84d4d05b23a5e28c1660b7",
+    "few-view-40x400/3": "2a7fec316321e1ba78431624ed96f7e0847fbb04820e6c8bd3281a7bc132ff5e",
 }
 
 
 def lm_layer_digest(problem, params) -> str:
     """sha256 over every ``linearize`` field, the residuals, and, at each golden
-    lambda, the schur/dense/auto steps with their candidates and errors."""
+    lambda, the schur and dense steps with their candidates and errors."""
     digest = hashlib.sha256()
     lin = linearize(problem, params)
     for name in LIN_FIELDS:
         digest.update(name.encode() + getattr(lin, name).tobytes())
     digest.update(residuals(problem, params).tobytes())
     for lam in GOLDEN_LAMBDAS:
-        for method in ("schur", "dense", "auto"):
+        for method in ("schur", "dense"):
             try:
                 delta_cam, delta_pt = damped_step(lin, lam, method=method)
                 candidate, err = evaluate_step(problem, params, lin, lam, method=method)
@@ -875,7 +903,7 @@ class TestLmLayerBits:
                     assert a.tobytes() == b.tobytes()
 
 
-# The golden scenes, plus one under DENSE_CAMERA_LIMIT cameras (the dense path).
+# The golden scenes, plus the tests' 4-camera scene.
 BATCH_SCENES = {**GOLDEN_SCENES, "tiny-dense": lambda: generate_synthetic(4, 6, seed=1)}
 BATCH_LAMBDAS = tuple(sorted(set(GOLDEN_LAMBDAS) | set(DEFAULT_ORACLE_GRID)))
 
@@ -1242,7 +1270,7 @@ class TestSolve:
         calls = {"n": 0}
         original = solver.damped_step
 
-        def flaky(lin, lam, method="auto"):
+        def flaky(lin, lam, method="schur"):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise SingularSystemError("injected")
@@ -1288,7 +1316,7 @@ class TestSerialization:
         monkeypatch.setattr(
             solver,
             "damped_step",
-            lambda lin, lam, method="auto": (_ for _ in ()).throw(
+            lambda lin, lam, method="schur": (_ for _ in ()).throw(
                 SingularSystemError("injected")
             ),
         )
