@@ -676,14 +676,26 @@ class TestDampedStep:
         n, nc = problem.num_observations, problem.num_cameras
         assert plan.workspace.buffer.size <= 54 * n + 81 * nc * nc + 216 * chunk
 
-    def test_tiny_scenes_take_the_schur_step(self, tiny_problem):
-        assert tiny_problem.num_cameras == 4
-        lin = linearize(tiny_problem, ParamVector.from_problem(tiny_problem))
+    # `method="auto"` and its dense dispatch below five cameras are gone; the
+    # two tests keep their names so that test ids do not move. On either side
+    # of the old limit the default step is the Schur step to the bit, and
+    # "auto" is an unknown method.
+    @staticmethod
+    def _default_step_is_the_schur_step(problem):
+        lin = linearize(problem, ParamVector.from_problem(problem))
         step = damped_step(lin, 0.1)
         schur = damped_step(lin, 0.1, method="schur")
         assert [a.tobytes() for a in step] == [a.tobytes() for a in schur]
         with pytest.raises(ValueError, match="auto"):
             damped_step(lin, 0.1, method="auto")
+
+    def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
+        assert tiny_problem.num_cameras == 4
+        self._default_step_is_the_schur_step(tiny_problem)
+
+    def test_auto_uses_schur_at_camera_limit(self, default_problem):
+        assert default_problem.num_cameras >= 5
+        self._default_step_is_the_schur_step(default_problem)
 
     def test_rejects_bad_damping(self):
         lin = random_linearization(seed=3, nc=2, npts=4)
