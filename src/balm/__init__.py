@@ -79,6 +79,7 @@ from .sac import (
     train_agent,
 )
 from .baselines import (
+    ZeroNetConfig,
     init_zero_net,
     load_zero_net_checkpoint,
     save_zero_net_checkpoint,
@@ -151,6 +152,7 @@ __all__ = [
     "select_action",
     "train_agent",
     # baselines
+    "ZeroNetConfig",
     "init_zero_net",
     "load_zero_net_checkpoint",
     "save_zero_net_checkpoint",

@@ -9,6 +9,8 @@ never sees episode return, only the next step.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .env import BAEnv, EnvConfig
@@ -122,55 +124,49 @@ def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     return inputs, targets
 
 
-def check_zero_net_args(
-    epochs: int, passes_per_epoch: int, lr: float, hidden: int = ZERO_NET_HIDDEN
-) -> None:
-    """Raise ``ValueError``, naming the value, for ``zero_net_train`` arguments
-    that would leave the net untrained (no epoch or pass), without a hidden
-    unit, or non-finite."""
-    for name, value in (
-        ("epochs", epochs), ("passes_per_epoch", passes_per_epoch), ("hidden", hidden)
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if not (np.isfinite(lr) and lr > 0.0):
-        raise ValueError(f"lr must be finite and positive, got {lr}")
+@dataclass(frozen=True)
+class ZeroNetConfig:
+    """``zero_net_train``'s options, checked: values that would leave the net
+    untrained (no epoch or pass), without a hidden unit, or non-finite, and
+    the env fields (``EnvConfig``), raise ``ValueError`` naming the value."""
+
+    epochs: int = 2
+    seed: int = 0
+    window: int = 5
+    hidden: int = ZERO_NET_HIDDEN
+    lr: float = 3e-4
+    passes_per_epoch: int = 150
+    max_iterations: int = 100
+    threshold: float = 1e-6
+    deterministic_time: bool = True
+
+    def __post_init__(self) -> None:
+        EnvConfig.of(self)  # checks the env fields
+        for name in ("epochs", "passes_per_epoch", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
-def zero_net_train(
-    problems,
-    epochs: int = 2,
-    seed: int = 0,
-    window: int = 5,
-    hidden: int = ZERO_NET_HIDDEN,
-    lr: float = 3e-4,
-    passes_per_epoch: int = 150,
-    max_iterations: int = 100,
-    threshold: float = 1e-6,
-    deterministic_time: bool = True,
-    progress=None,
-) -> Mlp:
+def zero_net_train(problems, progress=None, **options) -> Mlp:
     """Alternate labeled-rollout collection with regression in raw-u space.
 
-    The reward slots count iterations in either timing mode
-    (``zero_net_input``), so the trained net and its solves do not depend
-    on ``deterministic_time``; it only sets the durations the env records.
-    Arguments ``check_zero_net_args`` rejects raise ``ValueError`` before any
-    work, and a non-finite regression loss raises ``NonFiniteLossError``.
+    ``options`` are ``ZeroNetConfig``'s fields; a value it rejects raises
+    ``ValueError`` before any work. The reward slots count iterations in
+    either timing mode (``zero_net_input``), so the trained net and its
+    solves do not depend on ``deterministic_time``; it only sets the
+    durations the env records. A non-finite regression loss raises
+    ``NonFiniteLossError``.
     """
     if not problems:
         raise ValueError("need at least one training problem")
-    check_zero_net_args(epochs, passes_per_epoch, lr, hidden)
-    config = EnvConfig(
-        window=window,
-        max_iterations=max_iterations,
-        threshold=threshold,
-        deterministic_time=deterministic_time,
-    )
-    rng = np.random.default_rng(seed)
-    net = init_zero_net(window=window, hidden=hidden, seed=seed)
+    cfg = ZeroNetConfig(**options)
+    config = EnvConfig.of(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    net = init_zero_net(window=cfg.window, hidden=cfg.hidden, seed=cfg.seed)
     adam = adam_init(net)
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         driver = None if epoch == 0 else net
         xs: list = []
         ys: list = []
@@ -181,11 +177,11 @@ def zero_net_train(
         features = np.asarray(xs)
         labels = np.asarray(ys)[:, None]
         loss = float("nan")
-        for _ in range(passes_per_epoch):
+        for _ in range(cfg.passes_per_epoch):
             order = rng.permutation(len(features))
             for start in range(0, len(features), ZERO_NET_BATCH):
                 idx = order[start : start + ZERO_NET_BATCH]
-                loss = mlp_train_step(net, adam, features[idx], labels[idx], lr=lr)
+                loss = mlp_train_step(net, adam, features[idx], labels[idx], lr=cfg.lr)
                 if not np.isfinite(loss):
                     raise NonFiniteLossError(f"non-finite regression loss {loss} at epoch {epoch}")
         if progress is not None:

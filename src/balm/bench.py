@@ -205,6 +205,13 @@ def _time_to_target(record: RunRecord, target: float) -> float:
     return float("inf")
 
 
+def check_tolerance(tolerance: float) -> float:
+    """``tolerance`` if a performance profile accepts it, else ``ValueError``."""
+    if not 0.0 < tolerance <= 1.0:
+        raise ValueError(f"tolerance must be in (0, 1], got {tolerance}")
+    return tolerance
+
+
 def performance_profile(records, tolerance: float) -> dict:
     """Cumulative solved-fraction curves over relative solve time.
 
@@ -214,8 +221,7 @@ def performance_profile(records, tolerance: float) -> dict:
     cumulative duration at which its traced error dips below the target,
     and alpha divides that by the fastest policy's time.
     """
-    if not 0.0 < tolerance <= 1.0:
-        raise ValueError("tolerance must be in (0, 1]")
+    check_tolerance(tolerance)
     kinds = sorted({r.policy_kind for r in records})
     if len(kinds) < 2:
         raise ValueError("performance profiles need at least two policies")

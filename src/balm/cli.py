@@ -15,6 +15,7 @@ import argparse
 import gzip
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .bench import (
     ablation_suite,
     ablation_to_csv,
     aggregates_to_csv,
+    check_tolerance,
     comparison_to_csv,
     extract_schedule,
     performance_profile,
@@ -35,7 +37,7 @@ from .bench import (
     run_comparison,
 )
 from .baselines import (
-    check_zero_net_args,
+    ZeroNetConfig,
     load_zero_net_checkpoint,
     save_zero_net_checkpoint,
     zero_net_train,
@@ -225,60 +227,31 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _usage_error(command: str, message) -> int:
+    print(f"balm {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_train(args) -> int:
-    hidden = {} if args.hidden is None else {"hidden": args.hidden}  # else each trainer's default
-    try:  # the arguments only: a training run that fails raises
-        if args.algo == "sac":
-            cfg = TrainConfig(
-                episodes=args.episodes,
-                seed=args.seed,
-                window=args.window,
-                **hidden,
-                gamma=args.gamma,
-                alpha=args.alpha,
-                lr=args.lr,
-                batch_size=args.batch_size,
-                replay_capacity=args.replay_capacity,
-                warmup_steps=args.warmup_steps,
-                reward_variant=args.reward_variant,
-                max_iterations=args.max_iterations,
-                threshold=args.threshold,
-                deterministic_time=args.deterministic_time,
-            )
-        elif args.algo == "zero-net":
-            check_zero_net_args(args.epochs, args.passes_per_epoch, args.lr, **hidden)
+    config_type = TrainConfig if args.algo == "sac" else ZeroNetConfig
+    given = {f.name: getattr(args, f.name, None) for f in fields(config_type)}
+    try:  # the values only: a training run that fails raises
+        cfg = config_type(**{name: value for name, value in given.items() if value is not None})
+        problems = list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
     except ValueError as exc:
-        print(f"balm train: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("train", exc)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = parse_seed_list(args.train_seeds)
-    problems = list(_suite_problems(args, seeds).values())
     log_path = out_dir / "train_log.jsonl"
-    entries = []
     if args.algo == "sac":
-        nets, logs = train_agent(problems, cfg)
+        nets, entries = train_agent(problems, cfg)
         checkpoint = out_dir / "agent.ckpt"
         save_agent_checkpoint(checkpoint, nets, cfg)
-        entries = logs
-    elif args.algo == "zero-net":
-        net = zero_net_train(
-            problems,
-            epochs=args.epochs,
-            seed=args.seed,
-            window=args.window,
-            **hidden,
-            lr=args.lr,
-            passes_per_epoch=args.passes_per_epoch,
-            max_iterations=args.max_iterations,
-            threshold=args.threshold,
-            deterministic_time=args.deterministic_time,
-            progress=entries.append,
-        )
+    else:
+        entries = []
+        net = zero_net_train(problems, progress=entries.append, **asdict(cfg))
         checkpoint = out_dir / "zero_net.ckpt"
         save_zero_net_checkpoint(checkpoint, net)
-    else:
-        raise SystemExit(f"unknown algo {args.algo!r}")
     with log_path.open("w") as fh:
         for entry in entries:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -329,10 +302,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    try:
+        tolerances = [check_tolerance(float(t)) for t in str(args.tolerances).split(",")]
+    except ValueError as exc:
+        return _usage_error("profile", f"--tolerances: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = _comparison_table(args)
-    tolerances = [float(t) for t in str(args.tolerances).split(",")]
     outputs = []
     for tolerance in tolerances:
         curves = performance_profile(table.records, tolerance)
@@ -347,13 +323,15 @@ def cmd_profile(args) -> int:
 def cmd_ablate(args) -> int:
     if not args.kind:
         raise SystemExit("ablate needs --kind (flag or config)")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not isinstance(args.ablation_config, (dict, type(None))):
+        raise SystemExit("--ablation-config must contain a JSON object")
     overrides = dict(args.ablation_config or {})
     if args.deterministic_time:  # without the flag, DEFAULT_ABLATION_CONFIG's value stands
         overrides.setdefault("deterministic_time", True)
     overrides.setdefault("seed", args.seed)
     result = ablation_suite(args.kind, overrides)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"ablation-{args.kind}.csv"
     csv_path.write_text(ablation_to_csv(result))
     json_path = out_dir / f"ablation-{args.kind}.json"

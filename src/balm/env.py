@@ -12,7 +12,7 @@ it with a damping policy as the player.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,12 +52,18 @@ class EnvConfig:
             raise ValueError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
             )
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        for name in ("window", "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
+
+    @classmethod
+    def of(cls, config) -> EnvConfig:
+        """The env settings among ``config``'s attributes, checked; the rest keep
+        their defaults. Each training config builds its env this way."""
+        names = [f.name for f in fields(cls) if hasattr(config, f.name)]
+        return cls(**{name: getattr(config, name) for name in names})
 
 
 @dataclass

@@ -170,6 +170,7 @@ class ReplayBuffer:
 
 @dataclass
 class TrainConfig:
+    # The agent checkpoint stores these fields, in this order (save_agent_checkpoint).
     episodes: int = 300
     seed: int = 0
     window: int = 5
@@ -187,12 +188,10 @@ class TrainConfig:
     deterministic_time: bool = False
 
     def __post_init__(self) -> None:
+        EnvConfig.of(self)  # checks the env fields
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        for name in (
-            "episodes", "window", "hidden", "batch_size", "replay_capacity", "target_refresh",
-            "max_iterations",
-        ):
+        for name in ("episodes", "hidden", "batch_size", "replay_capacity", "target_refresh"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
@@ -317,15 +316,7 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
     nets = init_agent(window=cfg.window, hidden=cfg.hidden, seed=cfg.seed)
     opt = init_optimizers(nets)
     buffer = ReplayBuffer(cfg.replay_capacity, cfg.window)
-    env = BAEnv(
-        EnvConfig(
-            reward_variant=cfg.reward_variant,
-            window=cfg.window,
-            max_iterations=cfg.max_iterations,
-            threshold=cfg.threshold,
-            deterministic_time=cfg.deterministic_time,
-        )
-    )
+    env = BAEnv(EnvConfig.of(cfg))
     logs = []
     total_steps = 0
     for episode in range(cfg.episodes):

@@ -8,6 +8,7 @@ regressed net has clean structure to learn.
 """
 
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from balm import suite_scene
 from balm.baselines import (
     DEFAULT_ORACLE_GRID,
     OracleFailureError,
+    ZeroNetConfig,
     _collect_labeled_windows,
     init_zero_net,
     load_zero_net_checkpoint,
@@ -371,7 +373,8 @@ TINY_ZERO_NET = dict(seed=0, window=5, hidden=8, passes_per_epoch=2, max_iterati
 
 
 def test_training_rejects_zero_epochs():
-    # with no epoch the net would be returned as initialized
+    # with no epoch the net would be returned as initialized; zero_net_train
+    # checks its keywords through ZeroNetConfig, whose cases follow
     with pytest.raises(ValueError, match="epochs must be at least 1, got 0"):
         zero_net_train([suite_problem(0, 4, 6)], **{**TINY_ZERO_NET, "epochs": 0})
 
@@ -379,13 +382,29 @@ def test_training_rejects_zero_epochs():
 def test_training_rejects_zero_passes():
     # with no pass the epoch's loss would be logged as nan and nothing learned
     with pytest.raises(ValueError, match="passes_per_epoch must be at least 1, got 0"):
-        zero_net_train([suite_problem(0, 4, 6)], **{**TINY_ZERO_NET, "passes_per_epoch": 0})
+        ZeroNetConfig(passes_per_epoch=0)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
 def test_training_rejects_a_non_finite_or_non_positive_lr(lr):
     with pytest.raises(ValueError, match=f"lr must be finite and positive, got {lr}"):
-        zero_net_train([suite_problem(0, 4, 6)], **TINY_ZERO_NET, lr=lr)
+        ZeroNetConfig(lr=lr)
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("hidden", 0, "hidden must be at least 1, got 0"),
+        ("window", 0, "window must be at least 1, got 0"),
+        ("max_iterations", 0, "max_iterations must be at least 1, got 0"),
+        ("threshold", -1.0, "threshold must be finite and positive, got -1.0"),
+        ("threshold", float("nan"), "threshold must be finite and positive, got nan"),
+    ],
+    ids=["hidden", "window", "max-iterations", "threshold", "threshold-nan"],
+)
+def test_config_rejects_a_bad_value(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ZeroNetConfig(**{field: value})
 
 
 def test_non_finite_regression_loss_raises():

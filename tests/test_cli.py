@@ -5,6 +5,7 @@ Most tests drive ``main(argv)`` in-process; one subprocess test pins the
 repeated runs, which is what makes the eval pipeline auditable.
 """
 
+import dataclasses
 import gzip
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 from conftest import suite_problem
 
 from balm import cli
-from balm.baselines import init_zero_net, save_zero_net_checkpoint
+from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
 from balm.bench import DEFAULT_ABLATION_CONFIG
 from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
 from balm.policy import (
@@ -29,7 +30,7 @@ from balm.policy import (
     FixedPolicy,
     ZeroNetPolicy,
 )
-from balm.sac import init_agent, save_agent_checkpoint
+from balm.sac import TrainConfig, init_agent, save_agent_checkpoint
 from balm.scene import serialize_bal
 
 
@@ -298,10 +299,24 @@ class TestTrain:
             (("--max-iterations", "0"), "max_iterations must be at least 1, got 0"),
             (("--warmup-steps", "-1"), "warmup_steps must be non-negative, got -1"),
             (("--algo", "zero-net", "--hidden", "0"), "hidden must be at least 1, got 0"),
+            (
+                ("--algo", "zero-net", "--max-iterations", "0"),
+                "max_iterations must be at least 1, got 0",
+            ),
+            (("--algo", "zero-net", "--window", "0"), "window must be at least 1, got 0"),
+            (
+                ("--algo", "zero-net", "--threshold", "-1"),
+                "threshold must be finite and positive, got -1.0",
+            ),
+            (("--threshold", "-1"), "threshold must be finite and positive, got -1.0"),
+            (("--threshold", "nan"), "threshold must be finite and positive, got nan"),
+            (("--num-cameras", "1"), "need at least 2 cameras and 1 point"),
         ],
         ids=[
             "episodes", "lr", "alpha", "zero-net-epochs", "zero-net-passes", "zero-net-lr",
             "hidden", "replay-capacity", "max-iterations", "warmup-steps", "zero-net-hidden",
+            "zero-net-max-iterations", "zero-net-window", "zero-net-threshold",
+            "threshold", "threshold-nan", "num-cameras",
         ],
     )
     def test_rejected_training_value_is_a_usage_error(self, tmp_path, capsys, flags, message):
@@ -309,6 +324,15 @@ class TestTrain:
         assert run_cli("train", *flags, "--out-dir", out) == 2
         assert f"balm train: error: {message}" in capsys.readouterr().err
         assert not out.exists()  # and so no checkpoint
+
+    @pytest.mark.parametrize("config_type", [TrainConfig, ZeroNetConfig])
+    def test_every_config_field_is_a_train_flag(self, config_type):
+        # cmd_train fills the config from the flags named like its fields;
+        # a field no flag names would silently keep its default
+        train = build_parser().subcommand_parsers["train"]
+        dests = {action.dest for action in train._actions}
+        names = {f.name for f in dataclasses.fields(config_type)} - {"target_refresh"}
+        assert names <= dests, sorted(names - dests)
 
     @pytest.mark.parametrize("algo", ["sac", "zero-net"])
     def test_a_failing_training_run_is_not_a_usage_error(self, tmp_path, monkeypatch, algo):
@@ -410,6 +434,23 @@ class TestEvalAndProfile:
                 assert float(alpha) >= 1.0
                 assert 0.0 <= float(fraction) <= 1.0
 
+    @pytest.mark.parametrize(
+        ("tolerances", "message"),
+        [("2", "tolerance must be in (0, 1], got 2.0"),
+         ("0.1,abc", "could not convert string to float: 'abc'")],
+        ids=["out-of-range", "not-a-number"],
+    )
+    def test_rejected_tolerance_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, tolerances, message
+    ):
+        monkeypatch.setattr(cli, "run_comparison", None)  # nothing is solved
+        out = tmp_path / "profile"
+        assert run_cli(
+            "profile", "--tolerances", tolerances, *self.EVAL_ARGS, "--out-dir", out
+        ) == 2
+        assert f"balm profile: error: --tolerances: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schedule_auto_uses_checkpoint(self, tmp_path, trained_dir):
         out = tmp_path / "auto"
         assert run_cli(
@@ -441,6 +482,21 @@ class TestAblateCli:
     def test_missing_kind_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("ablate", "--out-dir", tmp_path)
+
+    def test_ablation_config_must_be_an_object(self, tmp_path):
+        out = tmp_path / "ablate"
+        with pytest.raises(SystemExit, match="--ablation-config must contain a JSON object"):
+            run_cli("ablate", "--kind", "reversed", "--ablation-config", "[1]", "--out-dir", out)
+        assert not out.exists()
+
+    def test_unknown_ablation_key_writes_nothing(self, tmp_path):
+        out = tmp_path / "ablate"
+        with pytest.raises(ValueError, match="unknown ablation config keys: \\['bogus'\\]"):
+            run_cli(
+                "ablate", "--kind", "reversed", "--ablation-config", '{"bogus": 1}',
+                "--out-dir", out,
+            )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, expected",

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -413,6 +415,22 @@ class TestTraining:
 
     def test_config_accepts_zero_alpha(self):
         assert TrainConfig(alpha=0.0).alpha == 0.0
+
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_config_rejects_a_non_finite_or_non_positive_threshold(self, threshold):
+        # EnvConfig checks the env fields for the config
+        with pytest.raises(
+            ValueError, match=f"threshold must be finite and positive, got {threshold}"
+        ):
+            TrainConfig(threshold=threshold)
+
+    def test_config_fields_are_the_checkpoint_config(self):
+        # save_agent_checkpoint writes asdict(config): these names, in this order
+        assert list(asdict(TrainConfig())) == [
+            "episodes", "seed", "window", "hidden", "gamma", "alpha", "lr", "batch_size",
+            "replay_capacity", "warmup_steps", "target_refresh", "reward_variant",
+            "max_iterations", "threshold", "deterministic_time",
+        ]
 
 
 class TestCheckpointAndPolicy:
