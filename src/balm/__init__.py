@@ -49,7 +49,6 @@ from .solver import (
     SingularSystemError,
     SolveResult,
     damped_step,
-    dense_system,
     estimation_error,
     evaluate_step,
     evaluate_steps,
@@ -121,7 +120,6 @@ __all__ = [
     "SingularSystemError",
     "SolveResult",
     "damped_step",
-    "dense_system",
     "estimation_error",
     "evaluate_step",
     "evaluate_steps",

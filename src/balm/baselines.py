@@ -101,7 +101,7 @@ def zero_net_input(obs: PolicyObservation, applied_lambdas, window: int) -> np.n
     return row
 
 
-def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
+def _collect_labeled_windows(problem, net: Mlp | None, config: EnvConfig):
     """One rollout; every visited state is labeled with the greedy damping.
 
     The rollout is ``solve``'s: ``ClassicPolicy`` picks every damping with
@@ -118,7 +118,7 @@ def _collect_labeled_windows(problem, net: Mlp | None, grid, config: EnvConfig):
     done = False
     while not done:
         inputs.append(zero_net_input(obs, [record.lam for record in env.records], config.window))
-        targets.append(raw_regression_target(zero_net_oracle(env.problem, env.solver_state, grid)))
+        targets.append(raw_regression_target(zero_net_oracle(env.problem, env.solver_state)))
         out = env.step(policy.next_lambda(obs))
         obs, done = out.observation, out.done
     return inputs, targets
@@ -171,7 +171,7 @@ def zero_net_train(problems, progress=None, **options) -> Mlp:
         xs: list = []
         ys: list = []
         for problem in problems:
-            inputs, targets = _collect_labeled_windows(problem, driver, DEFAULT_ORACLE_GRID, config)
+            inputs, targets = _collect_labeled_windows(problem, driver, config)
             xs.extend(inputs)
             ys.extend(targets)
         features = np.asarray(xs)

@@ -338,18 +338,27 @@ def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
     return row
 
 
-def ablation_suite(kind: str, base_config=None) -> dict:
-    """Train and evaluate one family of variants on the shared scene suite.
+def ablation_config(base_config=None) -> dict:
+    """``DEFAULT_ABLATION_CONFIG`` with ``base_config``'s overrides.
 
-    ``base_config`` overrides ``DEFAULT_ABLATION_CONFIG``; a key that is
-    neither a scene key nor a ``TrainConfig`` field raises ``ValueError``.
-    A variant that fails with one of ``ABLATION_FAILURES`` becomes a row
-    with an ``error`` column; any other exception raises.
+    A key that is neither a scene key nor a ``TrainConfig`` field raises
+    ``ValueError``.
     """
     config = {**DEFAULT_ABLATION_CONFIG, **(base_config or {})}
     unknown = set(config) - set(ABLATION_SCENE_KEYS) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ValueError(f"unknown ablation config keys: {sorted(unknown)}")
+    return config
+
+
+def ablation_suite(kind: str, base_config=None) -> dict:
+    """Train and evaluate one family of variants on the shared scene suite.
+
+    The configuration is ``ablation_config(base_config)``. A variant that
+    fails with one of ``ABLATION_FAILURES`` becomes a row with an ``error``
+    column; any other exception raises.
+    """
+    config = ablation_config(base_config)
     train_problems, held_out = _ablation_problems(config)
     rows = []
 

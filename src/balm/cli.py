@@ -26,6 +26,7 @@ from .bench import (
     DEFAULT_TOLERANCES,
     SUITE_NOISE_STD,
     SUITE_PIXEL_SIGMA,
+    ablation_config,
     ablation_suite,
     ablation_to_csv,
     aggregates_to_csv,
@@ -187,10 +188,14 @@ def _policy(token: str, args, problems) -> DampingPolicy:
 
 
 def cmd_generate(args) -> int:
+    try:
+        problems = _suite_problems(args, range(args.seed, args.seed + args.count))
+    except ValueError as exc:
+        return _usage_error("generate", exc)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for name, problem in _suite_problems(args, range(args.seed, args.seed + args.count)).items():
+    for name, problem in problems.items():
         path = out_dir / f"{name}.txt"
         path.write_text(serialize_bal(problem))
         outputs.append(path)
@@ -272,9 +277,7 @@ def _resolve_policies(args, problems) -> dict:
     return policies
 
 
-def _comparison_table(args):
-    seeds = parse_seed_list(args.eval_seeds)
-    problems = _suite_problems(args, seeds)
+def _comparison_table(args, problems):
     policies = _resolve_policies(args, problems)
     env_config = {
         "max_iterations": args.max_iterations,
@@ -285,9 +288,13 @@ def _comparison_table(args):
 
 
 def cmd_eval(args) -> int:
+    try:
+        problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
+    except ValueError as exc:
+        return _usage_error("eval", exc)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = _comparison_table(args)
+    table = _comparison_table(args, problems)
     records_path = out_dir / "records.csv"
     records_path.write_text(comparison_to_csv(table))
     aggregates_path = out_dir / "aggregates.csv"
@@ -306,9 +313,13 @@ def cmd_profile(args) -> int:
         tolerances = [check_tolerance(float(t)) for t in str(args.tolerances).split(",")]
     except ValueError as exc:
         return _usage_error("profile", f"--tolerances: {exc}")
+    try:
+        problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
+    except ValueError as exc:
+        return _usage_error("profile", exc)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = _comparison_table(args)
+    table = _comparison_table(args, problems)
     outputs = []
     for tolerance in tolerances:
         curves = performance_profile(table.records, tolerance)
@@ -329,6 +340,10 @@ def cmd_ablate(args) -> int:
     if args.deterministic_time:  # without the flag, DEFAULT_ABLATION_CONFIG's value stands
         overrides.setdefault("deterministic_time", True)
     overrides.setdefault("seed", args.seed)
+    try:
+        ablation_config(overrides)
+    except ValueError as exc:
+        return _usage_error("ablate", exc)
     result = ablation_suite(args.kind, overrides)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

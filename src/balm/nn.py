@@ -10,7 +10,10 @@ is then made one panel of weight rows at a time (a wide layer is cut into
 ``PANEL_ROWS``-row panels, the last one carrying the biases) into a
 one-panel buffer owned by the net's ``AdamState``, and Adam updates the
 panel's parameters in place while its gradient is still in cache. No
-gradient of the whole net, or of a whole wide layer, is built.
+gradient of the whole net, or of a whole wide layer, is built. The
+reference that the sweep is tested against to the bit, the whole net's
+gradient followed by one Adam update over ``net.flat``, lives in
+``tests/test_nn.py``.
 """
 
 from __future__ import annotations
@@ -86,13 +89,15 @@ def _pack(widths: list[int], weights, biases) -> np.ndarray:
     return flat
 
 
-class _FlatLayers:
-    """Weights and biases stored in one contiguous float64 buffer ``flat``.
+class Mlp:
+    """Fully-connected net; ``widths`` runs input to output inclusive.
 
+    Weights and biases are stored in one contiguous float64 buffer ``flat``.
     ``weights[k]`` (fan_in, fan_out) and ``biases[k]`` (fan_out,) are views
     into ``flat``, laid out w0, b0, w1, b1, ..., so a write through either
     side shows in the other and whole-net arithmetic is one vector operation.
     ``layers[k]`` is layer k's slice of ``flat``, its weights then its biases.
+    The given arrays are copied into the net's flat buffer.
     """
 
     widths: list[int]
@@ -101,6 +106,9 @@ class _FlatLayers:
     biases: list[np.ndarray]
     layers: list[slice]
 
+    def __init__(self, widths, weights, biases):
+        self._bind(widths, _pack([int(w) for w in widths], weights, biases))
+
     def _bind(self, widths, flat: np.ndarray) -> None:
         self.widths = [int(w) for w in widths]
         self.flat = flat
@@ -108,7 +116,7 @@ class _FlatLayers:
         self.layers = _layer_slices(self.widths)
 
     @classmethod
-    def from_flat(cls, widths, flat: np.ndarray):
+    def from_flat(cls, widths, flat: np.ndarray) -> "Mlp":
         """Wrap ``flat`` itself (no copy) as the parameters of ``widths``."""
         obj = cls.__new__(cls)
         obj._bind(widths, flat)
@@ -117,24 +125,6 @@ class _FlatLayers:
     @property
     def num_layers(self) -> int:
         return len(self.weights)
-
-
-class Mlp(_FlatLayers):
-    """Fully-connected net; ``widths`` runs input to output inclusive.
-
-    The given arrays are copied into the net's flat buffer.
-    """
-
-    def __init__(self, widths, weights, biases):
-        self._bind(widths, _pack([int(w) for w in widths], weights, biases))
-
-
-class MlpGrads(_FlatLayers):
-    """Parameter gradients in the flat layout of the net they belong to."""
-
-    def __init__(self, weights, biases):
-        widths = [np.shape(w)[0] for w in weights] + [np.shape(weights[-1])[1]]
-        self._bind(widths, _pack(widths, weights, biases))
 
 
 def mlp_init(widths, seed_or_rng=0) -> Mlp:
@@ -238,25 +228,14 @@ def _layer_grads(activation: np.ndarray, delta: np.ndarray, grad_of):
         yield span, grad
 
 
-def mlp_backward(
-    net: Mlp, activations: list[np.ndarray], grad_out: np.ndarray, input_only: bool = False
-) -> tuple[MlpGrads | None, np.ndarray]:
-    """Backprop ``grad_out`` (B, out); returns parameter grads and d/d(input).
+def mlp_backward(net: Mlp, activations: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
+    """Backprop ``grad_out`` (B, out) to the input; returns d/d(input).
 
-    With ``input_only`` no parameter gradient is built and ``None`` stands in
-    for it; the input gradient is the same either way. Training does not
-    build these whole-net gradients (see ``mlp_backward_adam``); they are the
-    reference that sweep is checked against.
+    No parameter gradient is built: this is the gradient the policy
+    objective takes from the critics. Training takes its parameter
+    gradients in ``mlp_backward_adam``.
     """
-    if input_only:
-        return None, _backprop(net, activations, grad_out, None, to_input=True)
-    grads = MlpGrads.from_flat(net.widths, np.empty_like(net.flat))
-
-    def write(k, delta):
-        for _ in _layer_grads(activations[k], delta, grads.flat[net.layers[k]].__getitem__):
-            pass
-
-    return grads, _backprop(net, activations, grad_out, write, to_input=True)
+    return _backprop(net, activations, grad_out, None, to_input=True)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -348,16 +327,6 @@ def _adam_update(state: AdamState, params, grad, first, second, lr: float) -> No
         np.subtract(p, b, out=p)
 
 
-def adam_step(net: Mlp, grads: MlpGrads, state: AdamState, lr: float = ADAM_LR) -> None:
-    """One Adam update of the whole net from whole-net gradients, in place.
-
-    Training takes the per-layer sweep ``mlp_backward_adam`` instead; this
-    is the reference the sweep is checked against.
-    """
-    state.step += 1
-    _adam_update(state, net.flat, grads.flat, state.m, state.v, lr)
-
-
 def mlp_backward_adam(
     net: Mlp, adam: AdamState, activations: list[np.ndarray], grad_out, lr: float = ADAM_LR
 ) -> None:
@@ -366,10 +335,11 @@ def mlp_backward_adam(
     From the output layer down, the delta is carried through layer k's not
     yet updated weights; then, for each of the layer's gradient panels
     (``_row_panels``), the panel's gradient is written into ``adam.grad``
-    and Adam updates the same span of the parameters and moments. The
-    result is bit-identical to ``mlp_backward`` followed by ``adam_step``,
-    without a gradient the size of the net or of a wide layer; the gradient
-    with respect to the input is not formed.
+    and Adam updates the same span of the parameters and moments. No
+    gradient the size of the net or of a wide layer is built, and the
+    gradient with respect to the input is not formed. ``tests/test_nn.py``
+    holds the reference it is checked against to the bit: the whole net's
+    gradient, then one Adam update over ``net.flat``.
     """
     adam.step += 1
 

@@ -249,8 +249,8 @@ def policy_objective(nets: AgentNets, states: np.ndarray, eps: np.ndarray, alpha
     q2 = q2[:, 0]
     q_min = np.minimum(q1, q2)
     ones = np.ones((batch, 1))
-    _, input_grad1 = mlp_backward(nets.critic1, cache1, ones, input_only=True)
-    _, input_grad2 = mlp_backward(nets.critic2, cache2, ones, input_only=True)
+    input_grad1 = mlp_backward(nets.critic1, cache1, ones)
+    input_grad2 = mlp_backward(nets.critic2, cache2, ones)
     q_action_grad = np.where(q1 <= q2, input_grad1[:, -1], input_grad2[:, -1])
 
     loss = float(np.mean(alpha * log_pi - q_min))

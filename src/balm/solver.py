@@ -159,9 +159,6 @@ class ParamVector:
     def from_problem(problem: BAProblem) -> "ParamVector":
         return ParamVector(problem.camera_blocks.copy(), problem.point_blocks.copy())
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.cameras.copy(), self.points.copy())
-
 
 @dataclass
 class Linearization:
@@ -172,9 +169,10 @@ class Linearization:
     stores the Jacobian, gradient and Hessian blocks component-major, with
     the observation or block index last, and these fields are transposed
     views of that storage in the shapes below: ``jac_cam`` is a (n, 2, 9)
-    view of a (2, 9, n) array. ``damped_step`` and ``dense_system`` accept
-    any strides. Every field is an array of its own, never part of the pair
-    plan's workspace, so a linearization outlives later calls.
+    view of a (2, 9, n) array. ``damped_step`` accepts any strides, as does
+    the tests' dense reference (``dense_step`` in ``tests/conftest.py``).
+    Every field is an array of its own, never part of the pair plan's
+    workspace, so a linearization outlives later calls.
     """
 
     cam_idx: np.ndarray
@@ -514,25 +512,6 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
     )
 
 
-def dense_system(lin: Linearization) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the full Hessian and gradient in the cameras-then-points layout."""
-    nc, npts = lin.num_cameras, lin.num_points
-    dim = 9 * nc + 3 * npts
-    hess = np.zeros((dim, dim))
-    for ci in range(nc):
-        hess[9 * ci : 9 * ci + 9, 9 * ci : 9 * ci + 9] = lin.h_cc[ci]
-    for pj in range(npts):
-        o = 9 * nc + 3 * pj
-        hess[o : o + 3, o : o + 3] = lin.h_pp[pj]
-    for k in range(len(lin.cam_idx)):
-        ci, pj = lin.cam_idx[k], lin.pt_idx[k]
-        block = lin.h_cp[k]
-        hess[9 * ci : 9 * ci + 9, 9 * nc + 3 * pj : 9 * nc + 3 * pj + 3] = block
-        hess[9 * nc + 3 * pj : 9 * nc + 3 * pj + 3, 9 * ci : 9 * ci + 9] = block.T
-    grad = np.concatenate([lin.grad_cam.ravel(), lin.grad_pt.ravel()])
-    return hess, grad
-
-
 def _flapack():
     """``scipy.linalg._flapack``, loaded from its file unless already imported,
     and registered under its name for a later ``import scipy.linalg`` to reuse."""
@@ -554,7 +533,7 @@ dpotrf, dpotrs = _flapack().dpotrf, _flapack().dpotrs
 
 
 def _solve_spd(
-    matrix: np.ndarray, rhs: np.ndarray, rebuild: Callable[[], np.ndarray] | None = None
+    matrix: np.ndarray, rhs: np.ndarray, rebuild: Callable[[], np.ndarray]
 ) -> np.ndarray:
     """Cholesky solve with a least-squares fallback for semidefinite systems.
 
@@ -563,16 +542,14 @@ def _solve_spd(
     which skips those wrappers' argument checks and batching. The
     factorization reads only the lower triangle of ``matrix``, and the
     fallback solves the symmetric matrix with that lower triangle, its
-    strict part mirrored into the upper one. With ``rebuild``, a
-    Fortran-ordered ``matrix`` is factored in place, and ``rebuild()``
-    returns it anew for the fallback, since a failed factorization has
-    overwritten it.
+    strict part mirrored into the upper one. A Fortran-ordered ``matrix`` is
+    factored in place, so ``rebuild()`` returns it anew for the fallback.
     """
-    factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=rebuild is not None)
+    factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=True)
     if info == 0:
         solution, info = dpotrs(factor, rhs, lower=1)
     if info != 0:
-        lower = np.tril(matrix if rebuild is None else rebuild())
+        lower = np.tril(rebuild())
         try:
             solution, *_ = np.linalg.lstsq(lower + np.tril(lower, -1).T, rhs, rcond=None)
         except np.linalg.LinAlgError as exc:
@@ -729,14 +706,14 @@ def _added_rows(base: np.ndarray, index: np.ndarray, values: np.ndarray, plan) -
     return sums.reshape(length, count, width).transpose(1, 0, 2)
 
 
-def _damped_steps(lin: Linearization, lams, method: str = "schur"):
-    """The steps of (H + lambda*I) delta = -g at each damping of ``lams``, as one batch.
+def _damped_steps(lin: Linearization, lams):
+    """The Schur steps of (H + lambda*I) delta = -g at each damping of ``lams``, as one batch.
 
     Returns (delta_cameras (L, num_cameras, 9), delta_points (L,
     num_points, 3), failures), where ``failures[l]`` is the
     ``SingularSystemError`` of damping l, or None when its rows hold its
     step. A damping's rows are, to the bit, what the batch of it alone
-    gives. The Schur path's temporaries live in the pair plan's workspace.
+    gives. The temporaries live in the pair plan's workspace.
     """
     lams = [float(lam) for lam in lams]
     for lam in lams:
@@ -744,19 +721,6 @@ def _damped_steps(lin: Linearization, lams, method: str = "schur"):
             raise ValueError(f"damping must be a non-negative finite scalar, got {lam}")
     count, nc = len(lams), lin.num_cameras
     failures = [None] * count
-    if method == "dense":
-        hess, grad = dense_system(lin)
-        delta = np.zeros((count, len(hess)))
-        for damping, lam in enumerate(lams):
-            try:
-                delta[damping] = _solve_spd(hess + lam * np.eye(len(hess)), -grad)
-            except SingularSystemError as exc:
-                failures[damping] = exc
-        split = 9 * nc
-        delta_cam, delta_pt = delta[:, :split], delta[:, split:]
-        return delta_cam.reshape(count, -1, 9), delta_pt.reshape(count, -1, 3), failures
-    if method != "schur":
-        raise ValueError(f"unknown method {method!r}")
 
     n = len(lin.cam_idx)
     plan = _pair_plan(lin.cam_idx, lin.pt_idx, nc)
@@ -851,17 +815,15 @@ def _damped_steps(lin: Linearization, lams, method: str = "schur"):
     return delta_cam, delta_pt, failures
 
 
-def damped_step(
-    lin: Linearization, lam: float, method: str = "schur"
-) -> tuple[np.ndarray, np.ndarray]:
+def damped_step(lin: Linearization, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve (H + lambda*I) delta = -g; returns (delta_cameras, delta_points).
 
-    ``method`` is "schur" (Schur elimination of the point blocks) or
-    "dense" (the whole Hessian of ``dense_system``, the reference the
-    tests check the Schur step against). The Schur path's temporaries live
-    in the pair plan's workspace; the returned steps are new arrays.
+    The point blocks are eliminated through the Schur complement. The
+    tests check this step against a dense solve of the whole Hessian
+    (``dense_step`` in ``tests/conftest.py``). The temporaries live in the
+    pair plan's workspace; the returned steps are new arrays.
     """
-    (delta_cam,), (delta_pt,), (failure,) = _damped_steps(lin, (lam,), method)
+    (delta_cam,), (delta_pt,), (failure,) = _damped_steps(lin, (lam,))
     if failure is not None:
         raise failure
     return delta_cam, delta_pt
@@ -904,29 +866,18 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
 
 
 def evaluate_step(
-    problem: BAProblem,
-    params: ParamVector,
-    lin: Linearization,
-    lam: float,
-    method: str = "schur",
-    *,
-    _keep_projection: bool = False,
+    problem: BAProblem, params: ParamVector, lin: Linearization, lam: float
 ) -> tuple[ParamVector, float]:
     """The damped step from ``params`` (linearized as ``lin``) and its error.
 
     Returns the candidate parameters and their estimation error. Raises
     ``NumericalFailureError`` or ``SingularSystemError`` when the step or its
-    error cannot be evaluated. ``lm_iterate`` sets ``_keep_projection`` to
-    get the candidate's projection as a third value, for the state it
-    accepts the candidate into.
+    error cannot be evaluated. It is ``evaluate_steps`` at one damping.
     """
-    delta_cam, delta_pt = damped_step(lin, lam, method=method)
-    (outcome,), projection = _candidate_errors(
-        problem, params, delta_cam[None], delta_pt[None], [None]
-    )
+    (outcome,) = evaluate_steps(problem, params, lin, (lam,))
     if isinstance(outcome, Exception):
         raise outcome
-    return (*outcome, projection) if _keep_projection else outcome
+    return outcome
 
 
 def evaluate_steps(
@@ -954,21 +905,25 @@ def lm_iterate(
 ) -> tuple[SolverState, IterationRecord]:
     """Run one damped iteration from ``state``; returns the successor state.
 
-    The iteration is the state's linearization followed by
-    ``evaluate_step``. The step is applied additively to every parameter
-    block and accepted unconditionally unless ``accept_only_improving`` is
-    set, in which case a worsening step leaves the parameters (and error)
-    unchanged. Failures (degenerate depth, non-finite error, unsolvable
-    system) mark the state instead of raising. An accepted candidate keeps
-    the projection that scored it; the successor of a rejected or failed
-    step shares the state's parameters and linearization.
+    The iteration is the state's linearization, then ``damped_step`` and
+    the candidate's error, as in ``evaluate_step``. The step is applied
+    additively to every parameter block and accepted unconditionally unless
+    ``accept_only_improving`` is set, in which case a worsening step leaves
+    the parameters (and error) unchanged. Failures (degenerate depth,
+    non-finite error, unsolvable system) mark the state instead of raising.
+    An accepted candidate keeps the projection that scored it; the
+    successor of a rejected or failed step shares the state's parameters
+    and linearization.
     """
     start = time.perf_counter()
     try:
-        lin = state.linearization(problem)
-        candidate, err, projection = evaluate_step(
-            problem, state.params, lin, lam, _keep_projection=True
+        delta_cam, delta_pt = damped_step(state.linearization(problem), lam)
+        (outcome,), projection = _candidate_errors(
+            problem, state.params, delta_cam[None], delta_pt[None], [None]
         )
+        if isinstance(outcome, Exception):
+            raise outcome
+        candidate, err = outcome
     except (NumericalFailureError, SingularSystemError):
         duration = 1.0 if deterministic_time else time.perf_counter() - start
         new_state = state.copy()

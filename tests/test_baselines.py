@@ -144,7 +144,7 @@ def test_collector_linearizes_each_labelled_state_once(linearize_calls):
     config = EnvConfig(window=5, deterministic_time=True)
     labels = 0
     for seed in range(10):
-        _, targets = _collect_labeled_windows(suite_scene(seed), None, DEFAULT_ORACLE_GRID, config)
+        _, targets = _collect_labeled_windows(suite_scene(seed), None, config)
         labels += len(targets)
     assert labels == 272
     assert len(linearize_calls) == labels
@@ -260,7 +260,7 @@ def test_collector_rows_are_the_rows_the_policy_is_served(monkeypatch, seed):
     # The net is trained on the collector's rows; solve must serve it the same bytes.
     net = small_net(window=5, hidden=16, seed=seed)
     config = EnvConfig(window=5, max_iterations=8, deterministic_time=True)
-    rows, _ = _collect_labeled_windows(suite_scene(0), net, DEFAULT_ORACLE_GRID, config)
+    rows, _ = _collect_labeled_windows(suite_scene(0), net, config)
 
     served = []
     forward = sys.modules["balm.nn"].mlp_forward
@@ -284,7 +284,7 @@ def test_collector_rows_are_the_rows_the_policy_is_served(monkeypatch, seed):
 def test_collected_windows_label_the_initial_state_too():
     problem = suite_problem(0, 4, 6)
     config = EnvConfig(window=5, max_iterations=3, threshold=1e-6, deterministic_time=True)
-    inputs, targets = _collect_labeled_windows(problem, None, DEFAULT_ORACLE_GRID, config)
+    inputs, targets = _collect_labeled_windows(problem, None, config)
     assert len(inputs) == len(targets) == 3
     first = inputs[0]
     assert first.shape == (15,)

@@ -157,6 +157,12 @@ class TestGenerate:
             run_cli("generate", "--config", config, "--out-dir", out)
         assert not out.exists()
 
+    def test_rejected_scene_size_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "scenes"
+        assert run_cli("generate", "--num-cameras", 1, "--count", 1, "--out-dir", out) == 2
+        assert "balm generate: error: need at least 2 cameras" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
@@ -451,6 +457,17 @@ class TestEvalAndProfile:
         assert f"balm profile: error: --tolerances: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "profile"])
+    def test_rejected_scene_size_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "run_comparison", None)  # nothing is solved
+        out = tmp_path / command
+        assert run_cli(
+            command, "--policies", "classic", "--num-cameras", 1, "--eval-seeds", 0,
+            "--out-dir", out,
+        ) == 2
+        assert f"balm {command}: error: need at least 2 cameras" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schedule_auto_uses_checkpoint(self, tmp_path, trained_dir):
         out = tmp_path / "auto"
         assert run_cli(
@@ -489,13 +506,14 @@ class TestAblateCli:
             run_cli("ablate", "--kind", "reversed", "--ablation-config", "[1]", "--out-dir", out)
         assert not out.exists()
 
-    def test_unknown_ablation_key_writes_nothing(self, tmp_path):
+    def test_unknown_ablation_key_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ablation_suite", None)  # nothing is trained
         out = tmp_path / "ablate"
-        with pytest.raises(ValueError, match="unknown ablation config keys: \\['bogus'\\]"):
-            run_cli(
-                "ablate", "--kind", "reversed", "--ablation-config", '{"bogus": 1}',
-                "--out-dir", out,
-            )
+        assert run_cli(
+            "ablate", "--kind", "reversed", "--ablation-config", '{"bogus": 1}', "--out-dir", out
+        ) == 2
+        message = "balm ablate: error: unknown ablation config keys: ['bogus']"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -197,7 +197,7 @@ class TestEpisodes:
         monkeypatch.setattr(
             solver,
             "damped_step",
-            lambda lin, lam, method="schur": (_ for _ in ()).throw(
+            lambda lin, lam: (_ for _ in ()).throw(
                 SingularSystemError("injected")
             ),
         )

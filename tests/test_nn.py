@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from balm import nn
 from balm.baselines import ZERO_NET_HIDDEN, init_zero_net
 from balm.nn import (
     ADAM_BLOCK,
@@ -11,9 +12,7 @@ from balm.nn import (
     PANEL_ROWS,
     AdamState,
     Mlp,
-    MlpGrads,
     adam_init,
-    adam_step,
     copy_params,
     load_arrays,
     mlp_backward,
@@ -29,6 +28,8 @@ from balm.nn import (
     save_arrays,
 )
 from balm.sac import ReplayBuffer, TrainConfig, init_agent, init_optimizers, sac_update
+
+from conftest import whole_net_grads
 
 
 def loop_forward(net, x):
@@ -47,6 +48,15 @@ def loop_forward(net, x):
             h = nxt
         outs.append(h)
     return np.array(outs)
+
+
+def whole_net_adam(net, grads, state, lr=ADAM_LR):
+    """One Adam update of the whole net from its whole gradient, in place.
+
+    With ``whole_net_grads``, the reference for ``mlp_backward_adam``.
+    """
+    state.step += 1
+    nn._adam_update(state, net.flat, grads.flat, state.m, state.v, lr)
 
 
 def flatten_params(net):
@@ -131,7 +141,8 @@ class TestBackward:
 
         pred, cache = mlp_forward_cached(net, x)
         _, grad_out = mse_loss(pred, target)
-        grads, grad_x = mlp_backward(net, cache, grad_out)
+        grads, _ = whole_net_grads(net, cache, grad_out)
+        grad_x = mlp_backward(net, cache, grad_out)
 
         h = 1e-6
 
@@ -176,8 +187,9 @@ class TestAdam:
     def test_hand_computed_updates(self):
         net = Mlp(widths=[1, 1], weights=[np.array([[1.0]])], biases=[np.array([0.5])])
         state = adam_init(net)
-        g1 = MlpGrads(weights=[np.array([[0.3]])], biases=[np.array([-0.2])])
-        g2 = MlpGrads(weights=[np.array([[-0.1]])], biases=[np.array([0.4])])
+        # (input, grad_out) batches whose weight and bias gradients, x^T d and
+        # the sum of d, are exactly (0.3, -0.2) and then (-0.1, 0.4)
+        batches = [([[1.0], [0.0]], [[0.3], [-0.5]]), ([[-0.25]], [[0.4]])]
 
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
         w, bias = 1.0, 0.5
@@ -190,8 +202,9 @@ class TestAdam:
             w -= lr * (m_w / (1 - b1**t)) / (np.sqrt(v_w / (1 - b2**t)) + eps)
             bias -= lr * (m_b / (1 - b1**t)) / (np.sqrt(v_b / (1 - b2**t)) + eps)
 
-        adam_step(net, g1, state, lr=lr)
-        adam_step(net, g2, state, lr=lr)
+        for x, grad_out in batches:
+            _, cache = mlp_forward_cached(net, x)
+            mlp_backward_adam(net, state, cache, np.array(grad_out), lr=lr)
         np.testing.assert_allclose(net.weights[0][0, 0], w, rtol=1e-14)
         np.testing.assert_allclose(net.biases[0][0], bias, rtol=1e-14)
         assert state.step == 2
@@ -239,9 +252,9 @@ class TestFlatLayout:
         for step in range(1, 4):
             pred, cache = mlp_forward_cached(net, x)
             _, grad_out = mse_loss(pred, y)
-            grads, _ = mlp_backward(net, cache, grad_out)
+            grads, _ = whole_net_grads(net, cache, grad_out)
             layer_grads = [g.copy() for pair in zip(grads.weights, grads.biases) for g in pair]
-            adam_step(net, grads, adam)
+            whole_net_adam(net, grads, adam)
             reference_adam(ref, layer_grads, moments, step)
             assert np.array_equal(net.flat, np.concatenate([a.ravel() for a in ref]))
         assert np.array_equal(adam.m, np.concatenate([m.ravel() for m, _ in moments]))
@@ -263,13 +276,9 @@ class TestFlatLayout:
         np.testing.assert_array_equal(net.flat, [0, 1, 2, 3, 4, 5, 0.5, 0.5, 0.5, 1, 1, 1, 2])
         weights[0][0, 0] = 100.0  # the net holds copies
         assert net.weights[0][0, 0] == 0.0
-        grads = MlpGrads(
-            weights=[np.ones((2, 3)), np.ones((3, 1))], biases=[np.ones(3), np.ones(1)]
-        )
-        np.testing.assert_array_equal(grads.flat, np.ones(13))
         # Adam's first step moves every parameter by lr against a unit gradient
         before = net.flat.copy()
-        adam_step(net, grads, adam_init(net), lr=0.1)
+        whole_net_adam(net, Mlp.from_flat(net.widths, np.ones(13)), adam_init(net), lr=0.1)
         np.testing.assert_allclose(net.flat, before - 0.1, rtol=1e-6)
 
     def test_rejects_arrays_that_do_not_match_widths(self):
@@ -285,10 +294,8 @@ class TestFlatLayout:
         x = np.random.default_rng(3).normal(0, 1, (8, 6))
         _, cache = mlp_forward_cached(net, x)
         grad_out = np.ones((8, 1))
-        grads, full = mlp_backward(net, cache, grad_out)
-        none, input_only = mlp_backward(net, cache, grad_out, input_only=True)
-        assert none is None and grads is not None
-        assert np.array_equal(input_only, full)
+        _, full = whole_net_grads(net, cache, grad_out)
+        assert np.array_equal(mlp_backward(net, cache, grad_out), full)
 
 
 def traced_peak(fn):
@@ -325,8 +332,8 @@ class TestBackwardSweep:
             y = rng.normal(0, 1, (batch, widths[-1]))
             pred, cache = mlp_forward_cached(ref, x)
             _, grad_out = mse_loss(pred, y)
-            grads, _ = mlp_backward(ref, cache, grad_out)
-            adam_step(ref, grads, ref_adam, lr=1e-2)
+            grads, _ = whole_net_grads(ref, cache, grad_out)
+            whole_net_adam(ref, grads, ref_adam, lr=1e-2)
             _, cache = mlp_forward_cached(net, x)
             mlp_backward_adam(net, adam, cache, grad_out, lr=1e-2)
             assert net.flat.tobytes() == ref.flat.tobytes()

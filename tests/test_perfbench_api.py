@@ -77,11 +77,11 @@ for module, path in names:
         missing.append(module + "." + path)
 
 from balm import suite_scene
-from balm.baselines import DEFAULT_ORACLE_GRID, _collect_labeled_windows
+from balm.baselines import _collect_labeled_windows
 from balm.env import EnvConfig
 
 config = EnvConfig(max_iterations=3, deterministic_time=True)
-_collect_labeled_windows(suite_scene(0), None, DEFAULT_ORACLE_GRID, config)
+_collect_labeled_windows(suite_scene(0), None, config)
 print(json.dumps({"missing": missing, "spans": [span[0] for span in t.spans]}))
 """
 

@@ -29,7 +29,7 @@ from balm.sac import (
 )
 from balm.solver import solve
 
-from conftest import suite_problem
+from conftest import suite_problem, whole_net_grads
 
 
 def net_params(net):
@@ -187,7 +187,7 @@ class TestPolicyGradient:
         eps = rng.standard_normal(4)
 
         loss, grad_out, aux = policy_objective(nets, states, eps, alpha)
-        grads, _ = mlp_backward(nets.policy, aux["cache"], grad_out)
+        grads, _ = whole_net_grads(nets.policy, aux["cache"], grad_out)
         analytic = np.concatenate(
             [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]
         )
@@ -245,16 +245,15 @@ class TestUpdates:
         import balm.sac
 
         swept = []
-        backward_input_only = []
+        backward = []
 
         def counting_sweep(net, adam, activations, grad_out, lr):
             swept.append(net)
             return mlp_backward_adam(net, adam, activations, grad_out, lr=lr)
 
-        def counting_backward(net, activations, grad_out, input_only=False):
-            grads, grad_in = mlp_backward(net, activations, grad_out, input_only=input_only)
-            backward_input_only.append(grads is None)
-            return grads, grad_in
+        def counting_backward(net, activations, grad_out):
+            backward.append(net)
+            return mlp_backward(net, activations, grad_out)
 
         monkeypatch.setattr(balm.sac, "mlp_backward_adam", counting_sweep)
         monkeypatch.setattr(balm.sac, "mlp_backward", counting_backward)
@@ -266,7 +265,7 @@ class TestUpdates:
         assert [id(net) for net in swept] == [
             id(nets.critic1), id(nets.critic2), id(nets.value), id(nets.policy)
         ]
-        assert backward_input_only == [True, True]
+        assert [id(net) for net in backward] == [id(nets.critic1), id(nets.critic2)]
 
     def test_value_loss_halves_on_single_transition(self):
         # lr must outrun the moving value target within the 200-update

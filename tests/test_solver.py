@@ -39,7 +39,6 @@ from balm.solver import (
     classic_lambda_update,
     convergence_check,
     damped_step,
-    dense_system,
     estimation_error,
     evaluate_step,
     evaluate_steps,
@@ -50,7 +49,7 @@ from balm.solver import (
     solve,
 )
 
-from conftest import flat, residuals, suite_problem
+from conftest import dense_step, dense_system, flat, residuals, suite_problem
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,7 @@ class TestJacobian:
         params = ParamVector.from_problem(default_problem)
         base = estimation_error(residuals(default_problem, params), default_problem.pixel_sigma)
         delta = np.array([0.3, -0.2, 0.5])
-        shifted = params.copy()
+        shifted = ParamVector(params.cameras.copy(), params.points.copy())
         shifted.points += delta
         shifted.cameras[:, 3:6] -= rotate_points(shifted.cameras[:, 0:3], delta)
         after = estimation_error(residuals(default_problem, shifted), default_problem.pixel_sigma)
@@ -387,7 +386,7 @@ class TestDenseSystem:
         hess = w * jac.T @ jac
         grad = w * jac.T @ lin.residual.ravel()
         for lam in (1e-2, 1.0, 1e2):
-            dc, dp = damped_step(lin, lam, method="dense")
+            dc, dp = dense_step(lin, lam)
             step = np.concatenate([dc.ravel(), dp.ravel()])
             expected = np.linalg.solve(hess + lam * np.eye(len(hess)), -grad)
             assert np.linalg.norm(step - expected) / np.linalg.norm(expected) < 1e-8
@@ -403,16 +402,16 @@ class TestDampedStep:
         lin = random_linearization(seed=0)
         hess, grad = dense_system(lin)
         exact = np.linalg.solve(hess, -grad)
-        for method in ("dense", "schur"):
-            dc, dp = damped_step(lin, 1e-12, method=method)
+        for step_of in (dense_step, damped_step):
+            dc, dp = step_of(lin, 1e-12)
             step = np.concatenate([dc.ravel(), dp.ravel()])
             assert np.linalg.norm(step - exact) / np.linalg.norm(exact) < 1e-6
 
     def test_large_damping_follows_negative_gradient(self):
         lin = random_linearization(seed=1)
         _, grad = dense_system(lin)
-        for method in ("dense", "schur"):
-            dc, dp = damped_step(lin, 1e8, method=method)
+        for step_of in (dense_step, damped_step):
+            dc, dp = step_of(lin, 1e8)
             step = np.concatenate([dc.ravel(), dp.ravel()])
             cos = -(step @ grad) / (np.linalg.norm(step) * np.linalg.norm(grad))
             assert cos > 1.0 - 1e-6
@@ -429,11 +428,11 @@ class TestDampedStep:
         for seed in (0, 1):
             problem = generate_synthetic(6, 40, seed=seed, focal=1.0, noise_std=0.01)
             lin = linearize(problem, ParamVector.from_problem(problem))
-            dc_d, dp_d = damped_step(lin, lam, method="dense")
-            dc_s, dp_s = damped_step(lin, lam, method="schur")
-            dense_step = np.concatenate([dc_d.ravel(), dp_d.ravel()])
-            schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
-            gap = np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step)
+            dc_d, dp_d = dense_step(lin, lam)
+            dc_s, dp_s = damped_step(lin, lam)
+            dense_delta = np.concatenate([dc_d.ravel(), dp_d.ravel()])
+            schur_delta = np.concatenate([dc_s.ravel(), dp_s.ravel()])
+            gap = np.linalg.norm(schur_delta - dense_delta) / np.linalg.norm(dense_delta)
             assert gap < 1e-8
 
     @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e4, 1e8])
@@ -444,11 +443,11 @@ class TestDampedStep:
         views = np.bincount([o.point_index for o in problem.observations])
         assert views.min() == 1 and views.max() == 3
         lin = linearize(problem, ParamVector.from_problem(problem))
-        dc_d, dp_d = damped_step(lin, lam, method="dense")
-        dc_s, dp_s = damped_step(lin, lam, method="schur")
-        dense_step = np.concatenate([dc_d.ravel(), dp_d.ravel()])
-        schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
-        gap = np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step)
+        dc_d, dp_d = dense_step(lin, lam)
+        dc_s, dp_s = damped_step(lin, lam)
+        dense_delta = np.concatenate([dc_d.ravel(), dp_d.ravel()])
+        schur_delta = np.concatenate([dc_s.ravel(), dp_s.ravel()])
+        gap = np.linalg.norm(schur_delta - dense_delta) / np.linalg.norm(dense_delta)
         assert gap < 1e-8
 
     def test_pair_plan_built_once_per_index_set(self, suite_problem_0, monkeypatch):
@@ -471,11 +470,11 @@ class TestDampedStep:
         assert solve(problem, ClassicPolicy(), max_iterations=5).outcome != "numerical-failure"
         assert calls["n"] == 2
         lin = linearize(problem, ParamVector.from_problem(problem))
-        dc_d, dp_d = damped_step(lin, 1e-3, method="dense")
-        dc_s, dp_s = damped_step(lin, 1e-3, method="schur")
-        dense_step = np.concatenate([dc_d.ravel(), dp_d.ravel()])
-        schur_step = np.concatenate([dc_s.ravel(), dp_s.ravel()])
-        assert np.linalg.norm(schur_step - dense_step) / np.linalg.norm(dense_step) < 1e-8
+        dc_d, dp_d = dense_step(lin, 1e-3)
+        dc_s, dp_s = damped_step(lin, 1e-3)
+        dense_delta = np.concatenate([dc_d.ravel(), dp_d.ravel()])
+        schur_delta = np.concatenate([dc_s.ravel(), dp_s.ravel()])
+        assert np.linalg.norm(schur_delta - dense_delta) / np.linalg.norm(dense_delta) < 1e-8
         assert calls["n"] == 2
 
     @pytest.mark.parametrize("chunk", [solver.PAIR_CHUNK, 64])
@@ -548,7 +547,7 @@ class TestDampedStep:
         for warm in (False, True):  # the first call sizes the workspace
             factored.clear()
             solved.clear()
-            damped_step(lin, 1e-15, "schur")
+            damped_step(lin, 1e-15)
             assert len(factored) == 1 and len(solved) == 1
             (given, in_place), matrix = factored[0], solved[0]
             assert in_place or not warm
@@ -602,11 +601,11 @@ class TestDampedStep:
 
         def fresh(lin):
             solver._cached_pair_plan.cache_clear()
-            return [a.tobytes() for a in damped_step(lin, 1e-3, "schur")]
+            return [a.tobytes() for a in damped_step(lin, 1e-3)]
 
         expected = [fresh(lin) for lin in lins]
         solver._cached_pair_plan.cache_clear()
-        results = [(i, damped_step(lins[i], 1e-3, "schur")) for i in (0, 1, 0)]
+        results = [(i, damped_step(lins[i], 1e-3)) for i in (0, 1, 0)]
         for lin in lins:
             plan = solver._pair_plan(lin.cam_idx, lin.pt_idx, lin.num_cameras)
             for _, step in results:
@@ -632,14 +631,14 @@ class TestDampedStep:
             alone_lin[i] = lin_bytes(lins[i])
             for lam in GOLDEN_LAMBDAS:
                 solver._cached_pair_plan.cache_clear()
-                alone_step[i, lam] = [a.tobytes() for a in damped_step(lins[i], lam, "schur")]
+                alone_step[i, lam] = [a.tobytes() for a in damped_step(lins[i], lam)]
 
         solver._cached_pair_plan.cache_clear()
         plan = solver._pair_plan(problems[0].cam_idx, problems[0].pt_idx, 10)
         calls = 0
         for lam in GOLDEN_LAMBDAS + GOLDEN_LAMBDAS[::-1]:
             for i in (0, 1, 0):
-                step = damped_step(lins[1 - i], lam, "schur")
+                step = damped_step(lins[1 - i], lam)
                 assert [a.tobytes() for a in step] == alone_step[1 - i, lam]
                 lin = linearize(problems[i], params[i])
                 assert lin_bytes(lin) == alone_lin[i]
@@ -676,26 +675,29 @@ class TestDampedStep:
         n, nc = problem.num_observations, problem.num_cameras
         assert plan.workspace.buffer.size <= 54 * n + 81 * nc * nc + 216 * chunk
 
-    # `method="auto"` and its dense dispatch below five cameras are gone; the
-    # two tests keep their names so that test ids do not move. On either side
-    # of the old limit the default step is the Schur step to the bit, and
-    # "auto" is an unknown method.
+    # The dense dispatch below five cameras is gone; the two tests keep their
+    # names so that test ids do not move. On either side of the old limit the
+    # step factors the reduced camera system, once.
     @staticmethod
-    def _default_step_is_the_schur_step(problem):
+    def _default_step_is_the_schur_step(problem, monkeypatch):
         lin = linearize(problem, ParamVector.from_problem(problem))
-        step = damped_step(lin, 0.1)
-        schur = damped_step(lin, 0.1, method="schur")
-        assert [a.tobytes() for a in step] == [a.tobytes() for a in schur]
-        with pytest.raises(ValueError, match="auto"):
-            damped_step(lin, 0.1, method="auto")
+        factored, dpotrf = [], solver.dpotrf
 
-    def test_auto_uses_dense_below_camera_limit(self, tiny_problem):
+        def factor_spy(matrix, **kwargs):
+            factored.append(matrix.shape)
+            return dpotrf(matrix, **kwargs)
+
+        monkeypatch.setattr(solver, "dpotrf", factor_spy)
+        damped_step(lin, 0.1)
+        assert factored == [(9 * problem.num_cameras,) * 2]
+
+    def test_auto_uses_dense_below_camera_limit(self, tiny_problem, monkeypatch):
         assert tiny_problem.num_cameras == 4
-        self._default_step_is_the_schur_step(tiny_problem)
+        self._default_step_is_the_schur_step(tiny_problem, monkeypatch)
 
-    def test_auto_uses_schur_at_camera_limit(self, default_problem):
+    def test_auto_uses_schur_at_camera_limit(self, default_problem, monkeypatch):
         assert default_problem.num_cameras >= 5
-        self._default_step_is_the_schur_step(default_problem)
+        self._default_step_is_the_schur_step(default_problem, monkeypatch)
 
     def test_rejects_bad_damping(self):
         lin = random_linearization(seed=3, nc=2, npts=4)
@@ -703,21 +705,19 @@ class TestDampedStep:
             damped_step(lin, -1.0)
         with pytest.raises(ValueError):
             damped_step(lin, float("inf"))
-        with pytest.raises(ValueError):
-            damped_step(lin, 0.1, method="bogus")
 
     def test_out_of_range_point_index_raises(self):
         lin = random_linearization(seed=3, nc=5, npts=4)
         bad = dataclasses.replace(lin, pt_idx=np.where(lin.pt_idx == 3, 4, lin.pt_idx))
         with pytest.raises(IndexError):
-            damped_step(bad, 0.1, method="schur")
+            damped_step(bad, 0.1)
 
     def test_non_finite_system_raises_singular(self):
         lin = random_linearization(seed=4, nc=2, npts=4)
         lin.h_cc[0, 0, 0] = float("nan")
         lin.grad_cam[0, 0] = float("nan")
         with pytest.raises(SingularSystemError):
-            damped_step(lin, 0.1, method="dense")
+            damped_step(lin, 0.1)
 
     def test_spd_solve_is_cholesky_with_lstsq_fallback(self):
         rng = np.random.default_rng(5)
@@ -725,10 +725,11 @@ class TestDampedStep:
         spd, rhs = a @ a.T + np.eye(12), rng.normal(size=12)
         factor = scipy.linalg.cho_factor(spd, lower=True)
         expected = scipy.linalg.cho_solve(factor, rhs)
-        assert solver._solve_spd(spd, rhs).tobytes() == expected.tobytes()
+        assert solver._solve_spd(spd.copy(), rhs, spd.copy).tobytes() == expected.tobytes()
         semidefinite = np.diag([2.0, 1.0, 0.0])  # zero pivot: Cholesky fails
         expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
-        np.testing.assert_array_equal(solver._solve_spd(semidefinite, rhs[:3]), expected)
+        solution = solver._solve_spd(semidefinite.copy(), rhs[:3], semidefinite.copy)
+        np.testing.assert_array_equal(solution, expected)
 
     def test_spd_solve_reads_only_the_lower_triangle(self):
         rng = np.random.default_rng(6)
@@ -736,18 +737,16 @@ class TestDampedStep:
         spd, rhs = a @ a.T + np.eye(90), rng.normal(size=90)
         lower = spd.copy()
         lower[np.triu_indices(90, 1)] = np.nan
-        expected = solver._solve_spd(spd, rhs).tobytes()
+        expected = solver._solve_spd(spd.copy(), rhs, spd.copy).tobytes()
         unused = lambda: pytest.fail("rebuild")  # noqa: E731
         assert solver._solve_spd(lower, rhs, rebuild=unused).tobytes() == expected
-        # the fallback solves the lower triangle, mirrored: with ``rebuild``,
-        # the one that ``rebuild`` returns
+        # the fallback solves the lower triangle that ``rebuild`` returns, mirrored
         semidefinite = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         lower = semidefinite.copy()
         lower[np.triu_indices(3, 1)] = np.nan
         expected, *_ = np.linalg.lstsq(semidefinite, rhs[:3], rcond=None)
-        for rebuild in (lower.copy, None):
-            solution = solver._solve_spd(lower.copy(), rhs[:3], rebuild=rebuild)
-            np.testing.assert_array_equal(solution, expected)
+        solution = solver._solve_spd(lower.copy(), rhs[:3], rebuild=lower.copy)
+        np.testing.assert_array_equal(solution, expected)
 
 
 LIGHT_IMPORT = """
@@ -823,6 +822,17 @@ GOLDEN_LM_DIGESTS = {
 }
 
 
+def dense_evaluate(problem, params, lin, lam):
+    """``evaluate_step`` with ``dense_step`` in place of the Schur step."""
+    delta_cam, delta_pt = dense_step(lin, lam)
+    (outcome,), _ = solver._candidate_errors(
+        problem, params, delta_cam[None], delta_pt[None], [None]
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def lm_layer_digest(problem, params) -> str:
     """sha256 over every ``linearize`` field, the residuals, and, at each golden
     lambda, the schur and dense steps with their candidates and errors."""
@@ -832,10 +842,10 @@ def lm_layer_digest(problem, params) -> str:
         digest.update(name.encode() + getattr(lin, name).tobytes())
     digest.update(residuals(problem, params).tobytes())
     for lam in GOLDEN_LAMBDAS:
-        for method in ("schur", "dense"):
+        for step_of, evaluate in ((damped_step, evaluate_step), (dense_step, dense_evaluate)):
             try:
-                delta_cam, delta_pt = damped_step(lin, lam, method=method)
-                candidate, err = evaluate_step(problem, params, lin, lam, method=method)
+                delta_cam, delta_pt = step_of(lin, lam)
+                candidate, err = evaluate(problem, params, lin, lam)
             except (NumericalFailureError, SingularSystemError) as exc:
                 digest.update(type(exc).__name__.encode())
                 continue
@@ -910,8 +920,8 @@ class TestLmLayerBits:
         for a, b in zip(dense_system(lin), dense_system(copied)):
             assert a.tobytes() == b.tobytes()
         for lam in GOLDEN_LAMBDAS:
-            for method in ("schur", "dense"):
-                for a, b in zip(damped_step(lin, lam, method), damped_step(copied, lam, method)):
+            for step_of in (damped_step, dense_step):
+                for a, b in zip(step_of(lin, lam), step_of(copied, lam)):
                     assert a.tobytes() == b.tobytes()
 
 
@@ -1282,11 +1292,11 @@ class TestSolve:
         calls = {"n": 0}
         original = solver.damped_step
 
-        def flaky(lin, lam, method="schur"):
+        def flaky(lin, lam):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise SingularSystemError("injected")
-            return original(lin, lam, method=method)
+            return original(lin, lam)
 
         monkeypatch.setattr(solver, "damped_step", flaky)
         result = solve(tiny_problem, FixedPolicy(0.25))
@@ -1328,7 +1338,7 @@ class TestSerialization:
         monkeypatch.setattr(
             solver,
             "damped_step",
-            lambda lin, lam, method="schur": (_ for _ in ()).throw(
+            lambda lin, lam: (_ for _ in ()).throw(
                 SingularSystemError("injected")
             ),
         )
