@@ -8,14 +8,13 @@ counts stand in for time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .env import make_reversed_state
-from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
+from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy, ReversedStateAgentPolicy
 from .sac import NonFiniteLossError, TrainConfig, train_agent
-from .scene import BAProblem, generate_synthetic
+from .scene import BAProblem, check_scene_size, generate_synthetic
 from .solver import (
     OUTCOME_CONVERGED,
     OUTCOME_ITERATION_CAP,
@@ -315,22 +314,17 @@ def _ablation_problems(config: dict):
     return train, held_out
 
 
+def _train_config(config: dict) -> TrainConfig:
+    return TrainConfig(**{k: v for k, v in config.items() if k not in ABLATION_SCENE_KEYS})
+
+
 def _train_for_ablation(train_problems, config: dict):
-    train_fields = {k: v for k, v in config.items() if k not in ABLATION_SCENE_KEYS}
-    nets, _logs = train_agent(train_problems, TrainConfig(**train_fields))
+    nets, _logs = train_agent(train_problems, _train_config(config))
     return nets
 
 
-class _ReversedStateAgent(AgentPolicy):
-    """Shown the negated durations it trained on, not ``solve``'s clipped errors."""
-
-    def next_lambda(self, obs):
-        state = make_reversed_state(obs.recent_durations, self.window)
-        return super().next_lambda(replace(obs, state_vector=state))
-
-
 def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
-    agent = _ReversedStateAgent if extra.get("reward_variant") == "reversed" else AgentPolicy
+    agent = ReversedStateAgentPolicy if extra.get("reward_variant") == "reversed" else AgentPolicy
     table = run_comparison(held_out, {"agent": agent(nets)}, config)
     row = dict(extra)
     row.update(table.aggregates[0])
@@ -341,13 +335,16 @@ def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
 def ablation_config(base_config=None) -> dict:
     """``DEFAULT_ABLATION_CONFIG`` with ``base_config``'s overrides.
 
-    A key that is neither a scene key nor a ``TrainConfig`` field raises
-    ``ValueError``.
+    A key that is neither a scene key nor a ``TrainConfig`` field, a value
+    ``TrainConfig`` rejects, or a scene size ``generate_synthetic`` rejects
+    raises ``ValueError``.
     """
     config = {**DEFAULT_ABLATION_CONFIG, **(base_config or {})}
     unknown = set(config) - set(ABLATION_SCENE_KEYS) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ValueError(f"unknown ablation config keys: {sorted(unknown)}")
+    _train_config(config)
+    check_scene_size(config["num_cameras"], config["num_points"])
     return config
 
 

@@ -3,8 +3,14 @@
 Every subcommand accepts ``--config`` (a JSON file whose keys mirror the
 long option names with underscores; other keys are an error), ``--seed``,
 ``--deterministic-time``, and ``--out-dir``. Explicit command-line flags
-override config-file values, which override built-in defaults. Output
-manifests record the resolved configuration and library versions but never
+override config-file values, which override built-in defaults.
+
+Each command first reads and checks every input; a rejected one exits 2
+with ``balm <command>: error: ...`` (a bad ``--config``, policy token or
+missing ``--problem``/``--kind`` exits with its own message). Then it
+computes, and a failure there propagates. Only then does ``_write_outputs``
+make ``--out-dir`` and write the command's files and ``manifest.json``,
+which records the resolved configuration and library versions but never
 timestamps or absolute paths, so reruns with the same inputs are
 byte-identical.
 """
@@ -43,7 +49,7 @@ from .baselines import (
     save_zero_net_checkpoint,
     zero_net_train,
 )
-from .env import REWARD_VARIANTS
+from .env import REWARD_VARIANTS, EnvConfig
 from .policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
@@ -51,6 +57,7 @@ from .policy import (
     ConstantSchedulerPolicy,
     DampingPolicy,
     FixedPolicy,
+    ReversedStateAgentPolicy,
     ZeroNetPolicy,
 )
 from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, train_agent
@@ -86,8 +93,6 @@ def parse_seed_list(text: str) -> list:
 
 
 def _json_safe(value):
-    if isinstance(value, Path):
-        return value.name
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, float) and not np.isfinite(value):
@@ -95,7 +100,7 @@ def _json_safe(value):
     return value
 
 
-def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, outputs):
+def write_manifest(out_dir: Path, args: argparse.Namespace, outputs):
     config = {}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "config", "out_dir"):
@@ -104,7 +109,7 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, output
             value = Path(value).name
         config[key] = _json_safe(value)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "outputs": sorted(Path(o).name for o in outputs),
         "versions": {
@@ -114,30 +119,58 @@ def write_manifest(out_dir: Path, command: str, args: argparse.Namespace, output
             "scipy": scipy.__version__,
         },
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_outputs(args, files: dict) -> Path:
+    """Make ``--out-dir``, write ``files`` into it, then ``manifest.json``.
+
+    ``files`` maps a file name to its text, or to a function that writes the
+    path it is given (the checkpoints). This is the only code that writes: a
+    command calls it once, after every input is checked and its work done.
+    """
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if callable(content):
+            content(out_dir / name)
+        else:
+            (out_dir / name).write_text(content)
+    write_manifest(out_dir, args, files)
+    return out_dir
+
+
+def _usage_error(args, message) -> int:
+    print(f"balm {args.command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _suite_problems(args, seeds) -> dict:
-    problems = {}
-    for seed in seeds:
-        problems[f"scene-{seed}"] = generate_synthetic(
-            args.num_cameras,
-            args.num_points,
-            pixel_sigma=args.pixel_sigma,
-            init_noise=args.init_noise,
-            noise_std=args.noise_std,
-            seed=seed,
+    return {
+        f"scene-{seed}": generate_synthetic(
+            args.num_cameras, args.num_points, pixel_sigma=args.pixel_sigma,
+            init_noise=args.init_noise, noise_std=args.noise_std, seed=seed,
         )
-    return problems
+        for seed in seeds
+    }
 
 
-def _add_scene_options(parser, pixel_sigma=SUITE_PIXEL_SIGMA, noise_std=SUITE_NOISE_STD):
+def _solve_settings(args) -> dict:
+    """The solve options of ``solve``, ``eval`` and ``profile``, checked."""
+    settings = {
+        "max_iterations": args.max_iterations,
+        "threshold": args.threshold,
+        "deterministic_time": args.deterministic_time,
+    }
+    EnvConfig(**settings)
+    return settings
+
+
+def _add_scene_options(parser):
     parser.add_argument("--num-cameras", type=int, default=10)
     parser.add_argument("--num-points", type=int, default=10)
-    parser.add_argument("--pixel-sigma", type=float, default=pixel_sigma)
-    parser.add_argument("--noise-std", type=float, default=noise_std)
+    parser.add_argument("--pixel-sigma", type=float, default=SUITE_PIXEL_SIGMA)
+    parser.add_argument("--noise-std", type=float, default=SUITE_NOISE_STD)
     parser.add_argument("--init-noise", type=float, default=0.1)
 
 
@@ -156,7 +189,8 @@ def _policy(token: str, args, problems) -> DampingPolicy:
     """The policy one ``--policy``/``--policies`` token names.
 
     ``--schedule auto`` averages the checkpointed agent's first dampings
-    over ``problems``, the problems the command solves.
+    over ``problems``, the problems the command solves. An agent trained
+    with the ``reversed`` reward is shown the state it trained on.
     """
     token = token.strip()
     if token == "classic":
@@ -179,7 +213,9 @@ def _policy(token: str, args, problems) -> DampingPolicy:
     if token == "agent":
         if not args.checkpoint:
             raise SystemExit("--checkpoint is required for the agent policy")
-        return AgentPolicy(load_agent_checkpoint(args.checkpoint)[0])
+        nets, meta = load_agent_checkpoint(args.checkpoint)
+        reversed_state = meta.get("config", {}).get("reward_variant") == "reversed"
+        return (ReversedStateAgentPolicy if reversed_state else AgentPolicy)(nets)
     if token == "zero-net":
         if not args.checkpoint:
             raise SystemExit("--checkpoint is required for the zero-net policy")
@@ -190,41 +226,28 @@ def _policy(token: str, args, problems) -> DampingPolicy:
 def cmd_generate(args) -> int:
     try:
         problems = _suite_problems(args, range(args.seed, args.seed + args.count))
-    except ValueError as exc:
-        return _usage_error("generate", exc)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, problem in problems.items():
-        path = out_dir / f"{name}.txt"
-        path.write_text(serialize_bal(problem))
-        outputs.append(path)
-    write_manifest(out_dir, "generate", args, outputs)
-    print(f"wrote {len(outputs)} scenes to {out_dir}")
+    except (ValueError, OSError) as exc:
+        return _usage_error(args, exc)
+    files = {f"{name}.txt": serialize_bal(problem) for name, problem in problems.items()}
+    out_dir = _write_outputs(args, files)
+    print(f"wrote {len(files)} scenes to {out_dir}")
     return 0
 
 
 def cmd_solve(args) -> int:
     if not args.problem:
         raise SystemExit("solve needs --problem (flag or config)")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem = parse_bal(read_text(args.problem), pixel_sigma=args.pixel_sigma)
-    policy = _policy(args.policy, args, [problem])
-    result = solve(
-        problem,
-        policy,
-        max_iterations=args.max_iterations,
-        threshold=args.threshold,
-        deterministic_time=args.deterministic_time,
-    )
-    result_path = out_dir / "result.json"
-    result_path.write_text(
-        json.dumps(result_to_json_dict(result), indent=2, sort_keys=True) + "\n"
-    )
-    trace_path = out_dir / "trace.csv"
-    trace_path.write_text(records_to_csv(result.records))
-    write_manifest(out_dir, "solve", args, [result_path, trace_path])
+    try:
+        settings = _solve_settings(args)
+        problem = parse_bal(read_text(args.problem), pixel_sigma=args.pixel_sigma)
+        policy = _policy(args.policy, args, [problem])
+    except (ValueError, OSError) as exc:
+        return _usage_error(args, exc)
+    result = solve(problem, policy, **settings)
+    _write_outputs(args, {
+        "result.json": json.dumps(result_to_json_dict(result), indent=2, sort_keys=True) + "\n",
+        "trace.csv": records_to_csv(result.records),
+    })
     print(
         f"{args.policy}: {result.outcome} in {result.iterations} iterations, "
         f"final error {result.final_error:.6e}"
@@ -232,74 +255,51 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _usage_error(command: str, message) -> int:
-    print(f"balm {command}: error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_train(args) -> int:
     config_type = TrainConfig if args.algo == "sac" else ZeroNetConfig
     given = {f.name: getattr(args, f.name, None) for f in fields(config_type)}
-    try:  # the values only: a training run that fails raises
+    try:
         cfg = config_type(**{name: value for name, value in given.items() if value is not None})
         problems = list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
-    except ValueError as exc:
-        return _usage_error("train", exc)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "train_log.jsonl"
+    except (ValueError, OSError) as exc:
+        return _usage_error(args, exc)
     if args.algo == "sac":
         nets, entries = train_agent(problems, cfg)
-        checkpoint = out_dir / "agent.ckpt"
-        save_agent_checkpoint(checkpoint, nets, cfg)
+        checkpoint, save = "agent.ckpt", lambda path: save_agent_checkpoint(path, nets, cfg)
     else:
         entries = []
         net = zero_net_train(problems, progress=entries.append, **asdict(cfg))
-        checkpoint = out_dir / "zero_net.ckpt"
-        save_zero_net_checkpoint(checkpoint, net)
-    with log_path.open("w") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    write_manifest(out_dir, "train", args, [checkpoint, log_path])
-    print(f"trained {args.algo} on {len(problems)} scenes -> {checkpoint.name}")
+        checkpoint, save = "zero_net.ckpt", lambda path: save_zero_net_checkpoint(path, net)
+    log = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+    _write_outputs(args, {checkpoint: save, "train_log.jsonl": log})
+    print(f"trained {args.algo} on {len(problems)} scenes -> {checkpoint}")
     return 0
 
 
-def _resolve_policies(args, problems) -> dict:
+def _comparison_inputs(args):
+    """The scenes, policies and solve settings of ``eval`` and ``profile``."""
+    settings = _solve_settings(args)
+    problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
     policies = {}
     for token in args.policies.split(","):
         token = token.strip()
-        if not token:
-            continue
-        policies[token] = _policy(token, args, list(problems.values()))
+        if token:
+            policies[token] = _policy(token, args, list(problems.values()))
     if not policies:
         raise SystemExit("--policies must name at least one policy")
-    return policies
-
-
-def _comparison_table(args, problems):
-    policies = _resolve_policies(args, problems)
-    env_config = {
-        "max_iterations": args.max_iterations,
-        "threshold": args.threshold,
-        "deterministic_time": args.deterministic_time,
-    }
-    return run_comparison(problems, policies, env_config=env_config)
+    return problems, policies, settings
 
 
 def cmd_eval(args) -> int:
     try:
-        problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
-    except ValueError as exc:
-        return _usage_error("eval", exc)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = _comparison_table(args, problems)
-    records_path = out_dir / "records.csv"
-    records_path.write_text(comparison_to_csv(table))
-    aggregates_path = out_dir / "aggregates.csv"
-    aggregates_path.write_text(aggregates_to_csv(table))
-    write_manifest(out_dir, "eval", args, [records_path, aggregates_path])
+        problems, policies, settings = _comparison_inputs(args)
+    except (ValueError, OSError) as exc:
+        return _usage_error(args, exc)
+    table = run_comparison(problems, policies, env_config=settings)
+    _write_outputs(args, {
+        "records.csv": comparison_to_csv(table),
+        "aggregates.csv": aggregates_to_csv(table),
+    })
     for row in table.aggregates:
         print(
             f"{row['policy']}: success {row['success_rate']:.2f}, "
@@ -308,26 +308,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _tolerances(text) -> list:
+    try:
+        return [check_tolerance(float(t)) for t in str(text).split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--tolerances: {exc}") from None
+
+
 def cmd_profile(args) -> int:
     try:
-        tolerances = [check_tolerance(float(t)) for t in str(args.tolerances).split(",")]
-    except ValueError as exc:
-        return _usage_error("profile", f"--tolerances: {exc}")
-    try:
-        problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
-    except ValueError as exc:
-        return _usage_error("profile", exc)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = _comparison_table(args, problems)
-    outputs = []
-    for tolerance in tolerances:
-        curves = performance_profile(table.records, tolerance)
-        path = out_dir / f"profile-{tolerance:g}.csv"
-        path.write_text(profile_to_csv(curves))
-        outputs.append(path)
-    write_manifest(out_dir, "profile", args, outputs)
-    print(f"wrote {len(outputs)} profile tables to {out_dir}")
+        tolerances = _tolerances(args.tolerances)
+        problems, policies, settings = _comparison_inputs(args)
+    except (ValueError, OSError) as exc:
+        return _usage_error(args, exc)
+    table = run_comparison(problems, policies, env_config=settings)
+    files = {
+        f"profile-{tolerance:g}.csv": profile_to_csv(performance_profile(table.records, tolerance))
+        for tolerance in tolerances
+    }
+    out_dir = _write_outputs(args, files)
+    print(f"wrote {len(files)} profile tables to {out_dir}")
     return 0
 
 
@@ -342,16 +342,13 @@ def cmd_ablate(args) -> int:
     overrides.setdefault("seed", args.seed)
     try:
         ablation_config(overrides)
-    except ValueError as exc:
-        return _usage_error("ablate", exc)
+    except (ValueError, OSError) as exc:
+        return _usage_error(args, exc)
     result = ablation_suite(args.kind, overrides)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"ablation-{args.kind}.csv"
-    csv_path.write_text(ablation_to_csv(result))
-    json_path = out_dir / f"ablation-{args.kind}.json"
-    json_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    write_manifest(out_dir, "ablate", args, [csv_path, json_path])
+    out_dir = _write_outputs(args, {
+        f"ablation-{args.kind}.csv": ablation_to_csv(result),
+        f"ablation-{args.kind}.json": json.dumps(result, indent=2, sort_keys=True) + "\n",
+    })
     print(f"wrote ablation tables for {args.kind} to {out_dir}")
     return 0
 
@@ -413,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--policies", default="classic,gn")
     _add_policy_options(p_profile)
     p_profile.add_argument("--eval-seeds", default="100-109")
-    p_profile.add_argument(
-        "--tolerances", default=",".join(str(t) for t in DEFAULT_TOLERANCES)
-    )
+    p_profile.add_argument("--tolerances", default=",".join(map(str, DEFAULT_TOLERANCES)))
     _add_scene_options(p_profile)
     _add_solve_options(p_profile)
     p_profile.set_defaults(func=cmd_profile)
@@ -436,14 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # subparsers copy their own defaults over the parent namespace, so config
     # overrides must be installed on every one of them
-    parser.subcommand_parsers = {
-        "generate": p_gen,
-        "solve": p_solve,
-        "train": p_train,
-        "eval": p_eval,
-        "profile": p_profile,
-        "ablate": p_ablate,
-    }
+    parser.subcommand_parsers = sub.choices
     return parser
 
 
@@ -451,15 +439,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, _ = parser.parse_known_args(argv)
     if getattr(args, "config", None):
-        overrides = json.loads(read_text(args.config))
+        try:
+            overrides = json.loads(read_text(args.config))
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--config: {exc}") from None
         if not isinstance(overrides, dict):
             raise SystemExit("--config must contain a JSON object")
         known = {a.dest for sub in parser.subcommand_parsers.values() for a in sub._actions}
         unknown = sorted(set(overrides) - known - {"help"})
         if unknown:
             raise SystemExit(f"--config: unknown key(s) {', '.join(map(repr, unknown))}")
-        # argparse checks choices only on the command line, not on defaults
         for sub in parser.subcommand_parsers.values():
+            # argparse checks choices only on the command line, not on defaults
             for action in sub._actions:
                 if action.choices and action.dest in overrides:
                     value = overrides[action.dest]
@@ -468,7 +459,6 @@ def main(argv=None) -> int:
                         parser.error(
                             f"--config: {action.dest!r} must be one of {allowed}, got {value!r}"
                         )
-        for sub in parser.subcommand_parsers.values():
             sub.set_defaults(**overrides)
     args = parser.parse_args(argv)
     return args.func(args)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .policy import PolicyObservation, make_state, observe
+from .policy import PolicyObservation, make_reversed_state, observe
 from .scene import BAProblem
 from .solver import (
     OUTCOME_CONVERGED,
@@ -96,11 +94,6 @@ def compute_reward(
     if variant == "reversed":
         return CONVERGENCE_BONUS if converged else -error
     raise ValueError(f"unknown reward variant {variant!r}")
-
-
-def make_reversed_state(durations, window: int) -> np.ndarray:
-    """State for the reversed variant: negated durations, padded like make_state."""
-    return make_state([-d for d in durations] or [0.0], window)
 
 
 class BAEnv:

@@ -9,7 +9,7 @@ errors even when they exceed the observation clip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,11 @@ def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
     recent = history[-window:]
     padded = [recent[0]] * (window - len(recent)) + recent
     return np.minimum(np.asarray(padded, dtype=float), STATE_CLIP)
+
+
+def make_reversed_state(durations, window: int) -> np.ndarray:
+    """State for the reversed variant: negated durations, padded like make_state."""
+    return make_state([-d for d in durations] or [0.0], window)
 
 
 def observe(state: SolverState, window: int) -> PolicyObservation:
@@ -148,6 +153,15 @@ class AgentPolicy(DampingPolicy):
 
         lam, _ = select_action(self.nets, obs.state_vector, deterministic=True)
         return _clamp(lam)
+
+
+class ReversedStateAgentPolicy(AgentPolicy):
+    """An agent trained with the ``reversed`` reward: shown the negated
+    durations it trained on, not ``solve``'s clipped errors."""
+
+    def next_lambda(self, obs: PolicyObservation) -> float:
+        state = make_reversed_state(obs.recent_durations, self.window)
+        return super().next_lambda(replace(obs, state_vector=state))
 
 
 class ZeroNetPolicy(DampingPolicy):

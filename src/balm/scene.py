@@ -437,6 +437,12 @@ def _matrix_rotvec(matrix: np.ndarray) -> list[float]:
     return [scale * x, scale * y, scale * z]
 
 
+def check_scene_size(num_cameras: int, num_points: int) -> None:
+    """Raise ``ValueError`` unless ``generate_synthetic`` can make the scene."""
+    if num_cameras < 2 or num_points < 1:
+        raise ValueError("need at least 2 cameras and 1 point")
+
+
 def generate_synthetic(
     num_cameras: int,
     num_points: int,
@@ -458,8 +464,7 @@ def generate_synthetic(
     ``rotation_noise``; points whose depth precondition fails are resampled
     up to ``max_retries`` times.
     """
-    if num_cameras < 2 or num_points < 1:
-        raise ValueError("need at least 2 cameras and 1 point")
+    check_scene_size(num_cameras, num_points)
     if noise_std is None:
         noise_std = pixel_sigma
     rng = np.random.default_rng(seed)

@@ -22,12 +22,14 @@ from balm import cli
 from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
 from balm.bench import DEFAULT_ABLATION_CONFIG
 from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
+from balm.env import make_reversed_state
 from balm.policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
     ClassicPolicy,
     ConstantSchedulerPolicy,
     FixedPolicy,
+    PolicyObservation,
     ZeroNetPolicy,
 )
 from balm.sac import TrainConfig, init_agent, save_agent_checkpoint
@@ -36,6 +38,14 @@ from balm.scene import serialize_bal
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """``run_cli``'s return value, or the code of the ``SystemExit`` it raised."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 TINY_TRAIN = (
@@ -132,6 +142,22 @@ class TestPolicyTokens:
         with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
             parse_policy(token)
 
+    def test_reversed_reward_agent_sees_the_state_it_trained_on(self, tmp_path):
+        nets = init_agent(window=5, hidden=16, seed=11)
+        config = TrainConfig(reward_variant="reversed", hidden=16)
+        save_agent_checkpoint(tmp_path / "agent.ckpt", nets, config)
+        policy = parse_policy("agent", "--checkpoint", "agent.ckpt", checkpoints=tmp_path)
+        obs = PolicyObservation(
+            state_vector=np.full(5, 7.0), iteration_index=3,
+            raw_errors=(8.0, 7.0), recent_durations=(0.5, 0.25, 1.0),
+        )
+        # trained on negated durations, so it must be shown them, not the errors
+        durations = make_reversed_state(obs.recent_durations, 5)
+        plain = AgentPolicy(nets)
+        expected = plain.next_lambda(dataclasses.replace(obs, state_vector=durations))
+        assert expected != plain.next_lambda(obs)
+        assert policy.next_lambda(obs) == expected
+
 
 class TestGenerate:
     def test_writes_suite_scenes_and_manifest(self, tmp_path):
@@ -154,6 +180,16 @@ class TestGenerate:
         config.write_text(json.dumps({"episode": 3, "count": 1}))
         out = tmp_path / "scenes"
         with pytest.raises(SystemExit, match="^--config: unknown key\\(s\\) 'episode'$"):
+            run_cli("generate", "--config", config, "--out-dir", out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_config_writes_nothing(self, tmp_path, text):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "scenes"
+        with pytest.raises(SystemExit, match="^--config: "):
             run_cli("generate", "--config", config, "--out-dir", out)
         assert not out.exists()
 
@@ -517,6 +553,25 @@ class TestAblateCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        ("config", "message"),
+        [
+            ('{"lr": -1}', "lr must be finite and positive, got -1"),
+            ('{"num_cameras": 1}', "need at least 2 cameras and 1 point"),
+        ],
+        ids=["lr", "num-cameras"],
+    )
+    def test_rejected_ablation_value_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, config, message
+    ):
+        monkeypatch.setattr(cli, "ablation_suite", None)  # nothing is trained
+        out = tmp_path / "ablate"
+        assert run_cli(
+            "ablate", "--kind", "reversed", "--ablation-config", config, "--out-dir", out
+        ) == 2
+        assert f"balm ablate: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, expected",
         [
             ((), True),
@@ -534,6 +589,40 @@ class TestAblateCli:
         monkeypatch.setattr(cli, "ablation_suite", stub_suite)
         assert run_cli("ablate", "--kind", "scheduler", *flags, "--out-dir", tmp_path) == 0
         assert [config["deterministic_time"] for config in configs] == [expected]
+
+
+TINY_EVAL = ("--eval-seeds", "100", "--num-cameras", "4", "--num-points", "6")
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (("solve", "--problem", "truncated.txt"), 2),
+        (("solve", "--problem", "missing.txt"), 2),
+        (("solve", "--problem", "scene.txt", "--max-iterations", "0"), 2),
+        (("eval", "--policies", "agent", *TINY_EVAL),
+         "--checkpoint is required for the agent policy"),
+        (("eval", "--policies", "agent", "--checkpoint", "scene.txt", *TINY_EVAL), 2),
+        (("eval", "--policies", "classic,annealed", *TINY_EVAL), "unknown policy 'annealed'"),
+        (("profile", "--policies", "classic", "--max-iterations", "0", *TINY_EVAL), 2),
+    ],
+    ids=[
+        "solve-truncated-problem", "solve-missing-problem", "solve-max-iterations",
+        "eval-no-checkpoint", "eval-not-a-checkpoint", "eval-unknown-policy",
+        "profile-max-iterations",
+    ],
+)
+def test_bad_input_writes_nothing(tmp_path, monkeypatch, capsys, scene_dir, argv, code):
+    text = (scene_dir / "scene-2.txt").read_text()
+    (tmp_path / "scene.txt").write_text(text)
+    (tmp_path / "truncated.txt").write_text(text[: len(text) // 2])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve", None)  # nothing is solved
+    monkeypatch.setattr(cli, "run_comparison", None)
+    assert exit_code(*argv, "--out-dir", "out") == code
+    if code == 2:
+        assert f"balm {argv[0]}: error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def run_module(*argv, env=os.environ):
