@@ -83,19 +83,19 @@ def init_zero_net(window: int = 5, hidden: int = ZERO_NET_HIDDEN, seed: int = 0)
     )
 
 
-def zero_net_input(obs: PolicyObservation, applied_lambdas, window: int) -> np.ndarray:
+def zero_net_input(obs: PolicyObservation, window: int) -> np.ndarray:
     """The zero-net's input row: (states, actions, rewards) slots, ``window`` each.
 
-    The states are the observation's error window. The actions are the last
-    ``window`` applied dampings mapped back to squashed space. The rewards
-    are -1 per completed iteration, the negated duration deterministic
-    timing records, so the row does not depend on the clock or the timing
-    mode. Action and reward slots are zero-padded on the left. The
+    The states are the observation's error window. The actions are its
+    ``recent_lambdas``, the last applied dampings, mapped back to squashed
+    space. The rewards are -1 per completed iteration, the negated duration
+    deterministic timing records, so the row does not depend on the clock or
+    the timing mode. Action and reward slots are zero-padded on the left. The
     collector labels these rows and ``ZeroNetPolicy`` feeds them to the net.
     """
     row = np.zeros(3 * window)
     row[:window] = obs.state_vector
-    actions = [u_from_lambda(lam) for lam in applied_lambdas[-window:]]
+    actions = [u_from_lambda(lam) for lam in obs.recent_lambdas]
     row[2 * window - len(actions) : 2 * window] = actions
     row[3 * window - len(obs.recent_durations) :] = -1.0
     return row
@@ -106,18 +106,17 @@ def _collect_labeled_windows(problem, net: Mlp | None, config: EnvConfig):
 
     The rollout is ``solve``'s: ``ClassicPolicy`` picks every damping with
     no net (warm-start epoch), ``ZeroNetPolicy(net)`` otherwise. Each
-    state's input is the ``zero_net_input`` row of the dampings applied so
-    far, the very row the policy is served there.
+    state's input is the ``zero_net_input`` row of its observation, the
+    very row the policy is served there.
     """
     policy = ClassicPolicy(window=config.window) if net is None else ZeroNetPolicy(net)
-    policy.reset()
     env = BAEnv(config)
     obs = env.reset(problem)
     inputs = []
     targets = []
     done = False
     while not done:
-        inputs.append(zero_net_input(obs, [record.lam for record in env.records], config.window))
+        inputs.append(zero_net_input(obs, config.window))
         targets.append(raw_regression_target(zero_net_oracle(env.problem, env.solver_state)))
         out = env.step(policy.next_lambda(obs))
         obs, done = out.observation, out.done

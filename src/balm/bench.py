@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy, ReversedStateAgentPolicy
+from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
 from .sac import NonFiniteLossError, TrainConfig, train_agent
 from .scene import BAProblem, check_scene_size, generate_synthetic
 from .solver import (
@@ -324,8 +324,7 @@ def _train_for_ablation(train_problems, config: dict):
 
 
 def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
-    agent = ReversedStateAgentPolicy if extra.get("reward_variant") == "reversed" else AgentPolicy
-    table = run_comparison(held_out, {"agent": agent(nets)}, config)
+    table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, config)
     row = dict(extra)
     row.update(table.aggregates[0])
     row.pop("policy", None)
@@ -336,8 +335,9 @@ def ablation_config(base_config=None) -> dict:
     """``DEFAULT_ABLATION_CONFIG`` with ``base_config``'s overrides.
 
     A key that is neither a scene key nor a ``TrainConfig`` field, a value
-    ``TrainConfig`` rejects, or a scene size ``generate_synthetic`` rejects
-    raises ``ValueError``.
+    ``TrainConfig`` rejects, a scene size ``generate_synthetic`` rejects, or
+    a seed list that is empty or holds a non-integer or negative seed raises
+    ``ValueError``.
     """
     config = {**DEFAULT_ABLATION_CONFIG, **(base_config or {})}
     unknown = set(config) - set(ABLATION_SCENE_KEYS) - {f.name for f in fields(TrainConfig)}
@@ -345,6 +345,12 @@ def ablation_config(base_config=None) -> dict:
         raise ValueError(f"unknown ablation config keys: {sorted(unknown)}")
     _train_config(config)
     check_scene_size(config["num_cameras"], config["num_points"])
+    for key in ("train_seeds", "eval_seeds"):
+        seeds = config[key]
+        if not (isinstance(seeds, (list, tuple)) and seeds) or not all(
+            isinstance(s, (int, np.integer)) and s >= 0 for s in seeds
+        ):
+            raise ValueError(f"{key} must list one or more non-negative integers, got {seeds!r}")
     return config
 
 

@@ -57,7 +57,6 @@ from .policy import (
     ConstantSchedulerPolicy,
     DampingPolicy,
     FixedPolicy,
-    ReversedStateAgentPolicy,
     ZeroNetPolicy,
 )
 from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, train_agent
@@ -213,9 +212,7 @@ def _policy(token: str, args, problems) -> DampingPolicy:
     if token == "agent":
         if not args.checkpoint:
             raise SystemExit("--checkpoint is required for the agent policy")
-        nets, meta = load_agent_checkpoint(args.checkpoint)
-        reversed_state = meta.get("config", {}).get("reward_variant") == "reversed"
-        return (ReversedStateAgentPolicy if reversed_state else AgentPolicy)(nets)
+        return AgentPolicy(load_agent_checkpoint(args.checkpoint)[0])
     if token == "zero-net":
         if not args.checkpoint:
             raise SystemExit("--checkpoint is required for the zero-net policy")

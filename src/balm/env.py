@@ -123,7 +123,7 @@ class BAEnv:
         return self._problem
 
     def _observation(self) -> PolicyObservation:
-        obs = observe(self._state, self.config.window)
+        obs = observe(self._state, self.config.window, self.records)
         if self.config.reward_variant == "reversed":
             obs.state_vector = make_reversed_state(self._state.durations, self.config.window)
         return obs

@@ -1,20 +1,21 @@
 """Damping policies: pluggable rules that pick the next lambda each iteration.
 
-Policies see a fixed-window observation of recent estimation errors (clipped
-for the learned policies' benefit) plus bookkeeping fields, and return a
-damping value in [1e-16, 1e16]. The classic rule additionally consumes the
-unclipped error pair, since its compare-and-double logic must see real
-errors even when they exceed the observation clip.
+A policy is a function of its observation, so one instance can drive any
+number of solves, even interleaved ones. The observation is a fixed window of
+recent errors (clipped for the learned policies' benefit) plus the unclipped
+recent errors, durations and applied dampings; a policy returns a damping in
+[1e-16, 1e16]. The classic rule halves or doubles the last damping by the
+unclipped error pair, which it must see even beyond the observation clip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import mlp_forward
-from .solver import LAMBDA_MAX, LAMBDA_MIN, SolverState, classic_lambda_update
+from .solver import LAMBDA_MAX, LAMBDA_MIN, SolverState
 
 STATE_CLIP = 1000.0
 DEFAULT_WINDOW = 5
@@ -27,15 +28,16 @@ class PolicyObservation:
     """Per-iteration view handed to a damping policy.
 
     ``state_vector`` holds the last ``window`` errors, left-padded by
-    repeating the earliest entry and clipped at 1000. ``raw_errors`` and
-    ``recent_durations`` carry unclipped recent history for policies that
-    need exact values.
+    repeating the earliest entry and clipped at 1000. ``raw_errors``,
+    ``recent_durations`` and ``recent_lambdas`` (the applied dampings) carry
+    unclipped recent history for policies that need exact values.
     """
 
     state_vector: np.ndarray
     iteration_index: int
     raw_errors: tuple[float, ...] = ()
     recent_durations: tuple[float, ...] = ()
+    recent_lambdas: tuple[float, ...] = ()
 
 
 def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -55,14 +57,15 @@ def make_reversed_state(durations, window: int) -> np.ndarray:
     return make_state([-d for d in durations] or [0.0], window)
 
 
-def observe(state: SolverState, window: int) -> PolicyObservation:
-    """Build the policy observation for the solver's current state."""
+def observe(state: SolverState, window: int, records) -> PolicyObservation:
+    """The policy observation of the solver's state and its episode's ``records``."""
     keep = max(window, 2)
     return PolicyObservation(
         state_vector=make_state(state.error_history, window),
         iteration_index=state.iteration,
         raw_errors=tuple(state.error_history[-keep:]),
         recent_durations=tuple(state.durations[-window:]),
+        recent_lambdas=tuple(record.lam for record in records[-window:]),
     )
 
 
@@ -71,47 +74,33 @@ def _clamp(lam: float) -> float:
 
 
 class DampingPolicy:
-    """Base interface: ``next_lambda(obs)`` plus per-solve ``reset``."""
+    """Base interface: ``next_lambda(obs)``, a function of ``obs`` alone."""
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.window = window
-
-    def reset(self) -> None:
-        """Clear per-solve state; called at the start of every solve."""
 
     def next_lambda(self, obs: PolicyObservation) -> float:
         raise NotImplementedError
 
 
 class ClassicPolicy(DampingPolicy):
-    """Factor-of-two heuristic seeded at 1/4; carries its running lambda."""
+    """Factor-of-two heuristic: 1/4 at iteration 0, then the last damping halved
+    on an improvement and doubled otherwise (``paper`` mode: halved if worse)."""
 
-    def __init__(
-        self,
-        mode: str = "standard",
-        initial_lambda: float = DEFAULT_INITIAL_LAMBDA,
-        window: int = DEFAULT_WINDOW,
-    ):
+    def __init__(self, mode: str = "standard", window: int = DEFAULT_WINDOW):
         super().__init__(window)
         if mode not in ("standard", "paper"):
             raise ValueError(f"unknown classic mode {mode!r}")
         self.mode = mode
-        self.initial_lambda = initial_lambda
-        self._lam = initial_lambda
-
-    def reset(self) -> None:
-        self._lam = self.initial_lambda
 
     def next_lambda(self, obs: PolicyObservation) -> float:
         if obs.iteration_index == 0:
-            self._lam = self.initial_lambda
-            return _clamp(self._lam)
-        if len(obs.raw_errors) < 2:
-            raise ValueError("classic policy needs the last two errors after iteration 0")
-        self._lam = classic_lambda_update(
-            self._lam, obs.raw_errors[-1], obs.raw_errors[-2], mode=self.mode
-        )
-        return _clamp(self._lam)
+            return DEFAULT_INITIAL_LAMBDA
+        if len(obs.raw_errors) < 2 or not obs.recent_lambdas:
+            raise ValueError("classic policy needs two errors and a damping after iteration 0")
+        err_prev, err_t = obs.raw_errors[-2:]
+        halve = err_t < err_prev if self.mode == "standard" else err_t > err_prev
+        return _clamp(obs.recent_lambdas[-1] * (0.5 if halve else 2.0))
 
 
 class ConstantSchedulerPolicy(DampingPolicy):
@@ -141,7 +130,8 @@ class AgentPolicy(DampingPolicy):
     """Deterministic wrapper over trained actor-critic networks.
 
     Evaluation always takes the squashed mean action; exploration noise is a
-    training-loop concern, not a solve-time one.
+    training-loop concern, not a solve-time one. A ``reversed``-reward agent
+    (``nets.reversed_state``) is shown the negated durations it trained on.
     """
 
     def __init__(self, nets):
@@ -151,25 +141,19 @@ class AgentPolicy(DampingPolicy):
     def next_lambda(self, obs: PolicyObservation) -> float:
         from .sac import select_action
 
-        lam, _ = select_action(self.nets, obs.state_vector, deterministic=True)
+        state = obs.state_vector
+        if self.nets.reversed_state:
+            state = make_reversed_state(obs.recent_durations, self.window)
+        lam, _ = select_action(self.nets, state, deterministic=True)
         return _clamp(lam)
-
-
-class ReversedStateAgentPolicy(AgentPolicy):
-    """An agent trained with the ``reversed`` reward: shown the negated
-    durations it trained on, not ``solve``'s clipped errors."""
-
-    def next_lambda(self, obs: PolicyObservation) -> float:
-        state = make_reversed_state(obs.recent_durations, self.window)
-        return super().next_lambda(replace(obs, state_vector=state))
 
 
 class ZeroNetPolicy(DampingPolicy):
     """Supervised baseline: predicts from recent states, actions, and rewards.
 
-    Each call feeds the net the ``zero_net_input`` row of the dampings this
-    policy returned so far, the row its training rollouts labeled, so its
-    choices do not depend on the clock.
+    Each call feeds the net the ``zero_net_input`` row of the observation,
+    the row its training rollouts labeled, so its choices do not depend on
+    the clock.
     """
 
     def __init__(self, net):
@@ -178,16 +162,10 @@ class ZeroNetPolicy(DampingPolicy):
             raise ValueError("zero-net input width must be divisible by 3")
         super().__init__(window=window)
         self.net = net
-        self._lambdas: list[float] = []
-
-    def reset(self) -> None:
-        self._lambdas = []
 
     def next_lambda(self, obs: PolicyObservation) -> float:
         from .baselines import zero_net_input
         from .sac import lambda_from_action
 
-        x = zero_net_input(obs, self._lambdas, self.window)
-        lam = _clamp(lambda_from_action(np.tanh(mlp_forward(self.net, x[None])[0, 0])))
-        self._lambdas.append(lam)
-        return lam
+        x = zero_net_input(obs, self.window)
+        return _clamp(lambda_from_action(np.tanh(mlp_forward(self.net, x[None])[0, 0])))

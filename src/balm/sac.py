@@ -76,6 +76,7 @@ class AgentNets:
     critic2: Mlp
     value: Mlp
     target_value: Mlp
+    reversed_state: bool = False  # trained with the ``reversed`` reward's state
 
     @property
     def window(self) -> int:
@@ -314,6 +315,7 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
         raise ValueError("need at least one training problem")
     rng = np.random.default_rng(cfg.seed)
     nets = init_agent(window=cfg.window, hidden=cfg.hidden, seed=cfg.seed)
+    nets.reversed_state = cfg.reward_variant == "reversed"
     opt = init_optimizers(nets)
     buffer = ReplayBuffer(cfg.replay_capacity, cfg.window)
     env = BAEnv(EnvConfig.of(cfg))
@@ -400,6 +402,7 @@ def load_agent_checkpoint(path) -> tuple[AgentNets, dict]:
         **{
             name: mlp_from_arrays(meta["widths"][name], arrays, prefix=f"{name}.")
             for name in _NET_NAMES
-        }
+        },
+        reversed_state=meta.get("config", {}).get("reward_variant") == "reversed",
     )
     return nets, meta

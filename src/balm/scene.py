@@ -439,6 +439,8 @@ def _matrix_rotvec(matrix: np.ndarray) -> list[float]:
 
 def check_scene_size(num_cameras: int, num_points: int) -> None:
     """Raise ``ValueError`` unless ``generate_synthetic`` can make the scene."""
+    if not all(isinstance(n, (int, np.integer)) for n in (num_cameras, num_points)):
+        raise ValueError(f"scene sizes must be integers, got {num_cameras!r} and {num_points!r}")
     if num_cameras < 2 or num_points < 1:
         raise ValueError("need at least 2 cameras and 1 point")
 

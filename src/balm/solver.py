@@ -249,6 +249,9 @@ class SolverState:
 
 @dataclass
 class SolveResult:
+    """``iterations`` and ``total_time_s`` count completed iterations; after a
+    numerical failure ``records`` also holds the failed attempt (error NaN)."""
+
     params: ParamVector
     outcome: str
     iterations: int
@@ -965,23 +968,6 @@ def convergence_check(error_history: list[float], threshold: float = 1e-6) -> bo
     return abs(previous - current) / max(previous, CONVERGENCE_FLOOR) < threshold
 
 
-def classic_lambda_update(
-    lam: float, err_t: float, err_prev: float, mode: str = "standard"
-) -> float:
-    """Factor-of-two damping update.
-
-    ``paper`` mode halves on a worse error and doubles otherwise; ``standard``
-    mode is the mirror image (halve on improvement, double on regression).
-    """
-    if mode == "paper":
-        factor = 0.5 if err_t > err_prev else 2.0
-    elif mode == "standard":
-        factor = 0.5 if err_t < err_prev else 2.0
-    else:
-        raise ValueError(f"unknown classic mode {mode!r}")
-    return float(min(max(lam * factor, LAMBDA_MIN), LAMBDA_MAX))  # np.clip's value
-
-
 def solve(
     problem: BAProblem,
     policy,
@@ -994,8 +980,8 @@ def solve(
 
     The episode ends when the error plateaus, the cap is hit, or numerics
     fail. ``policy`` supplies the damping each iteration through
-    ``next_lambda(observation)``; it is reset first so one instance can be
-    reused across solves.
+    ``next_lambda(observation)``, a function of the observation alone, so
+    one instance can be reused across solves.
     """
     from .env import BAEnv, EnvConfig
 
@@ -1008,7 +994,6 @@ def solve(
             accept_only_improving=accept_only_improving,
         )
     )
-    policy.reset()
     out = env.step(policy.next_lambda(env.reset(problem)))
     while not out.done:
         out = env.step(policy.next_lambda(out.observation))

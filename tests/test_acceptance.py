@@ -140,7 +140,6 @@ def random_linearization(seed=0, nc=4, npts=30):
 
 
 def run_episode(env, problem, policy):
-    policy.reset()
     obs = env.reset(problem)
     rewards = []
     infos = []

@@ -110,7 +110,6 @@ def test_oracle_matches_exhaustive_recheck_along_rollout():
     problem = suite_problem(0, 4, 6)
     env = BAEnv(EnvConfig(window=5, max_iterations=8, deterministic_time=True))
     classic = ClassicPolicy()
-    classic.reset()
     obs = env.reset(problem)
     states = [env.solver_state.copy()]
     done = False
@@ -182,12 +181,13 @@ def test_oracle_rejects_empty_grid():
 # prediction
 
 
-def observation(errors, window, iteration=0, durations=()):
+def observation(errors, window, iteration=0, durations=(), lambdas=()):
     return PolicyObservation(
         state_vector=make_state(errors, window),
         iteration_index=iteration,
         raw_errors=tuple(errors),
         recent_durations=tuple(durations),
+        recent_lambdas=tuple(lambdas),
     )
 
 
@@ -211,19 +211,16 @@ def test_predict_composes_forward_tanh_and_action_map():
     net = small_net(window=3, hidden=16, seed=4)
     obs = observation(list(np.random.default_rng(7).uniform(1.0, 9.0, size=3)), 3, 2, (1.0, 1.0))
     lam = ZeroNetPolicy(net).next_lambda(obs)
-    raw = mlp_forward(net, zero_net_input(obs, [], 3)[None])[0, 0]
+    raw = mlp_forward(net, zero_net_input(obs, 3)[None])[0, 0]
     assert lam == pytest.approx(lambda_from_action(np.tanh(raw)), rel=1e-12)
 
 
 def test_predict_is_pure():
-    # A reset policy repeats its dampings, and the observations stay as they were.
+    # The policy repeats its dampings, and the observations stay as they were.
     net = small_net(window=2, hidden=4, seed=1)
     policy = ZeroNetPolicy(net)
-    observations = [observation([0.5], 2), observation([0.5, 0.4], 2, 1, (1.0,))]
-    runs = []
-    for _ in range(2):
-        policy.reset()
-        runs.append([policy.next_lambda(obs) for obs in observations])
+    observations = [observation([0.5], 2), observation([0.5, 0.4], 2, 1, (1.0,), (0.3,))]
+    runs = [[policy.next_lambda(obs) for obs in observations] for _ in range(2)]
     assert runs[0] == runs[1]
     assert observations[1].state_vector.tolist() == [0.5, 0.4]
 
@@ -242,14 +239,13 @@ def test_default_net_shape():
 def test_policy_feeds_past_actions_and_negated_durations():
     net = small_net(window=5, hidden=16, seed=9)
     policy = ZeroNetPolicy(net)
-    policy.reset()
 
     lam0 = policy.next_lambda(observation([0.4], 5))
     assert lam0 == net_lambda(net, np.concatenate([make_state([0.4], 5), np.zeros(10)]))
 
     # A 0.5 s iteration fills its slot with -1, the negated duration that
     # deterministic timing records: the slots count iterations, not seconds.
-    lam1 = policy.next_lambda(observation([0.4, 0.3], 5, 1, (0.5,)))
+    lam1 = policy.next_lambda(observation([0.4, 0.3], 5, 1, (0.5,), (lam0,)))
     actions = [0.0, 0.0, 0.0, 0.0, u_from_lambda(lam0)]
     rewards = [0.0, 0.0, 0.0, 0.0, -1.0]
     assert lam1 == net_lambda(net, np.concatenate([make_state([0.4, 0.3], 5), actions, rewards]))

@@ -20,7 +20,7 @@ from conftest import suite_problem
 
 from balm import cli
 from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
-from balm.bench import DEFAULT_ABLATION_CONFIG
+from balm.bench import DEFAULT_ABLATION_CONFIG, extract_schedule
 from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
 from balm.env import make_reversed_state
 from balm.policy import (
@@ -32,8 +32,9 @@ from balm.policy import (
     PolicyObservation,
     ZeroNetPolicy,
 )
-from balm.sac import TrainConfig, init_agent, save_agent_checkpoint
+from balm.sac import TrainConfig, init_agent, load_agent_checkpoint, save_agent_checkpoint
 from balm.scene import serialize_bal
+from balm.solver import solve
 
 
 def run_cli(*argv) -> int:
@@ -102,8 +103,8 @@ class TestPolicyTokens:
     @pytest.mark.parametrize(
         "token, options, cls, attrs",
         [
-            ("classic", (), ClassicPolicy, {"mode": "standard", "initial_lambda": 0.25}),
-            ("classic-paper", (), ClassicPolicy, {"mode": "paper", "initial_lambda": 0.25}),
+            ("classic", (), ClassicPolicy, {"mode": "standard"}),
+            ("classic-paper", (), ClassicPolicy, {"mode": "paper"}),
             ("gn", (), FixedPolicy, {"value": 1e-15}),
             ("fixed", ("--fixed-value", "0.5"), FixedPolicy, {"value": 0.5}),
             ("scheduler", (), ConstantSchedulerPolicy, {"schedule": DEFAULT_SCHEDULE}),
@@ -296,6 +297,17 @@ class TestScheduleAutoSolve:
         result = json.loads((out / "result.json").read_text())
         trace_lines = (out / "trace.csv").read_text().splitlines()
         assert len(trace_lines) == result["iterations"] + 1
+
+    def test_auto_schedule_shows_a_reversed_checkpoint_its_training_state(self, tmp_path):
+        # ``--schedule auto`` averages the dampings the agent policy picks,
+        # so a reversed-reward agent is shown its negated durations there too.
+        run_cli("train", "--algo", "sac", *TINY_TRAIN, "--reward-variant", "reversed",
+                "--out-dir", tmp_path)
+        nets, _ = load_agent_checkpoint(tmp_path / "agent.ckpt")
+        agent = parse_policy("agent", "--checkpoint", "agent.ckpt", checkpoints=tmp_path)
+        scene = suite_problem(3, 4, 6)
+        picked = solve(scene, agent, max_iterations=4, deterministic_time=True)
+        assert extract_schedule(nets, [scene]) == [record.lam for record in picked.records]
 
     def test_solve_auto_schedule_needs_checkpoint(self, tmp_path, scene_dir):
         with pytest.raises(SystemExit):
@@ -557,8 +569,15 @@ class TestAblateCli:
         [
             ('{"lr": -1}', "lr must be finite and positive, got -1"),
             ('{"num_cameras": 1}', "need at least 2 cameras and 1 point"),
+            ('{"num_cameras": "4"}', "scene sizes must be integers, got '4' and 10"),
+            ('{"train_seeds": []}',
+             "train_seeds must list one or more non-negative integers, got []"),
+            ('{"eval_seeds": []}', "eval_seeds must list one or more non-negative integers, got []"),
+            ('{"train_seeds": [0.5]}',
+             "train_seeds must list one or more non-negative integers, got [0.5]"),
         ],
-        ids=["lr", "num-cameras"],
+        ids=["lr", "num-cameras", "num-cameras-text", "no-train-seeds", "no-eval-seeds",
+             "fractional-seed"],
     )
     def test_rejected_ablation_value_writes_nothing(
         self, tmp_path, capsys, monkeypatch, config, message

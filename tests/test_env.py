@@ -17,7 +17,6 @@ from conftest import suite_problem
 
 
 def run_episode(env, problem, policy):
-    policy.reset()
     obs = env.reset(problem)
     rewards = []
     infos = []

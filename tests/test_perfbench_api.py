@@ -119,6 +119,12 @@ def run_tiny_workload(workload: str, out_dir) -> None:
     assert result["failed"] == 0
 
 
+def test_tiny_suite_benchmark_runs_correctly(tmp_path):
+    # The classic, scheduler and fixed policies driven through the
+    # benchmark's lapping wrapper.
+    run_tiny_workload("suite-solve", tmp_path)
+
+
 def test_tiny_zero_net_benchmark_runs_correctly(tmp_path):
     run_tiny_workload("zero-net-train", tmp_path)
 

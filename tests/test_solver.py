@@ -26,7 +26,7 @@ from balm.scene import (
     rotate_points,
 )
 from balm.env import BAEnv, EnvConfig, StepOutcome
-from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy
+from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy, PolicyObservation
 from balm.solver import (
     LAMBDA_MAX,
     LAMBDA_MIN,
@@ -36,7 +36,6 @@ from balm.solver import (
     ParamVector,
     SingularSystemError,
     SolverState,
-    classic_lambda_update,
     convergence_check,
     damped_step,
     estimation_error,
@@ -1130,7 +1129,6 @@ class TestCarriedProjection:
         calls = counted_projections(monkeypatch)
         policy = ClassicPolicy()
         env = BAEnv(EnvConfig(window=policy.window, deterministic_time=True))
-        policy.reset()
         out = StepOutcome(env.reset(problem), 0.0, False)
         while not out.done:
             params = env.solver_state.params
@@ -1198,23 +1196,33 @@ class TestConvergenceCheck:
         assert convergence_check([10.0, 9.0], threshold=0.05) is False
 
 
+def classic_lambda(lam, err_t, err_prev, mode):
+    """The damping ``ClassicPolicy`` picks after ``lam`` moved the error from
+    ``err_prev`` to ``err_t``."""
+    obs = PolicyObservation(
+        state_vector=np.ones(5), iteration_index=1, raw_errors=(err_prev, err_t),
+        recent_lambdas=(lam,),
+    )
+    return ClassicPolicy(mode=mode).next_lambda(obs)
+
+
 class TestClassicUpdate:
     def test_standard_mode(self):
-        assert classic_lambda_update(0.25, 1.0, 2.0, mode="standard") == 0.125
-        assert classic_lambda_update(0.25, 2.0, 1.0, mode="standard") == 0.5
-        assert classic_lambda_update(0.25, 1.0, 1.0, mode="standard") == 0.5
+        assert classic_lambda(0.25, 1.0, 2.0, mode="standard") == 0.125
+        assert classic_lambda(0.25, 2.0, 1.0, mode="standard") == 0.5
+        assert classic_lambda(0.25, 1.0, 1.0, mode="standard") == 0.5
 
     def test_paper_mode_is_mirrored(self):
-        assert classic_lambda_update(0.25, 1.0, 2.0, mode="paper") == 0.5
-        assert classic_lambda_update(0.25, 2.0, 1.0, mode="paper") == 0.125
+        assert classic_lambda(0.25, 1.0, 2.0, mode="paper") == 0.5
+        assert classic_lambda(0.25, 2.0, 1.0, mode="paper") == 0.125
 
     def test_clamped_at_range_ends(self):
-        assert classic_lambda_update(LAMBDA_MIN, 1.0, 2.0, mode="standard") == LAMBDA_MIN
-        assert classic_lambda_update(LAMBDA_MAX, 2.0, 1.0, mode="standard") == LAMBDA_MAX
+        assert classic_lambda(LAMBDA_MIN, 1.0, 2.0, mode="standard") == LAMBDA_MIN
+        assert classic_lambda(LAMBDA_MAX, 2.0, 1.0, mode="standard") == LAMBDA_MAX
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            classic_lambda_update(0.25, 1.0, 2.0, mode="other")
+            classic_lambda(0.25, 1.0, 2.0, mode="other")
 
 
 class TestSolve:
@@ -1302,6 +1310,7 @@ class TestSolve:
         result = solve(tiny_problem, FixedPolicy(0.25))
         assert result.outcome == "numerical-failure"
         assert result.iterations == 2
+        assert len(result.records) == result.iterations + 1  # and the failed attempt
         assert np.isnan(result.records[-1].error)
 
     def test_policy_reset_between_solves(self, suite_problem_0):
