@@ -50,7 +50,6 @@ from .solver import (
     SolveResult,
     damped_step,
     estimation_error,
-    evaluate_step,
     evaluate_steps,
     linearize,
     lm_iterate,
@@ -121,7 +120,6 @@ __all__ = [
     "SolveResult",
     "damped_step",
     "estimation_error",
-    "evaluate_step",
     "evaluate_steps",
     "linearize",
     "lm_iterate",

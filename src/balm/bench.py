@@ -8,13 +8,13 @@ counts stand in for time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
 from .sac import NonFiniteLossError, TrainConfig, train_agent
-from .scene import BAProblem, check_scene_size, generate_synthetic
+from .scene import BAProblem, generate_synthetic
 from .solver import (
     OUTCOME_CONVERGED,
     OUTCOME_ITERATION_CAP,
@@ -27,8 +27,6 @@ from .solver import (
 
 SUITE_PIXEL_SIGMA = 250.0
 SUITE_NOISE_STD = 0.5
-TRAIN_SEEDS = tuple(range(10))
-HOLDOUT_SEEDS = tuple(range(100, 110))
 DEFAULT_TOLERANCES = (0.1, 0.001)
 ABLATION_WINDOWS = (1, 5, 10, 20)
 ABLATION_REWARDS = ("duration", "constant", "reduction")
@@ -293,97 +291,47 @@ def extract_schedule(nets, problems, steps: int = 4) -> list:
     return [float(s / c) for s, c in zip(sums, counts) if c > 0]
 
 
-# The scene keys, plus any TrainConfig field; the rest keep TrainConfig's defaults.
-DEFAULT_ABLATION_CONFIG = {
-    "num_cameras": 10,
-    "num_points": 10,
-    "train_seeds": TRAIN_SEEDS,
-    "eval_seeds": HOLDOUT_SEEDS,
-    "deterministic_time": True,
-}
-ABLATION_SCENE_KEYS = ("num_cameras", "num_points", "train_seeds", "eval_seeds")
 # The typed failures of training and evaluation; an ablation records them as
 # an ``error`` row, and anything else (a bug) raises.
 ABLATION_FAILURES = (NonFiniteLossError, NumericalFailureError)
 
 
-def _ablation_problems(config: dict):
-    nc, npts = config["num_cameras"], config["num_points"]
-    train = [suite_scene(s, nc, npts) for s in config["train_seeds"]]
-    held_out = {f"scene-{s}": suite_scene(s, nc, npts) for s in config["eval_seeds"]}
-    return train, held_out
+def ablation_suite(kind: str, cfg: TrainConfig, train_problems, held_out: dict) -> dict:
+    """Train and evaluate one family of variants of ``cfg``.
 
-
-def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(**{k: v for k, v in config.items() if k not in ABLATION_SCENE_KEYS})
-
-
-def _train_for_ablation(train_problems, config: dict):
-    nets, _logs = train_agent(train_problems, _train_config(config))
-    return nets
-
-
-def _eval_rows(nets, held_out, config: dict, extra: dict) -> dict:
-    table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, config)
-    row = dict(extra)
-    row.update(table.aggregates[0])
-    row.pop("policy", None)
-    return row
-
-
-def ablation_config(base_config=None) -> dict:
-    """``DEFAULT_ABLATION_CONFIG`` with ``base_config``'s overrides.
-
-    A key that is neither a scene key nor a ``TrainConfig`` field, a value
-    ``TrainConfig`` rejects, a scene size ``generate_synthetic`` rejects, or
-    a seed list that is empty or holds a non-integer or negative seed raises
-    ``ValueError``.
+    A variant is ``cfg`` with the kind's column set to one of its values; it
+    trains on ``train_problems`` and solves ``held_out`` (id -> problem) with
+    its own solve options. The ``scheduler`` kind trains ``cfg`` once and
+    compares its agent, the schedule extracted from it and the classic rule.
+    A variant that fails with one of ``ABLATION_FAILURES`` becomes a row with
+    an ``error`` column; any other exception raises.
     """
-    config = {**DEFAULT_ABLATION_CONFIG, **(base_config or {})}
-    unknown = set(config) - set(ABLATION_SCENE_KEYS) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ValueError(f"unknown ablation config keys: {sorted(unknown)}")
-    _train_config(config)
-    check_scene_size(config["num_cameras"], config["num_points"])
-    for key in ("train_seeds", "eval_seeds"):
-        seeds = config[key]
-        if not (isinstance(seeds, (list, tuple)) and seeds) or not all(
-            isinstance(s, (int, np.integer)) and s >= 0 for s in seeds
-        ):
-            raise ValueError(f"{key} must list one or more non-negative integers, got {seeds!r}")
-    return config
-
-
-def ablation_suite(kind: str, base_config=None) -> dict:
-    """Train and evaluate one family of variants on the shared scene suite.
-
-    The configuration is ``ablation_config(base_config)``. A variant that
-    fails with one of ``ABLATION_FAILURES`` becomes a row with an ``error``
-    column; any other exception raises.
-    """
-    config = ablation_config(base_config)
-    train_problems, held_out = _ablation_problems(config)
+    if not held_out:
+        raise ValueError("held_out must hold at least one problem")
     rows = []
-
     if kind in ABLATION_VARIANTS:
         column, values = ABLATION_VARIANTS[kind]
         for value in values:
-            variant = {**config, column: value}  # trained and evaluated with its own value
+            variant = replace(cfg, **{column: value})
             try:
-                nets = _train_for_ablation(train_problems, variant)
-                rows.append(_eval_rows(nets, held_out, variant, {column: value}))
+                nets, _logs = train_agent(train_problems, variant)
+                table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, asdict(variant))
             except ABLATION_FAILURES as exc:  # record, keep sweeping
                 rows.append({column: value, "error": str(exc)})
+                continue
+            row = {column: value, **table.aggregates[0]}
+            del row["policy"]
+            rows.append(row)
     elif kind == "scheduler":
         try:
-            nets = _train_for_ablation(train_problems, config)
+            nets, _logs = train_agent(train_problems, cfg)
             schedule = extract_schedule(nets, list(held_out.values()))
             policies = {
                 "agent": AgentPolicy(nets),
                 "scheduler": ConstantSchedulerPolicy(schedule),
                 "classic": ClassicPolicy(),
             }
-            table = run_comparison(held_out, policies, config)
+            table = run_comparison(held_out, policies, asdict(cfg))
             for agg in table.aggregates:
                 row = dict(agg)
                 if row["policy"] == "scheduler":

@@ -5,6 +5,10 @@ long option names with underscores; other keys are an error), ``--seed``,
 ``--deterministic-time``, and ``--out-dir``. Explicit command-line flags
 override config-file values, which override built-in defaults.
 
+``train`` and ``ablate`` build their config and training scenes from the
+same flags with one helper; an ablation variant is that config with one
+field changed.
+
 Each command first reads and checks every input; a rejected one exits 2
 with ``balm <command>: error: ...`` (a bad ``--config``, policy token or
 missing ``--problem``/``--kind`` exits with its own message). Then it
@@ -32,7 +36,6 @@ from .bench import (
     DEFAULT_TOLERANCES,
     SUITE_NOISE_STD,
     SUITE_PIXEL_SIGMA,
-    ablation_config,
     ablation_suite,
     ablation_to_csv,
     aggregates_to_csv,
@@ -178,6 +181,24 @@ def _add_solve_options(parser):
     parser.add_argument("--threshold", type=float, default=1e-6)
 
 
+def _add_train_options(parser):
+    """The training scenes' flags and ``TrainConfig``'s, which ``train`` and
+    ``ablate`` share."""
+    parser.add_argument("--train-seeds", default="0-9")
+    _add_scene_options(parser)
+    _add_solve_options(parser)
+    parser.add_argument("--episodes", type=int, default=300)
+    parser.add_argument("--window", type=int, default=5)
+    parser.add_argument("--hidden", type=int, default=None)
+    parser.add_argument("--gamma", type=float, default=0.99)
+    parser.add_argument("--alpha", type=float, default=0.2)
+    parser.add_argument("--lr", type=float, default=3e-4)
+    parser.add_argument("--batch-size", type=int, default=256)
+    parser.add_argument("--replay-capacity", type=int, default=100_000)
+    parser.add_argument("--warmup-steps", type=int, default=500)
+    parser.add_argument("--reward-variant", choices=REWARD_VARIANTS, default="duration")
+
+
 def _add_policy_options(parser):
     parser.add_argument("--checkpoint", default=None)
     parser.add_argument("--fixed-value", type=float, default=0.25)
@@ -252,12 +273,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config_type = TrainConfig if args.algo == "sac" else ZeroNetConfig
+def _train_inputs(args, config_type):
+    """The ``config_type`` filled from the flags named like its fields, checked,
+    and the training scenes: the inputs of ``train`` and ``ablate``."""
     given = {f.name: getattr(args, f.name, None) for f in fields(config_type)}
+    cfg = config_type(**{name: value for name, value in given.items() if value is not None})
+    return cfg, list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
+
+
+def cmd_train(args) -> int:
     try:
-        cfg = config_type(**{name: value for name, value in given.items() if value is not None})
-        problems = list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
+        cfg, problems = _train_inputs(args, TrainConfig if args.algo == "sac" else ZeroNetConfig)
     except (ValueError, OSError) as exc:
         return _usage_error(args, exc)
     if args.algo == "sac":
@@ -331,17 +357,12 @@ def cmd_profile(args) -> int:
 def cmd_ablate(args) -> int:
     if not args.kind:
         raise SystemExit("ablate needs --kind (flag or config)")
-    if not isinstance(args.ablation_config, (dict, type(None))):
-        raise SystemExit("--ablation-config must contain a JSON object")
-    overrides = dict(args.ablation_config or {})
-    if args.deterministic_time:  # without the flag, DEFAULT_ABLATION_CONFIG's value stands
-        overrides.setdefault("deterministic_time", True)
-    overrides.setdefault("seed", args.seed)
     try:
-        ablation_config(overrides)
+        cfg, train_problems = _train_inputs(args, TrainConfig)
+        held_out = _suite_problems(args, parse_seed_list(args.eval_seeds))
     except (ValueError, OSError) as exc:
         return _usage_error(args, exc)
-    result = ablation_suite(args.kind, overrides)
+    result = ablation_suite(args.kind, cfg, train_problems, held_out)
     out_dir = _write_outputs(args, {
         f"ablation-{args.kind}.csv": ablation_to_csv(result),
         f"ablation-{args.kind}.json": json.dumps(result, indent=2, sort_keys=True) + "\n",
@@ -378,19 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", parents=[common], help="train a damping policy")
     p_train.add_argument("--algo", choices=("sac", "zero-net"), default="sac")
-    p_train.add_argument("--train-seeds", default="0-9")
-    _add_scene_options(p_train)
-    _add_solve_options(p_train)
-    p_train.add_argument("--episodes", type=int, default=300)
-    p_train.add_argument("--window", type=int, default=5)
-    p_train.add_argument("--hidden", type=int, default=None)
-    p_train.add_argument("--gamma", type=float, default=0.99)
-    p_train.add_argument("--alpha", type=float, default=0.2)
-    p_train.add_argument("--lr", type=float, default=3e-4)
-    p_train.add_argument("--batch-size", type=int, default=256)
-    p_train.add_argument("--replay-capacity", type=int, default=100_000)
-    p_train.add_argument("--warmup-steps", type=int, default=500)
-    p_train.add_argument("--reward-variant", choices=REWARD_VARIANTS, default="duration")
+    _add_train_options(p_train)
     p_train.add_argument("--epochs", type=int, default=2)
     p_train.add_argument("--passes-per-epoch", type=int, default=150)
     p_train.set_defaults(func=cmd_train)
@@ -418,12 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=("state_size", "reward_variant", "reversed", "threshold", "scheduler"),
     )
-    p_ablate.add_argument(
-        "--ablation-config",
-        type=json.loads,
-        default=None,
-        help="JSON object overriding the ablation defaults",
-    )
+    _add_train_options(p_ablate)
+    p_ablate.add_argument("--eval-seeds", default="100-109")
     p_ablate.set_defaults(func=cmd_ablate)
 
     # subparsers copy their own defaults over the parent namespace, so config

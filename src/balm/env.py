@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .policy import PolicyObservation, make_reversed_state, observe
+from .policy import PolicyObservation, observe
 from .scene import BAProblem
 from .solver import (
     OUTCOME_CONVERGED,
@@ -122,18 +122,12 @@ class BAEnv:
             raise RuntimeError("environment has not been reset")
         return self._problem
 
-    def _observation(self) -> PolicyObservation:
-        obs = observe(self._state, self.config.window, self.records)
-        if self.config.reward_variant == "reversed":
-            obs.state_vector = make_reversed_state(self._state.durations, self.config.window)
-        return obs
-
     def reset(self, problem: BAProblem) -> PolicyObservation:
         self._problem = problem
         self._state = SolverState.initial(problem)
         self._done = False
         self.records = []
-        return self._observation()
+        return observe(self._state, self.config.window, self.records)
 
     def step(self, lam: float) -> StepOutcome:
         if self._done:
@@ -178,6 +172,5 @@ class BAEnv:
             "timeout": capped,
             "outcome": outcome,
         }
-        return StepOutcome(
-            observation=self._observation(), reward=reward, done=done, info=info
-        )
+        observation = observe(state, cfg.window, self.records)
+        return StepOutcome(observation=observation, reward=reward, done=done, info=info)

@@ -52,11 +52,6 @@ def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
     return np.minimum(np.asarray(padded, dtype=float), STATE_CLIP)
 
 
-def make_reversed_state(durations, window: int) -> np.ndarray:
-    """State for the reversed variant: negated durations, padded like make_state."""
-    return make_state([-d for d in durations] or [0.0], window)
-
-
 def observe(state: SolverState, window: int, records) -> PolicyObservation:
     """The policy observation of the solver's state and its episode's ``records``."""
     keep = max(window, 2)
@@ -67,6 +62,17 @@ def observe(state: SolverState, window: int, records) -> PolicyObservation:
         recent_durations=tuple(state.durations[-window:]),
         recent_lambdas=tuple(record.lam for record in records[-window:]),
     )
+
+
+def agent_state(nets, obs: PolicyObservation) -> np.ndarray:
+    """The state an agent is shown: ``obs.state_vector``, or, for an agent
+    trained with the ``reversed`` reward (``nets.reversed_state``), the
+    negated recent durations, padded like ``make_state``. Training and
+    ``AgentPolicy`` both read it here, so an agent always sees what it
+    trained on."""
+    if nets.reversed_state:
+        return make_state([-d for d in obs.recent_durations] or [0.0], nets.window)
+    return obs.state_vector
 
 
 def _clamp(lam: float) -> float:
@@ -130,8 +136,8 @@ class AgentPolicy(DampingPolicy):
     """Deterministic wrapper over trained actor-critic networks.
 
     Evaluation always takes the squashed mean action; exploration noise is a
-    training-loop concern, not a solve-time one. A ``reversed``-reward agent
-    (``nets.reversed_state``) is shown the negated durations it trained on.
+    training-loop concern, not a solve-time one. The agent is shown
+    ``agent_state``, the state it trained on.
     """
 
     def __init__(self, nets):
@@ -141,10 +147,7 @@ class AgentPolicy(DampingPolicy):
     def next_lambda(self, obs: PolicyObservation) -> float:
         from .sac import select_action
 
-        state = obs.state_vector
-        if self.nets.reversed_state:
-            state = make_reversed_state(obs.recent_durations, self.window)
-        lam, _ = select_action(self.nets, state, deterministic=True)
+        lam, _ = select_action(self.nets, agent_state(self.nets, obs), deterministic=True)
         return _clamp(lam)
 
 

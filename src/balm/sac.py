@@ -32,6 +32,7 @@ from .nn import (
     mse_loss,
     save_arrays,
 )
+from .policy import agent_state
 
 LOG_SIGMA_MIN = -20.0
 LOG_SIGMA_MAX = 2.0
@@ -324,7 +325,7 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
     for episode in range(cfg.episodes):
         problem = problems[episode % len(problems)]
         obs = env.reset(problem)
-        state = np.array(obs.state_vector, dtype=float)
+        state = np.array(agent_state(nets, obs), dtype=float)
         episode_return = 0.0
         steps = 0
         outcome = None
@@ -336,7 +337,7 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
             else:
                 lam, u = select_action(nets, state, rng=rng)
             out = env.step(lam)
-            next_state = np.array(out.observation.state_vector, dtype=float)
+            next_state = np.array(agent_state(nets, out.observation), dtype=float)
             terminal = out.done and not out.info["timeout"]
             buffer.add(state, u, out.reward, next_state, float(terminal))
             state = next_state

@@ -437,14 +437,6 @@ def _matrix_rotvec(matrix: np.ndarray) -> list[float]:
     return [scale * x, scale * y, scale * z]
 
 
-def check_scene_size(num_cameras: int, num_points: int) -> None:
-    """Raise ``ValueError`` unless ``generate_synthetic`` can make the scene."""
-    if not all(isinstance(n, (int, np.integer)) for n in (num_cameras, num_points)):
-        raise ValueError(f"scene sizes must be integers, got {num_cameras!r} and {num_points!r}")
-    if num_cameras < 2 or num_points < 1:
-        raise ValueError("need at least 2 cameras and 1 point")
-
-
 def generate_synthetic(
     num_cameras: int,
     num_points: int,
@@ -466,7 +458,10 @@ def generate_synthetic(
     ``rotation_noise``; points whose depth precondition fails are resampled
     up to ``max_retries`` times.
     """
-    check_scene_size(num_cameras, num_points)
+    if not all(isinstance(n, (int, np.integer)) for n in (num_cameras, num_points)):
+        raise ValueError(f"scene sizes must be integers, got {num_cameras!r} and {num_points!r}")
+    if num_cameras < 2 or num_points < 1:
+        raise ValueError("need at least 2 cameras and 1 point")
     if noise_std is None:
         noise_std = pixel_sigma
     rng = np.random.default_rng(seed)

@@ -60,15 +60,15 @@ exposes the arrays as transposed (n, ...) views.
 
 The Schur step runs on a leading damping axis of length L: ``evaluate_steps``
 evaluates a whole damping grid on one linearization (the greedy oracle's
-eleven trials) as one batch, and ``damped_step`` and ``evaluate_step`` are
-its L = 1 case. The point blocks ``h_pp + lambda*I`` and their inverses, E,
-the pair gathers, the right-hand side and the back-substitution each run
-once over all L dampings. The pair products and their segmented sums, the
-Cholesky solve and its fallback run per damping, and so does every
-failure, which stays with its own damping. Each damping's rows are the
-bits it gets alone. The candidates of all dampings are projected
-together, with each damping's residuals and error summed over its own
-contiguous rows.
+eleven trials) as one batch, and ``damped_step`` and ``lm_iterate``'s
+candidate are its L = 1 case. The point blocks ``h_pp + lambda*I`` and
+their inverses, E, the pair gathers, the right-hand side and the
+back-substitution each run once over all L dampings. The pair products
+and their segmented sums, the Cholesky solve and its fallback run per
+damping, and so does every failure, which stays with its own damping.
+Each damping's rows are the bits it gets alone. The candidates of all
+dampings are projected together, with each damping's residuals and error
+summed over its own contiguous rows.
 
 Sums keep a fixed order, so that making them faster cannot move a bit of
 the output: small batched products add their inner index in order, first
@@ -868,30 +868,16 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
     return outcomes, projection
 
 
-def evaluate_step(
-    problem: BAProblem, params: ParamVector, lin: Linearization, lam: float
-) -> tuple[ParamVector, float]:
-    """The damped step from ``params`` (linearized as ``lin``) and its error.
-
-    Returns the candidate parameters and their estimation error. Raises
-    ``NumericalFailureError`` or ``SingularSystemError`` when the step or its
-    error cannot be evaluated. It is ``evaluate_steps`` at one damping.
-    """
-    (outcome,) = evaluate_steps(problem, params, lin, (lam,))
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def evaluate_steps(
     problem: BAProblem, params: ParamVector, lin: Linearization, lams
 ) -> list:
-    """``evaluate_step`` at every damping of ``lams`` from one linearization, as one batch.
+    """The damped step from ``params`` (linearized as ``lin``) at every damping
+    of ``lams``, and its candidate's error, as one batch.
 
-    Returns, per damping, what ``evaluate_step`` gives there, to the bit:
+    Returns, per damping, what that damping gives alone, to the bit:
     ``(candidate, error)``, or the ``NumericalFailureError`` or
-    ``SingularSystemError`` it would raise, as a value. A failure stays
-    with its own damping. Invalid dampings raise ``ValueError``.
+    ``SingularSystemError`` that evaluating it hit, as a value. A failure
+    stays with its own damping. Invalid dampings raise ``ValueError``.
     """
     lams = list(lams)
     if not lams:
@@ -909,7 +895,7 @@ def lm_iterate(
     """Run one damped iteration from ``state``; returns the successor state.
 
     The iteration is the state's linearization, then ``damped_step`` and
-    the candidate's error, as in ``evaluate_step``. The step is applied
+    the candidate's error, as in ``evaluate_steps``. The step is applied
     additively to every parameter block and accepted unconditionally unless
     ``accept_only_improving`` is set, in which case a worsening step leaves
     the parameters (and error) unchanged. Failures (degenerate depth,

@@ -6,6 +6,8 @@ definition alone. Sweep bookkeeping is checked by recomputing aggregates
 from the raw rows.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import suite_problem
@@ -28,7 +30,7 @@ from balm.bench import (
     suite_scene,
 )
 from balm.env import BAEnv, EnvConfig
-from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy
+from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy, agent_state
 from balm.sac import NonFiniteLossError, TrainConfig, init_agent
 from balm.scene import BAProblem
 from balm.solver import solve
@@ -283,35 +285,32 @@ class TestExtractSchedule:
         assert extract_schedule(nets, problems) == extract_schedule(nets, problems)
 
 
-TINY_ABLATION = {
-    "num_cameras": 4,
-    "num_points": 6,
-    "train_seeds": [0],
-    "eval_seeds": [2],
-    "episodes": 2,
-    "hidden": 8,
-    "batch_size": 8,
-    "warmup_steps": 5,
-    "replay_capacity": 100,
-    "max_iterations": 8,
-    "deterministic_time": True,
-}
+TINY_CONFIG = TrainConfig(
+    episodes=2, hidden=8, batch_size=8, warmup_steps=5, replay_capacity=100,
+    max_iterations=8, deterministic_time=True,
+)
+
+
+def tiny_ablation(kind, cfg=TINY_CONFIG, size=(4, 6), eval_seeds=(2,)):
+    """``ablation_suite`` trained on suite scene 0 and evaluated on ``eval_seeds``."""
+    held_out = {f"scene-{seed}": suite_scene(seed, *size) for seed in eval_seeds}
+    return ablation_suite(kind, cfg, [suite_scene(0, *size)], held_out)
 
 
 class TestAblations:
     def test_state_size_rows(self):
-        result = ablation_suite("state_size", TINY_ABLATION)
+        result = tiny_ablation("state_size")
         assert result["kind"] == "state_size"
         assert [row["window"] for row in result["rows"]] == list(ABLATION_WINDOWS)
         for row in result["rows"]:
             assert "error" in row or "median_iterations" in row
 
     def test_reward_variant_rows(self):
-        result = ablation_suite("reward_variant", TINY_ABLATION)
+        result = tiny_ablation("reward_variant")
         assert [row["reward_variant"] for row in result["rows"]] == list(ABLATION_REWARDS)
 
     def test_reversed_rows_report_success_rate(self):
-        result = ablation_suite("reversed", TINY_ABLATION)
+        result = tiny_ablation("reversed")
         assert [row["reward_variant"] for row in result["rows"]] == ["duration", "reversed"]
         for row in result["rows"]:
             assert "error" in row or "success_rate" in row
@@ -333,20 +332,21 @@ class TestAblations:
 
         monkeypatch.setattr(sac, "select_action", recording_select)
         monkeypatch.setattr(bench, "run_comparison", marking_compare)
-        config = dict(TINY_ABLATION, num_cameras=10, num_points=10, eval_seeds=[100])
-        result = ablation_suite("reversed", config)
+        result = tiny_ablation("reversed", size=(10, 10), eval_seeds=(100,))
         assert all("error" not in row for row in result["rows"])
         assert len(evaluations) == 2  # the "duration" row, then the "reversed" row
 
-        env = BAEnv(EnvConfig(reward_variant="reversed", deterministic_time=True))
-        trained_on = env.reset(suite_scene(100)).state_vector
+        reversed_nets = init_agent(window=5, hidden=8, seed=0)
+        reversed_nets.reversed_state = True
+        env = BAEnv(EnvConfig(deterministic_time=True))
+        trained_on = agent_state(reversed_nets, env.reset(suite_scene(100)))
         np.testing.assert_array_equal(trained_on, np.zeros(5))
         np.testing.assert_array_equal(evaluations[1][0], trained_on)
         # the duration agent still sees the clipped initial error
         assert np.all(evaluations[0][0] > 0.0)
 
     def test_scheduler_rows(self):
-        result = ablation_suite("scheduler", TINY_ABLATION)
+        result = tiny_ablation("scheduler")
         kinds = [row.get("policy") for row in result["rows"]]
         assert kinds == ["agent", "scheduler", "classic"]
         scheduler_row = result["rows"][1]
@@ -357,29 +357,36 @@ class TestAblations:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            ablation_suite("optimizer", TINY_ABLATION)
+            tiny_ablation("optimizer")
+
+    def test_no_held_out_scene_is_rejected_before_training(self, monkeypatch):
+        from balm import bench
+
+        monkeypatch.setattr(bench, "train_agent", None)  # nothing is trained
+        with pytest.raises(ValueError, match="held_out must hold at least one problem"):
+            tiny_ablation("state_size", eval_seeds=())
 
     @pytest.mark.parametrize("kind", ["state_size", "scheduler"])
     def test_a_typed_training_failure_becomes_an_error_row(self, kind, monkeypatch):
         from balm import bench
 
-        def diverging(problems, config):
+        def diverging(problems, cfg):
             raise NonFiniteLossError("non-finite loss at episode 0")
 
-        monkeypatch.setattr(bench, "_train_for_ablation", diverging)
-        rows = ablation_suite(kind, TINY_ABLATION)["rows"]
+        monkeypatch.setattr(bench, "train_agent", diverging)
+        rows = tiny_ablation(kind)["rows"]
         assert rows and all(row["error"] == "non-finite loss at episode 0" for row in rows)
 
     @pytest.mark.parametrize("kind", ["state_size", "scheduler"])
     def test_a_bug_in_training_raises(self, kind, monkeypatch):
         from balm import bench
 
-        def broken(problems, config):
+        def broken(problems, cfg):
             raise TypeError("boom")
 
-        monkeypatch.setattr(bench, "_train_for_ablation", broken)
+        monkeypatch.setattr(bench, "train_agent", broken)
         with pytest.raises(TypeError, match="boom"):
-            ablation_suite(kind, TINY_ABLATION)
+            tiny_ablation(kind)
 
     def test_config_fields_reach_train_config(self, monkeypatch):
         from balm import bench
@@ -391,8 +398,8 @@ class TestAblations:
             return init_agent(window=cfg.window, hidden=cfg.hidden, seed=0), []
 
         monkeypatch.setattr(bench, "train_agent", stub_train)
-        config = dict(TINY_ABLATION, gamma=0.5, alpha=0.1, target_refresh=3, lr=1e-3)
-        result = ablation_suite("scheduler", config)
+        cfg = replace(TINY_CONFIG, gamma=0.5, alpha=0.1, target_refresh=3, lr=1e-3)
+        result = tiny_ablation("scheduler", cfg)
         assert all("error" not in row for row in result["rows"])
         assert configs == [
             TrainConfig(
@@ -401,11 +408,6 @@ class TestAblations:
                 gamma=0.5, alpha=0.1, target_refresh=3, lr=1e-3,
             )
         ]
-
-    @pytest.mark.parametrize("key", ["episode", "accept_only_improving"])
-    def test_unknown_config_key_raises(self, key):
-        with pytest.raises(ValueError, match=f"unknown ablation config keys: \\['{key}'\\]"):
-            ablation_suite("state_size", dict(TINY_ABLATION, **{key: 3}))
 
     def test_each_variant_is_evaluated_with_its_own_value(self, monkeypatch):
         from balm import bench
@@ -422,8 +424,7 @@ class TestAblations:
 
         monkeypatch.setattr(bench, "train_agent", stub_train)
         monkeypatch.setattr(bench, "solve", recording_solve)
-        config = dict(TINY_ABLATION, eval_seeds=[2, 3])
-        result = ablation_suite("threshold", config)
+        result = tiny_ablation("threshold", eval_seeds=(2, 3))
         assert [row["threshold"] for row in result["rows"]] == [1e-6, 1e-8]
         assert all("error" not in row for row in result["rows"])
         assert trained == [1e-6, 1e-8]

@@ -20,9 +20,8 @@ from conftest import suite_problem
 
 from balm import cli
 from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
-from balm.bench import DEFAULT_ABLATION_CONFIG, extract_schedule
+from balm.bench import extract_schedule
 from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
-from balm.env import make_reversed_state
 from balm.policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
@@ -31,6 +30,7 @@ from balm.policy import (
     FixedPolicy,
     PolicyObservation,
     ZeroNetPolicy,
+    agent_state,
 )
 from balm.sac import TrainConfig, init_agent, load_agent_checkpoint, save_agent_checkpoint
 from balm.scene import serialize_bal
@@ -153,7 +153,7 @@ class TestPolicyTokens:
             raw_errors=(8.0, 7.0), recent_durations=(0.5, 0.25, 1.0),
         )
         # trained on negated durations, so it must be shown them, not the errors
-        durations = make_reversed_state(obs.recent_durations, 5)
+        durations = agent_state(dataclasses.replace(nets, reversed_state=True), obs)
         plain = AgentPolicy(nets)
         expected = plain.next_lambda(dataclasses.replace(obs, state_vector=durations))
         assert expected != plain.next_lambda(obs)
@@ -379,12 +379,16 @@ class TestTrain:
         assert f"balm train: error: {message}" in capsys.readouterr().err
         assert not out.exists()  # and so no checkpoint
 
-    @pytest.mark.parametrize("config_type", [TrainConfig, ZeroNetConfig])
-    def test_every_config_field_is_a_train_flag(self, config_type):
-        # cmd_train fills the config from the flags named like its fields;
-        # a field no flag names would silently keep its default
-        train = build_parser().subcommand_parsers["train"]
-        dests = {action.dest for action in train._actions}
+    @pytest.mark.parametrize(
+        ("command", "config_type"),
+        [("train", TrainConfig), ("train", ZeroNetConfig), ("ablate", TrainConfig)],
+        ids=["TrainConfig", "ZeroNetConfig", "ablate-TrainConfig"],
+    )
+    def test_every_config_field_is_a_train_flag(self, command, config_type):
+        # cmd_train and cmd_ablate fill the config from the flags named like
+        # its fields; a field no flag names would silently keep its default
+        parser = build_parser().subcommand_parsers[command]
+        dests = {action.dest for action in parser._actions}
         names = {f.name for f in dataclasses.fields(config_type)} - {"target_refresh"}
         assert names <= dests, sorted(names - dests)
 
@@ -527,16 +531,30 @@ class TestEvalAndProfile:
         assert len(records) == 1 + 2
 
 
+ABLATE_TRAIN = (
+    "--num-cameras", "4", "--num-points", "6", "--train-seeds", "0",
+    "--episodes", "2", "--hidden", "8", "--batch-size", "8", "--warmup-steps", "5",
+    "--replay-capacity", "100", "--max-iterations", "8",
+)
+
+
+def stub_ablation_suite(monkeypatch):
+    """Replace the suite ``ablate`` runs; returns its calls' (kind, cfg, train, held_out)."""
+    calls = []
+
+    def stub_suite(kind, cfg, train_problems, held_out):  # trains nothing
+        calls.append((kind, cfg, train_problems, held_out))
+        return {"kind": kind, "rows": []}
+
+    monkeypatch.setattr(cli, "ablation_suite", stub_suite)
+    return calls
+
+
 class TestAblateCli:
     def test_reversed_kind(self, tmp_path):
         out = tmp_path / "ablate"
-        config = json.dumps({
-            "num_cameras": 4, "num_points": 6, "train_seeds": [0],
-            "eval_seeds": [2], "episodes": 2, "hidden": 8, "batch_size": 8,
-            "warmup_steps": 5, "replay_capacity": 100, "max_iterations": 8,
-        })
         assert run_cli(
-            "ablate", "--kind", "reversed", "--ablation-config", config,
+            "ablate", "--kind", "reversed", *ABLATE_TRAIN, "--eval-seeds", "2",
             "--deterministic-time", "--out-dir", out,
         ) == 0
         lines = (out / "ablation-reversed.csv").read_text().splitlines()
@@ -548,66 +566,97 @@ class TestAblateCli:
         with pytest.raises(SystemExit):
             run_cli("ablate", "--out-dir", tmp_path)
 
-    def test_ablation_config_must_be_an_object(self, tmp_path):
-        out = tmp_path / "ablate"
-        with pytest.raises(SystemExit, match="--ablation-config must contain a JSON object"):
-            run_cli("ablate", "--kind", "reversed", "--ablation-config", "[1]", "--out-dir", out)
-        assert not out.exists()
-
-    def test_unknown_ablation_key_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ablation_suite", None)  # nothing is trained
-        out = tmp_path / "ablate"
+    def test_config_file_reaches_the_suite(self, tmp_path, monkeypatch):
+        calls = stub_ablation_suite(monkeypatch)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "episodes": 2, "hidden": 8, "num_cameras": 4, "num_points": 6,
+            "train_seeds": "0", "eval_seeds": "2", "max_iterations": 8,
+        }))
         assert run_cli(
-            "ablate", "--kind", "reversed", "--ablation-config", '{"bogus": 1}', "--out-dir", out
-        ) == 2
-        message = "balm ablate: error: unknown ablation config keys: ['bogus']"
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+            "ablate", "--kind", "threshold", "--config", config, "--out-dir", tmp_path / "out"
+        ) == 0
+        ((kind, cfg, train_problems, held_out),) = calls
+        assert (kind, cfg.episodes, cfg.hidden, cfg.max_iterations) == ("threshold", 2, 8, 8)
+        assert [problem.num_cameras for problem in train_problems] == [4]
+        assert set(held_out) == {"scene-2"}
+
+    def test_train_and_ablate_read_the_same_training_flags(self, tmp_path, monkeypatch):
+        trained = []
+
+        def stub_train(problems, cfg):  # trains nothing
+            trained.append((cfg, problems))
+            return init_agent(window=cfg.window, hidden=cfg.hidden, seed=0), []
+
+        monkeypatch.setattr(cli, "train_agent", stub_train)
+        calls = stub_ablation_suite(monkeypatch)
+        flags = (
+            "--train-seeds", "0-1", "--num-cameras", "4", "--num-points", "6",
+            "--pixel-sigma", "200", "--episodes", "2", "--hidden", "8", "--lr", "1e-3",
+            "--gamma", "0.5", "--reward-variant", "constant", "--max-iterations", "8",
+            "--seed", "3", "--deterministic-time",
+        )
+        assert run_cli("train", *flags, "--out-dir", tmp_path / "train") == 0
+        assert run_cli("ablate", "--kind", "scheduler", *flags, "--out-dir", tmp_path / "abl") == 0
+        ((train_cfg, train_problems),) = trained
+        ((_kind, ablate_cfg, ablate_problems, _held_out),) = calls
+        assert ablate_cfg == train_cfg
+        assert train_cfg.seed == 3 and train_cfg.lr == 1e-3
+        assert [serialize_bal(p) for p in ablate_problems] == [
+            serialize_bal(p) for p in train_problems
+        ]
+        assert [p.pixel_sigma for p in ablate_problems] == [200.0, 200.0]
 
     @pytest.mark.parametrize(
-        ("config", "message"),
+        ("flags", "message"),
         [
-            ('{"lr": -1}', "lr must be finite and positive, got -1"),
-            ('{"num_cameras": 1}', "need at least 2 cameras and 1 point"),
-            ('{"num_cameras": "4"}', "scene sizes must be integers, got '4' and 10"),
-            ('{"train_seeds": []}',
-             "train_seeds must list one or more non-negative integers, got []"),
-            ('{"eval_seeds": []}', "eval_seeds must list one or more non-negative integers, got []"),
-            ('{"train_seeds": [0.5]}',
-             "train_seeds must list one or more non-negative integers, got [0.5]"),
+            (("--lr", "-1"), "lr must be finite and positive, got -1.0"),
+            (("--num-cameras", "1"), "need at least 2 cameras and 1 point"),
+            (("--num-cameras", "4x"), "argument --num-cameras: invalid int value: '4x'"),
+            (("--train-seeds", ""), "no seeds in ''"),
+            (("--eval-seeds", ""), "no seeds in ''"),
+            (("--train-seeds", "0.5"), "invalid literal for int() with base 10: '0.5'"),
         ],
         ids=["lr", "num-cameras", "num-cameras-text", "no-train-seeds", "no-eval-seeds",
              "fractional-seed"],
     )
     def test_rejected_ablation_value_writes_nothing(
-        self, tmp_path, capsys, monkeypatch, config, message
+        self, tmp_path, capsys, monkeypatch, flags, message
     ):
         monkeypatch.setattr(cli, "ablation_suite", None)  # nothing is trained
         out = tmp_path / "ablate"
-        assert run_cli(
-            "ablate", "--kind", "reversed", "--ablation-config", config, "--out-dir", out
-        ) == 2
+        assert exit_code("ablate", "--kind", "reversed", *flags, "--out-dir", out) == 2
         assert f"balm ablate: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, expected",
         [
-            ((), True),
             (("--deterministic-time",), True),
-            (("--ablation-config", '{"deterministic_time": false}'), False),
+            (("--config", "on.json"), True),
+            ((), False),
+            (("--config", "off.json"), False),
         ],
     )
     def test_timing_mode_that_reaches_the_suite(self, tmp_path, monkeypatch, flags, expected):
-        configs = []
+        (tmp_path / "on.json").write_text('{"deterministic_time": true}')
+        (tmp_path / "off.json").write_text('{"deterministic_time": false}')
+        monkeypatch.chdir(tmp_path)
+        calls = stub_ablation_suite(monkeypatch)
+        assert run_cli("ablate", "--kind", "scheduler", *flags, "--out-dir", "out") == 0
+        assert [cfg.deterministic_time for _kind, cfg, _train, _held_out in calls] == [expected]
 
-        def stub_suite(kind, base_config=None):  # trains nothing
-            configs.append({**DEFAULT_ABLATION_CONFIG, **(base_config or {})})
-            return {"kind": kind, "rows": []}
 
-        monkeypatch.setattr(cli, "ablation_suite", stub_suite)
-        assert run_cli("ablate", "--kind", "scheduler", *flags, "--out-dir", tmp_path) == 0
-        assert [config["deterministic_time"] for config in configs] == [expected]
+def test_no_flag_leaves_a_subcommand_with_another_ones_default():
+    # Every subcommand shares the ``common`` parent's action objects, so a
+    # default set through one subparser would change every command's.
+    parser = build_parser()
+    train_fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"target_refresh"}
+    for command in parser.subcommand_parsers:
+        args = parser.parse_args([command])
+        assert args.deterministic_time is False, command
+        if command == "ablate":
+            assert train_fields <= set(vars(args)), sorted(train_fields - set(vars(args)))
 
 
 TINY_EVAL = ("--eval-seeds", "100", "--num-cameras", "4", "--num-points", "6")

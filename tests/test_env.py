@@ -7,9 +7,9 @@ from balm.env import (
     EnvConfig,
     EpisodeDoneError,
     compute_reward,
-    make_reversed_state,
 )
-from balm.policy import ClassicPolicy, FixedPolicy
+from balm.policy import ClassicPolicy, FixedPolicy, PolicyObservation, agent_state
+from balm.sac import init_agent
 from balm.scene import generate_synthetic
 from balm.solver import SingularSystemError, records_to_csv, solve
 
@@ -54,16 +54,30 @@ class TestComputeReward:
             compute_reward(0.1, False, 1, "other")
 
 
+def reversed_nets(window=5):
+    """Agent nets marked as trained with the ``reversed`` reward."""
+    nets = init_agent(window=window, hidden=4, seed=0)
+    nets.reversed_state = True
+    return nets
+
+
+def reversed_state(durations, window=3):
+    """``agent_state`` of a reversed agent for an observation with ``durations``."""
+    obs = PolicyObservation(
+        state_vector=np.full(window, 7.0), iteration_index=len(durations),
+        recent_durations=tuple(durations),
+    )
+    return agent_state(reversed_nets(window), obs)
+
+
 class TestReversedState:
     def test_empty_history_is_zero(self):
-        np.testing.assert_array_equal(make_reversed_state([], 3), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(reversed_state([]), [0.0, 0.0, 0.0])
 
     def test_negates_and_pads(self):
+        np.testing.assert_array_equal(reversed_state([0.5]), [-0.5, -0.5, -0.5])
         np.testing.assert_array_equal(
-            make_reversed_state([0.5], 3), [-0.5, -0.5, -0.5]
-        )
-        np.testing.assert_array_equal(
-            make_reversed_state([0.1, 0.2, 0.3, 0.4], 3), [-0.2, -0.3, -0.4]
+            reversed_state([0.1, 0.2, 0.3, 0.4]), [-0.2, -0.3, -0.4]
         )
 
 
@@ -130,12 +144,21 @@ class TestEpisodes:
         assert rewards[-1] == 10.0 * 0.99**iterations
 
     def test_reversed_variant_swaps_state_and_reward(self, suite_problem_0):
+        # the env pays the negated error; the agent is shown negated durations
         env = BAEnv(EnvConfig(reward_variant="reversed", deterministic_time=True))
+        nets = reversed_nets()
         obs = env.reset(suite_problem_0)
-        np.testing.assert_array_equal(obs.state_vector, [0.0] * 5)
+        np.testing.assert_array_equal(agent_state(nets, obs), [0.0] * 5)
         out = env.step(0.25)
         assert out.reward == -out.info["error"]
-        np.testing.assert_array_equal(out.observation.state_vector, [-1.0] * 5)
+        np.testing.assert_array_equal(agent_state(nets, out.observation), [-1.0] * 5)
+        # the observation itself is the error window every env gives
+        plain = BAEnv(EnvConfig(deterministic_time=True))
+        plain.reset(suite_problem_0)
+        expected = plain.step(0.25).observation.state_vector
+        np.testing.assert_array_equal(out.observation.state_vector, expected)
+        nets.reversed_state = False
+        assert agent_state(nets, out.observation) is out.observation.state_vector
         # unclipped errors still ride along for the classic rule
         assert out.observation.raw_errors[-1] == out.info["error"]
 

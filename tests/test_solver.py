@@ -39,7 +39,6 @@ from balm.solver import (
     convergence_check,
     damped_step,
     estimation_error,
-    evaluate_step,
     evaluate_steps,
     linearize,
     lm_iterate,
@@ -821,15 +820,17 @@ GOLDEN_LM_DIGESTS = {
 }
 
 
-def dense_evaluate(problem, params, lin, lam):
-    """``evaluate_step`` with ``dense_step`` in place of the Schur step."""
-    delta_cam, delta_pt = dense_step(lin, lam)
-    (outcome,), _ = solver._candidate_errors(
-        problem, params, delta_cam[None], delta_pt[None], [None]
-    )
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def dense_evaluate(problem, params, lin, lams):
+    """``evaluate_steps`` with ``dense_step`` in place of the Schur step, which
+    raises its own failure."""
+    outcomes = []
+    for lam in lams:
+        delta_cam, delta_pt = dense_step(lin, lam)
+        (outcome,), _ = solver._candidate_errors(
+            problem, params, delta_cam[None], delta_pt[None], [None]
+        )
+        outcomes.append(outcome)
+    return outcomes
 
 
 def lm_layer_digest(problem, params) -> str:
@@ -841,13 +842,17 @@ def lm_layer_digest(problem, params) -> str:
         digest.update(name.encode() + getattr(lin, name).tobytes())
     digest.update(residuals(problem, params).tobytes())
     for lam in GOLDEN_LAMBDAS:
-        for step_of, evaluate in ((damped_step, evaluate_step), (dense_step, dense_evaluate)):
+        for step_of, evaluate in ((damped_step, evaluate_steps), (dense_step, dense_evaluate)):
             try:
                 delta_cam, delta_pt = step_of(lin, lam)
-                candidate, err = evaluate(problem, params, lin, lam)
             except (NumericalFailureError, SingularSystemError) as exc:
                 digest.update(type(exc).__name__.encode())
                 continue
+            (outcome,) = evaluate(problem, params, lin, [lam])
+            if isinstance(outcome, Exception):
+                digest.update(type(outcome).__name__.encode())
+                continue
+            candidate, err = outcome
             digest.update(delta_cam.tobytes() + delta_pt.tobytes())
             digest.update(flat(candidate).tobytes() + np.float64(err).tobytes())
     return digest.hexdigest()
@@ -938,16 +943,15 @@ def outcome_bytes(outcome):
 
 
 def each_alone(problem, params, lin, lams):
-    """Per damping: (step bytes, outcome bytes) of damped_step and evaluate_step alone."""
+    """Per damping: (step bytes, outcome bytes) of damped_step and evaluate_steps alone."""
     results = []
     for lam in lams:
         try:
             step = [a.tobytes() for a in damped_step(lin, lam)]
-            outcome = evaluate_step(problem, params, lin, lam)
         except (NumericalFailureError, SingularSystemError) as exc:
             results.append((None, type(exc)))
             continue
-        results.append((step, outcome_bytes(outcome)))
+        results.append((step, outcome_bytes(evaluate_steps(problem, params, lin, [lam])[0])))
     return results
 
 
@@ -1169,7 +1173,7 @@ class TestCarriedProjection:
         state = SolverState.initial(problem)
         lin = state.linearization(problem)
         accepted, _ = lm_iterate(problem, state, 1e-3)
-        outcomes = [evaluate_step(problem, state.params, lin, 1e-3)]
+        outcomes = [evaluate_steps(problem, state.params, lin, [1e-3])[0]]
         outcomes += evaluate_steps(problem, state.params, lin, (1e-3, 1.0))
         calls = counted_projections(monkeypatch)
         accepted.linearization(problem)
