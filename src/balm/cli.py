@@ -1,22 +1,20 @@
 """Command-line entry points for scene generation, solving, and experiments.
 
-Every subcommand accepts ``--config`` (a JSON file whose keys mirror the
-long option names with underscores; other keys are an error), ``--seed``,
-``--deterministic-time``, and ``--out-dir``. Explicit command-line flags
-override config-file values, which override built-in defaults.
-
-``train`` and ``ablate`` build their config and training scenes from the
-same flags with one helper; an ablation variant is that config with one
-field changed.
+Every subcommand accepts ``--config``, ``--seed``, ``--deterministic-time``
+and ``--out-dir``. A ``--config`` JSON object stands for the flags its keys
+name (long option names with underscores; a key the subcommand has no flag
+for is an error), inserted before the typed flags, which so win; one parse
+checks them all. ``train``'s and ``ablate``'s training flags are the fields
+of the configs they build, and a flag the built config lacks is an error.
 
 Each command first reads and checks every input; a rejected one exits 2
 with ``balm <command>: error: ...`` (a bad ``--config``, policy token or
 missing ``--problem``/``--kind`` exits with its own message). Then it
 computes, and a failure there propagates. Only then does ``_write_outputs``
 make ``--out-dir`` and write the command's files and ``manifest.json``,
-which records the resolved configuration and library versions but never
-timestamps or absolute paths, so reruns with the same inputs are
-byte-identical.
+which records the resolved configuration (with the built config for the
+training flags) and library versions but never timestamps or absolute
+paths, so reruns with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import argparse
 import gzip
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -66,6 +65,8 @@ from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, trai
 from .scene import generate_synthetic, parse_bal, serialize_bal
 from .solver import records_to_csv, result_to_json_dict, solve
 
+# The fields of the configs ``train`` builds, for ``--algo sac`` and ``zero-net``.
+TRAIN_FIELDS = {f.name for config in (TrainConfig, ZeroNetConfig) for f in fields(config)}
 
 def read_text(path) -> str:
     """Read a text file, transparently decompressing gzip payloads."""
@@ -76,7 +77,7 @@ def read_text(path) -> str:
 
 
 def parse_seed_list(text: str) -> list:
-    """Parse ``"3"``, ``"0,2,5"``, or ``"0-9"`` (inclusive range)."""
+    """Parse ``"3"``, ``"0,2,5"``, or ``"0-9"`` (inclusive range), no seed twice."""
     seeds: list = []
     for part in str(text).split(","):
         part = part.strip()
@@ -91,6 +92,9 @@ def parse_seed_list(text: str) -> list:
             seeds.append(int(part))
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
+    repeated = [seed for seed, count in Counter(seeds).items() if count > 1]
+    if repeated:
+        raise ValueError(f"seed {repeated[0]} repeated in {text!r}")
     return seeds
 
 
@@ -102,9 +106,12 @@ def _json_safe(value):
     return value
 
 
-def write_manifest(out_dir: Path, args: argparse.Namespace, outputs):
+def write_manifest(out_dir: Path, args: argparse.Namespace, outputs, train_config=None):
+    entries = vars(args)
+    if train_config is not None:  # it stands for the training flags it was built from
+        entries = {k: v for k, v in entries.items() if k not in TRAIN_FIELDS} | asdict(train_config)
     config = {}
-    for key, value in sorted(vars(args).items()):
+    for key, value in sorted(entries.items()):
         if key in ("func", "config", "out_dir"):
             continue
         if key in ("problem", "checkpoint") and value is not None:
@@ -124,7 +131,7 @@ def write_manifest(out_dir: Path, args: argparse.Namespace, outputs):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(args, files: dict) -> Path:
+def _write_outputs(args, files: dict, train_config=None) -> Path:
     """Make ``--out-dir``, write ``files`` into it, then ``manifest.json``.
 
     ``files`` maps a file name to its text, or to a function that writes the
@@ -138,7 +145,7 @@ def _write_outputs(args, files: dict) -> Path:
             content(out_dir / name)
         else:
             (out_dir / name).write_text(content)
-    write_manifest(out_dir, args, files)
+    write_manifest(out_dir, args, files, train_config)
     return out_dir
 
 
@@ -181,22 +188,19 @@ def _add_solve_options(parser):
     parser.add_argument("--threshold", type=float, default=1e-6)
 
 
-def _add_train_options(parser):
-    """The training scenes' flags and ``TrainConfig``'s, which ``train`` and
-    ``ablate`` share."""
+def _add_train_options(parser, *configs):
+    """The training scenes' flags, the solve options, and a flag for each field
+    of ``configs`` that has none yet but ``target_refresh`` (set only from
+    Python). The flag is typed like the field's default; omitted, it is
+    ``None``, so the config's own default applies."""
     parser.add_argument("--train-seeds", default="0-9")
     _add_scene_options(parser)
     _add_solve_options(parser)
-    parser.add_argument("--episodes", type=int, default=300)
-    parser.add_argument("--window", type=int, default=5)
-    parser.add_argument("--hidden", type=int, default=None)
-    parser.add_argument("--gamma", type=float, default=0.99)
-    parser.add_argument("--alpha", type=float, default=0.2)
-    parser.add_argument("--lr", type=float, default=3e-4)
-    parser.add_argument("--batch-size", type=int, default=256)
-    parser.add_argument("--replay-capacity", type=int, default=100_000)
-    parser.add_argument("--warmup-steps", type=int, default=500)
-    parser.add_argument("--reward-variant", choices=REWARD_VARIANTS, default="duration")
+    for field in [f for config in configs for f in fields(config)]:
+        flag = "--" + field.name.replace("_", "-")
+        if field.name != "target_refresh" and flag not in parser._option_string_actions:
+            choices = REWARD_VARIANTS if field.name == "reward_variant" else None
+            parser.add_argument(flag, type=type(field.default), choices=choices)
 
 
 def _add_policy_options(parser):
@@ -243,6 +247,8 @@ def _policy(token: str, args, problems) -> DampingPolicy:
 
 def cmd_generate(args) -> int:
     try:
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
         problems = _suite_problems(args, range(args.seed, args.seed + args.count))
     except (ValueError, OSError) as exc:
         return _usage_error(args, exc)
@@ -274,10 +280,15 @@ def cmd_solve(args) -> int:
 
 
 def _train_inputs(args, config_type):
-    """The ``config_type`` filled from the flags named like its fields, checked,
-    and the training scenes: the inputs of ``train`` and ``ablate``."""
-    given = {f.name: getattr(args, f.name, None) for f in fields(config_type)}
-    cfg = config_type(**{name: value for name, value in given.items() if value is not None})
+    """The ``config_type`` built from the flags given, checked, and the training
+    scenes: the inputs of ``train`` and ``ablate``. No flag given is ignored."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    names = {f.name for f in fields(config_type)}
+    unused = [name for name in given if name in TRAIN_FIELDS and name not in names]
+    if unused:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+        raise ValueError(f"{config_type.__name__} has no field for {flags}")
+    cfg = config_type(**{name: value for name, value in given.items() if name in names})
     return cfg, list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
 
 
@@ -294,7 +305,7 @@ def cmd_train(args) -> int:
         net = zero_net_train(problems, progress=entries.append, **asdict(cfg))
         checkpoint, save = "zero_net.ckpt", lambda path: save_zero_net_checkpoint(path, net)
     log = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
-    _write_outputs(args, {checkpoint: save, "train_log.jsonl": log})
+    _write_outputs(args, {checkpoint: save, "train_log.jsonl": log}, cfg)
     print(f"trained {args.algo} on {len(problems)} scenes -> {checkpoint}")
     return 0
 
@@ -366,7 +377,7 @@ def cmd_ablate(args) -> int:
     out_dir = _write_outputs(args, {
         f"ablation-{args.kind}.csv": ablation_to_csv(result),
         f"ablation-{args.kind}.json": json.dumps(result, indent=2, sort_keys=True) + "\n",
-    })
+    }, cfg)
     print(f"wrote ablation tables for {args.kind} to {out_dir}")
     return 0
 
@@ -399,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", parents=[common], help="train a damping policy")
     p_train.add_argument("--algo", choices=("sac", "zero-net"), default="sac")
-    _add_train_options(p_train)
-    p_train.add_argument("--epochs", type=int, default=2)
-    p_train.add_argument("--passes-per-epoch", type=int, default=150)
+    _add_train_options(p_train, TrainConfig, ZeroNetConfig)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", parents=[common], help="compare policies")
@@ -427,41 +436,37 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=("state_size", "reward_variant", "reversed", "threshold", "scheduler"),
     )
-    _add_train_options(p_ablate)
+    _add_train_options(p_ablate, TrainConfig)
     p_ablate.add_argument("--eval-seeds", default="100-109")
     p_ablate.set_defaults(func=cmd_ablate)
 
-    # subparsers copy their own defaults over the parent namespace, so config
-    # overrides must be installed on every one of them
     parser.subcommand_parsers = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, _ = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             overrides = json.loads(read_text(args.config))
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--config: {exc}") from None
         if not isinstance(overrides, dict):
             raise SystemExit("--config must contain a JSON object")
-        known = {a.dest for sub in parser.subcommand_parsers.values() for a in sub._actions}
-        unknown = sorted(set(overrides) - known - {"help"})
-        if unknown:
-            raise SystemExit(f"--config: unknown key(s) {', '.join(map(repr, unknown))}")
-        for sub in parser.subcommand_parsers.values():
-            # argparse checks choices only on the command line, not on defaults
-            for action in sub._actions:
-                if action.choices and action.dest in overrides:
-                    value = overrides[action.dest]
-                    if value not in action.choices:
-                        allowed = ", ".join(map(repr, action.choices))
-                        parser.error(
-                            f"--config: {action.dest!r} must be one of {allowed}, got {value!r}"
-                        )
-            sub.set_defaults(**overrides)
+        actions = parser.subcommand_parsers[args.command]._actions
+        flags = {action.dest: action.option_strings[-1] for action in actions}
+        inserted = []
+        for key, value in overrides.items():
+            if key not in flags:
+                raise SystemExit(f"--config: balm {args.command} has no flag for key {key!r}")
+            if value is True:
+                inserted.append(flags[key])
+            elif value is not False and value is not None:
+                inserted.append(f"{flags[key]}={value}")
+        at = argv.index(args.command) + 1
+        argv[at:at] = inserted
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -10,6 +10,7 @@ import gzip
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,11 @@ TINY_TRAIN = (
     "--warmup-steps", "10", "--replay-capacity", "500",
     "--max-iterations", "20", "--deterministic-time", "--seed", "7",
 )
+TINY_ZERO_NET = (
+    "--algo", "zero-net", "--train-seeds", "0-1", "--num-cameras", "4", "--num-points", "6",
+    "--epochs", "1", "--hidden", "16", "--passes-per-epoch", "2",
+    "--max-iterations", "20", "--deterministic-time", "--seed", "7",
+)
 
 
 class TestHelpers:
@@ -70,6 +76,11 @@ class TestHelpers:
             parse_seed_list("0,9-5")
         with pytest.raises(ValueError, match="descending seed range '9-5'"):
             parse_seed_list("9-5")
+        # each seed names one scene, so a repeated one would solve fewer scenes
+        with pytest.raises(ValueError, match="seed 100 repeated in '100,100,101'"):
+            parse_seed_list("100,100,101")
+        with pytest.raises(ValueError, match="seed 3 repeated in '0-4,3'"):
+            parse_seed_list("0-4,3")
 
     def test_read_text_transparent_gzip(self, tmp_path):
         plain = tmp_path / "data.txt"
@@ -180,7 +191,8 @@ class TestGenerate:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"episode": 3, "count": 1}))
         out = tmp_path / "scenes"
-        with pytest.raises(SystemExit, match="^--config: unknown key\\(s\\) 'episode'$"):
+        message = "^--config: balm generate has no flag for key 'episode'$"
+        with pytest.raises(SystemExit, match=message):
             run_cli("generate", "--config", config, "--out-dir", out)
         assert not out.exists()
 
@@ -365,12 +377,19 @@ class TestTrain:
             (("--threshold", "-1"), "threshold must be finite and positive, got -1.0"),
             (("--threshold", "nan"), "threshold must be finite and positive, got nan"),
             (("--num-cameras", "1"), "need at least 2 cameras and 1 point"),
+            # a flag of the other algorithm would be ignored, so it is rejected
+            (
+                ("--algo", "zero-net", "--reward-variant", "reversed", "--episodes", "0"),
+                "ZeroNetConfig has no field for --episodes, --reward-variant",
+            ),
+            (("--algo", "sac", "--epochs", "0"), "TrainConfig has no field for --epochs"),
         ],
         ids=[
             "episodes", "lr", "alpha", "zero-net-epochs", "zero-net-passes", "zero-net-lr",
             "hidden", "replay-capacity", "max-iterations", "warmup-steps", "zero-net-hidden",
             "zero-net-max-iterations", "zero-net-window", "zero-net-threshold",
-            "threshold", "threshold-nan", "num-cameras",
+            "threshold", "threshold-nan", "num-cameras", "zero-net-given-sac-flags",
+            "sac-given-zero-net-flag",
         ],
     )
     def test_rejected_training_value_is_a_usage_error(self, tmp_path, capsys, flags, message):
@@ -392,15 +411,57 @@ class TestTrain:
         names = {f.name for f in dataclasses.fields(config_type)} - {"target_refresh"}
         assert names <= dests, sorted(names - dests)
 
-    @pytest.mark.parametrize("algo", ["sac", "zero-net"])
-    def test_a_failing_training_run_is_not_a_usage_error(self, tmp_path, monkeypatch, algo):
+    @pytest.mark.parametrize(
+        "flags", [("--algo", "sac", *TINY_TRAIN), TINY_ZERO_NET], ids=["sac", "zero-net"]
+    )
+    def test_a_failing_training_run_is_not_a_usage_error(self, tmp_path, monkeypatch, flags):
         def failing_run(*args, **kwargs):
             raise ValueError("raised by the training run")
 
         monkeypatch.setattr(cli, "train_agent", failing_run)
         monkeypatch.setattr(cli, "zero_net_train", failing_run)
         with pytest.raises(ValueError, match="raised by the training run"):
-            run_cli("train", "--algo", algo, *TINY_TRAIN, "--out-dir", tmp_path)
+            run_cli("train", *flags, "--out-dir", tmp_path)
+
+    @pytest.mark.parametrize(
+        ("config", "key"),
+        [
+            ({"eval_seeds": "1", "policies": "gn", "epochs": 5}, "eval_seeds"),
+            ({"episodes": 3, "policies": None}, "policies"),
+            ({"kind": False}, "kind"),
+        ],
+        ids=["eval_seeds", "null-value", "false-value"],
+    )
+    def test_config_key_train_has_no_flag_for_writes_nothing(self, tmp_path, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^--config: balm train has no flag for key {key!r}$"):
+            run_cli("train", "--config", path, "--out-dir", out)
+        assert not out.exists()
+
+    def test_config_epochs_zero_is_not_dropped_as_false(self, tmp_path, capsys):
+        # 0 == False in Python; the key still stands for --epochs=0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 0}))
+        out = tmp_path / "out"
+        assert run_cli("train", "--algo", "sac", "--config", path, "--out-dir", out) == 2
+        assert "balm train: error: TrainConfig has no field for --epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_built_config(self, tmp_path, monkeypatch, trained_dir):
+        sac = json.loads((trained_dir / "manifest.json").read_text())["config"]
+        assert (sac["target_refresh"], sac["hidden"], sac["episodes"]) == (5, 16, 3)
+        assert "epochs" not in sac and "passes_per_epoch" not in sac
+        monkeypatch.setattr(
+            cli, "zero_net_train", lambda problems, progress, **options: init_zero_net(5, 8, 0)
+        )
+        out = tmp_path / "zn"
+        flags = [flag for flag in TINY_ZERO_NET if flag not in ("--hidden", "16")]
+        assert run_cli("train", *flags, "--out-dir", out) == 0
+        zero_net = json.loads((out / "manifest.json").read_text())["config"]
+        assert (zero_net["hidden"], zero_net["epochs"], zero_net["lr"]) == (1280, 1, 3e-4)
+        assert not {"episodes", "gamma", "reward_variant", "target_refresh"} & set(zero_net)
 
     def test_unknown_reward_variant_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -409,15 +470,12 @@ class TestTrain:
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        ("key", "value", "allowed"),
-        [
-            ("reward_variant", "bogus", "'duration', 'constant', 'reduction', 'reversed'"),
-            ("algo", "ppo", "'sac', 'zero-net'"),
-        ],
+        ("key", "value", "flag"),
+        [("reward_variant", "bogus", "--reward-variant"), ("algo", "ppo", "--algo")],
         ids=["reward_variant", "algo"],
     )
     def test_config_value_outside_choices_is_a_usage_error(
-        self, tmp_path, capsys, key, value, allowed
+        self, tmp_path, capsys, key, value, flag
     ):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}))
@@ -426,7 +484,8 @@ class TestTrain:
             run_cli("train", "--config", config, "--out-dir", out)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"--config: {key!r} must be one of {allowed}, got {value!r}" in err
+        # argparse checks the value the key stands for, as it would the flag
+        assert f"argument {flag}: invalid choice: {value!r}" in err
         assert not out.exists()
 
     def test_zero_net_outputs(self, tmp_path):
@@ -673,11 +732,13 @@ TINY_EVAL = ("--eval-seeds", "100", "--num-cameras", "4", "--num-points", "6")
         (("eval", "--policies", "agent", "--checkpoint", "scene.txt", *TINY_EVAL), 2),
         (("eval", "--policies", "classic,annealed", *TINY_EVAL), "unknown policy 'annealed'"),
         (("profile", "--policies", "classic", "--max-iterations", "0", *TINY_EVAL), 2),
+        (("eval", "--policies", "classic", *TINY_EVAL, "--eval-seeds", "100,100,101"), 2),
+        (("generate", "--count", "0"), 2),
     ],
     ids=[
         "solve-truncated-problem", "solve-missing-problem", "solve-max-iterations",
         "eval-no-checkpoint", "eval-not-a-checkpoint", "eval-unknown-policy",
-        "profile-max-iterations",
+        "profile-max-iterations", "eval-repeated-seed", "generate-no-scene",
     ],
 )
 def test_bad_input_writes_nothing(tmp_path, monkeypatch, capsys, scene_dir, argv, code):
@@ -691,6 +752,24 @@ def test_bad_input_writes_nothing(tmp_path, monkeypatch, capsys, scene_dir, argv
     if code == 2:
         assert f"balm {argv[0]}: error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_commands_parse_and_build_their_config():
+    # an example that stops parsing, e.g. once a flag is renamed, fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("balm ")
+    ]
+    parser = build_parser()
+    assert {argv[0] for argv in commands} == set(parser.subcommand_parsers)
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command in ("train", "ablate"):
+            algo = getattr(args, "algo", "sac")
+            cli._train_inputs(args, TrainConfig if algo == "sac" else ZeroNetConfig)
 
 
 def run_module(*argv, env=os.environ):
