@@ -7,14 +7,15 @@ for is an error), inserted before the typed flags, which so win; one parse
 checks them all. ``train``'s and ``ablate``'s training flags are the fields
 of the configs they build, and a flag the built config lacks is an error.
 
-Each command first reads and checks every input; a rejected one exits 2
-with ``balm <command>: error: ...`` (a bad ``--config``, policy token or
-missing ``--problem``/``--kind`` exits with its own message). Then it
-computes, and a failure there propagates. Only then does ``_write_outputs``
-make ``--out-dir`` and write the command's files and ``manifest.json``,
-which records the resolved configuration (with the built config for the
-training flags) and library versions but never timestamps or absolute
-paths, so reruns with the same inputs are byte-identical.
+Each command first checks every input: a rejected one raises ``ValueError``
+(or ``OSError``) in ``main``'s ``--config`` check or the command's input
+``try``, which print ``balm <command>: error: ...`` and return 2 before any
+work, as argparse's own checks exit 2. Then the command computes, and a
+failure there propagates. Only then does ``_write_outputs`` make
+``--out-dir`` and write the command's files and ``manifest.json``, which
+records the resolved configuration (with the built config for the training
+flags) and library versions but never timestamps or absolute paths, so
+reruns with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,26 +77,35 @@ def read_text(path) -> str:
     return raw.decode("utf-8")
 
 
+def parse_key_list(text: str, noun: str, parse_part=lambda part: [part], flag=None) -> list:
+    """The entries ``parse_part`` reads from each non-empty part, stripped, of the
+    comma list ``text``. An entry names a scene, a table row or a file, so no
+    entry or a repeated one is an error; ``flag``, if given, heads its message."""
+    try:
+        entries = [
+            entry for part in str(text).split(",") if part.strip()
+            for entry in parse_part(part.strip())
+        ]
+        if not entries:
+            raise ValueError(f"no {noun}s in {text!r}")
+        repeated = [entry for entry, count in Counter(entries).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{noun} {repeated[0]} repeated in {text!r}")
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}" if flag else str(exc)) from None
+    return entries
+
+
 def parse_seed_list(text: str) -> list:
     """Parse ``"3"``, ``"0,2,5"``, or ``"0-9"`` (inclusive range), no seed twice."""
-    seeds: list = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part[1:]:
-            lo, hi = (int(end) for end in part.split("-", 1))
-            if hi < lo:
-                raise ValueError(f"descending seed range {part!r} in {text!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    repeated = [seed for seed, count in Counter(seeds).items() if count > 1]
-    if repeated:
-        raise ValueError(f"seed {repeated[0]} repeated in {text!r}")
-    return seeds
+    def seeds(part):
+        if "-" not in part[1:]:
+            return [int(part)]
+        lo, hi = (int(end) for end in part.split("-", 1))
+        if hi < lo:
+            raise ValueError(f"descending seed range {part!r} in {text!r}")
+        return range(lo, hi + 1)
+    return parse_key_list(text, "seed", seeds)
 
 
 def _json_safe(value):
@@ -217,6 +227,8 @@ def _policy(token: str, args, problems) -> DampingPolicy:
     with the ``reversed`` reward is shown the state it trained on.
     """
     token = token.strip()
+    if token in ("agent", "zero-net") and not args.checkpoint:
+        raise ValueError(f"--checkpoint is required for the {token} policy")
     if token == "classic":
         return ClassicPolicy()
     if token == "classic-paper":
@@ -228,21 +240,17 @@ def _policy(token: str, args, problems) -> DampingPolicy:
     if token == "scheduler":
         if args.schedule == "auto":
             if not args.checkpoint:
-                raise SystemExit("--schedule auto requires --checkpoint")
+                raise ValueError("--schedule auto requires --checkpoint")
             nets, _ = load_agent_checkpoint(args.checkpoint)
             return ConstantSchedulerPolicy(extract_schedule(nets, problems))
         if args.schedule:
             return ConstantSchedulerPolicy([float(v) for v in args.schedule.split(",")])
         return ConstantSchedulerPolicy(DEFAULT_SCHEDULE)
     if token == "agent":
-        if not args.checkpoint:
-            raise SystemExit("--checkpoint is required for the agent policy")
         return AgentPolicy(load_agent_checkpoint(args.checkpoint)[0])
     if token == "zero-net":
-        if not args.checkpoint:
-            raise SystemExit("--checkpoint is required for the zero-net policy")
         return ZeroNetPolicy(load_zero_net_checkpoint(args.checkpoint))
-    raise SystemExit(f"unknown policy {token!r}")
+    raise ValueError(f"unknown policy {token!r}")
 
 
 def cmd_generate(args) -> int:
@@ -259,9 +267,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if not args.problem:
-        raise SystemExit("solve needs --problem (flag or config)")
     try:
+        if not args.problem:
+            raise ValueError("solve needs --problem (flag or config)")
         settings = _solve_settings(args)
         problem = parse_bal(read_text(args.problem), pixel_sigma=args.pixel_sigma)
         policy = _policy(args.policy, args, [problem])
@@ -314,13 +322,8 @@ def _comparison_inputs(args):
     """The scenes, policies and solve settings of ``eval`` and ``profile``."""
     settings = _solve_settings(args)
     problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
-    policies = {}
-    for token in args.policies.split(","):
-        token = token.strip()
-        if token:
-            policies[token] = _policy(token, args, list(problems.values()))
-    if not policies:
-        raise SystemExit("--policies must name at least one policy")
+    tokens = parse_key_list(args.policies, "policy token", flag="--policies")
+    policies = {token: _policy(token, args, list(problems.values())) for token in tokens}
     return problems, policies, settings
 
 
@@ -342,17 +345,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _tolerances(text) -> list:
-    try:
-        return [check_tolerance(float(t)) for t in str(text).split(",")]
-    except ValueError as exc:
-        raise ValueError(f"--tolerances: {exc}") from None
-
-
 def cmd_profile(args) -> int:
     try:
-        tolerances = _tolerances(args.tolerances)
+        tolerances = parse_key_list(
+            args.tolerances, "tolerance", lambda t: [check_tolerance(float(t))], "--tolerances"
+        )
         problems, policies, settings = _comparison_inputs(args)
+        if len(policies) < 2:
+            raise ValueError(f"--policies: need two or more for a profile, got {args.policies!r}")
     except (ValueError, OSError) as exc:
         return _usage_error(args, exc)
     table = run_comparison(problems, policies, env_config=settings)
@@ -366,9 +366,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if not args.kind:
-        raise SystemExit("ablate needs --kind (flag or config)")
     try:
+        if not args.kind:
+            raise ValueError("ablate needs --kind (flag or config)")
         cfg, train_problems = _train_inputs(args, TrainConfig)
         held_out = _suite_problems(args, parse_seed_list(args.eval_seeds))
     except (ValueError, OSError) as exc:
@@ -449,24 +449,22 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args, _ = parser.parse_known_args(argv)
     if args.config:
-        try:
-            overrides = json.loads(read_text(args.config))
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"--config: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise SystemExit("--config must contain a JSON object")
         actions = parser.subcommand_parsers[args.command]._actions
         flags = {action.dest: action.option_strings[-1] for action in actions}
-        inserted = []
-        for key, value in overrides.items():
-            if key not in flags:
-                raise SystemExit(f"--config: balm {args.command} has no flag for key {key!r}")
-            if value is True:
-                inserted.append(flags[key])
-            elif value is not False and value is not None:
-                inserted.append(f"{flags[key]}={value}")
+        try:
+            overrides = json.loads(read_text(args.config))
+            if not isinstance(overrides, dict):
+                raise ValueError(f"need a JSON object, got {type(overrides).__name__}")
+            unknown = [key for key in overrides if key not in flags]
+            if unknown:
+                raise ValueError(f"balm {args.command} has no flag for key {unknown[0]!r}")
+        except (OSError, ValueError) as exc:
+            return _usage_error(args, f"--config: {exc}")
         at = argv.index(args.command) + 1
-        argv[at:at] = inserted
+        argv[at:at] = [
+            flags[key] if value is True else f"{flags[key]}={value}"
+            for key, value in overrides.items() if value is not False and value is not None
+        ]
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -23,6 +23,7 @@ DEFAULT_FOCAL = 500.0
 ROLL_RANGE = 0.2
 DEFAULT_ROTATION_NOISE = 0.05
 MIN_GENERATED_DEPTH = 0.5
+GENERATION_RETRIES = 50  # resamplings of a point before generate_synthetic gives up
 
 
 class DegenerateDepthError(ValueError):
@@ -446,7 +447,6 @@ def generate_synthetic(
     rotation_noise: float = DEFAULT_ROTATION_NOISE,
     focal: float = DEFAULT_FOCAL,
     noise_std: float | None = None,
-    max_retries: int = 50,
 ) -> BAProblem:
     """Sample a fully-visible synthetic scene with noisy initial estimates.
 
@@ -456,7 +456,7 @@ def generate_synthetic(
     noise (``noise_std``, defaulting to ``pixel_sigma``). Initial estimates
     perturb points and translations by ``init_noise`` and rotations by
     ``rotation_noise``; points whose depth precondition fails are resampled
-    up to ``max_retries`` times.
+    up to ``GENERATION_RETRIES`` times.
     """
     if not all(isinstance(n, (int, np.integer)) for n in (num_cameras, num_points)):
         raise ValueError(f"scene sizes must be integers, got {num_cameras!r} and {num_points!r}")
@@ -482,7 +482,7 @@ def generate_synthetic(
 
     point_blocks = np.empty((num_points, 3))
     for pj in range(num_points):
-        for attempt in range(max_retries + 1):
+        for attempt in range(GENERATION_RETRIES + 1):
             candidate = rng.uniform(-POINT_HALF_EXTENT, POINT_HALF_EXTENT, size=3)
             depths = rotate_points(rotvecs, candidate)[:, 2] + camera_blocks[:, 5]
             if (np.abs(depths) > MIN_GENERATED_DEPTH).all():
@@ -491,7 +491,7 @@ def generate_synthetic(
         else:
             raise SceneGenerationError(
                 f"could not sample a point satisfying the depth precondition "
-                f"after {max_retries} retries"
+                f"after {GENERATION_RETRIES} retries"
             )
 
     # Observations are camera-major, the order of the pixel-noise draws.

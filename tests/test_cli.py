@@ -22,7 +22,7 @@ from conftest import suite_problem
 from balm import cli
 from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
 from balm.bench import extract_schedule
-from balm.cli import _policy, build_parser, main, parse_seed_list, read_text
+from balm.cli import _policy, build_parser, main, parse_key_list, parse_seed_list, read_text
 from balm.policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
@@ -48,6 +48,17 @@ def exit_code(*argv):
         return run_cli(*argv)
     except SystemExit as exc:
         return exc.code
+
+
+def usage_error(capsys, out, *argv) -> str:
+    """The message ``balm *argv --out-dir out`` rejects its input with: it must
+    return 2, print one ``balm <command>: error: ...`` line and not make ``out``."""
+    assert run_cli(*argv, "--out-dir", out) == 2
+    assert not Path(out).exists()
+    err = capsys.readouterr().err
+    prefix = f"balm {argv[0]}: error: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err[len(prefix):-1]
 
 
 TINY_TRAIN = (
@@ -81,6 +92,17 @@ class TestHelpers:
             parse_seed_list("100,100,101")
         with pytest.raises(ValueError, match="seed 3 repeated in '0-4,3'"):
             parse_seed_list("0-4,3")
+
+    def test_parse_key_list(self):
+        assert parse_key_list(" gn, ,classic,", "policy token") == ["gn", "classic"]
+        assert parse_key_list("0.1,1e-3", "tolerance", lambda t: [float(t)]) == [0.1, 1e-3]
+        with pytest.raises(ValueError, match=r"^no policy tokens in ' , '$"):
+            parse_key_list(" , ", "policy token")
+        # entries are compared once parsed: 0.1 and 1e-1 name the same profile file
+        with pytest.raises(ValueError, match=r"^--tolerances: tolerance 0.1 repeated in '0.1,1e-1'$"):
+            parse_key_list("0.1,1e-1", "tolerance", lambda t: [float(t)], "--tolerances")
+        with pytest.raises(ValueError, match="^--tolerances: could not convert string to float"):
+            parse_key_list("0.1,x", "tolerance", lambda t: [float(t)], "--tolerances")
 
     def test_read_text_transparent_gzip(self, tmp_path):
         plain = tmp_path / "data.txt"
@@ -150,9 +172,10 @@ class TestPolicyTokens:
         ],
         ids=["agent", "zero-net", "unknown"],
     )
-    def test_token_exits_with_message(self, token, message):
-        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
-            parse_policy(token)
+    def test_token_exits_with_message(self, tmp_path, capsys, monkeypatch, token, message):
+        monkeypatch.setattr(cli, "run_comparison", None)  # nothing is solved
+        out = tmp_path / "out"
+        assert usage_error(capsys, out, "eval", "--policies", token, *TINY_EVAL) == message
 
     def test_reversed_reward_agent_sees_the_state_it_trained_on(self, tmp_path):
         nets = init_agent(window=5, hidden=16, seed=11)
@@ -187,24 +210,19 @@ class TestGenerate:
         assert "out_dir" not in manifest["config"]
         assert "balm" in manifest["versions"] and "numpy" in manifest["versions"]
 
-    def test_config_key_no_subcommand_defines_is_rejected(self, tmp_path):
+    def test_config_key_no_subcommand_defines_is_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"episode": 3, "count": 1}))
-        out = tmp_path / "scenes"
-        message = "^--config: balm generate has no flag for key 'episode'$"
-        with pytest.raises(SystemExit, match=message):
-            run_cli("generate", "--config", config, "--out-dir", out)
-        assert not out.exists()
+        message = usage_error(capsys, tmp_path / "scenes", "generate", "--config", config)
+        assert message == "--config: balm generate has no flag for key 'episode'"
 
     @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
-    def test_unreadable_config_writes_nothing(self, tmp_path, text):
+    def test_unreadable_config_writes_nothing(self, tmp_path, capsys, text):
         config = tmp_path / "config.json"
         if text is not None:
             config.write_text(text)
-        out = tmp_path / "scenes"
-        with pytest.raises(SystemExit, match="^--config: "):
-            run_cli("generate", "--config", config, "--out-dir", out)
-        assert not out.exists()
+        message = usage_error(capsys, tmp_path / "scenes", "generate", "--config", config)
+        assert message.startswith("--config: ")
 
     def test_rejected_scene_size_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "scenes"
@@ -261,16 +279,16 @@ class TestSolve:
         assert result["outcome"] == "iteration-cap"
         assert result["iterations"] == 7
 
-    def test_missing_problem_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("solve", "--out-dir", tmp_path)
+    def test_missing_problem_exits(self, tmp_path, capsys):
+        message = usage_error(capsys, tmp_path / "out", "solve")
+        assert message == "solve needs --problem (flag or config)"
 
-    def test_unknown_policy_exits(self, tmp_path, scene_dir):
-        with pytest.raises(SystemExit):
-            run_cli(
-                "solve", "--problem", scene_dir / "scene-2.txt",
-                "--policy", "annealed", "--out-dir", tmp_path,
-            )
+    def test_unknown_policy_exits(self, tmp_path, capsys, scene_dir):
+        message = usage_error(
+            capsys, tmp_path / "out",
+            "solve", "--problem", scene_dir / "scene-2.txt", "--policy", "annealed",
+        )
+        assert message == "unknown policy 'annealed'"
 
     def test_config_file_supplies_and_flags_override(self, tmp_path, scene_dir):
         config = tmp_path / "config.json"
@@ -321,12 +339,12 @@ class TestScheduleAutoSolve:
         picked = solve(scene, agent, max_iterations=4, deterministic_time=True)
         assert extract_schedule(nets, [scene]) == [record.lam for record in picked.records]
 
-    def test_solve_auto_schedule_needs_checkpoint(self, tmp_path, scene_dir):
-        with pytest.raises(SystemExit):
-            run_cli(
-                "solve", "--problem", scene_dir / "scene-2.txt",
-                "--policy", "scheduler", "--schedule", "auto", "--out-dir", tmp_path,
-            )
+    def test_solve_auto_schedule_needs_checkpoint(self, tmp_path, capsys, scene_dir):
+        message = usage_error(
+            capsys, tmp_path / "out", "solve", "--problem", scene_dir / "scene-2.txt",
+            "--policy", "scheduler", "--schedule", "auto",
+        )
+        assert message == "--schedule auto requires --checkpoint"
 
 
 class TestTrain:
@@ -432,13 +450,11 @@ class TestTrain:
         ],
         ids=["eval_seeds", "null-value", "false-value"],
     )
-    def test_config_key_train_has_no_flag_for_writes_nothing(self, tmp_path, config, key):
+    def test_config_key_train_has_no_flag_for_writes_nothing(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit, match=f"^--config: balm train has no flag for key {key!r}$"):
-            run_cli("train", "--config", path, "--out-dir", out)
-        assert not out.exists()
+        message = usage_error(capsys, tmp_path / "out", "train", "--config", path)
+        assert message == f"--config: balm train has no flag for key {key!r}"
 
     def test_config_epochs_zero_is_not_dropped_as_false(self, tmp_path, capsys):
         # 0 == False in Python; the key still stands for --epochs=0
@@ -621,9 +637,9 @@ class TestAblateCli:
         payload = json.loads((out / "ablation-reversed.json").read_text())
         assert payload["kind"] == "reversed"
 
-    def test_missing_kind_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("ablate", "--out-dir", tmp_path)
+    def test_missing_kind_exits(self, tmp_path, capsys):
+        message = usage_error(capsys, tmp_path / "out", "ablate")
+        assert message == "ablate needs --kind (flag or config)"
 
     def test_config_file_reaches_the_suite(self, tmp_path, monkeypatch):
         calls = stub_ablation_suite(monkeypatch)
@@ -721,19 +737,33 @@ def test_no_flag_leaves_a_subcommand_with_another_ones_default():
 TINY_EVAL = ("--eval-seeds", "100", "--num-cameras", "4", "--num-points", "6")
 
 
+@pytest.fixture
+def rejecting_dir(tmp_path, monkeypatch, scene_dir):
+    """A working directory of good and bad input files, where no work can run."""
+    text = (scene_dir / "scene-2.txt").read_text()
+    (tmp_path / "scene.txt").write_text(text)
+    (tmp_path / "truncated.txt").write_text(text[: len(text) // 2])
+    (tmp_path / "not-json.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "eval-keys.json").write_text('{"policies": "gn"}')
+    monkeypatch.chdir(tmp_path)
+    for work in ("solve", "run_comparison", "train_agent", "zero_net_train", "ablation_suite"):
+        monkeypatch.setattr(cli, work, None)  # calling it would raise TypeError
+    return tmp_path
+
+
 @pytest.mark.parametrize(
-    ("argv", "code"),
+    "argv",
     [
-        (("solve", "--problem", "truncated.txt"), 2),
-        (("solve", "--problem", "missing.txt"), 2),
-        (("solve", "--problem", "scene.txt", "--max-iterations", "0"), 2),
-        (("eval", "--policies", "agent", *TINY_EVAL),
-         "--checkpoint is required for the agent policy"),
-        (("eval", "--policies", "agent", "--checkpoint", "scene.txt", *TINY_EVAL), 2),
-        (("eval", "--policies", "classic,annealed", *TINY_EVAL), "unknown policy 'annealed'"),
-        (("profile", "--policies", "classic", "--max-iterations", "0", *TINY_EVAL), 2),
-        (("eval", "--policies", "classic", *TINY_EVAL, "--eval-seeds", "100,100,101"), 2),
-        (("generate", "--count", "0"), 2),
+        ("solve", "--problem", "truncated.txt"),
+        ("solve", "--problem", "missing.txt"),
+        ("solve", "--problem", "scene.txt", "--max-iterations", "0"),
+        ("eval", "--policies", "agent", *TINY_EVAL),
+        ("eval", "--policies", "agent", "--checkpoint", "scene.txt", *TINY_EVAL),
+        ("eval", "--policies", "classic,annealed", *TINY_EVAL),
+        ("profile", "--policies", "classic", "--max-iterations", "0", *TINY_EVAL),
+        ("eval", "--policies", "classic", *TINY_EVAL, "--eval-seeds", "100,100,101"),
+        ("generate", "--count", "0"),
     ],
     ids=[
         "solve-truncated-problem", "solve-missing-problem", "solve-max-iterations",
@@ -741,17 +771,51 @@ TINY_EVAL = ("--eval-seeds", "100", "--num-cameras", "4", "--num-points", "6")
         "profile-max-iterations", "eval-repeated-seed", "generate-no-scene",
     ],
 )
-def test_bad_input_writes_nothing(tmp_path, monkeypatch, capsys, scene_dir, argv, code):
-    text = (scene_dir / "scene-2.txt").read_text()
-    (tmp_path / "scene.txt").write_text(text)
-    (tmp_path / "truncated.txt").write_text(text[: len(text) // 2])
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "solve", None)  # nothing is solved
-    monkeypatch.setattr(cli, "run_comparison", None)
-    assert exit_code(*argv, "--out-dir", "out") == code
-    if code == 2:
-        assert f"balm {argv[0]}: error: " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_bad_input_writes_nothing(rejecting_dir, capsys, argv):
+    assert exit_code(*argv, "--out-dir", "out") == 2
+    assert f"balm {argv[0]}: error: " in capsys.readouterr().err
+    assert not (rejecting_dir / "out").exists()
+
+
+SOLVE_SCENE = ("solve", "--problem", "scene.txt")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        ((*SOLVE_SCENE, "--policy", "scheduler", "--schedule", "auto"),
+         "--schedule auto requires --checkpoint"),
+        ((*SOLVE_SCENE, "--policy", "agent"), "--checkpoint is required for the agent policy"),
+        ((*SOLVE_SCENE, "--policy", "zero-net"),
+         "--checkpoint is required for the zero-net policy"),
+        ((*SOLVE_SCENE, "--policy", "annealed"), "unknown policy 'annealed'"),
+        (("solve", "--policy", "gn"), "solve needs --problem (flag or config)"),
+        (("eval", "--policies", " , ", *TINY_EVAL), "--policies: no policy tokens in ' , '"),
+        (("ablate", "--train-seeds", "0"), "ablate needs --kind (flag or config)"),
+        (("generate", "--config", "missing.json"),
+         "--config: [Errno 2] No such file or directory: 'missing.json'"),
+        (("generate", "--config", "not-json.json"), "--config: Expecting property name"),
+        (("generate", "--config", "list.json"), "--config: need a JSON object, got list"),
+        (("train", "--config", "eval-keys.json"),
+         "--config: balm train has no flag for key 'policies'"),
+        (("profile", "--policies", "classic", *TINY_EVAL),
+         "--policies: need two or more for a profile, got 'classic'"),
+        (("eval", "--policies", "classic,classic,gn", *TINY_EVAL),
+         "--policies: policy token classic repeated in 'classic,classic,gn'"),
+        (("profile", "--policies", "classic,gn", "--tolerances", "0.1,0.1", *TINY_EVAL),
+         "--tolerances: tolerance 0.1 repeated in '0.1,0.1'"),
+    ],
+    ids=[
+        "schedule-auto-no-checkpoint", "agent-no-checkpoint", "zero-net-no-checkpoint",
+        "unknown-policy", "no-problem", "no-policies", "no-kind", "config-missing",
+        "config-not-json", "config-not-an-object", "config-unknown-key",
+        "profile-one-policy", "eval-repeated-policy", "profile-repeated-tolerance",
+    ],
+)
+def test_every_rejected_input_exits_2_and_writes_nothing(rejecting_dir, capsys, argv, message):
+    # ``main`` returns 2 before any work (every work function is stubbed out)
+    # and before ``--out-dir`` is made; its one stderr line names the input.
+    assert usage_error(capsys, rejecting_dir / "out", *argv).startswith(message)
 
 
 def test_readme_commands_parse_and_build_their_config():

@@ -287,6 +287,21 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(1, 5, seed=0)
 
+    def test_gives_up_after_the_retries(self, monkeypatch):
+        # no camera is this far from a point, so no sample qualifies
+        monkeypatch.setattr(scene, "MIN_GENERATED_DEPTH", 1e9)
+        samples = []
+
+        def counting_rotate(rotvecs, points):
+            samples.append(points)
+            return rotate_points(rotvecs, points)
+
+        monkeypatch.setattr(scene, "rotate_points", counting_rotate)
+        message = f"after {scene.GENERATION_RETRIES} retries"
+        with pytest.raises(scene.SceneGenerationError, match=message):
+            generate_synthetic(3, 4, seed=0)
+        assert len(samples) == 1 + scene.GENERATION_RETRIES  # the first point's samples
+
     def test_scenes_are_byte_stable(self):
         problems = [suite_problem(s) for s in (*range(10), *range(100, 110))]
         problems += [
