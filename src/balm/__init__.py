@@ -10,7 +10,7 @@ The package is organised bottom-up:
 - :mod:`balm.policy` — the policy interface the solver consults for the next
   damping value, plus classic / fixed / scheduler / learned implementations.
 - :mod:`balm.env` — the solver wrapped as a sequential decision environment
-  (state windows, duration rewards, episode bookkeeping).
+  (episode observations, duration rewards, episode bookkeeping).
 - :mod:`balm.nn` — a small from-scratch MLP stack (forward, backprop, Adam,
   checkpoints) used by both learners.
 - :mod:`balm.sac` — soft actor-critic training of the damping agent.

@@ -24,7 +24,7 @@ from .nn import (
     mlp_train_step,
     save_arrays,
 )
-from .policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy
+from .policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
 from .sac import ACTION_OFFSET, ACTION_SCALE, NonFiniteLossError
 from .solver import NumericalFailureError, SolverState, evaluate_steps
 
@@ -86,38 +86,40 @@ def init_zero_net(window: int = 5, hidden: int = ZERO_NET_HIDDEN, seed: int = 0)
 def zero_net_input(obs: PolicyObservation, window: int) -> np.ndarray:
     """The zero-net's input row: (states, actions, rewards) slots, ``window`` each.
 
-    The states are the observation's error window. The actions are its
-    ``recent_lambdas``, the last applied dampings, mapped back to squashed
-    space. The rewards are -1 per completed iteration, the negated duration
-    deterministic timing records, so the row does not depend on the clock or
-    the timing mode. Action and reward slots are zero-padded on the left. The
-    collector labels these rows and ``ZeroNetPolicy`` feeds them to the net.
+    The states are the last ``window`` errors (``make_state``). The actions
+    are the last applied dampings, mapped back to squashed space. The rewards
+    are -1 per completed iteration among the last ``window``, the negated
+    duration deterministic timing records, so the row does not depend on the
+    clock or the timing mode. Action and reward slots are zero-padded on the
+    left. The collector labels these rows and ``ZeroNetPolicy`` feeds them
+    to the net.
     """
     row = np.zeros(3 * window)
-    row[:window] = obs.state_vector
-    actions = [u_from_lambda(lam) for lam in obs.recent_lambdas]
+    row[:window] = make_state(obs.errors, window)
+    actions = [u_from_lambda(lam) for lam in obs.lambdas[-window:]]
     row[2 * window - len(actions) : 2 * window] = actions
-    row[3 * window - len(obs.recent_durations) :] = -1.0
+    row[3 * window - len(obs.durations[-window:]) :] = -1.0
     return row
 
 
-def _collect_labeled_windows(problem, net: Mlp | None, config: EnvConfig):
-    """One rollout; every visited state is labeled with the greedy damping.
+def _collect_labeled_windows(problem, net: Mlp | None, cfg: ZeroNetConfig):
+    """One rollout in the env of the run's config ``cfg``; every visited
+    state is labeled with the greedy damping.
 
     The rollout is ``solve``'s: ``ClassicPolicy`` picks every damping with
     no net (warm-start epoch), ``ZeroNetPolicy(net)`` otherwise. Each
     state's input is the ``zero_net_input`` row of its observation, the
     very row the policy is served there.
     """
-    policy = ClassicPolicy(window=config.window) if net is None else ZeroNetPolicy(net)
-    env = BAEnv(config)
+    policy = ClassicPolicy() if net is None else ZeroNetPolicy(net)
+    env = BAEnv(EnvConfig.of(cfg))
     obs = env.reset(problem)
     inputs = []
     targets = []
     done = False
     while not done:
-        inputs.append(zero_net_input(obs, config.window))
-        targets.append(raw_regression_target(zero_net_oracle(env.problem, env.solver_state)))
+        inputs.append(zero_net_input(obs, cfg.window))
+        targets.append(raw_regression_target(zero_net_oracle(problem, env.solver_state)))
         out = env.step(policy.next_lambda(obs))
         obs, done = out.observation, out.done
     return inputs, targets
@@ -141,7 +143,7 @@ class ZeroNetConfig:
 
     def __post_init__(self) -> None:
         EnvConfig.of(self)  # checks the env fields
-        for name in ("epochs", "passes_per_epoch", "hidden"):
+        for name in ("epochs", "passes_per_epoch", "window", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
@@ -161,7 +163,6 @@ def zero_net_train(problems, progress=None, **options) -> Mlp:
     if not problems:
         raise ValueError("need at least one training problem")
     cfg = ZeroNetConfig(**options)
-    config = EnvConfig.of(cfg)
     rng = np.random.default_rng(cfg.seed)
     net = init_zero_net(window=cfg.window, hidden=cfg.hidden, seed=cfg.seed)
     adam = adam_init(net)
@@ -170,7 +171,7 @@ def zero_net_train(problems, progress=None, **options) -> Mlp:
         xs: list = []
         ys: list = []
         for problem in problems:
-            inputs, targets = _collect_labeled_windows(problem, driver, config)
+            inputs, targets = _collect_labeled_windows(problem, driver, cfg)
             xs.extend(inputs)
             ys.extend(targets)
         features = np.asarray(xs)

@@ -347,9 +347,14 @@ def cmd_eval(args) -> int:
 
 def cmd_profile(args) -> int:
     try:
-        tolerances = parse_key_list(
+        tolerances = {}  # by the file each names
+        for tol in parse_key_list(
             args.tolerances, "tolerance", lambda t: [check_tolerance(float(t))], "--tolerances"
-        )
+        ):
+            name = f"profile-{tol:g}.csv"
+            if name in tolerances:
+                raise ValueError(f"--tolerances: {tolerances[name]} and {tol} both name {name}")
+            tolerances[name] = tol
         problems, policies, settings = _comparison_inputs(args)
         if len(policies) < 2:
             raise ValueError(f"--policies: need two or more for a profile, got {args.policies!r}")
@@ -357,8 +362,8 @@ def cmd_profile(args) -> int:
         return _usage_error(args, exc)
     table = run_comparison(problems, policies, env_config=settings)
     files = {
-        f"profile-{tolerance:g}.csv": profile_to_csv(performance_profile(table.records, tolerance))
-        for tolerance in tolerances
+        name: profile_to_csv(performance_profile(table.records, tolerance))
+        for name, tolerance in tolerances.items()
     }
     out_dir = _write_outputs(args, files)
     print(f"wrote {len(files)} profile tables to {out_dir}")

@@ -2,17 +2,18 @@
 
 One episode is one solve: ``reset`` seeds the state on a problem, each
 ``step`` runs a single damped iteration with the agent's lambda and returns
-the usual (observation, reward, done, info) bundle. Reaching the iteration
-cap terminates without the convergence bonus but is flagged as a timeout so
-learners may still bootstrap through it. The env is the only place an
-episode is stepped, terminated and traced: ``solver.solve`` is a rollout of
-it with a damping policy as the player.
+the observation of the episode so far, the reward and the outcome (``None``
+while the episode runs). Reaching the iteration cap terminates without the
+convergence bonus, and its outcome tells learners they may still bootstrap
+through it. The env is the only place an episode is stepped, terminated and
+traced: ``solver.solve`` is a rollout of it with a damping policy as the
+player.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .policy import PolicyObservation, observe
 from .scene import BAProblem
@@ -38,7 +39,6 @@ class EpisodeDoneError(RuntimeError):
 @dataclass
 class EnvConfig:
     reward_variant: str = "duration"
-    window: int = 5
     max_iterations: int = 100
     threshold: float = 1e-6
     deterministic_time: bool = False
@@ -50,9 +50,8 @@ class EnvConfig:
             raise ValueError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
             )
-        for name in ("window", "max_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
 
@@ -68,8 +67,11 @@ class EnvConfig:
 class StepOutcome:
     observation: PolicyObservation
     reward: float
-    done: bool
-    info: dict = field(default_factory=dict)
+    outcome: str | None  # an ``OUTCOME_*`` once the episode ends, else None
+
+    @property
+    def done(self) -> bool:
+        return self.outcome is not None
 
 
 def compute_reward(
@@ -116,18 +118,12 @@ class BAEnv:
             raise RuntimeError("environment has not been reset")
         return self._state
 
-    @property
-    def problem(self) -> BAProblem:
-        if self._problem is None:
-            raise RuntimeError("environment has not been reset")
-        return self._problem
-
     def reset(self, problem: BAProblem) -> PolicyObservation:
         self._problem = problem
         self._state = SolverState.initial(problem)
         self._done = False
         self.records = []
-        return observe(self._state, self.config.window, self.records)
+        return observe(self._state, self.records)
 
     def step(self, lam: float) -> StepOutcome:
         if self._done:
@@ -151,26 +147,14 @@ class BAEnv:
             outcome = OUTCOME_ITERATION_CAP
         else:
             outcome = None
-        converged = outcome == OUTCOME_CONVERGED
-        capped = outcome == OUTCOME_ITERATION_CAP
-        self._done = done = outcome is not None
+        self._done = outcome is not None
 
-        current_error = state.error_history[-1]
         reward = compute_reward(
             record.duration_s,
-            converged,
+            outcome == OUTCOME_CONVERGED,
             state.iteration,
             cfg.reward_variant,
-            error=current_error,
+            error=state.error_history[-1],
         )
         self.records.append(record)
-        info = {
-            "error": current_error,
-            "duration_s": record.duration_s,
-            "iteration": state.iteration,
-            "lambda": float(lam),
-            "timeout": capped,
-            "outcome": outcome,
-        }
-        observation = observe(state, cfg.window, self.records)
-        return StepOutcome(observation=observation, reward=reward, done=done, info=info)
+        return StepOutcome(observe(state, self.records), reward, outcome)

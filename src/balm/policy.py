@@ -1,11 +1,11 @@
 """Damping policies: pluggable rules that pick the next lambda each iteration.
 
 A policy is a function of its observation, so one instance can drive any
-number of solves, even interleaved ones. The observation is a fixed window of
-recent errors (clipped for the learned policies' benefit) plus the unclipped
-recent errors, durations and applied dampings; a policy returns a damping in
-[1e-16, 1e16]. The classic rule halves or doubles the last damping by the
-unclipped error pair, which it must see even beyond the observation clip.
+number of solves, even interleaved ones. The observation is the episode so
+far: every error (unclipped), every completed iteration's duration and every
+applied damping; a policy returns a damping in [1e-16, 1e16]. The learned
+policies cut their own window of it (``agent_state``, ``zero_net_input``);
+the classic rule halves or doubles the last damping by the last error pair.
 """
 
 from __future__ import annotations
@@ -25,19 +25,17 @@ DEFAULT_SCHEDULE = (1e-15, 1e-15, 0.194, 0.551)
 
 @dataclass
 class PolicyObservation:
-    """Per-iteration view handed to a damping policy.
+    """The episode so far, handed to a damping policy.
 
-    ``state_vector`` holds the last ``window`` errors, left-padded by
-    repeating the earliest entry and clipped at 1000. ``raw_errors``,
-    ``recent_durations`` and ``recent_lambdas`` (the applied dampings) carry
-    unclipped recent history for policies that need exact values.
+    ``errors`` holds every error from the initial one on, unclipped;
+    ``durations`` the state's completed iterations, so not a failed attempt;
+    ``lambdas`` every applied damping, a failed attempt's included.
     """
 
-    state_vector: np.ndarray
     iteration_index: int
-    raw_errors: tuple[float, ...] = ()
-    recent_durations: tuple[float, ...] = ()
-    recent_lambdas: tuple[float, ...] = ()
+    errors: tuple[float, ...]
+    durations: tuple[float, ...] = ()
+    lambdas: tuple[float, ...] = ()
 
 
 def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -52,27 +50,25 @@ def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
     return np.minimum(np.asarray(padded, dtype=float), STATE_CLIP)
 
 
-def observe(state: SolverState, window: int, records) -> PolicyObservation:
+def observe(state: SolverState, records) -> PolicyObservation:
     """The policy observation of the solver's state and its episode's ``records``."""
-    keep = max(window, 2)
     return PolicyObservation(
-        state_vector=make_state(state.error_history, window),
         iteration_index=state.iteration,
-        raw_errors=tuple(state.error_history[-keep:]),
-        recent_durations=tuple(state.durations[-window:]),
-        recent_lambdas=tuple(record.lam for record in records[-window:]),
+        errors=tuple(state.error_history),
+        durations=tuple(state.durations),
+        lambdas=tuple(record.lam for record in records),
     )
 
 
 def agent_state(nets, obs: PolicyObservation) -> np.ndarray:
-    """The state an agent is shown: ``obs.state_vector``, or, for an agent
-    trained with the ``reversed`` reward (``nets.reversed_state``), the
-    negated recent durations, padded like ``make_state``. Training and
-    ``AgentPolicy`` both read it here, so an agent always sees what it
-    trained on."""
+    """The state an agent is shown: its window of ``obs.errors``, or, for an
+    agent trained with the ``reversed`` reward (``nets.reversed_state``), its
+    window of the negated durations (zeros before the first iteration).
+    Training and ``AgentPolicy`` both read it here, so an agent always sees
+    what it trained on."""
     if nets.reversed_state:
-        return make_state([-d for d in obs.recent_durations] or [0.0], nets.window)
-    return obs.state_vector
+        return make_state([-d for d in obs.durations] or [0.0], nets.window)
+    return make_state(obs.errors, nets.window)
 
 
 def _clamp(lam: float) -> float:
@@ -80,7 +76,8 @@ def _clamp(lam: float) -> float:
 
 
 class DampingPolicy:
-    """Base interface: ``next_lambda(obs)``, a function of ``obs`` alone."""
+    """Base interface: ``next_lambda(obs)``, a function of ``obs`` alone. ``window``
+    is a learned policy's input width; a rule-based one keeps the default."""
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.window = window
@@ -93,8 +90,8 @@ class ClassicPolicy(DampingPolicy):
     """Factor-of-two heuristic: 1/4 at iteration 0, then the last damping halved
     on an improvement and doubled otherwise (``paper`` mode: halved if worse)."""
 
-    def __init__(self, mode: str = "standard", window: int = DEFAULT_WINDOW):
-        super().__init__(window)
+    def __init__(self, mode: str = "standard"):
+        super().__init__()
         if mode not in ("standard", "paper"):
             raise ValueError(f"unknown classic mode {mode!r}")
         self.mode = mode
@@ -102,18 +99,18 @@ class ClassicPolicy(DampingPolicy):
     def next_lambda(self, obs: PolicyObservation) -> float:
         if obs.iteration_index == 0:
             return DEFAULT_INITIAL_LAMBDA
-        if len(obs.raw_errors) < 2 or not obs.recent_lambdas:
+        if len(obs.errors) < 2 or not obs.lambdas:
             raise ValueError("classic policy needs two errors and a damping after iteration 0")
-        err_prev, err_t = obs.raw_errors[-2:]
+        err_prev, err_t = obs.errors[-2:]
         halve = err_t < err_prev if self.mode == "standard" else err_t > err_prev
-        return _clamp(obs.recent_lambdas[-1] * (0.5 if halve else 2.0))
+        return _clamp(obs.lambdas[-1] * (0.5 if halve else 2.0))
 
 
 class ConstantSchedulerPolicy(DampingPolicy):
     """Cycles through a fixed schedule by iteration index."""
 
-    def __init__(self, schedule=DEFAULT_SCHEDULE, window: int = DEFAULT_WINDOW):
-        super().__init__(window)
+    def __init__(self, schedule=DEFAULT_SCHEDULE):
+        super().__init__()
         schedule = tuple(float(v) for v in schedule)
         if not schedule:
             raise ValueError("schedule must be non-empty")
@@ -124,8 +121,8 @@ class ConstantSchedulerPolicy(DampingPolicy):
 
 
 class FixedPolicy(DampingPolicy):
-    def __init__(self, value: float, window: int = DEFAULT_WINDOW):
-        super().__init__(window)
+    def __init__(self, value: float):
+        super().__init__()
         self.value = float(value)
 
     def next_lambda(self, obs: PolicyObservation) -> float:

@@ -33,6 +33,7 @@ from .nn import (
     save_arrays,
 )
 from .policy import agent_state
+from .solver import OUTCOME_ITERATION_CAP
 
 LOG_SIGMA_MIN = -20.0
 LOG_SIGMA_MAX = 2.0
@@ -193,7 +194,9 @@ class TrainConfig:
         EnvConfig.of(self)  # checks the env fields
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        for name in ("episodes", "hidden", "batch_size", "replay_capacity", "target_refresh"):
+        for name in (
+            "episodes", "window", "hidden", "batch_size", "replay_capacity", "target_refresh"
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
@@ -328,7 +331,6 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
         state = np.array(agent_state(nets, obs), dtype=float)
         episode_return = 0.0
         steps = 0
-        outcome = None
         losses = []
         done = False
         while not done:
@@ -338,14 +340,13 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
                 lam, u = select_action(nets, state, rng=rng)
             out = env.step(lam)
             next_state = np.array(agent_state(nets, out.observation), dtype=float)
-            terminal = out.done and not out.info["timeout"]
+            terminal = out.done and out.outcome != OUTCOME_ITERATION_CAP
             buffer.add(state, u, out.reward, next_state, float(terminal))
             state = next_state
             episode_return += out.reward
             steps += 1
             total_steps += 1
             done = out.done
-            outcome = out.info["outcome"]
             if total_steps >= cfg.warmup_steps and len(buffer) >= cfg.batch_size:
                 stats = sac_update(nets, opt, buffer.sample(cfg.batch_size, rng), cfg, rng)
                 if not (
@@ -363,8 +364,8 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
             "episode": episode,
             "steps": steps,
             "return": episode_return,
-            "outcome": outcome,
-            "final_error": out.info["error"],
+            "outcome": out.outcome,
+            "final_error": out.observation.errors[-1],
             "total_steps": total_steps,
             "updates": opt.updates,
         }

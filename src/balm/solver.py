@@ -973,7 +973,6 @@ def solve(
 
     env = BAEnv(
         EnvConfig(
-            window=policy.window,
             max_iterations=max_iterations,
             threshold=threshold,
             deterministic_time=deterministic_time,
@@ -986,7 +985,7 @@ def solve(
     state = env.solver_state
     return SolveResult(
         params=state.params,
-        outcome=out.info["outcome"],
+        outcome=out.outcome,
         iterations=state.iteration,
         total_time_s=float(sum(state.durations)),
         final_error=state.error_history[-1],

@@ -148,7 +148,7 @@ def run_episode(env, problem, policy):
         out = env.step(policy.next_lambda(obs))
         obs = out.observation
         rewards.append(out.reward)
-        infos.append(out.info)
+        infos.append({"outcome": out.outcome, "iteration": out.observation.iteration_index})
         done = out.done
     return rewards, infos
 

@@ -31,7 +31,7 @@ from balm.baselines import (
     zero_net_train,
 )
 from balm.env import BAEnv, EnvConfig
-from balm.nn import mlp_forward, save_arrays
+from balm.nn import mlp_forward, mlp_init, save_arrays
 from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
 from balm.sac import NonFiniteLossError, lambda_from_action
 from balm.scene import generate_synthetic
@@ -108,7 +108,7 @@ def test_oracle_prefers_small_damping_in_quadratic_basin():
 
 def test_oracle_matches_exhaustive_recheck_along_rollout():
     problem = suite_problem(0, 4, 6)
-    env = BAEnv(EnvConfig(window=5, max_iterations=8, deterministic_time=True))
+    env = BAEnv(EnvConfig(max_iterations=8, deterministic_time=True))
     classic = ClassicPolicy()
     obs = env.reset(problem)
     states = [env.solver_state.copy()]
@@ -140,7 +140,7 @@ def test_oracle_linearizes_the_state_once(linearize_calls):
 
 def test_collector_linearizes_each_labelled_state_once(linearize_calls):
     # The oracle and the iteration that follows it share the state's linearization.
-    config = EnvConfig(window=5, deterministic_time=True)
+    config = ZeroNetConfig(deterministic_time=True)
     labels = 0
     for seed in range(10):
         _, targets = _collect_labeled_windows(suite_scene(seed), None, config)
@@ -181,13 +181,12 @@ def test_oracle_rejects_empty_grid():
 # prediction
 
 
-def observation(errors, window, iteration=0, durations=(), lambdas=()):
+def observation(errors, iteration=0, durations=(), lambdas=()):
     return PolicyObservation(
-        state_vector=make_state(errors, window),
         iteration_index=iteration,
-        raw_errors=tuple(errors),
-        recent_durations=tuple(durations),
-        recent_lambdas=tuple(lambdas),
+        errors=tuple(errors),
+        durations=tuple(durations),
+        lambdas=tuple(lambdas),
     )
 
 
@@ -203,13 +202,13 @@ def test_zero_weight_net_predicts_from_output_bias():
     for b in net.biases:
         b[:] = 0.0
     net.biases[-1][0] = 0.3
-    lam = ZeroNetPolicy(net).next_lambda(observation([1.0, 2.0], 2, 1, (1.0,)))
+    lam = ZeroNetPolicy(net).next_lambda(observation([1.0, 2.0], 1, (1.0,)))
     assert lam == pytest.approx(10.0 ** (9.0 * np.tanh(0.3) - 7.0), rel=1e-12)
 
 
 def test_predict_composes_forward_tanh_and_action_map():
     net = small_net(window=3, hidden=16, seed=4)
-    obs = observation(list(np.random.default_rng(7).uniform(1.0, 9.0, size=3)), 3, 2, (1.0, 1.0))
+    obs = observation(list(np.random.default_rng(7).uniform(1.0, 9.0, size=3)), 2, (1.0, 1.0))
     lam = ZeroNetPolicy(net).next_lambda(obs)
     raw = mlp_forward(net, zero_net_input(obs, 3)[None])[0, 0]
     assert lam == pytest.approx(lambda_from_action(np.tanh(raw)), rel=1e-12)
@@ -219,16 +218,17 @@ def test_predict_is_pure():
     # The policy repeats its dampings, and the observations stay as they were.
     net = small_net(window=2, hidden=4, seed=1)
     policy = ZeroNetPolicy(net)
-    observations = [observation([0.5], 2), observation([0.5, 0.4], 2, 1, (1.0,), (0.3,))]
+    observations = [observation([0.5]), observation([0.5, 0.4], 1, (1.0,), (0.3,))]
     runs = [[policy.next_lambda(obs) for obs in observations] for _ in range(2)]
     assert runs[0] == runs[1]
-    assert observations[1].state_vector.tolist() == [0.5, 0.4]
+    assert observations[1] == observation([0.5, 0.4], 1, (1.0,), (0.3,))
 
 
 def test_predict_rejects_wrong_window_width():
-    net = small_net(window=3, hidden=4)
-    with pytest.raises(ValueError):
-        ZeroNetPolicy(net).next_lambda(observation([1.0, 2.0], 2))
+    # the input row is three slots of one window each
+    net = mlp_init([4, 4, 1], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="divisible by 3"):
+        ZeroNetPolicy(net)
 
 
 def test_default_net_shape():
@@ -240,12 +240,12 @@ def test_policy_feeds_past_actions_and_negated_durations():
     net = small_net(window=5, hidden=16, seed=9)
     policy = ZeroNetPolicy(net)
 
-    lam0 = policy.next_lambda(observation([0.4], 5))
+    lam0 = policy.next_lambda(observation([0.4]))
     assert lam0 == net_lambda(net, np.concatenate([make_state([0.4], 5), np.zeros(10)]))
 
     # A 0.5 s iteration fills its slot with -1, the negated duration that
     # deterministic timing records: the slots count iterations, not seconds.
-    lam1 = policy.next_lambda(observation([0.4, 0.3], 5, 1, (0.5,), (lam0,)))
+    lam1 = policy.next_lambda(observation([0.4, 0.3], 1, (0.5,), (lam0,)))
     actions = [0.0, 0.0, 0.0, 0.0, u_from_lambda(lam0)]
     rewards = [0.0, 0.0, 0.0, 0.0, -1.0]
     assert lam1 == net_lambda(net, np.concatenate([make_state([0.4, 0.3], 5), actions, rewards]))
@@ -255,7 +255,7 @@ def test_policy_feeds_past_actions_and_negated_durations():
 def test_collector_rows_are_the_rows_the_policy_is_served(monkeypatch, seed):
     # The net is trained on the collector's rows; solve must serve it the same bytes.
     net = small_net(window=5, hidden=16, seed=seed)
-    config = EnvConfig(window=5, max_iterations=8, deterministic_time=True)
+    config = ZeroNetConfig(max_iterations=8, deterministic_time=True)
     rows, _ = _collect_labeled_windows(suite_scene(0), net, config)
 
     served = []
@@ -279,7 +279,7 @@ def test_collector_rows_are_the_rows_the_policy_is_served(monkeypatch, seed):
 
 def test_collected_windows_label_the_initial_state_too():
     problem = suite_problem(0, 4, 6)
-    config = EnvConfig(window=5, max_iterations=3, threshold=1e-6, deterministic_time=True)
+    config = ZeroNetConfig(max_iterations=3, threshold=1e-6, deterministic_time=True)
     inputs, targets = _collect_labeled_windows(problem, None, config)
     assert len(inputs) == len(targets) == 3
     first = inputs[0]

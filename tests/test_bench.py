@@ -160,7 +160,7 @@ class TestRunComparison:
         with pytest.raises(RuntimeError, match="boom"):
             run_comparison(problems, {"broken": ExplodingPolicy()})
         # a policy spec as a dict is not a DampingPolicy
-        with pytest.raises(AttributeError, match="window"):
+        with pytest.raises(AttributeError, match="next_lambda"):
             run_comparison({"s": suite_scene(0, 4, 6)}, {"classic": {"kind": "classic"}})
 
     def test_rejects_empty_inputs(self):

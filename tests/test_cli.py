@@ -183,13 +183,12 @@ class TestPolicyTokens:
         save_agent_checkpoint(tmp_path / "agent.ckpt", nets, config)
         policy = parse_policy("agent", "--checkpoint", "agent.ckpt", checkpoints=tmp_path)
         obs = PolicyObservation(
-            state_vector=np.full(5, 7.0), iteration_index=3,
-            raw_errors=(8.0, 7.0), recent_durations=(0.5, 0.25, 1.0),
+            iteration_index=3, errors=(9.0, 8.0, 7.5, 7.0), durations=(0.5, 0.25, 1.0),
         )
         # trained on negated durations, so it must be shown them, not the errors
         durations = agent_state(dataclasses.replace(nets, reversed_state=True), obs)
         plain = AgentPolicy(nets)
-        expected = plain.next_lambda(dataclasses.replace(obs, state_vector=durations))
+        expected = plain.next_lambda(dataclasses.replace(obs, errors=tuple(durations)))
         assert expected != plain.next_lambda(obs)
         assert policy.next_lambda(obs) == expected
 
@@ -804,12 +803,15 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
          "--policies: policy token classic repeated in 'classic,classic,gn'"),
         (("profile", "--policies", "classic,gn", "--tolerances", "0.1,0.1", *TINY_EVAL),
          "--tolerances: tolerance 0.1 repeated in '0.1,0.1'"),
+        (("profile", "--policies", "classic,gn", "--tolerances", "0.1,0.1000001", *TINY_EVAL),
+         "--tolerances: 0.1 and 0.1000001 both name profile-0.1.csv"),
     ],
     ids=[
         "schedule-auto-no-checkpoint", "agent-no-checkpoint", "zero-net-no-checkpoint",
         "unknown-policy", "no-problem", "no-policies", "no-kind", "config-missing",
         "config-not-json", "config-not-an-object", "config-unknown-key",
         "profile-one-policy", "eval-repeated-policy", "profile-repeated-tolerance",
+        "profile-tolerances-name-one-file",
     ],
 )
 def test_every_rejected_input_exits_2_and_writes_nothing(rejecting_dir, capsys, argv, message):

@@ -8,7 +8,7 @@ from balm.env import (
     EpisodeDoneError,
     compute_reward,
 )
-from balm.policy import ClassicPolicy, FixedPolicy, PolicyObservation, agent_state
+from balm.policy import ClassicPolicy, FixedPolicy, PolicyObservation, agent_state, make_state
 from balm.sac import init_agent
 from balm.scene import generate_synthetic
 from balm.solver import SingularSystemError, records_to_csv, solve
@@ -17,17 +17,18 @@ from conftest import suite_problem
 
 
 def run_episode(env, problem, policy):
+    """The episode's rewards and its ``StepOutcome``s."""
     obs = env.reset(problem)
     rewards = []
-    infos = []
+    outs = []
     done = False
     while not done:
         out = env.step(policy.next_lambda(obs))
         obs = out.observation
         rewards.append(out.reward)
-        infos.append(out.info)
+        outs.append(out)
         done = out.done
-    return rewards, infos
+    return rewards, outs
 
 
 class TestComputeReward:
@@ -64,8 +65,8 @@ def reversed_nets(window=5):
 def reversed_state(durations, window=3):
     """``agent_state`` of a reversed agent for an observation with ``durations``."""
     obs = PolicyObservation(
-        state_vector=np.full(window, 7.0), iteration_index=len(durations),
-        recent_durations=tuple(durations),
+        iteration_index=len(durations), errors=(7.0,) * (len(durations) + 1),
+        durations=tuple(durations),
     )
     return agent_state(reversed_nets(window), obs)
 
@@ -86,8 +87,6 @@ class TestEnvConfig:
         with pytest.raises(ValueError):
             EnvConfig(reward_variant="other")
         with pytest.raises(ValueError):
-            EnvConfig(window=0)
-        with pytest.raises(ValueError):
             EnvConfig(max_iterations=0)
         for threshold in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="threshold"):
@@ -99,15 +98,18 @@ class TestEpisodes:
         env = BAEnv(EnvConfig())
         obs = env.reset(suite_problem_0)
         assert obs.iteration_index == 0
-        first = env.solver_state.error_history[0]
-        np.testing.assert_array_equal(obs.state_vector, [first] * 5)
+        assert obs.errors == (env.solver_state.error_history[0],)
+        assert obs.durations == obs.lambdas == ()
 
     def test_reset_observation_clips_large_errors(self):
+        # the observation keeps the error; the agent's view of it is clipped
         problem = generate_synthetic(4, 6, seed=2)
         env = BAEnv(EnvConfig())
         obs = env.reset(problem)
-        assert env.solver_state.error_history[0] > 1000.0
-        np.testing.assert_array_equal(obs.state_vector, [1000.0] * 5)
+        assert obs.errors == (env.solver_state.error_history[0],)
+        assert obs.errors[0] > 1000.0
+        nets = init_agent(window=5, hidden=4, seed=0)
+        np.testing.assert_array_equal(agent_state(nets, obs), [1000.0] * 5)
 
     def test_step_penalizes_duration(self, suite_problem_0):
         env = BAEnv(EnvConfig(deterministic_time=True))
@@ -115,31 +117,29 @@ class TestEpisodes:
         out = env.step(0.25)
         assert out.reward == -1.0
         assert out.done is False
-        assert out.info["duration_s"] == 1.0
-        assert out.info["iteration"] == 1
-        assert out.info["lambda"] == 0.25
-        assert out.info["timeout"] is False
-        assert out.info["outcome"] is None
+        assert out.outcome is None
+        assert out.observation.durations == (1.0,)
+        assert out.observation.iteration_index == 1
+        assert out.observation.lambdas == (0.25,)
 
     def test_convergence_pays_bonus(self, suite_problem_0):
         env = BAEnv(EnvConfig(deterministic_time=True))
-        rewards, infos = run_episode(env, suite_problem_0, FixedPolicy(1e-15))
-        assert infos[-1]["outcome"] == "converged"
-        assert infos[-1]["timeout"] is False
+        rewards, outs = run_episode(env, suite_problem_0, FixedPolicy(1e-15))
+        assert outs[-1].outcome == "converged"
         assert rewards[-1] == 10.0
         assert all(r == -1.0 for r in rewards[:-1])
         assert len(rewards) <= 8
 
     def test_constant_variant_counts_iterations(self, suite_problem_0):
         env = BAEnv(EnvConfig(reward_variant="constant", deterministic_time=True))
-        rewards, infos = run_episode(env, suite_problem_0, ClassicPolicy())
+        rewards, _ = run_episode(env, suite_problem_0, ClassicPolicy())
         assert rewards[-1] == 10.0
         assert sum(rewards) == -(len(rewards) - 1) + 10.0
 
     def test_reduction_variant_pays_only_at_convergence(self, suite_problem_0):
         env = BAEnv(EnvConfig(reward_variant="reduction", deterministic_time=True))
-        rewards, infos = run_episode(env, suite_problem_0, FixedPolicy(1e-15))
-        iterations = infos[-1]["iteration"]
+        rewards, outs = run_episode(env, suite_problem_0, FixedPolicy(1e-15))
+        iterations = outs[-1].observation.iteration_index
         assert all(r == 0.0 for r in rewards[:-1])
         assert rewards[-1] == 10.0 * 0.99**iterations
 
@@ -150,17 +150,15 @@ class TestEpisodes:
         obs = env.reset(suite_problem_0)
         np.testing.assert_array_equal(agent_state(nets, obs), [0.0] * 5)
         out = env.step(0.25)
-        assert out.reward == -out.info["error"]
+        assert out.reward == -out.observation.errors[-1]
         np.testing.assert_array_equal(agent_state(nets, out.observation), [-1.0] * 5)
-        # the observation itself is the error window every env gives
+        # the observation itself is the episode every env gives
         plain = BAEnv(EnvConfig(deterministic_time=True))
         plain.reset(suite_problem_0)
-        expected = plain.step(0.25).observation.state_vector
-        np.testing.assert_array_equal(out.observation.state_vector, expected)
+        assert out.observation == plain.step(0.25).observation
         nets.reversed_state = False
-        assert agent_state(nets, out.observation) is out.observation.state_vector
-        # unclipped errors still ride along for the classic rule
-        assert out.observation.raw_errors[-1] == out.info["error"]
+        expected = make_state(out.observation.errors, 5)
+        np.testing.assert_array_equal(agent_state(nets, out.observation), expected)
 
     def test_iteration_cap_flags_timeout(self):
         problem = generate_synthetic(10, 10, seed=0)
@@ -172,8 +170,7 @@ class TestEpisodes:
         assert out.done is False
         out = env.step(1e8)
         assert out.done is True
-        assert out.info["timeout"] is True
-        assert out.info["outcome"] == "iteration-cap"
+        assert out.outcome == "iteration-cap"
         assert out.reward == -1.0
 
     def test_rejected_steps_do_not_converge(self):
@@ -186,10 +183,9 @@ class TestEpisodes:
         for step in (1, 2, 3):
             out = env.step(1e-12)
             assert env.solver_state.last_step_accepted is False
-            assert out.info["error"] == initial
+            assert out.observation.errors[-1] == initial
             assert out.done is (step == 3)
-        assert out.info["outcome"] == "iteration-cap"
-        assert out.info["timeout"] is True
+        assert out.outcome == "iteration-cap"
 
     def test_step_after_done_raises(self, suite_problem_0):
         env = BAEnv(EnvConfig(max_iterations=1))
@@ -204,8 +200,6 @@ class TestEpisodes:
             env.step(0.25)
         with pytest.raises(RuntimeError):
             env.solver_state
-        with pytest.raises(RuntimeError):
-            env.problem
 
     def test_reset_clears_done(self, suite_problem_0):
         env = BAEnv(EnvConfig(max_iterations=1))
@@ -213,7 +207,7 @@ class TestEpisodes:
         env.step(0.25)
         env.reset(suite_problem_0)
         out = env.step(0.25)
-        assert out.info["iteration"] == 1
+        assert out.observation.iteration_index == 1
 
     def test_numerical_failure_terminates(self, suite_problem_0, monkeypatch):
         monkeypatch.setattr(
@@ -228,10 +222,11 @@ class TestEpisodes:
         initial = env.solver_state.error_history[0]
         out = env.step(0.25)
         assert out.done is True
-        assert out.info["outcome"] == "numerical-failure"
-        assert out.info["timeout"] is False
+        assert out.outcome == "numerical-failure"
         # the state keeps its last valid error; the trace records the failure
-        assert out.info["error"] == initial
+        assert out.observation.errors == (initial,)
+        assert out.observation.durations == ()  # the failed attempt completed nothing
+        assert out.observation.lambdas == (0.25,)
         assert env.records[0].lam == 0.25
         assert np.isnan(env.records[0].error)
 
@@ -239,16 +234,17 @@ class TestEpisodes:
 class TestAgreementWithSolve:
     def test_episode_matches_solve(self, suite_problem_0):
         env = BAEnv(EnvConfig(deterministic_time=True))
-        _, infos = run_episode(env, suite_problem_0, ClassicPolicy())
+        _, outs = run_episode(env, suite_problem_0, ClassicPolicy())
         result = solve(suite_problem_0, ClassicPolicy(), deterministic_time=True)
-        assert infos[-1]["iteration"] == result.iterations
-        assert infos[-1]["error"] == result.final_error
-        assert [i["lambda"] for i in infos] == [r.lam for r in result.records]
+        assert outs[-1].outcome == result.outcome
+        assert outs[-1].observation.iteration_index == result.iterations
+        assert outs[-1].observation.errors[-1] == result.final_error
+        assert outs[-1].observation.lambdas == tuple(r.lam for r in result.records)
 
     def test_duration_return_identity(self, suite_problem_0):
         env = BAEnv(EnvConfig())
-        rewards, infos = run_episode(env, suite_problem_0, ClassicPolicy())
-        assert infos[-1]["outcome"] == "converged"
+        rewards, outs = run_episode(env, suite_problem_0, ClassicPolicy())
+        assert outs[-1].outcome == "converged"
         durations = env.solver_state.durations
         expected = -sum(durations[:-1]) + 10.0
         assert abs(sum(rewards) - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -257,14 +253,14 @@ class TestAgreementWithSolve:
 class TestTrace:
     def test_trace_csv_schema(self, suite_problem_0):
         env = BAEnv(EnvConfig(deterministic_time=True))
-        rewards, infos = run_episode(env, suite_problem_0, ClassicPolicy())
+        rewards, outs = run_episode(env, suite_problem_0, ClassicPolicy())
         lines = records_to_csv(env.records).splitlines()
         assert lines[0] == "iter,lambda,error,duration_s"
         assert len(lines) == len(rewards) + 1
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == 0.25
-        assert float(first[2]) == infos[0]["error"]
+        assert float(first[2]) == outs[0].observation.errors[-1]
 
     def test_trace_resets_with_episode(self, suite_problem_0):
         env = BAEnv(EnvConfig(max_iterations=2, deterministic_time=True))

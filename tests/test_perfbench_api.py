@@ -77,10 +77,9 @@ for module, path in names:
         missing.append(module + "." + path)
 
 from balm import suite_scene
-from balm.baselines import _collect_labeled_windows
-from balm.env import EnvConfig
+from balm.baselines import ZeroNetConfig, _collect_labeled_windows
 
-config = EnvConfig(max_iterations=3, deterministic_time=True)
+config = ZeroNetConfig(max_iterations=3, deterministic_time=True)
 _collect_labeled_windows(suite_scene(0), None, config)
 print(json.dumps({"missing": missing, "spans": [span[0] for span in t.spans]}))
 """

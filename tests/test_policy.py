@@ -1,30 +1,37 @@
 import numpy as np
 import pytest
 
-from balm.baselines import init_zero_net
+from balm import solver
+from balm.baselines import init_zero_net, zero_net_input
 from balm.bench import suite_scene
 from balm.env import BAEnv, EnvConfig
 from balm.policy import (
     DEFAULT_SCHEDULE,
     STATE_CLIP,
+    AgentPolicy,
     ClassicPolicy,
     ConstantSchedulerPolicy,
     FixedPolicy,
     PolicyObservation,
     ZeroNetPolicy,
+    agent_state,
     make_state,
     observe,
 )
-from balm.solver import LAMBDA_MAX, LAMBDA_MIN, IterationRecord, SolverState, ParamVector, solve
+from balm.sac import init_agent
+from balm.solver import (
+    LAMBDA_MAX,
+    LAMBDA_MIN,
+    IterationRecord,
+    ParamVector,
+    SingularSystemError,
+    SolverState,
+    solve,
+)
 
 
-def obs_at(iteration, raw=(), lambdas=(), state=(1.0,) * 5):
-    return PolicyObservation(
-        state_vector=np.asarray(state, dtype=float),
-        iteration_index=iteration,
-        raw_errors=tuple(raw),
-        recent_lambdas=tuple(lambdas),
-    )
+def obs_at(iteration, raw=(), lambdas=()):
+    return PolicyObservation(iteration_index=iteration, errors=tuple(raw), lambdas=tuple(lambdas))
 
 
 class TestMakeState:
@@ -64,32 +71,31 @@ class TestObserve:
 
     def test_fields(self):
         state = self.make_solver_state([10.0, 8.0, 6.0], [0.1, 0.2])
-        obs = observe(state, 5, [])
-        np.testing.assert_array_equal(obs.state_vector, [10.0, 10.0, 10.0, 8.0, 6.0])
+        obs = observe(state, [])
         assert obs.iteration_index == 2
-        assert obs.raw_errors == (10.0, 8.0, 6.0)
-        assert obs.recent_durations == (0.1, 0.2)
+        assert obs.errors == (10.0, 8.0, 6.0)
+        assert obs.durations == (0.1, 0.2)
+        assert obs.lambdas == ()
 
-    def test_raw_errors_keep_at_least_two(self):
-        # a window-1 observation still carries the error pair the classic
-        # rule needs
-        state = self.make_solver_state([10.0, 8.0, 6.0], [0.1, 0.2])
-        obs = observe(state, 1, [])
-        np.testing.assert_array_equal(obs.state_vector, [6.0])
-        assert obs.raw_errors == (8.0, 6.0)
+    def test_observation_keeps_the_whole_episode(self):
+        # no window: a policy cuts its own
+        errors = [10.0 - k for k in range(9)]
+        state = self.make_solver_state(errors, [0.1] * 8)
+        records = [IterationRecord(k, 0.5 / k, 1.0, 0.1) for k in range(1, 9)]
+        obs = observe(state, records)
+        assert obs.errors == tuple(errors)
+        assert obs.durations == (0.1,) * 8
+        assert obs.lambdas == tuple(0.5 / k for k in range(1, 9))
 
-    def test_raw_errors_are_unclipped(self):
+    def test_errors_are_unclipped(self):
         state = self.make_solver_state([4e5, 2e5], [0.1])
-        obs = observe(state, 3, [])
-        np.testing.assert_array_equal(obs.state_vector, [STATE_CLIP] * 3)
-        assert obs.raw_errors == (4e5, 2e5)
+        assert observe(state, []).errors == (4e5, 2e5)
 
-    def test_recent_lambdas_are_the_last_window_of_records(self):
+    def test_lambdas_are_every_records_damping(self):
         state = self.make_solver_state([10.0, 8.0, 6.0, 5.0], [0.1, 0.2, 0.3])
         records = [IterationRecord(k, lam, 1.0, 0.1) for k, lam in enumerate((0.5, 0.25, 2.0), 1)]
-        assert observe(state, 2, records).recent_lambdas == (0.25, 2.0)
-        assert observe(state, 5, records).recent_lambdas == (0.5, 0.25, 2.0)
-        assert observe(state, 5, []).recent_lambdas == ()
+        assert observe(state, records).lambdas == (0.5, 0.25, 2.0)
+        assert observe(state, []).lambdas == ()
 
 
 class TestClassicPolicy:
@@ -130,7 +136,7 @@ class TestClassicPolicy:
 
 def interleaved_lambdas(policy, problems) -> list[list[float]]:
     """Step one episode per problem in turn, all with ``policy``; each episode's dampings."""
-    config = EnvConfig(window=policy.window, deterministic_time=True)
+    config = EnvConfig(deterministic_time=True)
     envs = [BAEnv(config) for _ in problems]
     observations = [env.reset(problem) for env, problem in zip(envs, problems)]
     done = [False] * len(envs)
@@ -144,12 +150,18 @@ def interleaved_lambdas(policy, problems) -> list[list[float]]:
 
 @pytest.mark.parametrize(
     "make_policy",
-    [ClassicPolicy, lambda: ZeroNetPolicy(init_zero_net(window=5, hidden=16, seed=3))],
-    ids=["classic", "zero-net"],
+    [
+        ClassicPolicy,
+        lambda: ZeroNetPolicy(init_zero_net(window=5, hidden=16, seed=3)),
+        lambda: AgentPolicy(init_agent(window=3, hidden=8, seed=0)),
+        lambda: ZeroNetPolicy(init_zero_net(window=3, hidden=16, seed=3)),
+    ],
+    ids=["classic", "zero-net", "agent-window-3", "zero-net-window-3"],
 )
 def test_one_policy_drives_interleaved_episodes_as_it_drives_solves(make_policy):
     # A policy is a function of its observation: two episodes stepped in
     # turn with one instance pick the dampings each picks in its own solve.
+    # The env keeps no window, so a window-3 policy runs in the default env.
     problems = [suite_scene(100), suite_scene(101)]
     policy = make_policy()
     interleaved = interleaved_lambdas(policy, problems)
@@ -157,6 +169,85 @@ def test_one_policy_drives_interleaved_episodes_as_it_drives_solves(make_policy)
         alone = solve(problem, policy, deterministic_time=True)
         assert lambdas == [record.lam for record in alone.records]
         assert len(lambdas) > 2
+
+
+# Window-3 rows of a hand-made episode, as agent_state (plain, then reversed)
+# and zero_net_input built them when the env cut the window: for each
+# iteration k, the episode's first k + 1 errors and first k durations and
+# dampings. Errors, dampings and durations run shorter than, as long as and
+# longer than the window.
+EPISODE_ERRORS = (9.0, 7.0, 1500.0, 4.0, 2.5, 2.0)
+EPISODE_DURATIONS = (0.5, 0.25, 1.0, 2.0, 0.125)
+EPISODE_LAMBDAS = (0.25, 0.5, 1e-3, 10.0, 1e-15)
+U_QUARTER, U_HALF, U_MILLI = 0.710882223185782, 0.7443300004817799, 0.4444444444444444
+WINDOW_ROWS = {
+    0: ([9.0, 9.0, 9.0], [0.0, 0.0, 0.0], [9.0, 9.0, 9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    1: ([9.0, 9.0, 7.0], [-0.5, -0.5, -0.5], [9.0, 9.0, 7.0, 0.0, 0.0, U_QUARTER, 0.0, 0.0, -1.0]),
+    2: (
+        [9.0, 7.0, 1000.0],
+        [-0.5, -0.5, -0.25],
+        [9.0, 7.0, 1000.0, 0.0, U_QUARTER, U_HALF, 0.0, -1.0, -1.0],
+    ),
+    3: (
+        [7.0, 1000.0, 4.0],
+        [-0.5, -0.25, -1.0],
+        [7.0, 1000.0, 4.0, U_QUARTER, U_HALF, U_MILLI, -1.0, -1.0, -1.0],
+    ),
+    5: (
+        [4.0, 2.5, 2.0],
+        [-1.0, -2.0, -0.125],
+        [4.0, 2.5, 2.0, U_MILLI, 0.8888888888888888, -0.8888888888888888, -1.0, -1.0, -1.0],
+    ),
+}
+
+
+def window_rows(obs, window=3):
+    plain = init_agent(window=window, hidden=4, seed=0)
+    reversed_nets = init_agent(window=window, hidden=4, seed=0)
+    reversed_nets.reversed_state = True
+    return [
+        agent_state(plain, obs).tolist(),
+        agent_state(reversed_nets, obs).tolist(),
+        zero_net_input(obs, window).tolist(),
+    ]
+
+
+class TestPolicyWindows:
+    @pytest.mark.parametrize("k", sorted(WINDOW_ROWS))
+    def test_rows_of_a_growing_episode(self, k):
+        state = SolverState(
+            params=ParamVector(np.zeros((2, 9)), np.zeros((2, 3))),
+            error_history=list(EPISODE_ERRORS[: k + 1]),
+            durations=list(EPISODE_DURATIONS[:k]),
+            iteration=k,
+        )
+        records = [
+            IterationRecord(i + 1, EPISODE_LAMBDAS[i], EPISODE_ERRORS[i + 1], EPISODE_DURATIONS[i])
+            for i in range(k)
+        ]
+        assert window_rows(observe(state, records)) == list(WINDOW_ROWS[k])
+
+    def test_rows_after_a_numerical_failure(self, monkeypatch):
+        # The failed third attempt adds a damping but no error and no duration.
+        env = BAEnv(EnvConfig(deterministic_time=True))
+        obs = env.reset(suite_scene(100))
+        for _ in range(2):
+            obs = env.step(ClassicPolicy().next_lambda(obs)).observation
+        monkeypatch.setattr(
+            solver, "damped_step",
+            lambda lin, lam: (_ for _ in ()).throw(SingularSystemError("injected")),
+        )
+        out = env.step(ClassicPolicy().next_lambda(obs))
+        assert out.outcome == "numerical-failure"
+        errors = [0.32658424742785974, 0.021947388445196857, 0.0033616631479458817]
+        assert out.observation.errors == tuple(errors)
+        assert out.observation.durations == (1.0, 1.0)
+        assert out.observation.lambdas == (0.25, 0.125, 0.0625)
+        assert window_rows(out.observation) == [
+            errors,
+            [-1.0, -1.0, -1.0],
+            errors + [U_QUARTER, 0.6774344458897841, 0.6439866685937861, 0.0, -1.0, -1.0],
+        ]
 
 
 class TestSchedulerPolicy:

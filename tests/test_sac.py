@@ -455,7 +455,7 @@ class TestCheckpointAndPolicy:
         assert policy.window == 5
         state = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
         lam_ref, _ = select_action(nets, state, deterministic=True)
-        obs = PolicyObservation(state_vector=state, iteration_index=0)
+        obs = PolicyObservation(iteration_index=0, errors=tuple(state))
         assert policy.next_lambda(obs) == lam_ref
 
     def test_untrained_agent_solves(self, suite_problem_0):

@@ -1132,8 +1132,8 @@ class TestCarriedProjection:
         problem = GOLDEN_SCENES[scene]()
         calls = counted_projections(monkeypatch)
         policy = ClassicPolicy()
-        env = BAEnv(EnvConfig(window=policy.window, deterministic_time=True))
-        out = StepOutcome(env.reset(problem), 0.0, False)
+        env = BAEnv(EnvConfig(deterministic_time=True))
+        out = StepOutcome(env.reset(problem), 0.0, None)
         while not out.done:
             params = env.solver_state.params
             made = len(calls)
@@ -1203,10 +1203,7 @@ class TestConvergenceCheck:
 def classic_lambda(lam, err_t, err_prev, mode):
     """The damping ``ClassicPolicy`` picks after ``lam`` moved the error from
     ``err_prev`` to ``err_t``."""
-    obs = PolicyObservation(
-        state_vector=np.ones(5), iteration_index=1, raw_errors=(err_prev, err_t),
-        recent_lambdas=(lam,),
-    )
+    obs = PolicyObservation(iteration_index=1, errors=(err_prev, err_t), lambdas=(lam,))
     return ClassicPolicy(mode=mode).next_lambda(obs)
 
 
