@@ -10,15 +10,16 @@ is then made one panel of weight rows at a time (a wide layer is cut into
 ``PANEL_ROWS``-row panels, the last one carrying the biases) into a
 one-panel buffer owned by the net's ``AdamState``, and Adam updates the
 panel's parameters in place while its gradient is still in cache. No
-gradient of the whole net, or of a whole wide layer, is built. The
-reference that the sweep is tested against to the bit, the whole net's
-gradient followed by one Adam update over ``net.flat``, lives in
-``tests/test_nn.py``.
+gradient of the whole net, or of a whole wide layer, is built. The sweep
+is checked within a tolerance against a textbook forward pass, backprop and
+bias-corrected Adam in ``tests/conftest.py``; ``tests/test_nn.py`` pins its
+bits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,16 +167,8 @@ def _layer(h: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarra
     return out
 
 
-def mlp_forward(net: Mlp, x) -> np.ndarray:
-    h = _as_batch(x, net.widths[0])
-    last = net.num_layers - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = _layer(h, w, b, k < last)
-    return h
-
-
 def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass keeping every layer's activation for the backward pass."""
+    """The forward pass: the output (B, out) and every layer's activation, input first."""
     activations = [_as_batch(x, net.widths[0])]
     last = net.num_layers - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -183,16 +176,16 @@ def mlp_forward_cached(net: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
     return activations[-1], activations
 
 
-def _backprop(net: Mlp, activations: list[np.ndarray], grad_out, layer_done, to_input: bool):
-    """The backward loop, output layer first; returns d/d(input), or None without ``to_input``.
-
-    ``layer_done(k, delta)`` receives the gradient at layer k's output once
-    it has been carried through the layer's weights, so it may change them.
+def _backprop(net: Mlp, activations: list[np.ndarray], grad_out, layer_done=None):
+    """The backward loop, output layer first; returns d/d(input) if no
+    ``layer_done`` is given. ``layer_done(k, delta)`` receives the gradient
+    at layer k's output once it has been carried through the layer's
+    weights, so it may change them; the input gradient is then not formed.
     """
     delta = np.asarray(grad_out, dtype=float)
     for k in reversed(range(net.num_layers)):
         below = None
-        if k > 0 or to_input:
+        if k > 0 or layer_done is None:
             w = net.weights[k]
             # with one output each entry is a single product, so a broadcast
             # gives the K=1 GEMM's bits without the BLAS call
@@ -206,21 +199,19 @@ def _backprop(net: Mlp, activations: list[np.ndarray], grad_out, layer_done, to_
     return delta
 
 
-def _layer_grads(activation: np.ndarray, delta: np.ndarray, grad_of):
+def _layer_grads(activation: np.ndarray, delta: np.ndarray, buffer: np.ndarray):
     """A layer's weight and bias gradient, one ``_row_panels`` panel at a time.
 
-    For each panel, ``grad_of(span)`` gives the array its gradient is
-    written into, for the panel's span of the layer's slice; the rows come
-    from one GEMM and, in the last panel, the biases from a last one-row
-    sum. Yields ``(span, grad)`` once the panel is written. A panel's rows
-    are the same rows of the whole layer's GEMM only for some shapes (not
-    for a ``fan_out`` of 257 or 1281, nor for a one-row panel, which BLAS
-    runs as a GEMV), so training and its reference both make their
-    gradients here.
+    Each panel's rows come from one GEMM and, in the last panel, the biases
+    from a last one-row sum, written into the head of ``buffer``. Yields the
+    panel's span of the layer's slice and that view of ``buffer``, which the
+    next panel overwrites. A panel's rows are those rows of the whole
+    layer's GEMM to the bit only for some shapes (not for a ``fan_out`` of
+    257 or 1281, nor for a one-row panel, which BLAS runs as a GEMV).
     """
     fan_in, fan_out = activation.shape[1], delta.shape[1]
     for lo, hi, span in _row_panels(fan_in, fan_out):
-        grad = grad_of(span)
+        grad = buffer[: span.stop - span.start]
         rows = (hi - lo) * fan_out
         np.matmul(activation.T[lo:hi], delta, out=grad[:rows].reshape(hi - lo, fan_out))
         if hi == fan_in:
@@ -235,7 +226,7 @@ def mlp_backward(net: Mlp, activations: list[np.ndarray], grad_out: np.ndarray) 
     objective takes from the critics. Training takes its parameter
     gradients in ``mlp_backward_adam``.
     """
-    return _backprop(net, activations, grad_out, None, to_input=True)
+    return _backprop(net, activations, grad_out)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -337,22 +328,17 @@ def mlp_backward_adam(
     (``_row_panels``), the panel's gradient is written into ``adam.grad``
     and Adam updates the same span of the parameters and moments. No
     gradient the size of the net or of a wide layer is built, and the
-    gradient with respect to the input is not formed. ``tests/test_nn.py``
-    holds the reference it is checked against to the bit: the whole net's
-    gradient, then one Adam update over ``net.flat``.
+    gradient with respect to the input is not formed.
     """
     adam.step += 1
-
-    def grad_of(span):
-        return adam.grad[: span.stop - span.start]
 
     def update(k, delta):
         layer = net.layers[k]
         params, first, second = net.flat[layer], adam.m[layer], adam.v[layer]
-        for span, grad in _layer_grads(activations[k], delta, grad_of):
+        for span, grad in _layer_grads(activations[k], delta, adam.grad):
             _adam_update(adam, params[span], grad, first[span], second[span], lr)
 
-    _backprop(net, activations, grad_out, update, to_input=False)
+    _backprop(net, activations, grad_out, update)
 
 
 def mlp_train_step(net: Mlp, adam: AdamState, x, y, lr: float = ADAM_LR) -> float:
@@ -397,30 +383,40 @@ def save_arrays(path, meta: dict, arrays: dict) -> None:
 
 
 def load_arrays(path) -> tuple[dict, dict]:
+    """The ``meta`` and the named arrays of a ``save_arrays`` file. Anything
+    else raises ``ValueError``: a header that is not an object with a ``meta``
+    object and an ``arrays`` list of ``{name, shape}`` entries with
+    non-negative integer shapes, or a file shorter or longer than it says."""
     data = Path(path).read_bytes()
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    offset = len(CHECKPOINT_MAGIC)
-    (header_len,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
+    offset = len(CHECKPOINT_MAGIC) + 8
+    header_len = struct.unpack_from("<Q", data, offset - 8)[0] if len(data) >= offset else None
+    if header_len is None or len(data) < offset + header_len:
+        raise ValueError(f"{path}: checkpoint truncated in its header")
     try:
         header = json.loads(data[offset : offset + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: corrupt checkpoint header") from exc
+    entries = header.get("arrays") if isinstance(header, dict) else None
+    if not (isinstance(entries, list) and isinstance(header.get("meta"), dict) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in e["shape"]) for e in entries
+    )):
+        raise ValueError(
+            f"{path}: checkpoint header is not an object with a meta object "
+            "and an arrays list of {name, shape} entries"
+        )
     offset += header_len
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(data):
+    for entry in entries:
+        count = math.prod(entry["shape"])
+        if offset + 8 * count > len(data):
             raise ValueError(f"{path}: checkpoint truncated at array {entry['name']!r}")
         arrays[entry["name"]] = (
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .copy()
+            np.frombuffer(data, "<f8", count, offset).reshape(entry["shape"]).copy()
         )
-        offset = end
+        offset += 8 * count
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes")
     return header["meta"], arrays
@@ -435,8 +431,10 @@ def mlp_to_arrays(net: Mlp, prefix: str = "") -> dict:
 
 
 def mlp_from_arrays(widths, arrays: dict, prefix: str = "") -> Mlp:
-    """Inverse of ``mlp_to_arrays``; ``Mlp`` rejects arrays that do not fit ``widths``."""
-    layers = range(len(widths) - 1)
-    return Mlp(
-        widths, [arrays[f"{prefix}w{i}"] for i in layers], [arrays[f"{prefix}b{i}"] for i in layers]
-    )
+    """Inverse of ``mlp_to_arrays``. A missing array raises ``ValueError``
+    naming it, and ``Mlp`` rejects arrays that do not fit ``widths``."""
+    weights, biases = ([f"{prefix}{kind}{i}" for i in range(len(widths) - 1)] for kind in "wb")
+    for name in weights + biases:
+        if name not in arrays:
+            raise ValueError(f"checkpoint has no array {name!r}")
+    return Mlp(widths, [arrays[n] for n in weights], [arrays[n] for n in biases])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import mlp_forward
+from .nn import mlp_forward_cached
 from .solver import LAMBDA_MAX, LAMBDA_MIN, SolverState
 
 STATE_CLIP = 1000.0
@@ -107,13 +107,16 @@ class ClassicPolicy(DampingPolicy):
 
 
 class ConstantSchedulerPolicy(DampingPolicy):
-    """Cycles through a fixed schedule by iteration index."""
+    """Cycles through a fixed schedule by iteration index. A NaN damping is
+    rejected; an out-of-range or infinite one is clamped when used."""
 
     def __init__(self, schedule=DEFAULT_SCHEDULE):
         super().__init__()
         schedule = tuple(float(v) for v in schedule)
         if not schedule:
             raise ValueError("schedule must be non-empty")
+        if np.isnan(schedule).any():
+            raise ValueError(f"schedule {list(schedule)} has a NaN damping")
         self.schedule = schedule
 
     def next_lambda(self, obs: PolicyObservation) -> float:
@@ -121,9 +124,14 @@ class ConstantSchedulerPolicy(DampingPolicy):
 
 
 class FixedPolicy(DampingPolicy):
+    """One damping throughout; NaN is rejected, an out-of-range or infinite
+    value is clamped when used."""
+
     def __init__(self, value: float):
         super().__init__()
         self.value = float(value)
+        if np.isnan(self.value):
+            raise ValueError("fixed damping is NaN")
 
     def next_lambda(self, obs: PolicyObservation) -> float:
         return _clamp(self.value)
@@ -167,5 +175,5 @@ class ZeroNetPolicy(DampingPolicy):
         from .baselines import zero_net_input
         from .sac import lambda_from_action
 
-        x = zero_net_input(obs, self.window)
-        return _clamp(lambda_from_action(np.tanh(mlp_forward(self.net, x[None])[0, 0])))
+        out, _ = mlp_forward_cached(self.net, zero_net_input(obs, self.window)[None])
+        return _clamp(lambda_from_action(np.tanh(out[0, 0])))

@@ -24,7 +24,6 @@ from .nn import (
     mlp_backward,
     mlp_backward_adam,
     mlp_copy,
-    mlp_forward,
     mlp_forward_cached,
     mlp_from_arrays,
     mlp_init,
@@ -277,7 +276,8 @@ def sac_update(
     """One gradient step on both critics, the value net, and the policy."""
     states, actions, rewards, next_states, done = batch
 
-    target_v = mlp_forward(nets.target_value, next_states)[:, 0]
+    # only the output is kept, so the activations are freed before the critics' passes
+    target_v = mlp_forward_cached(nets.target_value, next_states)[0][:, 0]
     targets = (rewards + cfg.gamma * (1.0 - done) * target_v)[:, None]
     stored = np.concatenate([states, actions[:, None]], axis=1)
     critic_losses = []

@@ -138,8 +138,12 @@ class BAProblem:
             raise ValueError("problem needs at least 2 cameras")
         if len(points) < 1:
             raise ValueError("problem needs at least 1 point")
-        if pixel_sigma <= 0:
-            raise ValueError("pixel_sigma must be positive")
+        if not (np.isfinite(pixel_sigma) and pixel_sigma > 0):
+            raise ValueError(f"pixel_sigma must be finite and positive, got {pixel_sigma}")
+        for name, array in (("camera block", cameras), ("point block", points), ("pixel", pixels)):
+            if not np.isfinite(array).all():
+                row = int(np.argmin(np.isfinite(array).all(axis=1)))
+                raise ValueError(f"{name} {row} is not finite: {array[row].tolist()}")
         bad_camera = (cam_idx < 0) | (cam_idx >= len(cameras))
         bad_point = (pt_idx < 0) | (pt_idx >= len(points))
         # A pair is a duplicate unless it is its key's first occurrence; keys

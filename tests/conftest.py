@@ -1,4 +1,4 @@
-"""Shared scene fixtures.
+"""Shared scene fixtures, and the textbook MLP that ``nn`` is checked against.
 
 ``suite_problem`` mirrors the benchmark configuration: heavy sigma weighting
 keeps estimation errors inside the policy observation clip and makes the
@@ -19,7 +19,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from balm import nn, solver  # noqa: E402
+from balm import solver  # noqa: E402
 from balm.scene import generate_synthetic, project_many  # noqa: E402
 
 
@@ -108,18 +108,82 @@ def linearize_calls(monkeypatch):
     return calls
 
 
-def whole_net_grads(net, activations, grad_out):
-    """The whole net's parameter gradient, and d/d(input), for ``grad_out`` (B, out).
+# The textbook MLP, the reference for ``nn``'s forward pass, backward sweep
+# and Adam. It reads only a net's ``weights`` and ``biases`` and calls no
+# ``nn`` function, so a fault in ``nn``'s own code cannot cancel out in it.
 
-    The reference for ``nn.mlp_backward_adam``: the same backward loop and
-    panel code, with every layer's gradient written into one array in
-    ``net.flat``'s layout. The gradient comes as an ``Mlp`` wrapping that
-    array, so its ``weights`` and ``biases`` are per-layer views.
+
+def textbook_forward(weights, biases, x):
+    """Every layer's output, the input first: h_(k+1) = max(h_k W_k + b_k, 0),
+    with no ReLU on the last layer."""
+    outputs = [np.atleast_2d(np.asarray(x, dtype=float))]
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = outputs[-1] @ w + b
+        outputs.append(z if k == len(weights) - 1 else np.maximum(z, 0.0))
+    return outputs
+
+
+def textbook_backprop(weights, outputs, grad_out):
+    """Backprop dL/d(net output) ``grad_out`` through every layer and ReLU.
+
+    With d_k the gradient at layer k's output, dL/dW_k = h_k^T d_k,
+    dL/db_k is d_k summed over the batch, and d_(k-1) = (d_k W_k^T) * [h_k > 0].
+    Returns the weight gradients, the bias gradients and dL/d(input).
     """
-    grads = nn.Mlp.from_flat(net.widths, np.empty_like(net.flat))
+    delta = np.asarray(grad_out, dtype=float)
+    grad_w, grad_b = [], []
+    for k in reversed(range(len(weights))):
+        grad_w.insert(0, outputs[k].T @ delta)
+        grad_b.insert(0, delta.sum(axis=0))
+        delta = delta @ weights[k].T
+        if k > 0:
+            delta = delta * (outputs[k] > 0.0)
+    return grad_w, grad_b, delta
 
-    def write(k, delta):
-        for _ in nn._layer_grads(activations[k], delta, grads.flat[net.layers[k]].__getitem__):
-            pass
 
-    return grads, nn._backprop(net, activations, grad_out, write, to_input=True)
+class TextbookNet:
+    """Copies of a net's parameters, trained by backprop and bias-corrected
+    Adam (Kingma & Ba 2015, Algorithm 1) with moments per parameter array."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, net):
+        self.weights = [w.copy() for w in net.weights]
+        self.biases = [b.copy() for b in net.biases]
+        self.first = [np.zeros_like(p) for p in self.params()]
+        self.second = [np.zeros_like(p) for p in self.params()]
+        self.step = 0
+
+    def params(self):
+        """The parameter arrays in ``Mlp.flat``'s order w0, b0, w1, b1, ..."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+    def forward(self, x):
+        return textbook_forward(self.weights, self.biases, x)
+
+    def train(self, outputs, grad_out, lr):
+        """One Adam step on the gradient backprop gives for ``grad_out``."""
+        grad_w, grad_b, _ = textbook_backprop(self.weights, outputs, grad_out)
+        grads = [g for pair in zip(grad_w, grad_b) for g in pair]
+        self.step += 1
+        t = self.step
+        for p, g, m, v in zip(self.params(), grads, self.first, self.second):
+            m[...] = self.BETA1 * m + (1.0 - self.BETA1) * g
+            v[...] = self.BETA2 * v + (1.0 - self.BETA2) * g * g
+            p -= lr * (m / (1.0 - self.BETA1**t)) / (np.sqrt(v / (1.0 - self.BETA2**t)) + self.EPS)
+
+    def mse_step(self, x, y, lr):
+        """One step on the mean squared error of the output; returns the loss."""
+        outputs = self.forward(x)
+        diff = outputs[-1] - y
+        self.train(outputs, 2.0 * diff / diff.size, lr)
+        return float(np.mean(diff * diff))
+
+
+def assert_matches_textbook(net, adam, ref):
+    """``net`` and its ``AdamState`` equal ``ref``'s parameters and moments to
+    within rounding: the sweep sums its products in another order."""
+    assert adam.step == ref.step
+    for got, want in ((net.flat, ref.params()), (adam.m, ref.first), (adam.v, ref.second)):
+        want = np.concatenate([a.ravel() for a in want])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

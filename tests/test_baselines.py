@@ -31,7 +31,7 @@ from balm.baselines import (
     zero_net_train,
 )
 from balm.env import BAEnv, EnvConfig
-from balm.nn import mlp_forward, mlp_init, save_arrays
+from balm.nn import mlp_forward_cached, mlp_init, save_arrays
 from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
 from balm.sac import NonFiniteLossError, lambda_from_action
 from balm.scene import generate_synthetic
@@ -192,7 +192,7 @@ def observation(errors, iteration=0, durations=(), lambdas=()):
 
 def net_lambda(net, row):
     """The damping the net's squashed output maps to for one input row."""
-    return lambda_from_action(np.tanh(mlp_forward(net, np.asarray(row)[None])[0, 0]))
+    return lambda_from_action(np.tanh(mlp_forward_cached(net, np.asarray(row)[None])[0][0, 0]))
 
 
 def test_zero_weight_net_predicts_from_output_bias():
@@ -210,7 +210,7 @@ def test_predict_composes_forward_tanh_and_action_map():
     net = small_net(window=3, hidden=16, seed=4)
     obs = observation(list(np.random.default_rng(7).uniform(1.0, 9.0, size=3)), 2, (1.0, 1.0))
     lam = ZeroNetPolicy(net).next_lambda(obs)
-    raw = mlp_forward(net, zero_net_input(obs, 3)[None])[0, 0]
+    raw = mlp_forward_cached(net, zero_net_input(obs, 3)[None])[0][0, 0]
     assert lam == pytest.approx(lambda_from_action(np.tanh(raw)), rel=1e-12)
 
 
@@ -259,15 +259,15 @@ def test_collector_rows_are_the_rows_the_policy_is_served(monkeypatch, seed):
     rows, _ = _collect_labeled_windows(suite_scene(0), net, config)
 
     served = []
-    forward = sys.modules["balm.nn"].mlp_forward
+    forward = sys.modules["balm.nn"].mlp_forward_cached
 
     def spy(net, x):
         served.append(np.array(x[0]))
         return forward(net, x)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "balm" and getattr(module, "mlp_forward", None) is forward:
-            monkeypatch.setattr(module, "mlp_forward", spy)
+        if name.split(".")[0] == "balm" and getattr(module, "mlp_forward_cached", None) is forward:
+            monkeypatch.setattr(module, "mlp_forward_cached", spy)
     result = solve(suite_scene(0), ZeroNetPolicy(net), max_iterations=8, deterministic_time=True)
     assert len(served) == len(rows) == result.iterations
     assert np.asarray(served).tobytes() == np.asarray(rows).tobytes()

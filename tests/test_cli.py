@@ -11,6 +11,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -745,6 +746,9 @@ def rejecting_dir(tmp_path, monkeypatch, scene_dir):
     (tmp_path / "not-json.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "eval-keys.json").write_text('{"policies": "gn"}')
+    header, first, *rest = text.splitlines(keepends=True)
+    nan_pixel = " ".join(first.split()[:3] + ["nan\n"])
+    (tmp_path / "nan-pixel.txt").write_text(header + nan_pixel + "".join(rest))
     monkeypatch.chdir(tmp_path)
     for work in ("solve", "run_comparison", "train_agent", "zero_net_train", "ablation_suite"):
         monkeypatch.setattr(cli, work, None)  # calling it would raise TypeError
@@ -788,6 +792,9 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
         ((*SOLVE_SCENE, "--policy", "zero-net"),
          "--checkpoint is required for the zero-net policy"),
         ((*SOLVE_SCENE, "--policy", "annealed"), "unknown policy 'annealed'"),
+        ((*SOLVE_SCENE, "--policy", "scheduler", "--schedule", "nan,1"),
+         "schedule [nan, 1.0] has a NaN damping"),
+        (("solve", "--problem", "nan-pixel.txt"), "pixel 0 is not finite: ["),
         (("solve", "--policy", "gn"), "solve needs --problem (flag or config)"),
         (("eval", "--policies", " , ", *TINY_EVAL), "--policies: no policy tokens in ' , '"),
         (("ablate", "--train-seeds", "0"), "ablate needs --kind (flag or config)"),
@@ -808,16 +815,90 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
     ],
     ids=[
         "schedule-auto-no-checkpoint", "agent-no-checkpoint", "zero-net-no-checkpoint",
-        "unknown-policy", "no-problem", "no-policies", "no-kind", "config-missing",
-        "config-not-json", "config-not-an-object", "config-unknown-key",
-        "profile-one-policy", "eval-repeated-policy", "profile-repeated-tolerance",
-        "profile-tolerances-name-one-file",
+        "unknown-policy", "schedule-nan", "solve-nan-pixel", "no-problem", "no-policies",
+        "no-kind", "config-missing", "config-not-json", "config-not-an-object",
+        "config-unknown-key", "profile-one-policy", "eval-repeated-policy",
+        "profile-repeated-tolerance", "profile-tolerances-name-one-file",
     ],
 )
 def test_every_rejected_input_exits_2_and_writes_nothing(rejecting_dir, capsys, argv, message):
     # ``main`` returns 2 before any work (every work function is stubbed out)
     # and before ``--out-dir`` is made; its one stderr line names the input.
     assert usage_error(capsys, rejecting_dir / "out", *argv).startswith(message)
+
+
+def checkpoint_bytes(header) -> bytes:
+    text = json.dumps(header).encode()
+    return b"BALMNET1" + struct.pack("<Q", len(text)) + text
+
+
+CHECKPOINT_META = {
+    "agent": {
+        "kind": "sac-agent", "window": 5,
+        "widths": {
+            "policy": [5, 4, 2], "critic1": [6, 4, 1], "critic2": [6, 4, 1], "value": [5, 4, 1],
+            "target_value": [5, 4, 1],
+        },
+    },
+    "zero-net": {"kind": "zero-net", "widths": [15, 4, 1], "window": 5},
+}
+
+
+@pytest.mark.parametrize("token", sorted(CHECKPOINT_META))
+@pytest.mark.parametrize(
+    ("contents", "message"),
+    [
+        (lambda meta: checkpoint_bytes({}),
+         "checkpoint header is not an object with a meta object"),
+        (lambda meta: checkpoint_bytes({"meta": meta}), "checkpoint header is not an object"),
+        (lambda meta: checkpoint_bytes([meta, []]), "checkpoint header is not an object"),
+        (lambda meta: checkpoint_bytes({"meta": meta, "arrays": []}),
+         "checkpoint has no array '"),
+        (lambda meta: b"BALMNET1\x00", "bad.ckpt: checkpoint truncated in its header"),
+    ],
+    ids=["empty-header", "no-arrays", "list-header", "no-first-weights", "cut-after-magic"],
+)
+def test_malformed_checkpoint_exits_2(rejecting_dir, capsys, token, contents, message):
+    (rejecting_dir / "bad.ckpt").write_bytes(contents(CHECKPOINT_META[token]))
+    argv = ("eval", "--policies", token, "--checkpoint", "bad.ckpt", *TINY_EVAL)
+    assert message in usage_error(capsys, rejecting_dir / "out", *argv)
+
+
+# Each float flag with a command line that reads it: ``--fixed-value`` needs
+# the ``fixed`` token, and a training flag the algorithm whose config has it.
+FLOAT_FLAG_COMMANDS = {
+    "generate": (),
+    "solve": ("--problem", "scene.txt", "--policy", "fixed"),
+    "train": ("--train-seeds", "0", "--num-cameras", "4", "--num-points", "6"),
+    "eval": ("--policies", "classic,fixed", *TINY_EVAL),
+    "profile": ("--policies", "classic,fixed", *TINY_EVAL),
+    "ablate": ("--kind", "threshold", "--train-seeds", "0", *TINY_EVAL),
+}
+FLOAT_FLAGS = [
+    (command, action.option_strings[-1], action.dest)
+    for command, parser in build_parser().subcommand_parsers.items()
+    for action in parser._actions
+    if action.type is float
+]
+
+
+def test_float_flags_are_all_found():
+    assert {flag for _, flag, _ in FLOAT_FLAGS} >= {
+        "--pixel-sigma", "--noise-std", "--init-noise", "--threshold", "--fixed-value",
+        "--gamma", "--alpha", "--lr",
+    }
+    assert {command for command, _, _ in FLOAT_FLAGS} == set(FLOAT_FLAG_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    ("command", "flag", "dest"), FLOAT_FLAGS, ids=[f"{c}{f}" for c, f, _ in FLOAT_FLAGS]
+)
+def test_nan_float_flag_exits_2(rejecting_dir, capsys, command, flag, dest):
+    argv = (command, *FLOAT_FLAG_COMMANDS[command], flag, "nan")
+    if command == "train":  # only a flag that just ZeroNetConfig has needs --algo zero-net
+        sac = dest in {f.name for f in dataclasses.fields(TrainConfig)}
+        argv += ("--algo", "sac" if sac or dest not in cli.TRAIN_FIELDS else "zero-net")
+    assert "nan" in usage_error(capsys, rejecting_dir / "out", *argv).lower()
 
 
 def test_readme_commands_parse_and_build_their_config():

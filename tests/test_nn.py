@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from balm import nn
 from balm.baselines import ZERO_NET_HIDDEN, init_zero_net
 from balm.nn import (
     ADAM_BLOCK,
@@ -18,7 +17,6 @@ from balm.nn import (
     mlp_backward,
     mlp_backward_adam,
     mlp_copy,
-    mlp_forward,
     mlp_forward_cached,
     mlp_from_arrays,
     mlp_init,
@@ -29,7 +27,7 @@ from balm.nn import (
 )
 from balm.sac import ReplayBuffer, TrainConfig, init_agent, init_optimizers, sac_update
 
-from conftest import whole_net_grads
+from conftest import TextbookNet, assert_matches_textbook, textbook_backprop, textbook_forward
 
 
 def loop_forward(net, x):
@@ -48,15 +46,6 @@ def loop_forward(net, x):
             h = nxt
         outs.append(h)
     return np.array(outs)
-
-
-def whole_net_adam(net, grads, state, lr=ADAM_LR):
-    """One Adam update of the whole net from its whole gradient, in place.
-
-    With ``whole_net_grads``, the reference for ``mlp_backward_adam``.
-    """
-    state.step += 1
-    nn._adam_update(state, net.flat, grads.flat, state.m, state.v, lr)
 
 
 def flatten_params(net):
@@ -91,13 +80,13 @@ class TestForward:
     def test_matches_loop_reference(self):
         net = mlp_init([3, 5, 4, 2], seed_or_rng=1)
         x = np.random.default_rng(2).normal(0, 2, (6, 3))
-        fast = mlp_forward(net, x)
+        fast, _ = mlp_forward_cached(net, x)
         slow = loop_forward(net, x)
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
     def test_single_sample_shape(self):
         net = mlp_init([3, 4, 2], seed_or_rng=0)
-        out = mlp_forward(net, np.zeros(3))
+        out, _ = mlp_forward_cached(net, np.zeros(3))
         assert out.shape == (1, 2)
 
     def test_relu_gates_hidden_layer(self):
@@ -106,8 +95,8 @@ class TestForward:
             weights=[np.array([[1.0]]), np.array([[1.0]])],
             biases=[np.zeros(1), np.zeros(1)],
         )
-        assert mlp_forward(net, [[-3.0]])[0, 0] == 0.0
-        assert mlp_forward(net, [[2.0]])[0, 0] == 2.0
+        assert mlp_forward_cached(net, [[-3.0]])[0][0, 0] == 0.0
+        assert mlp_forward_cached(net, [[2.0]])[0][0, 0] == 2.0
 
     def test_output_layer_is_linear(self):
         net = Mlp(
@@ -115,21 +104,23 @@ class TestForward:
             weights=[np.array([[2.0]])],
             biases=[np.array([1.0])],
         )
-        assert mlp_forward(net, [[-3.0]])[0, 0] == -5.0
+        assert mlp_forward_cached(net, [[-3.0]])[0][0, 0] == -5.0
 
     def test_rejects_width_mismatch(self):
         net = mlp_init([3, 2], seed_or_rng=0)
         with pytest.raises(ValueError):
-            mlp_forward(net, np.zeros((1, 4)))
+            mlp_forward_cached(net, np.zeros((1, 4)))
 
     def test_cached_matches_plain(self):
+        # the same products and sums as the textbook forward pass, so the same bits
         net = mlp_init([3, 5, 2], seed_or_rng=5)
         x = np.random.default_rng(0).normal(0, 1, (4, 3))
-        plain = mlp_forward(net, x)
         cached, acts = mlp_forward_cached(net, x)
-        np.testing.assert_array_equal(plain, cached)
-        assert len(acts) == 3
-        np.testing.assert_array_equal(acts[0], x)
+        plain = textbook_forward(net.weights, net.biases, x)
+        assert len(acts) == len(plain) == 3
+        for got, want in zip(acts, plain):
+            np.testing.assert_array_equal(got, want)
+        assert cached is acts[-1]
 
 
 class TestBackward:
@@ -139,20 +130,22 @@ class TestBackward:
         x = rng.normal(0, 1, (4, 3))
         target = rng.normal(0, 1, (4, 2))
 
+        # the textbook reference's parameter gradients, and mlp_backward's input gradient
         pred, cache = mlp_forward_cached(net, x)
         _, grad_out = mse_loss(pred, target)
-        grads, _ = whole_net_grads(net, cache, grad_out)
+        outputs = textbook_forward(net.weights, net.biases, x)
+        grad_w, grad_b, _ = textbook_backprop(net.weights, outputs, grad_out)
         grad_x = mlp_backward(net, cache, grad_out)
 
         h = 1e-6
 
         def loss_at(net_like, x_like):
-            p = mlp_forward(net_like, x_like)
+            p, _ = mlp_forward_cached(net_like, x_like)
             return mse_loss(p, target)[0]
 
         for layer in range(net.num_layers):
-            for arr, garr in ((net.weights[layer], grads.weights[layer]),
-                              (net.biases[layer], grads.biases[layer])):
+            for arr, garr in ((net.weights[layer], grad_w[layer]),
+                              (net.biases[layer], grad_b[layer])):
                 flat = arr.reshape(-1)
                 gflat = garr.reshape(-1)
                 for idx in range(flat.size):
@@ -213,7 +206,7 @@ class TestAdam:
         net = mlp_init([2, 6, 1], seed_or_rng=3)
         adam = adam_init(net)
         x = np.random.default_rng(0).normal(0, 1, (5, 2))
-        y = mlp_forward(net, x)
+        y, _ = mlp_forward_cached(net, x)
         before = flatten_params(net).copy()
         loss = mlp_train_step(net, adam, x, y)
         assert loss == 0.0
@@ -234,31 +227,23 @@ class TestAdam:
 
 class TestFlatLayout:
     def test_blocked_adam_matches_per_layer_reference(self):
-        def reference_adam(params, grads, moments, step, lr=ADAM_LR, b1=0.9, b2=0.999, eps=1e-8):
-            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
-            for p, g, (m, v) in zip(params, grads, moments):
-                m[...] = b1 * m + (1.0 - b1) * g
-                v[...] = b2 * v + (1.0 - b2) * g * g
-                p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
+        # At batch 1 each gradient entry is one product, made the same in
+        # any GEMM order, so the sweep and the textbook reference see the
+        # same gradients, and Adam in blocks whose edges fall inside layers
+        # and panels must give the per-layer Adam's bits.
         net = mlp_init([15, 300, 300, 1], seed_or_rng=0)
         assert net.flat.size > 4 * ADAM_BLOCK
-        ref = [a.copy() for pair in zip(net.weights, net.biases) for a in pair]
-        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
+        ref = TextbookNet(net)
         adam = adam_init(net)
         rng = np.random.default_rng(1)
-        x = rng.normal(0, 1, (16, 15))
-        y = rng.normal(0, 1, (16, 1))
-        for step in range(1, 4):
-            pred, cache = mlp_forward_cached(net, x)
-            _, grad_out = mse_loss(pred, y)
-            grads, _ = whole_net_grads(net, cache, grad_out)
-            layer_grads = [g.copy() for pair in zip(grads.weights, grads.biases) for g in pair]
-            whole_net_adam(net, grads, adam)
-            reference_adam(ref, layer_grads, moments, step)
-            assert np.array_equal(net.flat, np.concatenate([a.ravel() for a in ref]))
-        assert np.array_equal(adam.m, np.concatenate([m.ravel() for m, _ in moments]))
-        assert np.array_equal(adam.v, np.concatenate([v.ravel() for _, v in moments]))
+        for _ in range(3):
+            x = rng.normal(0, 1, (1, 15))
+            y = rng.normal(0, 1, (1, 1))
+            mlp_train_step(net, adam, x, y)
+            ref.mse_step(x, y, ADAM_LR)
+            assert net.flat.tobytes() == np.concatenate([a.ravel() for a in ref.params()]).tobytes()
+        assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ref.first]).tobytes()
+        assert adam.v.tobytes() == np.concatenate([v.ravel() for v in ref.second]).tobytes()
 
     def test_layer_arrays_are_views_into_flat(self):
         net = mlp_init([3, 4, 2], seed_or_rng=0)
@@ -276,9 +261,12 @@ class TestFlatLayout:
         np.testing.assert_array_equal(net.flat, [0, 1, 2, 3, 4, 5, 0.5, 0.5, 0.5, 1, 1, 1, 2])
         weights[0][0, 0] = 100.0  # the net holds copies
         assert net.weights[0][0, 0] == 0.0
-        # Adam's first step moves every parameter by lr against a unit gradient
+        # every hidden unit is active and every weight positive, so each
+        # parameter's gradient is positive, and Adam's first step moves each
+        # one by lr
         before = net.flat.copy()
-        whole_net_adam(net, Mlp.from_flat(net.widths, np.ones(13)), adam_init(net), lr=0.1)
+        _, cache = mlp_forward_cached(net, [[1.0, 1.0]])
+        mlp_backward_adam(net, adam_init(net), cache, np.ones((1, 1)), lr=0.1)
         np.testing.assert_allclose(net.flat, before - 0.1, rtol=1e-6)
 
     def test_rejects_arrays_that_do_not_match_widths(self):
@@ -294,8 +282,9 @@ class TestFlatLayout:
         x = np.random.default_rng(3).normal(0, 1, (8, 6))
         _, cache = mlp_forward_cached(net, x)
         grad_out = np.ones((8, 1))
-        _, full = whole_net_grads(net, cache, grad_out)
-        assert np.array_equal(mlp_backward(net, cache, grad_out), full)
+        outputs = textbook_forward(net.weights, net.biases, x)
+        _, _, full = textbook_backprop(net.weights, outputs, grad_out)
+        np.testing.assert_allclose(mlp_backward(net, cache, grad_out), full, rtol=1e-12, atol=1e-15)
 
 
 def traced_peak(fn):
@@ -315,31 +304,26 @@ class TestBackwardSweep:
         [
             [6, 8, 1],
             [5, 7, 7, 2],
-            # layer 1 holds 24,120 parameters: whole-net blocks span layer
-            # edges and the sweep's block edge falls inside the layer
+            # layer 1 holds 24,120 parameters, so an Adam block edge falls
+            # inside it
             [15, 200, 120, 1],
             # layer 1 (300 x 320) is cut into panels of 64, 64, 64 and 108 rows
             [15, 300, 320, 1],
         ],
     )
     def test_matches_reference_backward_and_whole_net_adam(self, widths):
+        # the textbook reference takes one GEMM per layer and one Adam
+        # update per parameter array
         net = mlp_init(widths, seed_or_rng=0)
-        ref = mlp_copy(net)
-        adam, ref_adam = adam_init(net), adam_init(ref)
+        adam, ref = adam_init(net), TextbookNet(net)
         rng = np.random.default_rng(1)
         for batch in (16, 37, 5):
             x = rng.normal(0, 1, (batch, widths[0]))
             y = rng.normal(0, 1, (batch, widths[-1]))
-            pred, cache = mlp_forward_cached(ref, x)
-            _, grad_out = mse_loss(pred, y)
-            grads, _ = whole_net_grads(ref, cache, grad_out)
-            whole_net_adam(ref, grads, ref_adam, lr=1e-2)
-            _, cache = mlp_forward_cached(net, x)
-            mlp_backward_adam(net, adam, cache, grad_out, lr=1e-2)
-            assert net.flat.tobytes() == ref.flat.tobytes()
-        assert adam.m.tobytes() == ref_adam.m.tobytes()
-        assert adam.v.tobytes() == ref_adam.v.tobytes()
-        assert adam.step == ref_adam.step == 3
+            loss = mlp_train_step(net, adam, x, y, lr=1e-2)
+            assert loss == pytest.approx(ref.mse_step(x, y, lr=1e-2), rel=1e-12)
+            assert_matches_textbook(net, adam, ref)
+        assert adam.step == 3
 
     def test_buffers_are_sized_for_one_panel(self):
         # the 512 x 512 layer is cut into 8 panels of 64 rows, the last one
@@ -376,11 +360,10 @@ class TestBackwardSweep:
 
     @pytest.mark.parametrize("batch", [64, 16])
     def test_panel_gemm_rows_equal_the_whole_layer_gemm(self, batch):
-        # The sweep and its reference share the panel code, but the golden
-        # digests below were recorded from one GEMM per layer. They hold
-        # because, with this BLAS, a 64-row panel of the zero-net's 1280 x
-        # 1280 weight gradient sums exactly as those rows of the whole GEMM
-        # do. That is not so for every shape (an odd fan_out, a 1-row panel
+        # The golden digests below were recorded from one GEMM per layer.
+        # They hold because, with this BLAS, a 64-row panel of the
+        # zero-net's 1280 x 1280 weight gradient sums exactly as those rows
+        # of the whole GEMM do. That is not so for every shape (an odd fan_out, a 1-row panel
         # run as a GEMV); if a BLAS change breaks it, this test names why.
         rng = np.random.default_rng(batch)
         activation = np.maximum(rng.normal(size=(batch, ZERO_NET_HIDDEN)), 0.0)

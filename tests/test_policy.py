@@ -269,6 +269,12 @@ class TestSchedulerPolicy:
         with pytest.raises(ValueError):
             ConstantSchedulerPolicy(schedule=())
 
+    def test_nan_entry_rejected_and_infinite_one_clamped(self):
+        with pytest.raises(ValueError, match="NaN damping"):
+            ConstantSchedulerPolicy(schedule=(float("nan"), 1.0))
+        policy = ConstantSchedulerPolicy(schedule=(float("inf"), -float("inf")))
+        assert [policy.next_lambda(obs_at(k)) for k in range(2)] == [LAMBDA_MAX, LAMBDA_MIN]
+
 
 class TestFixedPolicy:
     def test_constant_output(self):
@@ -279,3 +285,8 @@ class TestFixedPolicy:
     def test_clamped_to_range(self):
         assert FixedPolicy(1e20).next_lambda(obs_at(0)) == LAMBDA_MAX
         assert FixedPolicy(0.0).next_lambda(obs_at(0)) == LAMBDA_MIN
+        assert FixedPolicy(float("inf")).next_lambda(obs_at(0)) == LAMBDA_MAX
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            FixedPolicy(float("nan"))

@@ -5,10 +5,12 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from balm.nn import mlp_backward, mlp_backward_adam, mlp_forward
+from balm.nn import mlp_backward, mlp_backward_adam, mlp_forward_cached
 from balm.nn import save_arrays
 from balm.policy import AgentPolicy, PolicyObservation
 from balm.sac import (
+    LOG_SIGMA_MAX,
+    LOG_SIGMA_MIN,
     AgentNets,
     ReplayBuffer,
     TrainConfig,
@@ -29,7 +31,7 @@ from balm.sac import (
 )
 from balm.solver import solve
 
-from conftest import suite_problem, whole_net_grads
+from conftest import TextbookNet, assert_matches_textbook, suite_problem, textbook_backprop
 
 
 def net_params(net):
@@ -143,7 +145,7 @@ class TestActions:
         nets = init_agent(window=5, hidden=16, seed=0)
         state = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
         lam, u = select_action(nets, state, deterministic=True)
-        mu = mlp_forward(nets.policy, state.reshape(1, -1))[0, 0]
+        mu = mlp_forward_cached(nets.policy, state.reshape(1, -1))[0][0, 0]
         assert u == pytest.approx(np.tanh(mu), rel=1e-15)
         assert lam == pytest.approx(10.0 ** (9.0 * np.tanh(mu) - 7.0), rel=1e-12)
 
@@ -187,10 +189,8 @@ class TestPolicyGradient:
         eps = rng.standard_normal(4)
 
         loss, grad_out, aux = policy_objective(nets, states, eps, alpha)
-        grads, _ = whole_net_grads(nets.policy, aux["cache"], grad_out)
-        analytic = np.concatenate(
-            [g.ravel() for g in grads.weights] + [g.ravel() for g in grads.biases]
-        )
+        grad_w, grad_b, _ = textbook_backprop(nets.policy.weights, aux["cache"], grad_out)
+        analytic = np.concatenate([g.ravel() for g in grad_w] + [g.ravel() for g in grad_b])
 
         h = 1e-5
         numeric = np.zeros_like(analytic)
@@ -267,6 +267,59 @@ class TestUpdates:
         ]
         assert [id(net) for net in backward] == [id(nets.critic1), id(nets.critic2)]
 
+    TRAINED = ("critic1", "critic2", "value", "policy")
+
+    def test_trained_nets_match_the_textbook_update(self):
+        # One sac_update, replayed with the textbook forward pass, backprop
+        # and Adam: the critics on their TD targets first, then the value
+        # net and the policy against the updated critics.
+        cfg = self.small_cfg(lr=1e-2)
+        nets = init_agent(window=5, hidden=32, seed=0)
+        opt = init_optimizers(nets)
+        rng = np.random.default_rng(3)
+        states, actions, rewards, next_states = (
+            rng.uniform(0, 2, (8, 5)), rng.uniform(-1, 1, 8), -rng.uniform(size=8),
+            rng.uniform(0, 2, (8, 5)),
+        )
+        done = (rng.uniform(size=8) < 0.3).astype(float)
+        ref = {name: TextbookNet(getattr(nets, name)) for name in self.TRAINED}
+        next_v = TextbookNet(nets.target_value).forward(next_states)[-1][:, 0]
+        sac_update(
+            nets, opt, (states, actions, rewards, next_states, done), cfg,
+            np.random.default_rng(4),
+        )
+        eps = np.random.default_rng(4).standard_normal(8)
+
+        q_targets = rewards + cfg.gamma * (1.0 - done) * next_v
+        for critic in (ref["critic1"], ref["critic2"]):
+            critic.mse_step(np.column_stack([states, actions]), q_targets[:, None], cfg.lr)
+
+        policy_outputs = ref["policy"].forward(states)
+        mu, raw_log_sigma = policy_outputs[-1].T
+        log_sigma = np.clip(raw_log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        noise = np.exp(log_sigma) * eps  # d xi / d log sigma
+        u = np.tanh(mu + noise)
+        log_pi = squashed_log_prob(mu + noise, mu, log_sigma)
+        q, dq_du = [], []
+        for critic in (ref["critic1"], ref["critic2"]):
+            outputs = critic.forward(np.column_stack([states, u]))
+            q.append(outputs[-1][:, 0])
+            dq_du.append(textbook_backprop(critic.weights, outputs, np.ones((8, 1)))[2][:, -1])
+        q_min = np.minimum(*q)
+        dq_dxi = np.where(q[0] <= q[1], *dq_du) * (1.0 - u * u)
+
+        ref["value"].mse_step(states, (q_min - cfg.alpha * log_pi)[:, None], cfg.lr)
+        # the policy loss is the mean of alpha log pi - q_min, where the
+        # Gaussian part of log pi is -log sigma plus a constant, and its
+        # tanh part has the derivative 2u in xi
+        d_mu = cfg.alpha * 2.0 * u - dq_dxi
+        d_log_sigma = cfg.alpha * (2.0 * u * noise - 1.0) - dq_dxi * noise
+        d_log_sigma[(raw_log_sigma <= LOG_SIGMA_MIN) | (raw_log_sigma >= LOG_SIGMA_MAX)] = 0.0
+        ref["policy"].train(policy_outputs, np.column_stack([d_mu, d_log_sigma]) / 8, cfg.lr)
+
+        for name in self.TRAINED:
+            assert_matches_textbook(getattr(nets, name), getattr(opt, name), ref[name])
+
     def test_value_loss_halves_on_single_transition(self):
         # lr must outrun the moving value target within the 200-update
         # window; at the default 3e-4 the transient has not resolved yet
@@ -288,8 +341,8 @@ class TestUpdates:
         for _ in range(500):
             sac_update(nets, opt, batch, cfg, rng)
         inputs = np.concatenate([np.zeros((1, 5)), [[0.5]]], axis=1)
-        q1 = mlp_forward(nets.critic1, inputs)[0, 0]
-        q2 = mlp_forward(nets.critic2, inputs)[0, 0]
+        q1 = mlp_forward_cached(nets.critic1, inputs)[0][0, 0]
+        q2 = mlp_forward_cached(nets.critic2, inputs)[0][0, 0]
         assert abs(q1 - (-2.0)) < 0.05
         assert abs(q2 - (-2.0)) < 0.05
 

@@ -283,6 +283,18 @@ class TestSynthetic:
             clean = project(gt.cameras[obs.camera_index], gt.points[obs.point_index])
             assert np.linalg.norm(obs.pixel - clean) < 10.0  # 1px-scale noise, not 250
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"pixel_sigma": np.nan}, "pixel_sigma must be finite and positive"),
+            ({"noise_std": np.nan}, "pixel 0 is not finite"),
+            ({"init_noise": np.inf}, "camera block 0 is not finite"),
+        ],
+    )
+    def test_rejects_non_finite_options(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(4, 6, seed=0, **options)
+
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
             generate_synthetic(1, 5, seed=0)
@@ -373,6 +385,31 @@ class TestProblemInvariants:
         cameras, points, observations = self.make_valid()
         with pytest.raises(ValueError, match="pixel_sigma"):
             BAProblem(cameras, points, observations, pixel_sigma=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("pixel_sigma", "pixel_sigma must be finite and positive, got {}"),
+            ((0, 1, 4), "camera block 1 is not finite"),
+            ((1, 1, 2), "point block 1 is not finite"),
+            ((4, 2, 0), "pixel 2 is not finite"),
+        ],
+        ids=["pixel_sigma", "camera", "point", "pixel"],
+    )
+    def test_non_finite_value_is_named(self, where, message, value):
+        problem = BAProblem(*self.make_valid())
+        arrays = [
+            problem.camera_blocks.copy(), problem.point_blocks.copy(),
+            problem.cam_idx, problem.pt_idx, problem.pixels.copy(), problem.pixel_sigma,
+        ]
+        if where == "pixel_sigma":
+            arrays[5] = value
+        else:
+            position, row, column = where
+            arrays[position][row, column] = value
+        with pytest.raises(ValueError, match=re.escape(message.format(value))):
+            BAProblem.from_arrays(*arrays)
 
     def test_records_round_trip_byte_for_byte(self):
         rng = np.random.default_rng(3)
@@ -560,6 +597,13 @@ class TestBalFormat:
     def test_trailing_tokens_rejected(self):
         with pytest.raises(BalParseError, match="trailing"):
             parse_bal(sample_bal_text() + "42\n")
+
+    def test_non_finite_pixel_rejected(self):
+        lines = sample_bal_text().splitlines()
+        first = lines[1].split()
+        lines[1] = " ".join(first[:3] + ["nan"])
+        with pytest.raises(ValueError, match="pixel 0 is not finite"):
+            parse_bal("\n".join(lines) + "\n")
 
     def test_structurally_invalid_file_rejected(self):
         # Parses fine but violates the problem invariant (single camera).

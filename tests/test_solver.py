@@ -250,10 +250,21 @@ class TestResiduals:
         params = ParamVector.from_problem(tiny_problem)
         params.cameras[2, 6] = float("nan")
         first = [o.camera_index for o in tiny_problem.observations].index(2)
-        for evaluate in (initial_error, linearize):
-            with pytest.raises(NumericalFailureError, match="non-finite") as failure:
-                evaluate(tiny_problem, params)
-            assert failure.value.observation_index == first
+        with pytest.raises(NumericalFailureError, match="non-finite") as failure:
+            linearize(tiny_problem, params)
+        assert failure.value.observation_index == first
+        # A problem holds no NaN block, so the initial state meets a NaN
+        # residual only through its pixels, which stay writable.
+        with pytest.raises(ValueError, match="camera block 2 is not finite"):
+            initial_error(tiny_problem, params)
+        problem = BAProblem.from_arrays(
+            tiny_problem.camera_blocks, tiny_problem.point_blocks, tiny_problem.cam_idx,
+            tiny_problem.pt_idx, tiny_problem.pixels.copy(), tiny_problem.pixel_sigma,
+        )
+        problem.pixels[first, 0] = float("nan")
+        with pytest.raises(NumericalFailureError, match="non-finite") as failure:
+            SolverState.initial(problem)
+        assert failure.value.observation_index == first
 
     def test_estimation_error_frozen(self):
         res = np.array([[3.0, 4.0]])
