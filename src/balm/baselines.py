@@ -137,8 +137,8 @@ class ZeroNetConfig:
     hidden: int = ZERO_NET_HIDDEN
     lr: float = 3e-4
     passes_per_epoch: int = 150
-    max_iterations: int = 100
-    threshold: float = 1e-6
+    max_iterations: int = EnvConfig.max_iterations
+    threshold: float = EnvConfig.threshold
     deterministic_time: bool = True
 
     def __post_init__(self) -> None:
@@ -202,4 +202,4 @@ def load_zero_net_checkpoint(path) -> Mlp:
     meta, arrays = load_arrays(path)
     if meta.get("kind") != "zero-net":
         raise ValueError(f"{path}: checkpoint is not a zero-net")
-    return mlp_from_arrays(meta["widths"], arrays)
+    return mlp_from_arrays(meta.get("widths"), arrays)

@@ -8,10 +8,11 @@ counts stand in for time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .env import EnvConfig
 from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
 from .sac import NonFiniteLossError, TrainConfig, train_agent
 from .scene import BAProblem, generate_synthetic
@@ -30,7 +31,6 @@ SUITE_NOISE_STD = 0.5
 DEFAULT_TOLERANCES = (0.1, 0.001)
 ABLATION_WINDOWS = (1, 5, 10, 20)
 ABLATION_REWARDS = ("duration", "constant", "reduction")
-SOLVE_OPTIONS = ("max_iterations", "threshold", "deterministic_time", "accept_only_improving")
 # ablation kind -> (the TrainConfig field it varies, which is also its row column, values)
 ABLATION_VARIANTS = {
     "state_size": ("window", ABLATION_WINDOWS),
@@ -98,24 +98,23 @@ def run_comparison(problems: dict, policies: dict, env_config=None) -> Compariso
     """Solve every (problem, policy) cell once; aggregate per policy.
 
     ``problems`` maps id -> problem, ``policies`` maps kind -> ``DampingPolicy``
-    and ``env_config`` is a mapping whose ``solve`` options are used (the
-    others are ignored). Solves are deterministic given their inputs, so one
-    run per cell is the whole measurement. The one typed failure ``solve``
-    raises, ``NumericalFailureError`` (a zero depth or a non-finite error in
-    the initial state), becomes an outcome row and the sweep goes on; a
-    failed step is already a "numerical-failure" outcome. Any other
-    exception is a bug and propagates.
+    and ``env_config``, a mapping or an object such as a ``TrainConfig``, gives
+    every solve the settings ``EnvConfig.of`` reads from it (a rejected one
+    raises ``ValueError`` before any solve). Solves are deterministic given
+    their inputs, so one run per cell is the whole measurement. The one typed
+    failure ``solve`` raises, ``NumericalFailureError`` (a zero depth or a
+    non-finite error in the initial state), becomes an outcome row and the
+    sweep goes on; a failed step is already a "numerical-failure" outcome.
+    Any other exception is a bug and propagates.
     """
     if not problems or not policies:
         raise ValueError("problems and policies must both be non-empty")
-    env_config = env_config or {}
-    # options the mapping leaves out keep solve's defaults
-    solve_kwargs = {k: env_config[k] for k in SOLVE_OPTIONS if k in env_config}
+    settings = vars(EnvConfig.of(env_config or {}))
     records = []
     for problem_id, problem in problems.items():
         for kind, policy in policies.items():
             try:
-                result = solve(problem, policy, **solve_kwargs)
+                result = solve(problem, policy, **settings)
                 records.append(RunRecord.from_result(str(problem_id), kind, result))
             except NumericalFailureError as exc:
                 records.append(
@@ -315,7 +314,7 @@ def ablation_suite(kind: str, cfg: TrainConfig, train_problems, held_out: dict) 
             variant = replace(cfg, **{column: value})
             try:
                 nets, _logs = train_agent(train_problems, variant)
-                table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, asdict(variant))
+                table = run_comparison(held_out, {"agent": AgentPolicy(nets)}, variant)
             except ABLATION_FAILURES as exc:  # record, keep sweeping
                 rows.append({column: value, "error": str(exc)})
                 continue
@@ -331,7 +330,7 @@ def ablation_suite(kind: str, cfg: TrainConfig, train_problems, held_out: dict) 
                 "scheduler": ConstantSchedulerPolicy(schedule),
                 "classic": ClassicPolicy(),
             }
-            table = run_comparison(held_out, policies, asdict(cfg))
+            table = run_comparison(held_out, policies, cfg)
             for agg in table.aggregates:
                 row = dict(agg)
                 if row["policy"] == "scheduler":

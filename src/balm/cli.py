@@ -64,7 +64,7 @@ from .policy import (
 )
 from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, train_agent
 from .scene import generate_synthetic, parse_bal, serialize_bal
-from .solver import records_to_csv, result_to_json_dict, solve
+from .solver import NumericalFailureError, SolverState, records_to_csv, result_to_json_dict, solve
 
 # The fields of the configs ``train`` builds, for ``--algo sac`` and ``zero-net``.
 TRAIN_FIELDS = {f.name for config in (TrainConfig, ZeroNetConfig) for f in fields(config)}
@@ -174,17 +174,6 @@ def _suite_problems(args, seeds) -> dict:
     }
 
 
-def _solve_settings(args) -> dict:
-    """The solve options of ``solve``, ``eval`` and ``profile``, checked."""
-    settings = {
-        "max_iterations": args.max_iterations,
-        "threshold": args.threshold,
-        "deterministic_time": args.deterministic_time,
-    }
-    EnvConfig(**settings)
-    return settings
-
-
 def _add_scene_options(parser):
     parser.add_argument("--num-cameras", type=int, default=10)
     parser.add_argument("--num-points", type=int, default=10)
@@ -194,8 +183,8 @@ def _add_scene_options(parser):
 
 
 def _add_solve_options(parser):
-    parser.add_argument("--max-iterations", type=int, default=100)
-    parser.add_argument("--threshold", type=float, default=1e-6)
+    parser.add_argument("--max-iterations", type=int, default=EnvConfig.max_iterations)
+    parser.add_argument("--threshold", type=float, default=EnvConfig.threshold)
 
 
 def _add_train_options(parser, *configs):
@@ -270,10 +259,11 @@ def cmd_solve(args) -> int:
     try:
         if not args.problem:
             raise ValueError("solve needs --problem (flag or config)")
-        settings = _solve_settings(args)
+        settings = vars(EnvConfig.of(args))
         problem = parse_bal(read_text(args.problem), pixel_sigma=args.pixel_sigma)
+        SolverState.initial(problem)  # a starting point that cannot be scored is rejected
         policy = _policy(args.policy, args, [problem])
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalFailureError) as exc:
         return _usage_error(args, exc)
     result = solve(problem, policy, **settings)
     _write_outputs(args, {
@@ -320,7 +310,7 @@ def cmd_train(args) -> int:
 
 def _comparison_inputs(args):
     """The scenes, policies and solve settings of ``eval`` and ``profile``."""
-    settings = _solve_settings(args)
+    settings = EnvConfig.of(args)
     problems = _suite_problems(args, parse_seed_list(args.eval_seeds))
     tokens = parse_key_list(args.policies, "policy token", flag="--policies")
     policies = {token: _policy(token, args, list(problems.values())) for token in tokens}

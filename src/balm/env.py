@@ -13,6 +13,7 @@ player.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 from .policy import PolicyObservation, observe
@@ -57,10 +58,11 @@ class EnvConfig:
 
     @classmethod
     def of(cls, config) -> EnvConfig:
-        """The env settings among ``config``'s attributes, checked; the rest keep
-        their defaults. Each training config builds its env this way."""
-        names = [f.name for f in fields(cls) if hasattr(config, f.name)]
-        return cls(**{name: getattr(config, name) for name in names})
+        """The env settings among ``config``'s keys (a mapping) or attributes (an
+        object), checked; those it lacks keep their defaults and its other entries
+        are ignored. The configs, ``run_comparison`` and the CLI build theirs so."""
+        values = config if isinstance(config, Mapping) else vars(config)
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 @dataclass

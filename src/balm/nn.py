@@ -431,8 +431,12 @@ def mlp_to_arrays(net: Mlp, prefix: str = "") -> dict:
 
 
 def mlp_from_arrays(widths, arrays: dict, prefix: str = "") -> Mlp:
-    """Inverse of ``mlp_to_arrays``. A missing array raises ``ValueError``
-    naming it, and ``Mlp`` rejects arrays that do not fit ``widths``."""
+    """Inverse of ``mlp_to_arrays``. ``widths`` that are not a list of two or
+    more positive ints, or a missing array, raise ``ValueError`` naming them,
+    and ``Mlp`` rejects arrays that do not fit ``widths``."""
+    if not (isinstance(widths, list) and len(widths) >= 2
+            and all(type(w) is int and w > 0 for w in widths)):
+        raise ValueError(f"checkpoint {prefix}widths {widths!r} are not two or more positive ints")
     weights, biases = ([f"{prefix}{kind}{i}" for i in range(len(widths) - 1)] for kind in "wb")
     for name in weights + biases:
         if name not in arrays:

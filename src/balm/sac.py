@@ -184,10 +184,10 @@ class TrainConfig:
     replay_capacity: int = 100_000
     warmup_steps: int = 500
     target_refresh: int = 5
-    reward_variant: str = "duration"
-    max_iterations: int = 100
-    threshold: float = 1e-6
-    deterministic_time: bool = False
+    reward_variant: str = EnvConfig.reward_variant
+    max_iterations: int = EnvConfig.max_iterations
+    threshold: float = EnvConfig.threshold
+    deterministic_time: bool = EnvConfig.deterministic_time
 
     def __post_init__(self) -> None:
         EnvConfig.of(self)  # checks the env fields
@@ -400,11 +400,24 @@ def load_agent_checkpoint(path) -> tuple[AgentNets, dict]:
     meta, arrays = load_arrays(path)
     if meta.get("kind") != "sac-agent":
         raise ValueError(f"{path}: checkpoint is not an agent")
+    widths, config = meta.get("widths"), meta.get("config", {})
+    if not isinstance(widths, dict):
+        raise ValueError(f"{path}: checkpoint widths {widths!r} are not a mapping of its nets")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: checkpoint config {config!r} is not a mapping")
     nets = AgentNets(
         **{
-            name: mlp_from_arrays(meta["widths"][name], arrays, prefix=f"{name}.")
+            name: mlp_from_arrays(widths.get(name), arrays, prefix=f"{name}.")
             for name in _NET_NAMES
         },
-        reversed_state=meta.get("config", {}).get("reward_variant") == "reversed",
+        reversed_state=config.get("reward_variant") == "reversed",
     )
+    # the policy maps a window of w to (mu, log sigma); the critics also read the action
+    w = nets.window
+    for name, end in zip(_NET_NAMES, [(w, 2), (w + 1, 1), (w + 1, 1), (w, 1), (w, 1)]):
+        net_widths = getattr(nets, name).widths
+        if (net_widths[0], net_widths[-1]) != end:
+            raise ValueError(
+                f"{path}: checkpoint {name} widths {net_widths} do not fit an agent of window {w}"
+            )
     return nets, meta

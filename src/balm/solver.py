@@ -954,31 +954,18 @@ def convergence_check(error_history: list[float], threshold: float = 1e-6) -> bo
     return abs(previous - current) / max(previous, CONVERGENCE_FLOOR) < threshold
 
 
-def solve(
-    problem: BAProblem,
-    policy,
-    max_iterations: int = 100,
-    threshold: float = 1e-6,
-    deterministic_time: bool = False,
-    accept_only_improving: bool = False,
-) -> SolveResult:
+def solve(problem: BAProblem, policy, **settings) -> SolveResult:
     """Roll out one ``BAEnv`` episode with ``policy`` choosing every damping.
 
-    The episode ends when the error plateaus, the cap is hit, or numerics
-    fail. ``policy`` supplies the damping each iteration through
+    ``settings`` are ``EnvConfig`` fields (the rest keep its defaults), checked
+    by it. The episode ends when the error plateaus, the cap is hit, or
+    numerics fail. ``policy`` supplies the damping each iteration through
     ``next_lambda(observation)``, a function of the observation alone, so
     one instance can be reused across solves.
     """
     from .env import BAEnv, EnvConfig
 
-    env = BAEnv(
-        EnvConfig(
-            max_iterations=max_iterations,
-            threshold=threshold,
-            deterministic_time=deterministic_time,
-            accept_only_improving=accept_only_improving,
-        )
-    )
+    env = BAEnv(EnvConfig(**settings))
     out = env.step(policy.next_lambda(env.reset(problem)))
     while not out.done:
         out = env.step(policy.next_lambda(out.observation))

@@ -32,7 +32,7 @@ from balm.bench import (
 from balm.env import BAEnv, EnvConfig
 from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy, agent_state
 from balm.sac import NonFiniteLossError, TrainConfig, init_agent
-from balm.scene import BAProblem
+from balm.scene import BAProblem, generate_synthetic
 from balm.solver import solve
 
 
@@ -168,6 +168,34 @@ class TestRunComparison:
             run_comparison({}, {"classic": ClassicPolicy()})
         with pytest.raises(ValueError):
             run_comparison({"p": suite_problem(2, 4, 6)}, {})
+
+    # Each case sets one EnvConfig field (with deterministic timing, so rows compare
+    # exactly); the case without that field is the baseline its rows must differ from.
+    # With accept-on-improve, the first Newton-like steps on scene 7 raise the error
+    # and are rejected.
+    SETTINGS_CASES = [
+        ("deterministic_time", {"deterministic_time": True}),
+        ("max_iterations", {"max_iterations": 3, "deterministic_time": True}),
+        ("threshold", {"threshold": 1e-2, "deterministic_time": True}),
+        ("accept_only_improving",
+         {"accept_only_improving": True, "max_iterations": 3, "deterministic_time": True}),
+    ]
+
+    @pytest.mark.parametrize("field, settings", SETTINGS_CASES, ids=[c[0] for c in SETTINGS_CASES])
+    def test_every_env_config_field_reaches_each_solve(self, field, settings):
+        problems = {"s7": generate_synthetic(10, 10, seed=7)}
+        policies = {"classic": ClassicPolicy(), "newton": FixedPolicy(1e-12)}
+        expected = [
+            RunRecord.from_result("s7", kind, solve(problems["s7"], policy, **settings))
+            for kind, policy in policies.items()
+        ]
+        baseline = {k: v for k, v in settings.items() if k != field}
+        # TrainConfig has no accept_only_improving; an EnvConfig stands in for it there
+        config_type = TrainConfig if field != "accept_only_improving" else EnvConfig
+        for env_config in (settings, config_type(**settings)):
+            records = run_comparison(problems, policies, env_config).records
+            assert records == expected
+            assert records != run_comparison(problems, policies, baseline).records
 
     def test_csv_output_is_deterministic(self):
         first = self.make_table()

@@ -24,6 +24,7 @@ from balm import cli
 from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
 from balm.bench import extract_schedule
 from balm.cli import _policy, build_parser, main, parse_key_list, parse_seed_list, read_text
+from balm.nn import mlp_init, mlp_to_arrays, save_arrays
 from balm.policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
@@ -749,6 +750,11 @@ def rejecting_dir(tmp_path, monkeypatch, scene_dir):
     header, first, *rest = text.splitlines(keepends=True)
     nan_pixel = " ".join(first.split()[:3] + ["nan\n"])
     (tmp_path / "nan-pixel.txt").write_text(header + nan_pixel + "".join(rest))
+    # camera 0 at the origin sees the point (1, 1, 0) at depth zero
+    cameras = "0 0 0 0 0 0 500 0 0\n0 0 0 0 0 5 500 0 0\n"
+    (tmp_path / "zero-depth.txt").write_text(
+        "2 1 2\n0 0 10 10\n1 0 100 100\n" + cameras + "1 1 0\n"
+    )
     monkeypatch.chdir(tmp_path)
     for work in ("solve", "run_comparison", "train_agent", "zero_net_train", "ablation_suite"):
         monkeypatch.setattr(cli, work, None)  # calling it would raise TypeError
@@ -795,6 +801,8 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
         ((*SOLVE_SCENE, "--policy", "scheduler", "--schedule", "nan,1"),
          "schedule [nan, 1.0] has a NaN damping"),
         (("solve", "--problem", "nan-pixel.txt"), "pixel 0 is not finite: ["),
+        (("solve", "--problem", "zero-depth.txt"),
+         "observation 0: camera-frame depth is numerically zero"),
         (("solve", "--policy", "gn"), "solve needs --problem (flag or config)"),
         (("eval", "--policies", " , ", *TINY_EVAL), "--policies: no policy tokens in ' , '"),
         (("ablate", "--train-seeds", "0"), "ablate needs --kind (flag or config)"),
@@ -815,7 +823,8 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
     ],
     ids=[
         "schedule-auto-no-checkpoint", "agent-no-checkpoint", "zero-net-no-checkpoint",
-        "unknown-policy", "schedule-nan", "solve-nan-pixel", "no-problem", "no-policies",
+        "unknown-policy", "schedule-nan", "solve-nan-pixel", "solve-zero-depth", "no-problem",
+        "no-policies",
         "no-kind", "config-missing", "config-not-json", "config-not-an-object",
         "config-unknown-key", "profile-one-policy", "eval-repeated-policy",
         "profile-repeated-tolerance", "profile-tolerances-name-one-file",
@@ -862,6 +871,67 @@ def test_malformed_checkpoint_exits_2(rejecting_dir, capsys, token, contents, me
     (rejecting_dir / "bad.ckpt").write_bytes(contents(CHECKPOINT_META[token]))
     argv = ("eval", "--policies", token, "--checkpoint", "bad.ckpt", *TINY_EVAL)
     assert message in usage_error(capsys, rejecting_dir / "out", *argv)
+
+
+AGENT_WIDTHS = CHECKPOINT_META["agent"]["widths"]
+
+
+def agent_arrays(widths) -> dict:
+    """The arrays of an agent whose nets have ``widths``."""
+    arrays = {}
+    for name, net_widths in widths.items():
+        arrays.update(mlp_to_arrays(mlp_init(net_widths, 0), prefix=f"{name}."))
+    return arrays
+
+
+@pytest.mark.parametrize(
+    ("token", "meta", "message"),
+    [
+        ("zero-net", {}, "checkpoint widths None are not two or more positive ints"),
+        ("zero-net", {"widths": []}, "checkpoint widths [] are not two or more positive ints"),
+        ("zero-net", {"widths": [15]}, "checkpoint widths [15] are not two or more positive ints"),
+        ("zero-net", {"widths": [15, 0, 1]},
+         "checkpoint widths [15, 0, 1] are not two or more positive ints"),
+        ("zero-net", {"widths": [15, True, 1]},
+         "checkpoint widths [15, True, 1] are not two or more positive ints"),
+        ("agent", {}, "bad.ckpt: checkpoint widths None are not a mapping of its nets"),
+        ("agent", {"widths": 5}, "bad.ckpt: checkpoint widths 5 are not a mapping of its nets"),
+        ("agent", {"widths": {**AGENT_WIDTHS, "value": [5.0, 4, 1]}},
+         "checkpoint value.widths [5.0, 4, 1] are not two or more positive ints"),
+        ("agent", {"widths": {k: v for k, v in AGENT_WIDTHS.items() if k != "critic2"}},
+         "checkpoint critic2.widths None are not two or more positive ints"),
+        ("agent", {"widths": AGENT_WIDTHS, "config": [1]},
+         "bad.ckpt: checkpoint config [1] is not a mapping"),
+    ],
+    ids=["zero-net-no-widths", "zero-net-empty", "zero-net-one-width", "zero-net-zero-width",
+         "zero-net-bool-width", "agent-no-widths", "agent-int-widths", "agent-float-width",
+         "agent-no-critic2-widths", "agent-list-config"],
+)
+def test_checkpoint_meta_that_makes_no_net_exits_2(rejecting_dir, capsys, token, meta, message):
+    # the arrays are those of a good net, so only the meta is wrong
+    if token == "agent":
+        kind, arrays = "sac-agent", agent_arrays(AGENT_WIDTHS)
+    else:
+        kind, arrays = "zero-net", mlp_to_arrays(init_zero_net(hidden=4))
+    save_arrays(rejecting_dir / "bad.ckpt", {"kind": kind, **meta}, arrays)
+    argv = ("eval", "--policies", f"{token},classic", "--checkpoint", "bad.ckpt", *TINY_EVAL)
+    assert usage_error(capsys, rejecting_dir / "out", *argv) == message
+
+
+@pytest.mark.parametrize(
+    ("name", "widths"),
+    [("policy", [5, 4, 1]), ("critic1", [5, 4, 1]), ("critic2", [6, 4, 2]),
+     ("value", [6, 4, 1]), ("target_value", [5, 4, 2])],
+)
+def test_agent_checkpoint_whose_nets_fit_no_agent_exits_2(rejecting_dir, capsys, name, widths):
+    # every net loads on its own, but one of them cannot serve a window-5 agent
+    nets = {**AGENT_WIDTHS, name: widths}
+    meta = {"kind": "sac-agent", "widths": nets}
+    save_arrays(rejecting_dir / "bad.ckpt", meta, agent_arrays(nets))
+    argv = ("eval", "--policies", "agent,classic", "--checkpoint", "bad.ckpt", *TINY_EVAL)
+    assert usage_error(capsys, rejecting_dir / "out", *argv) == (
+        f"bad.ckpt: checkpoint {name} widths {widths} do not fit an agent of window 5"
+    )
 
 
 # Each float flag with a command line that reads it: ``--fixed-value`` needs
