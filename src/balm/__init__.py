@@ -5,12 +5,13 @@ The package is organised bottom-up:
 - :mod:`balm.scene` — BAL-convention scenes: camera/point containers, Rodrigues
   rotation, projection with radial distortion, synthetic scene generation, and
   BAL text (de)serialization.
-- :mod:`balm.solver` — damped Levenberg-Marquardt with a Schur-complement
-  camera system, the classic damping schedule, and the `solve` driver.
+- :mod:`balm.solver` — damped Levenberg-Marquardt iterations with a
+  Schur-complement camera system.
 - :mod:`balm.policy` — the policy interface the solver consults for the next
   damping value, plus classic / fixed / scheduler / learned implementations.
 - :mod:`balm.env` — the solver wrapped as a sequential decision environment
-  (episode observations, duration rewards, episode bookkeeping).
+  (episode observations, duration rewards), its one episode loop
+  (``BAEnv.rollout``) and the ``solve`` driver that plays it with a policy.
 - :mod:`balm.nn` — a small from-scratch MLP stack (forward, backprop, Adam,
   checkpoints) used by both learners.
 - :mod:`balm.sac` — soft actor-critic training of the damping agent.
@@ -47,13 +48,11 @@ from .solver import (
     IterationRecord,
     NumericalFailureError,
     SingularSystemError,
-    SolveResult,
     damped_step,
     estimation_error,
     evaluate_steps,
     linearize,
     lm_iterate,
-    solve,
 )
 from .policy import (
     AgentPolicy,
@@ -64,7 +63,7 @@ from .policy import (
     PolicyObservation,
     ZeroNetPolicy,
 )
-from .env import BAEnv, EnvConfig, StepOutcome, compute_reward
+from .env import BAEnv, EnvConfig, SolveResult, StepOutcome, compute_reward, solve
 from .sac import (
     AgentNets,
     NonFiniteLossError,
@@ -117,13 +116,11 @@ __all__ = [
     "IterationRecord",
     "NumericalFailureError",
     "SingularSystemError",
-    "SolveResult",
     "damped_step",
     "estimation_error",
     "evaluate_steps",
     "linearize",
     "lm_iterate",
-    "solve",
     # policy
     "AgentPolicy",
     "ClassicPolicy",
@@ -135,8 +132,10 @@ __all__ = [
     # env
     "BAEnv",
     "EnvConfig",
+    "SolveResult",
     "StepOutcome",
     "compute_reward",
+    "solve",
     # sac
     "AgentNets",
     "NonFiniteLossError",

@@ -106,22 +106,24 @@ def _collect_labeled_windows(problem, net: Mlp | None, cfg: ZeroNetConfig):
     """One rollout in the env of the run's config ``cfg``; every visited
     state is labeled with the greedy damping.
 
-    The rollout is ``solve``'s: ``ClassicPolicy`` picks every damping with
-    no net (warm-start epoch), ``ZeroNetPolicy(net)`` otherwise. Each
-    state's input is the ``zero_net_input`` row of its observation, the
-    very row the policy is served there.
+    The chooser labels the pre-step state, then asks the policy that
+    ``solve`` would: ``ClassicPolicy`` with no net (warm-start epoch),
+    ``ZeroNetPolicy(net)`` otherwise. Each state's input is the
+    ``zero_net_input`` row of its observation, the very row the policy is
+    served there. The oracle is called by its module-global name, which
+    ``perfbench`` rebinds to time each label.
     """
     policy = ClassicPolicy() if net is None else ZeroNetPolicy(net)
     env = BAEnv(EnvConfig.of(cfg))
-    obs = env.reset(problem)
-    inputs = []
-    targets = []
-    done = False
-    while not done:
+    inputs, targets = [], []
+
+    def label_then_choose(obs: PolicyObservation) -> float:
         inputs.append(zero_net_input(obs, cfg.window))
         targets.append(raw_regression_target(zero_net_oracle(problem, env.solver_state)))
-        out = env.step(policy.next_lambda(obs))
-        obs, done = out.observation, out.done
+        return policy.next_lambda(obs)
+
+    for _ in env.rollout(problem, label_then_choose):
+        pass
     return inputs, targets
 
 

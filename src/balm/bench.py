@@ -12,19 +12,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import EnvConfig
-from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
-from .sac import NonFiniteLossError, TrainConfig, train_agent
-from .scene import BAProblem, generate_synthetic
-from .solver import (
+from .env import (
     OUTCOME_CONVERGED,
     OUTCOME_ITERATION_CAP,
     OUTCOME_NUMERICAL_FAILURE,
-    NumericalFailureError,
+    EnvConfig,
     SolveResult,
-    csv_text,
     solve,
 )
+from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
+from .sac import NonFiniteLossError, TrainConfig, train_agent
+from .scene import BAProblem, generate_synthetic
+from .solver import NumericalFailureError, csv_text
 
 SUITE_PIXEL_SIGMA = 250.0
 SUITE_NOISE_STD = 0.5

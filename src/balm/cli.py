@@ -52,7 +52,7 @@ from .baselines import (
     save_zero_net_checkpoint,
     zero_net_train,
 )
-from .env import REWARD_VARIANTS, EnvConfig
+from .env import REWARD_VARIANTS, EnvConfig, solve
 from .policy import (
     DEFAULT_SCHEDULE,
     AgentPolicy,
@@ -64,7 +64,7 @@ from .policy import (
 )
 from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, train_agent
 from .scene import generate_synthetic, parse_bal, serialize_bal
-from .solver import NumericalFailureError, SolverState, records_to_csv, result_to_json_dict, solve
+from .solver import NumericalFailureError, SolverState, records_to_csv, result_to_json_dict
 
 # The fields of the configs ``train`` builds, for ``--algo sac`` and ``zero-net``.
 TRAIN_FIELDS = {f.name for config in (TrainConfig, ZeroNetConfig) for f in fields(config)}

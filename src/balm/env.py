@@ -5,29 +5,24 @@ One episode is one solve: ``reset`` seeds the state on a problem, each
 the observation of the episode so far, the reward and the outcome (``None``
 while the episode runs). Reaching the iteration cap terminates without the
 convergence bonus, and its outcome tells learners they may still bootstrap
-through it. The env is the only place an episode is stepped, terminated and
-traced: ``solver.solve`` is a rollout of it with a damping policy as the
-player.
+through it. ``BAEnv.rollout`` is the one episode loop: ``solve`` plays it
+with a damping policy, and the zero-net collector and SAC training with
+their own choosers.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .policy import PolicyObservation, observe
 from .scene import BAProblem
-from .solver import (
-    OUTCOME_CONVERGED,
-    OUTCOME_ITERATION_CAP,
-    OUTCOME_NUMERICAL_FAILURE,
-    IterationRecord,
-    SolverState,
-    convergence_check,
-    lm_iterate,
-)
+from .solver import IterationRecord, ParamVector, SolverState, convergence_check, lm_iterate
 
+OUTCOME_CONVERGED = "converged"
+OUTCOME_ITERATION_CAP = "iteration-cap"
+OUTCOME_NUMERICAL_FAILURE = "numerical-failure"
 REWARD_VARIANTS = ("duration", "constant", "reduction", "reversed")
 CONVERGENCE_BONUS = 10.0
 REDUCTION_RATE = 0.01  # per-iteration decay of the ``reduction`` variant's bonus
@@ -74,6 +69,24 @@ class StepOutcome:
     @property
     def done(self) -> bool:
         return self.outcome is not None
+
+
+@dataclass
+class SolveResult:
+    """``iterations`` and ``total_time_s`` count completed iterations; after a
+    numerical failure ``records`` also holds the failed attempt (error NaN)."""
+
+    params: ParamVector
+    outcome: str
+    iterations: int
+    total_time_s: float
+    final_error: float
+    initial_error: float
+    records: list[IterationRecord] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome == OUTCOME_CONVERGED
 
 
 def compute_reward(
@@ -160,3 +173,39 @@ class BAEnv:
         )
         self.records.append(record)
         return StepOutcome(observe(state, self.records), reward, outcome)
+
+    def rollout(self, problem: BAProblem, choose):
+        """Play one episode on ``problem``: reset, then ``choose(observation)``
+        picks each damping, with ``solver_state`` still the state it observes.
+        Yields ``(observation, lam, StepOutcome)`` per step, the last one done.
+        """
+        observation, done = self.reset(problem), False
+        while not done:
+            lam = choose(observation)
+            out = self.step(lam)
+            yield observation, lam, out
+            observation, done = out.observation, out.done
+
+
+def solve(problem: BAProblem, policy, **settings) -> SolveResult:
+    """Roll out one ``BAEnv`` episode with ``policy`` choosing every damping.
+
+    ``settings`` are ``EnvConfig`` fields (the rest keep its defaults), checked
+    by it. The episode ends when the error plateaus, the cap is hit, or
+    numerics fail. ``policy`` supplies the damping each iteration through
+    ``next_lambda(observation)``, a function of the observation alone, so
+    one instance can be reused across solves.
+    """
+    env = BAEnv(EnvConfig(**settings))
+    for _, _, out in env.rollout(problem, policy.next_lambda):
+        pass
+    state = env.solver_state
+    return SolveResult(
+        params=state.params,
+        outcome=out.outcome,
+        iterations=state.iteration,
+        total_time_s=float(sum(state.durations)),
+        final_error=state.error_history[-1],
+        initial_error=state.error_history[0],
+        records=env.records,
+    )

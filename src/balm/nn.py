@@ -432,8 +432,8 @@ def mlp_to_arrays(net: Mlp, prefix: str = "") -> dict:
 
 def mlp_from_arrays(widths, arrays: dict, prefix: str = "") -> Mlp:
     """Inverse of ``mlp_to_arrays``. ``widths`` that are not a list of two or
-    more positive ints, or a missing array, raise ``ValueError`` naming them,
-    and ``Mlp`` rejects arrays that do not fit ``widths``."""
+    more positive ints, or a missing or non-finite array, raise ``ValueError``
+    naming them, and ``Mlp`` rejects arrays that do not fit ``widths``."""
     if not (isinstance(widths, list) and len(widths) >= 2
             and all(type(w) is int and w > 0 for w in widths)):
         raise ValueError(f"checkpoint {prefix}widths {widths!r} are not two or more positive ints")
@@ -441,4 +441,6 @@ def mlp_from_arrays(widths, arrays: dict, prefix: str = "") -> Mlp:
     for name in weights + biases:
         if name not in arrays:
             raise ValueError(f"checkpoint has no array {name!r}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"checkpoint array {name!r} has a non-finite value")
     return Mlp(widths, [arrays[n] for n in weights], [arrays[n] for n in biases])

@@ -168,6 +168,8 @@ class ZeroNetPolicy(DampingPolicy):
         window = net.widths[0] // 3
         if net.widths[0] != 3 * window:
             raise ValueError("zero-net input width must be divisible by 3")
+        if net.widths[-1] != 1:
+            raise ValueError(f"a zero-net has one output, not {net.widths[-1]}")
         super().__init__(window=window)
         self.net = net
 

@@ -10,11 +10,11 @@ tanh squash rather than by autodiff.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .env import BAEnv, EnvConfig
+from .env import OUTCOME_ITERATION_CAP, BAEnv, EnvConfig
 from .nn import (
     AdamState,
     Mlp,
@@ -32,7 +32,6 @@ from .nn import (
     save_arrays,
 )
 from .policy import agent_state
-from .solver import OUTCOME_ITERATION_CAP
 
 LOG_SIGMA_MIN = -20.0
 LOG_SIGMA_MAX = 2.0
@@ -325,44 +324,37 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
     env = BAEnv(EnvConfig.of(cfg))
     logs = []
     total_steps = 0
-    for episode in range(cfg.episodes):
-        problem = problems[episode % len(problems)]
-        obs = env.reset(problem)
+    picked = {}  # the state and squashed action behind the damping ``choose`` last picked
+
+    def choose(obs):
         state = np.array(agent_state(nets, obs), dtype=float)
+        if total_steps < cfg.warmup_steps:
+            lam, u = warmup_action(rng)
+        else:
+            lam, u = select_action(nets, state, rng=rng)
+        picked.update(state=state, u=u)
+        return lam
+
+    for episode in range(cfg.episodes):
         episode_return = 0.0
-        steps = 0
         losses = []
-        done = False
-        while not done:
-            if total_steps < cfg.warmup_steps:
-                lam, u = warmup_action(rng)
-            else:
-                lam, u = select_action(nets, state, rng=rng)
-            out = env.step(lam)
+        for _, _, out in env.rollout(problems[episode % len(problems)], choose):
             next_state = np.array(agent_state(nets, out.observation), dtype=float)
             terminal = out.done and out.outcome != OUTCOME_ITERATION_CAP
-            buffer.add(state, u, out.reward, next_state, float(terminal))
-            state = next_state
+            buffer.add(picked["state"], picked["u"], out.reward, next_state, float(terminal))
             episode_return += out.reward
-            steps += 1
             total_steps += 1
-            done = out.done
             if total_steps >= cfg.warmup_steps and len(buffer) >= cfg.batch_size:
                 stats = sac_update(nets, opt, buffer.sample(cfg.batch_size, rng), cfg, rng)
-                if not (
-                    np.isfinite(stats.critic_loss)
-                    and np.isfinite(stats.value_loss)
-                    and np.isfinite(stats.policy_loss)
-                ):
+                if not np.isfinite(astuple(stats)).all():
                     raise NonFiniteLossError(
-                        "non-finite loss at episode "
-                        f"{episode}, step {total_steps}: critic={stats.critic_loss}, "
-                        f"value={stats.value_loss}, policy={stats.policy_loss}"
+                        f"non-finite loss at episode {episode}, step {total_steps}: critic="
+                        f"{stats.critic_loss}, value={stats.value_loss}, policy={stats.policy_loss}"
                     )
                 losses.append(stats)
         entry = {
             "episode": episode,
-            "steps": steps,
+            "steps": len(env.records),
             "return": episode_return,
             "outcome": out.outcome,
             "final_error": out.observation.errors[-1],

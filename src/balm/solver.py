@@ -131,11 +131,6 @@ _EYE2, _EYE3, _EYE9 = np.eye(2), np.eye(3), np.eye(9)
 for _eye in (_EYE2, _EYE3, _EYE9):
     _eye.flags.writeable = False
 
-OUTCOME_CONVERGED = "converged"
-OUTCOME_ITERATION_CAP = "iteration-cap"
-OUTCOME_NUMERICAL_FAILURE = "numerical-failure"
-
-
 class NumericalFailureError(RuntimeError):
     """A residual or step evaluation produced a non-finite or degenerate value."""
 
@@ -245,24 +240,6 @@ class SolverState:
         twin = replace(self, error_history=list(self.error_history), durations=list(self.durations))
         twin._projection, twin._linearization = self._projection, self._linearization
         return twin
-
-
-@dataclass
-class SolveResult:
-    """``iterations`` and ``total_time_s`` count completed iterations; after a
-    numerical failure ``records`` also holds the failed attempt (error NaN)."""
-
-    params: ParamVector
-    outcome: str
-    iterations: int
-    total_time_s: float
-    final_error: float
-    initial_error: float
-    records: list[IterationRecord] = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return self.outcome == OUTCOME_CONVERGED
 
 
 def _checked_residual(pixels, predicted, depths) -> np.ndarray:
@@ -898,14 +875,17 @@ def lm_iterate(
     the candidate's error, as in ``evaluate_steps``. The step is applied
     additively to every parameter block and accepted unconditionally unless
     ``accept_only_improving`` is set, in which case a worsening step leaves
-    the parameters (and error) unchanged. Failures (degenerate depth,
-    non-finite error, unsolvable system) mark the state instead of raising.
+    the parameters (and error) unchanged. Failures (a non-finite damping,
+    degenerate depth, non-finite error, unsolvable system) mark the state
+    instead of raising.
     An accepted candidate keeps the projection that scored it; the
     successor of a rejected or failed step shares the state's parameters
     and linearization.
     """
     start = time.perf_counter()
     try:
+        if not math.isfinite(lam):
+            raise NumericalFailureError(f"damping {lam} is not finite")
         delta_cam, delta_pt = damped_step(state.linearization(problem), lam)
         (outcome,), projection = _candidate_errors(
             problem, state.params, delta_cam[None], delta_pt[None], [None]
@@ -954,33 +934,6 @@ def convergence_check(error_history: list[float], threshold: float = 1e-6) -> bo
     return abs(previous - current) / max(previous, CONVERGENCE_FLOOR) < threshold
 
 
-def solve(problem: BAProblem, policy, **settings) -> SolveResult:
-    """Roll out one ``BAEnv`` episode with ``policy`` choosing every damping.
-
-    ``settings`` are ``EnvConfig`` fields (the rest keep its defaults), checked
-    by it. The episode ends when the error plateaus, the cap is hit, or
-    numerics fail. ``policy`` supplies the damping each iteration through
-    ``next_lambda(observation)``, a function of the observation alone, so
-    one instance can be reused across solves.
-    """
-    from .env import BAEnv, EnvConfig
-
-    env = BAEnv(EnvConfig(**settings))
-    out = env.step(policy.next_lambda(env.reset(problem)))
-    while not out.done:
-        out = env.step(policy.next_lambda(out.observation))
-    state = env.solver_state
-    return SolveResult(
-        params=state.params,
-        outcome=out.outcome,
-        iterations=state.iteration,
-        total_time_s=float(sum(state.durations)),
-        final_error=state.error_history[-1],
-        initial_error=state.error_history[0],
-        records=env.records,
-    )
-
-
 def _fmt(value) -> str:
     """One CSV cell: NaN is blank, floats round-trip, sequences join with ';'."""
     if isinstance(value, float):
@@ -1006,7 +959,7 @@ def records_to_csv(records: list[IterationRecord]) -> str:
     return csv_text(RECORD_COLUMNS, map(astuple, records))
 
 
-def result_to_json_dict(result: SolveResult) -> dict:
+def result_to_json_dict(result) -> dict:
     return {
         "outcome": result.outcome,
         "iterations": result.iterations,

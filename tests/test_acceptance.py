@@ -33,7 +33,7 @@ import scipy.integrate
 import balm
 from balm.cli import main as cli_main
 from balm.bench import RunRecord, performance_profile
-from balm.env import BAEnv, EnvConfig, compute_reward
+from balm.env import BAEnv, EnvConfig, compute_reward, solve
 from balm.policy import ClassicPolicy
 from balm.sac import (
     TrainConfig,
@@ -48,7 +48,6 @@ from balm.solver import (
     ParamVector,
     damped_step,
     linearize,
-    solve,
 )
 
 from conftest import dense_step, dense_system, flat, residuals, suite_problem

@@ -30,12 +30,12 @@ from balm.baselines import (
     zero_net_oracle,
     zero_net_train,
 )
-from balm.env import BAEnv, EnvConfig
+from balm.env import BAEnv, EnvConfig, solve
 from balm.nn import mlp_forward_cached, mlp_init, save_arrays
 from balm.policy import ClassicPolicy, PolicyObservation, ZeroNetPolicy, make_state
 from balm.sac import NonFiniteLossError, lambda_from_action
 from balm.scene import generate_synthetic
-from balm.solver import ParamVector, SolverState, lm_iterate, solve
+from balm.solver import ParamVector, SolverState, lm_iterate
 
 
 def small_net(window=5, hidden=8, seed=0):

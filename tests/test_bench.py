@@ -33,7 +33,7 @@ from balm.env import BAEnv, EnvConfig
 from balm.policy import AgentPolicy, ClassicPolicy, DampingPolicy, FixedPolicy, agent_state
 from balm.sac import NonFiniteLossError, TrainConfig, init_agent
 from balm.scene import BAProblem, generate_synthetic
-from balm.solver import solve
+from balm.env import solve
 
 
 class ExplodingPolicy(DampingPolicy):
@@ -154,6 +154,27 @@ class TestRunComparison:
             assert by_cell["s2", kind].outcome == "converged"
         assert [a["success_rate"] for a in table.aggregates] == [0.5, 0.5]
         assert [a["errors"] for a in table.aggregates] == [1, 1]
+
+    def test_a_nan_damping_ends_as_a_numerical_failure_row(self):
+        # a net whose output is NaN hands the solver a NaN damping
+        class NanAfterTwo(DampingPolicy):
+            def next_lambda(self, obs):
+                return 0.25 if obs.iteration_index < 2 else float("nan")
+
+        problem = suite_problem(2, 4, 6)
+        result = solve(problem, NanAfterTwo(), deterministic_time=True)
+        assert (result.outcome, result.iterations, len(result.records)) == (
+            "numerical-failure", 2, 3
+        )
+        assert np.isnan(result.records[-1].lam) and np.isnan(result.records[-1].error)
+        table = run_comparison(
+            {"s2": problem}, {"nan": NanAfterTwo(), "classic": ClassicPolicy()},
+            env_config={"deterministic_time": True},
+        )
+        by_kind = {r.policy_kind: r for r in table.records}
+        assert by_kind["nan"].outcome == "numerical-failure"
+        assert by_kind["classic"].outcome == "converged"
+        assert [a["numerical_failures"] for a in table.aggregates] == [1, 0]
 
     def test_a_bug_raises_instead_of_becoming_a_row(self):
         problems = {"s2": suite_problem(2, 4, 6)}

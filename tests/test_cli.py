@@ -37,7 +37,7 @@ from balm.policy import (
 )
 from balm.sac import TrainConfig, init_agent, load_agent_checkpoint, save_agent_checkpoint
 from balm.scene import serialize_bal
-from balm.solver import solve
+from balm.env import solve
 
 
 def run_cli(*argv) -> int:
@@ -932,6 +932,43 @@ def test_agent_checkpoint_whose_nets_fit_no_agent_exits_2(rejecting_dir, capsys,
     assert usage_error(capsys, rejecting_dir / "out", *argv) == (
         f"bad.ckpt: checkpoint {name} widths {widths} do not fit an agent of window 5"
     )
+
+
+def checkpoint_command(command, token) -> tuple:
+    if command == "solve":
+        return (*SOLVE_SCENE, "--policy", token, "--checkpoint", "bad.ckpt")
+    return ("eval", "--policies", f"{token},classic", "--checkpoint", "bad.ckpt", *TINY_EVAL)
+
+
+@pytest.mark.parametrize("command", ["eval", "solve"])
+@pytest.mark.parametrize(
+    ("token", "name", "value"),
+    [("agent", "policy.w1", np.nan), ("agent", "value.b0", np.inf),
+     ("zero-net", "w1", np.nan), ("zero-net", "b0", -np.inf)],
+    ids=["agent-nan-weight", "agent-inf-bias", "zero-net-nan-weight", "zero-net-inf-bias"],
+)
+def test_checkpoint_with_a_non_finite_array_exits_2(
+    rejecting_dir, capsys, command, token, name, value
+):
+    meta = CHECKPOINT_META[token]
+    if token == "agent":
+        arrays = agent_arrays(meta["widths"])
+    else:
+        arrays = mlp_to_arrays(mlp_init(meta["widths"], 0))
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = value
+    save_arrays(rejecting_dir / "bad.ckpt", meta, arrays)
+    message = usage_error(capsys, rejecting_dir / "out", *checkpoint_command(command, token))
+    assert message == f"checkpoint array {name!r} has a non-finite value"
+
+
+@pytest.mark.parametrize("command", ["eval", "solve"])
+def test_zero_net_checkpoint_with_two_outputs_exits_2(rejecting_dir, capsys, command):
+    widths = [15, 4, 2]
+    meta = {"kind": "zero-net", "widths": widths, "window": 5}
+    save_arrays(rejecting_dir / "bad.ckpt", meta, mlp_to_arrays(mlp_init(widths, 0)))
+    message = usage_error(capsys, rejecting_dir / "out", *checkpoint_command(command, "zero-net"))
+    assert message == "a zero-net has one output, not 2"
 
 
 # Each float flag with a command line that reads it: ``--fixed-value`` needs

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,22 @@ from balm.env import (
     BAEnv,
     EnvConfig,
     EpisodeDoneError,
+    SolveResult,
     compute_reward,
+    solve,
 )
-from balm.policy import ClassicPolicy, FixedPolicy, PolicyObservation, agent_state, make_state
+from balm.policy import (
+    DEFAULT_SCHEDULE,
+    ClassicPolicy,
+    ConstantSchedulerPolicy,
+    FixedPolicy,
+    PolicyObservation,
+    agent_state,
+    make_state,
+)
 from balm.sac import init_agent
 from balm.scene import generate_synthetic
-from balm.solver import SingularSystemError, records_to_csv, solve
+from balm.solver import SingularSystemError, records_to_csv
 
 from conftest import suite_problem
 
@@ -270,3 +282,77 @@ class TestTrace:
         env.reset(suite_problem_0)
         env.step(0.25)
         assert len(env.records) == 1
+
+
+def hand_stepped_solve(problem, policy, **settings):
+    """``solve`` as a loop written out by hand over ``reset`` and ``step``: the
+    reference that ``BAEnv.rollout`` must reproduce result for result."""
+    env = BAEnv(EnvConfig(**settings))
+    out = env.step(policy.next_lambda(env.reset(problem)))
+    while not out.done:
+        out = env.step(policy.next_lambda(out.observation))
+    state = env.solver_state
+    return SolveResult(
+        params=state.params,
+        outcome=out.outcome,
+        iterations=state.iteration,
+        total_time_s=float(sum(state.durations)),
+        final_error=state.error_history[-1],
+        initial_error=state.error_history[0],
+        records=env.records,
+    )
+
+
+class TestRollout:
+    def test_choose_runs_once_before_each_step_on_the_pre_step_state(self, suite_problem_0):
+        env = BAEnv(EnvConfig(deterministic_time=True))
+        policy = ClassicPolicy()
+        seen = []
+
+        def choose(obs):
+            state = env.solver_state
+            assert obs.iteration_index == state.iteration
+            assert obs.errors == tuple(state.error_history)
+            seen.append((obs, state))
+            return policy.next_lambda(obs)
+
+        steps = []
+        for k, (obs, lam, out) in enumerate(env.rollout(suite_problem_0, choose)):
+            assert len(seen) == k + 1  # asked for this step's damping, not the next one's
+            assert obs is seen[k][0]
+            assert lam == policy.next_lambda(obs)
+            assert env.records[-1].lam == lam
+            assert env.solver_state is not seen[k][1]  # stepped after the choice
+            steps.append(out)
+        assert [out.done for out in steps] == [False] * (len(steps) - 1) + [True]
+        assert steps[-1].outcome == "converged"
+        assert len(steps) == env.solver_state.iteration > 1
+
+    def test_the_first_observation_is_the_reset_one(self, suite_problem_0):
+        env = BAEnv(EnvConfig(max_iterations=1))
+        (obs, lam, out), = env.rollout(suite_problem_0, lambda obs: 0.25)
+        assert obs == BAEnv(EnvConfig()).reset(suite_problem_0)
+        assert (lam, out.outcome) == (0.25, "iteration-cap")
+
+    def test_a_policy_without_reset_drives_solve(self, suite_problem_0):
+        class Bare:  # not a DampingPolicy: only ``next_lambda``
+            def next_lambda(self, obs):
+                return 1e-15
+
+        assert not hasattr(Bare(), "reset")
+        result = solve(suite_problem_0, Bare(), deterministic_time=True)
+        assert result.converged
+        assert {record.lam for record in result.records} == {1e-15}
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ClassicPolicy(), ConstantSchedulerPolicy(DEFAULT_SCHEDULE)],
+        ids=["classic", "default-schedule"],
+    )
+    def test_solve_equals_the_hand_stepped_loop(self, suite_problem_0, policy):
+        result = solve(suite_problem_0, policy, deterministic_time=True)
+        expected = hand_stepped_solve(suite_problem_0, policy, deterministic_time=True)
+        assert np.array_equal(result.params.cameras, expected.params.cameras)
+        assert np.array_equal(result.params.points, expected.params.points)
+        assert replace(result, params=None) == replace(expected, params=None)
+        assert result.iterations > 1

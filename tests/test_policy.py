@@ -4,7 +4,7 @@ import pytest
 from balm import solver
 from balm.baselines import init_zero_net, zero_net_input
 from balm.bench import suite_scene
-from balm.env import BAEnv, EnvConfig
+from balm.env import BAEnv, EnvConfig, solve
 from balm.policy import (
     DEFAULT_SCHEDULE,
     STATE_CLIP,
@@ -26,7 +26,6 @@ from balm.solver import (
     ParamVector,
     SingularSystemError,
     SolverState,
-    solve,
 )
 
 

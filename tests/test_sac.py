@@ -29,7 +29,7 @@ from balm.sac import (
     train_agent,
     warmup_action,
 )
-from balm.solver import solve
+from balm.env import solve
 
 from conftest import TextbookNet, assert_matches_textbook, suite_problem, textbook_backprop
 

@@ -25,7 +25,7 @@ from balm.scene import (
     project,
     rotate_points,
 )
-from balm.env import BAEnv, EnvConfig, StepOutcome
+from balm.env import BAEnv, EnvConfig, StepOutcome, solve
 from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy, PolicyObservation
 from balm.solver import (
     LAMBDA_MAX,
@@ -44,7 +44,6 @@ from balm.solver import (
     lm_iterate,
     records_to_csv,
     result_to_json_dict,
-    solve,
 )
 
 from conftest import dense_step, dense_system, flat, residuals, suite_problem
@@ -1324,6 +1323,14 @@ class TestSolve:
         assert result.iterations == 2
         assert len(result.records) == result.iterations + 1  # and the failed attempt
         assert np.isnan(result.records[-1].error)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_a_non_finite_damping_is_a_failed_step(self, tiny_problem, lam):
+        state = SolverState.initial(tiny_problem)
+        failed, record = lm_iterate(tiny_problem, state, lam)
+        assert failed.failed and failed.iteration == 0
+        assert failed.error_history == state.error_history
+        assert record.iteration == 1 and np.isnan(record.error)
 
     def test_policy_reset_between_solves(self, suite_problem_0):
         policy = ClassicPolicy()
