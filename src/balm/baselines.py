@@ -159,7 +159,7 @@ def zero_net_train(problems, progress=None, **options) -> Mlp:
     ``ValueError`` before any work. The reward slots count iterations in
     either timing mode (``zero_net_input``), so the trained net and its
     solves do not depend on ``deterministic_time``; it only sets the
-    durations the env records. A non-finite regression loss raises
+    durations the solver records. A non-finite regression loss raises
     ``NonFiniteLossError``.
     """
     if not problems:

@@ -8,14 +8,15 @@ checks them all. ``train``'s and ``ablate``'s training flags are the fields
 of the configs they build, and a flag the built config lacks is an error.
 
 Each command first checks every input: a rejected one raises ``ValueError``
-(or ``OSError``) in ``main``'s ``--config`` check or the command's input
-``try``, which print ``balm <command>: error: ...`` and return 2 before any
-work, as argparse's own checks exit 2. Then the command computes, and a
-failure there propagates. Only then does ``_write_outputs`` make
-``--out-dir`` and write the command's files and ``manifest.json``, which
-records the resolved configuration (with the built config for the training
-flags) and library versions but never timestamps or absolute paths, so
-reruns with the same inputs are byte-identical.
+(or ``OSError``, or ``NumericalFailureError`` for an unscoreable start) in
+``main``'s ``--config`` check or the command's input ``try``, which print
+``balm <command>: error: ...`` and return 2 before any work, as argparse's
+own checks exit 2. Then the command computes, and a failure there
+propagates. Only then does ``_write_outputs`` make ``--out-dir`` and write
+the command's files and ``manifest.json``, which records the resolved
+configuration (with the built config for the training flags) and library
+versions but never timestamps or absolute paths, so reruns with the same
+inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def cmd_solve(args) -> int:
 
 def _train_inputs(args, config_type):
     """The ``config_type`` built from the flags given, checked, and the training
-    scenes: the inputs of ``train`` and ``ablate``. No flag given is ignored."""
+    scenes, each scored: the inputs of ``train`` and ``ablate``. No flag given is ignored."""
     given = {name: value for name, value in vars(args).items() if value is not None}
     names = {f.name for f in fields(config_type)}
     unused = [name for name in given if name in TRAIN_FIELDS and name not in names]
@@ -287,13 +288,16 @@ def _train_inputs(args, config_type):
         flags = ", ".join("--" + name.replace("_", "-") for name in unused)
         raise ValueError(f"{config_type.__name__} has no field for {flags}")
     cfg = config_type(**{name: value for name, value in given.items() if name in names})
-    return cfg, list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
+    problems = list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
+    for problem in problems:
+        SolverState.initial(problem)
+    return cfg, problems
 
 
 def cmd_train(args) -> int:
     try:
         cfg, problems = _train_inputs(args, TrainConfig if args.algo == "sac" else ZeroNetConfig)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalFailureError) as exc:
         return _usage_error(args, exc)
     if args.algo == "sac":
         nets, entries = train_agent(problems, cfg)
@@ -320,7 +324,7 @@ def _comparison_inputs(args):
 def cmd_eval(args) -> int:
     try:
         problems, policies, settings = _comparison_inputs(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalFailureError) as exc:
         return _usage_error(args, exc)
     table = run_comparison(problems, policies, env_config=settings)
     _write_outputs(args, {
@@ -348,7 +352,7 @@ def cmd_profile(args) -> int:
         problems, policies, settings = _comparison_inputs(args)
         if len(policies) < 2:
             raise ValueError(f"--policies: need two or more for a profile, got {args.policies!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalFailureError) as exc:
         return _usage_error(args, exc)
     table = run_comparison(problems, policies, env_config=settings)
     files = {
@@ -366,7 +370,7 @@ def cmd_ablate(args) -> int:
             raise ValueError("ablate needs --kind (flag or config)")
         cfg, train_problems = _train_inputs(args, TrainConfig)
         held_out = _suite_problems(args, parse_seed_list(args.eval_seeds))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalFailureError) as exc:
         return _usage_error(args, exc)
     result = ablation_suite(args.kind, cfg, train_problems, held_out)
     out_dir = _write_outputs(args, {

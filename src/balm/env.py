@@ -116,8 +116,8 @@ def compute_reward(
 class BAEnv:
     """Gym-style environment; the action is the damping for one iteration.
 
-    ``records`` holds the current episode's iterations, one entry per step,
-    failed steps included.
+    ``solver_state`` is the episode so far: its ``records`` hold one entry
+    per step, a failed step's included.
     """
 
     def __init__(self, config: EnvConfig):
@@ -125,7 +125,6 @@ class BAEnv:
         self._problem: BAProblem | None = None
         self._state: SolverState | None = None
         self._done = True
-        self.records: list[IterationRecord] = []
 
     @property
     def solver_state(self) -> SolverState:
@@ -137,8 +136,7 @@ class BAEnv:
         self._problem = problem
         self._state = SolverState.initial(problem)
         self._done = False
-        self.records = []
-        return observe(self._state, self.records)
+        return observe(self._state)
 
     def step(self, lam: float) -> StepOutcome:
         if self._done:
@@ -171,8 +169,7 @@ class BAEnv:
             cfg.reward_variant,
             error=state.error_history[-1],
         )
-        self.records.append(record)
-        return StepOutcome(observe(state, self.records), reward, outcome)
+        return StepOutcome(observe(state), reward, outcome)
 
     def rollout(self, problem: BAProblem, choose):
         """Play one episode on ``problem``: reset, then ``choose(observation)``
@@ -207,5 +204,5 @@ def solve(problem: BAProblem, policy, **settings) -> SolveResult:
         total_time_s=float(sum(state.durations)),
         final_error=state.error_history[-1],
         initial_error=state.error_history[0],
-        records=env.records,
+        records=state.records,
     )

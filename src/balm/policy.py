@@ -50,13 +50,13 @@ def make_state(error_history, window: int = DEFAULT_WINDOW) -> np.ndarray:
     return np.minimum(np.asarray(padded, dtype=float), STATE_CLIP)
 
 
-def observe(state: SolverState, records) -> PolicyObservation:
-    """The policy observation of the solver's state and its episode's ``records``."""
+def observe(state: SolverState) -> PolicyObservation:
+    """The policy observation of the solver's state: its run so far."""
     return PolicyObservation(
         iteration_index=state.iteration,
         errors=tuple(state.error_history),
         durations=tuple(state.durations),
-        lambdas=tuple(record.lam for record in records),
+        lambdas=tuple(record.lam for record in state.records),
     )
 
 

@@ -354,7 +354,7 @@ def train_agent(problems, cfg: TrainConfig, progress=None):
                 losses.append(stats)
         entry = {
             "episode": episode,
-            "steps": len(env.records),
+            "steps": len(env.solver_state.records),
             "return": episode_return,
             "outcome": out.outcome,
             "final_error": out.observation.errors[-1],

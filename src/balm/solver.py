@@ -51,6 +51,11 @@ oracle and the iteration that follows it share one linearization. The
 successor of a rejected or failed step shares its parameters and their
 linearization. A batch of several dampings keeps no projection.
 
+A state is also the one record of its run: ``lm_iterate``, where an
+iteration is measured, makes its ``IterationRecord`` and appends it to the
+successor's ``records``. The start and every candidate are scored by one
+check (``_scored``), where a zero depth or a non-finite error raises.
+
 The per-observation arrays of an iteration are component-major, with the
 observation index last: the gathered cameras (9, n) and points (3, n), the
 camera-frame points (3, n), the Jacobian blocks (2, 9, n) and (2, 3, n),
@@ -120,6 +125,7 @@ from .scene import (
     _cross,
     _dot,
     _project_rows,
+    _rotate,
     _rotation_coefficients,
 )
 
@@ -194,7 +200,8 @@ class IterationRecord:
 
 @dataclass
 class SolverState:
-    """One LM state; ``error_history`` has iteration+1 entries.
+    """One LM state and its run: ``error_history``, the start's error and each
+    completed iteration's, and ``records``, a failed attempt's (error NaN) last.
 
     The state owns its parameters, whose arrays it makes read-only, and
     their projection and linearization over the observations of the
@@ -204,8 +211,7 @@ class SolverState:
 
     params: ParamVector
     error_history: list[float]
-    durations: list[float]
-    iteration: int = 0
+    records: list[IterationRecord] = field(default_factory=list)
     failed: bool = False
     last_step_accepted: bool = True
     _projection: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -217,14 +223,23 @@ class SolverState:
         self.params.cameras.flags.writeable = False
         self.params.points.flags.writeable = False
 
+    @property
+    def iteration(self) -> int:
+        return len(self.error_history) - 1
+
+    @property
+    def durations(self) -> list[float]:
+        """The completed iterations' durations, so not a failed attempt's."""
+        return [record.duration_s for record in self.records[: self.iteration]]
+
     @staticmethod
     def initial(problem: BAProblem) -> "SolverState":
-        """The problem's parameters and error; their projection is kept for ``linearization``."""
+        """The problem's parameters and error, scored as a candidate's is; their
+        projection is kept for ``linearization``."""
         params = ParamVector.from_problem(problem)
         cam_idx, pt_idx, pixels = problem.observation_arrays()
         rows = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
-        err = estimation_error(_checked_residual(pixels, rows[6], rows[2][2]), problem.pixel_sigma)
-        state = SolverState(params=params, error_history=[err], durations=[])
+        state = SolverState(params, [_scored(pixels, rows[6], rows[2][2], problem.pixel_sigma)])
         state._projection = rows
         return state
 
@@ -237,7 +252,7 @@ class SolverState:
 
     def copy(self) -> "SolverState":
         """This state with lists of its own; the parameters and what is built on them are shared."""
-        twin = replace(self, error_history=list(self.error_history), durations=list(self.durations))
+        twin = replace(self, error_history=list(self.error_history), records=list(self.records))
         twin._projection, twin._linearization = self._projection, self._linearization
         return twin
 
@@ -260,6 +275,15 @@ def _checked_residual(pixels, predicted, depths) -> np.ndarray:
 def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
     """Sum of squared sigma-whitened residuals."""
     return float((res * res).sum() / (pixel_sigma * pixel_sigma))
+
+
+def _scored(pixels, predicted, depths, pixel_sigma: float) -> float:
+    """``estimation_error`` of ``_checked_residual``; a non-finite one raises, not warns."""
+    with np.errstate(over="ignore"):
+        err = estimation_error(_checked_residual(pixels, predicted, depths), pixel_sigma)
+    if not math.isfinite(err):
+        raise NumericalFailureError("estimation error is non-finite")
+    return err
 
 
 def _batched_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
@@ -347,21 +371,6 @@ def _rotation_point_jacobian(
     jac[2, 1] -= x
     scratch.release(mark)
     return jac
-
-
-def _rotation_matrices(rotvecs: np.ndarray) -> np.ndarray:
-    """R(w) of each column of the (3, n) ``rotvecs``, component-major (3, 3, n).
-
-    Column k is ``rotate_points(w, e_k)`` to the bit: the same terms are
-    summed in the same order.
-    """
-    cos_t, sinc, omc = _rotation_coefficients(_dot(rotvecs, rotvecs))
-    eye = _EYE3[:, :, None]
-    return (
-        cos_t * eye
-        + sinc * _cross(rotvecs[:, None, :], eye)
-        + (omc * rotvecs)[None, :, :] * rotvecs[:, None, :]
-    )
 
 
 def _column_slots(index: np.ndarray, rows: int, length: int, scratch) -> np.ndarray:
@@ -455,7 +464,10 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
 
     camera_rot = params.cameras[:, 0:3].T
     drot = _rotation_point_jacobian(camera_rot, cam_idx, cams[0:3], pts, scratch)
-    rot_mat = scratch.take(_rotation_matrices(camera_rot), cam_idx, axis=2)
+    # R(w) of each camera, component-major (3, 3, num_cameras): column k is R(w) e_k.
+    coefficients = _rotation_coefficients(_dot(camera_rot, camera_rot))
+    rotations = _rotate(camera_rot[:, None], _EYE3[:, :, None], coefficients)
+    rot_mat = scratch.take(rotations, cam_idx, axis=2)
 
     # Residual is observed minus predicted, so its Jacobian is negated.
     jac_cam = np.empty((2, 9, n))
@@ -835,10 +847,7 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
             continue
         rows = slice(damping * n, (damping + 1) * n)
         try:
-            res = _checked_residual(pixels, predicted[rows], depths[rows])
-            err = estimation_error(res, problem.pixel_sigma)
-            if not math.isfinite(err):
-                raise NumericalFailureError("estimation error is non-finite")
+            err = _scored(pixels, predicted[rows], depths[rows], problem.pixel_sigma)
             outcomes[damping] = (ParamVector(cameras[damping], points[damping]), err)
         except NumericalFailureError as exc:
             outcomes[damping] = exc
@@ -869,7 +878,8 @@ def lm_iterate(
     deterministic_time: bool = False,
     accept_only_improving: bool = False,
 ) -> tuple[SolverState, IterationRecord]:
-    """Run one damped iteration from ``state``; returns the successor state.
+    """Run one damped iteration from ``state``; returns the successor state and
+    the iteration's record, the last of its ``records`` (made only here).
 
     The iteration is the state's linearization, then ``damped_step`` and
     the candidate's error, as in ``evaluate_steps``. The step is applied
@@ -894,35 +904,22 @@ def lm_iterate(
             raise outcome
         candidate, err = outcome
     except (NumericalFailureError, SingularSystemError):
-        duration = 1.0 if deterministic_time else time.perf_counter() - start
-        new_state = state.copy()
+        new_state, err = state.copy(), float("nan")
         new_state.failed = True
-        record = IterationRecord(
-            iteration=state.iteration + 1, lam=lam, error=float("nan"), duration_s=duration
-        )
-        return new_state, record
-
-    previous = state.error_history[-1]
-    if accept_only_improving and err > previous:
-        err = previous
-        new_state = state.copy()
-        new_state.last_step_accepted = False
     else:
-        new_state = replace(
-            state,
-            params=candidate,
-            error_history=list(state.error_history),
-            durations=list(state.durations),
-            last_step_accepted=True,
-        )
-        new_state._projection = projection
+        if accept_only_improving and err > state.error_history[-1]:
+            new_state, err = state.copy(), state.error_history[-1]
+            new_state.last_step_accepted = False
+        else:
+            new_state = replace(
+                state, params=candidate, error_history=list(state.error_history),
+                records=list(state.records), last_step_accepted=True,
+            )
+            new_state._projection = projection
+        new_state.error_history.append(err)
     duration = 1.0 if deterministic_time else time.perf_counter() - start
-    new_state.iteration += 1
-    new_state.error_history.append(err)
-    new_state.durations.append(duration)
-    record = IterationRecord(
-        iteration=new_state.iteration, lam=lam, error=err, duration_s=duration
-    )
+    record = IterationRecord(state.iteration + 1, lam, err, duration)
+    new_state.records.append(record)
     return new_state, record
 
 

@@ -141,7 +141,9 @@ class TestRunComparison:
             cameras, np.zeros_like(good.point_blocks), good.cam_idx, good.pt_idx, good.pixels,
             good.pixel_sigma,
         )
-        problems = {"s2": good, "flat": flat}
+        # A 1/sigma^2 weight that overflows the initial error: the start cannot be scored.
+        overflowing = generate_synthetic(4, 6, pixel_sigma=1e-160, seed=2)
+        problems = {"s2": good, "flat": flat, "overflowing": overflowing}
         policies = {"classic": ClassicPolicy(), "gn": FixedPolicy(1e-15)}
         table = run_comparison(
             problems, policies, env_config={"deterministic_time": True}
@@ -151,9 +153,11 @@ class TestRunComparison:
             assert by_cell["flat", kind].outcome.startswith("error:")
             assert "depth" in by_cell["flat", kind].outcome
             assert np.isnan(by_cell["flat", kind].final_error)
+            assert by_cell["overflowing", kind].outcome == "error: estimation error is non-finite"
+            assert np.isnan(by_cell["overflowing", kind].initial_error)
             assert by_cell["s2", kind].outcome == "converged"
-        assert [a["success_rate"] for a in table.aggregates] == [0.5, 0.5]
-        assert [a["errors"] for a in table.aggregates] == [1, 1]
+        assert [a["success_rate"] for a in table.aggregates] == [1 / 3, 1 / 3]
+        assert [a["errors"] for a in table.aggregates] == [2, 2]
 
     def test_a_nan_damping_ends_as_a_numerical_failure_row(self):
         # a net whose output is NaN hands the solver a NaN damping

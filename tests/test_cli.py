@@ -63,6 +63,15 @@ def usage_error(capsys, out, *argv) -> str:
     return err[len(prefix):-1]
 
 
+def strict_json(text: str):
+    """``json.loads`` of ``text``, rejecting the ``Infinity``, ``-Infinity`` and
+    ``NaN`` that Python writes but JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 TINY_TRAIN = (
     "--train-seeds", "0-1", "--num-cameras", "4", "--num-points", "6",
     "--episodes", "3", "--hidden", "16", "--batch-size", "16",
@@ -252,7 +261,7 @@ class TestSolve:
             "--pixel-sigma", 250.0, "--policy", "classic",
             "--deterministic-time", "--out-dir", out,
         ) == 0
-        result = json.loads((out / "result.json").read_text())
+        result = strict_json((out / "result.json").read_text())
         assert result["outcome"] == "converged"
         trace_lines = (out / "trace.csv").read_text().splitlines()
         assert len(trace_lines) == result["iterations"] + 1
@@ -276,7 +285,7 @@ class TestSolve:
             "--policy", "fixed", "--fixed-value", 1e-4, "--max-iterations", 7,
             "--deterministic-time", "--out-dir", out,
         )
-        result = json.loads((out / "result.json").read_text())
+        result = strict_json((out / "result.json").read_text())
         assert result["outcome"] == "iteration-cap"
         assert result["iterations"] == 7
 
@@ -303,10 +312,10 @@ class TestSolve:
         }))
         out_a = tmp_path / "from_config"
         run_cli("solve", "--config", config, "--out-dir", out_a)
-        assert json.loads((out_a / "result.json").read_text())["iterations"] == 5
+        assert strict_json((out_a / "result.json").read_text())["iterations"] == 5
         out_b = tmp_path / "flag_override"
         run_cli("solve", "--config", config, "--max-iterations", 9, "--out-dir", out_b)
-        assert json.loads((out_b / "result.json").read_text())["iterations"] == 9
+        assert strict_json((out_b / "result.json").read_text())["iterations"] == 9
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +334,7 @@ class TestScheduleAutoSolve:
             "--checkpoint", trained_dir / "agent.ckpt",
             "--deterministic-time", "--out-dir", out,
         ) == 0
-        result = json.loads((out / "result.json").read_text())
+        result = strict_json((out / "result.json").read_text())
         trace_lines = (out / "trace.csv").read_text().splitlines()
         assert len(trace_lines) == result["iterations"] + 1
 
@@ -355,7 +364,7 @@ class TestTrain:
         nets, meta = load_agent_checkpoint(trained_dir / "agent.ckpt")
         assert nets.window == 5
         entries = [
-            json.loads(line)
+            strict_json(line)
             for line in (trained_dir / "train_log.jsonl").read_text().splitlines()
         ]
         assert [e["episode"] for e in entries] == [0, 1, 2]
@@ -518,7 +527,7 @@ class TestTrain:
         net = load_zero_net_checkpoint(out / "zero_net.ckpt")
         assert net.widths == [15, 8, 8, 8, 1]
         entries = [
-            json.loads(line)
+            strict_json(line)
             for line in (out / "train_log.jsonl").read_text().splitlines()
         ]
         assert [e["epoch"] for e in entries] == [0, 1]
@@ -736,6 +745,9 @@ def test_no_flag_leaves_a_subcommand_with_another_ones_default():
 
 
 TINY_EVAL = ("--eval-seeds", "100", "--num-cameras", "4", "--num-points", "6")
+# training scenes whose 1/sigma^2 weight overflows every start's error
+UNSCOREABLE_TRAIN = ("--train-seeds", "0", "--num-cameras", "4", "--num-points", "6",
+                     "--pixel-sigma", "1e-160")
 
 
 @pytest.fixture
@@ -750,6 +762,10 @@ def rejecting_dir(tmp_path, monkeypatch, scene_dir):
     header, first, *rest = text.splitlines(keepends=True)
     nan_pixel = " ".join(first.split()[:3] + ["nan\n"])
     (tmp_path / "nan-pixel.txt").write_text(header + nan_pixel + "".join(rest))
+    # a finite pixel whose squared residual overflows: the start cannot be scored
+    big_pixel = " ".join(first.split()[:3] + ["1e200\n"])
+    (tmp_path / "big-pixel.txt").write_text(header + big_pixel + "".join(rest))
+    save_agent_checkpoint(tmp_path / "agent.ckpt", init_agent(window=5, hidden=4, seed=0))
     # camera 0 at the origin sees the point (1, 1, 0) at depth zero
     cameras = "0 0 0 0 0 0 500 0 0\n0 0 0 0 0 5 500 0 0\n"
     (tmp_path / "zero-depth.txt").write_text(
@@ -803,6 +819,12 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
         (("solve", "--problem", "nan-pixel.txt"), "pixel 0 is not finite: ["),
         (("solve", "--problem", "zero-depth.txt"),
          "observation 0: camera-frame depth is numerically zero"),
+        (("solve", "--problem", "big-pixel.txt"), "estimation error is non-finite"),
+        (("train", "--algo", "sac", *UNSCOREABLE_TRAIN), "estimation error is non-finite"),
+        (("train", "--algo", "zero-net", *UNSCOREABLE_TRAIN), "estimation error is non-finite"),
+        (("ablate", "--kind", "reversed", *UNSCOREABLE_TRAIN), "estimation error is non-finite"),
+        (("eval", "--policies", "scheduler,classic", "--schedule", "auto", "--checkpoint",
+          "agent.ckpt", *TINY_EVAL, "--pixel-sigma", "1e-160"), "estimation error is non-finite"),
         (("solve", "--policy", "gn"), "solve needs --problem (flag or config)"),
         (("eval", "--policies", " , ", *TINY_EVAL), "--policies: no policy tokens in ' , '"),
         (("ablate", "--train-seeds", "0"), "ablate needs --kind (flag or config)"),
@@ -823,7 +845,9 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
     ],
     ids=[
         "schedule-auto-no-checkpoint", "agent-no-checkpoint", "zero-net-no-checkpoint",
-        "unknown-policy", "schedule-nan", "solve-nan-pixel", "solve-zero-depth", "no-problem",
+        "unknown-policy", "schedule-nan", "solve-nan-pixel", "solve-zero-depth",
+        "solve-overflowing-pixel", "train-sac-unscoreable", "train-zero-net-unscoreable",
+        "ablate-unscoreable", "eval-schedule-auto-unscoreable", "no-problem",
         "no-policies",
         "no-kind", "config-missing", "config-not-json", "config-not-an-object",
         "config-unknown-key", "profile-one-policy", "eval-repeated-policy",

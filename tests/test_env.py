@@ -239,8 +239,8 @@ class TestEpisodes:
         assert out.observation.errors == (initial,)
         assert out.observation.durations == ()  # the failed attempt completed nothing
         assert out.observation.lambdas == (0.25,)
-        assert env.records[0].lam == 0.25
-        assert np.isnan(env.records[0].error)
+        assert env.solver_state.records[0].lam == 0.25
+        assert np.isnan(env.solver_state.records[0].error)
 
 
 class TestAgreementWithSolve:
@@ -266,7 +266,7 @@ class TestTrace:
     def test_trace_csv_schema(self, suite_problem_0):
         env = BAEnv(EnvConfig(deterministic_time=True))
         rewards, outs = run_episode(env, suite_problem_0, ClassicPolicy())
-        lines = records_to_csv(env.records).splitlines()
+        lines = records_to_csv(env.solver_state.records).splitlines()
         assert lines[0] == "iter,lambda,error,duration_s"
         assert len(lines) == len(rewards) + 1
         first = lines[1].split(",")
@@ -281,7 +281,7 @@ class TestTrace:
         env.step(0.25)
         env.reset(suite_problem_0)
         env.step(0.25)
-        assert len(env.records) == 1
+        assert len(env.solver_state.records) == 1
 
 
 def hand_stepped_solve(problem, policy, **settings):
@@ -299,7 +299,7 @@ def hand_stepped_solve(problem, policy, **settings):
         total_time_s=float(sum(state.durations)),
         final_error=state.error_history[-1],
         initial_error=state.error_history[0],
-        records=env.records,
+        records=state.records,
     )
 
 
@@ -321,7 +321,7 @@ class TestRollout:
             assert len(seen) == k + 1  # asked for this step's damping, not the next one's
             assert obs is seen[k][0]
             assert lam == policy.next_lambda(obs)
-            assert env.records[-1].lam == lam
+            assert env.solver_state.records[-1].lam == lam
             assert env.solver_state is not seen[k][1]  # stepped after the choice
             steps.append(out)
         assert [out.done for out in steps] == [False] * (len(steps) - 1) + [True]

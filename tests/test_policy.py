@@ -59,42 +59,48 @@ class TestMakeState:
             make_state([1.0], 0)
 
 
-class TestObserve:
-    def make_solver_state(self, errors, durations):
-        return SolverState(
-            params=ParamVector(np.zeros((2, 9)), np.zeros((2, 3))),
-            error_history=list(errors),
-            durations=list(durations),
-            iteration=len(errors) - 1,
-        )
+def solver_state(errors, records=()):
+    """A state of ``errors`` whose run is ``records``."""
+    return SolverState(
+        params=ParamVector(np.zeros((2, 9)), np.zeros((2, 3))),
+        error_history=list(errors),
+        records=list(records),
+    )
 
+
+class TestObserve:
     def test_fields(self):
-        state = self.make_solver_state([10.0, 8.0, 6.0], [0.1, 0.2])
-        obs = observe(state, [])
+        records = [IterationRecord(1, 0.5, 8.0, 0.1), IterationRecord(2, 0.25, 6.0, 0.2)]
+        obs = observe(solver_state([10.0, 8.0, 6.0], records))
         assert obs.iteration_index == 2
         assert obs.errors == (10.0, 8.0, 6.0)
         assert obs.durations == (0.1, 0.2)
-        assert obs.lambdas == ()
+        assert obs.lambdas == (0.5, 0.25)
 
     def test_observation_keeps_the_whole_episode(self):
         # no window: a policy cuts its own
         errors = [10.0 - k for k in range(9)]
-        state = self.make_solver_state(errors, [0.1] * 8)
         records = [IterationRecord(k, 0.5 / k, 1.0, 0.1) for k in range(1, 9)]
-        obs = observe(state, records)
+        obs = observe(solver_state(errors, records))
         assert obs.errors == tuple(errors)
         assert obs.durations == (0.1,) * 8
         assert obs.lambdas == tuple(0.5 / k for k in range(1, 9))
 
     def test_errors_are_unclipped(self):
-        state = self.make_solver_state([4e5, 2e5], [0.1])
-        assert observe(state, []).errors == (4e5, 2e5)
+        state = solver_state([4e5, 2e5], [IterationRecord(1, 0.25, 2e5, 0.1)])
+        assert observe(state).errors == (4e5, 2e5)
 
     def test_lambdas_are_every_records_damping(self):
-        state = self.make_solver_state([10.0, 8.0, 6.0, 5.0], [0.1, 0.2, 0.3])
         records = [IterationRecord(k, lam, 1.0, 0.1) for k, lam in enumerate((0.5, 0.25, 2.0), 1)]
-        assert observe(state, records).lambdas == (0.5, 0.25, 2.0)
-        assert observe(state, []).lambdas == ()
+        assert observe(solver_state([10.0, 8.0, 6.0, 5.0], records)).lambdas == (0.5, 0.25, 2.0)
+        assert observe(solver_state([10.0])).lambdas == ()
+
+    def test_a_failed_attempt_adds_a_damping_but_no_duration(self):
+        records = [IterationRecord(1, 0.5, 8.0, 0.1), IterationRecord(2, 0.25, float("nan"), 0.3)]
+        obs = observe(solver_state([10.0, 8.0], records))
+        assert obs.iteration_index == 1
+        assert obs.durations == (0.1,)
+        assert obs.lambdas == (0.5, 0.25)
 
 
 class TestClassicPolicy:
@@ -144,7 +150,7 @@ def interleaved_lambdas(policy, problems) -> list[list[float]]:
             if not done[k]:
                 out = env.step(policy.next_lambda(observations[k]))
                 observations[k], done[k] = out.observation, out.done
-    return [[record.lam for record in env.records] for env in envs]
+    return [[record.lam for record in env.solver_state.records] for env in envs]
 
 
 @pytest.mark.parametrize(
@@ -214,17 +220,12 @@ def window_rows(obs, window=3):
 class TestPolicyWindows:
     @pytest.mark.parametrize("k", sorted(WINDOW_ROWS))
     def test_rows_of_a_growing_episode(self, k):
-        state = SolverState(
-            params=ParamVector(np.zeros((2, 9)), np.zeros((2, 3))),
-            error_history=list(EPISODE_ERRORS[: k + 1]),
-            durations=list(EPISODE_DURATIONS[:k]),
-            iteration=k,
-        )
         records = [
             IterationRecord(i + 1, EPISODE_LAMBDAS[i], EPISODE_ERRORS[i + 1], EPISODE_DURATIONS[i])
             for i in range(k)
         ]
-        assert window_rows(observe(state, records)) == list(WINDOW_ROWS[k])
+        state = solver_state(EPISODE_ERRORS[: k + 1], records)
+        assert window_rows(observe(state)) == list(WINDOW_ROWS[k])
 
     def test_rows_after_a_numerical_failure(self, monkeypatch):
         # The failed third attempt adds a damping but no error and no duration.

@@ -1066,6 +1066,23 @@ class TestLmIterate:
         assert len(new.error_history) == len(bad.error_history)
         assert new.params is bad.params  # shared, not copied
 
+    def test_the_state_carries_one_record_per_iteration(self, tiny_problem):
+        # the iteration count and the durations are read from the run, not stored
+        state = SolverState.initial(tiny_problem)
+        for lam in (0.25, 0.5, float("nan")):
+            state, record = lm_iterate(tiny_problem, state, lam, deterministic_time=True)
+            assert state.records[-1] is record
+        assert [r.iteration for r in state.records] == [1, 2, 3]
+        assert (state.iteration, state.durations, state.failed) == (2, [1.0, 1.0], True)
+        for name, value in (("iteration", 3), ("durations", [])):
+            with pytest.raises(AttributeError):
+                setattr(state, name, value)
+
+    def test_an_overflowing_start_is_a_failure(self):
+        # a 1/sigma^2 weight that overflows the error; warnings are errors here
+        with pytest.raises(NumericalFailureError, match="estimation error is non-finite"):
+            SolverState.initial(generate_synthetic(4, 6, pixel_sigma=1e-160, seed=2))
+
     def test_linearize_reads_the_stored_arrays(self, tiny_problem):
         lin = linearize(tiny_problem, ParamVector.from_problem(tiny_problem))
         assert lin.cam_idx is tiny_problem.cam_idx
@@ -1088,7 +1105,7 @@ class TestLmIterate:
     def test_a_states_parameters_are_read_only(self, tiny_problem):
         state = SolverState.initial(tiny_problem)
         fresh = ParamVector.from_problem(tiny_problem)
-        for owner in (state, lm_iterate(tiny_problem, state, 0.25)[0], SolverState(fresh, [], [])):
+        for owner in (state, lm_iterate(tiny_problem, state, 0.25)[0], SolverState(fresh, [])):
             with pytest.raises(ValueError):
                 owner.params.cameras[0, 0] = 1.0
             with pytest.raises(ValueError):
@@ -1189,7 +1206,7 @@ class TestCarriedProjection:
         accepted.linearization(problem)
         assert len(calls) == 0
         for candidate, err in outcomes:
-            SolverState(candidate, [err], []).linearization(problem)
+            SolverState(candidate, [err]).linearization(problem)
         assert len(calls) == 3
 
 
