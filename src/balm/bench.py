@@ -8,7 +8,8 @@ counts stand in for time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .env import (
 from .policy import AgentPolicy, ClassicPolicy, ConstantSchedulerPolicy
 from .sac import NonFiniteLossError, TrainConfig, train_agent
 from .scene import BAProblem, generate_synthetic
-from .solver import NumericalFailureError, csv_text
+from .solver import NumericalFailureError
 
 SUITE_PIXEL_SIGMA = 250.0
 SUITE_NOISE_STD = 0.5
@@ -153,38 +154,14 @@ def aggregate_rows(records, policy_kind: str) -> dict:
     }
 
 
-COMPARISON_COLUMNS = (
-    "problem", "policy", "outcome",
-    "iterations", "total_time_s", "initial_error", "final_error",
-)
-
-
-def comparison_to_csv(table: ComparisonTable) -> str:
-    rows = (
-        (r.problem_id, r.policy_kind, r.outcome,
-         r.iterations, r.total_time_s, r.initial_error, r.final_error)
+def comparison_rows(table: ComparisonTable) -> list[dict]:
+    """One row per solve of ``table``: its cell, outcome, iterations, time and errors."""
+    return [
+        {"problem": r.problem_id, "policy": r.policy_kind, "outcome": r.outcome,
+         "iterations": r.iterations, "total_time_s": r.total_time_s,
+         "initial_error": r.initial_error, "final_error": r.final_error}
         for r in table.records
-    )
-    return csv_text(COMPARISON_COLUMNS, rows)
-
-
-AGGREGATE_COLUMNS = (
-    "policy",
-    "runs",
-    "success_rate",
-    "mean_iterations",
-    "median_iterations",
-    "mean_time_s",
-    "median_final_error",
-    "capped",
-    "numerical_failures",
-    "errors",
-)
-
-
-def aggregates_to_csv(table: ComparisonTable) -> str:
-    rows = ([row[c] for c in AGGREGATE_COLUMNS] for row in table.aggregates)
-    return csv_text(AGGREGATE_COLUMNS, rows)
+    ]
 
 
 def _time_to_target(record: RunRecord, target: float) -> float:
@@ -263,13 +240,14 @@ def performance_profile(records, tolerance: float) -> dict:
     return curves
 
 
-def profile_to_csv(curves: dict) -> str:
-    rows = (
-        (kind, point.relative_time, point.solved_fraction)
+def profile_rows(curves: dict) -> list[dict]:
+    """One row per point of ``performance_profile``'s curves, policy by policy."""
+    return [
+        {"policy": kind, "relative_time": point.relative_time,
+         "solved_fraction": point.solved_fraction}
         for kind in sorted(curves)
         for point in curves[kind]
-    )
-    return csv_text(("policy", "relative_time", "solved_fraction"), rows)
+    ]
 
 
 def extract_schedule(nets, problems, steps: int = 4) -> list:
@@ -342,11 +320,61 @@ def ablation_suite(kind: str, cfg: TrainConfig, train_problems, held_out: dict) 
     return {"kind": kind, "rows": rows}
 
 
-def ablation_to_csv(result: dict) -> str:
-    rows = result["rows"]
-    columns: list = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+def _fmt(value) -> str:
+    """One CSV cell: NaN is blank, floats round-trip, sequences join with ';'."""
+    if isinstance(value, float):
+        if np.isnan(value):
+            return ""
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of ``columns``, then one line of ``_fmt`` cells per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(rows) -> str:
+    """The one table writer: dict ``rows`` as CSV, the columns their keys in
+    first-seen order and a cell a row lacks blank. Every table balm writes,
+    ``comparison_rows``, ``aggregate_rows``, ``profile_rows`` and an
+    ablation's rows, goes through it."""
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     return csv_text(columns, ([row.get(c, "") for c in columns] for row in rows))
+
+
+RECORD_COLUMNS = ("iter", "lambda", "error", "duration_s")  # IterationRecord's fields, in order
+
+
+def records_to_csv(records) -> str:
+    """A solve's ``trace.csv``: one line per ``IterationRecord``."""
+    return csv_text(RECORD_COLUMNS, map(astuple, records))
+
+
+def json_safe(value):
+    """``value`` with each non-finite float, also inside lists, tuples and
+    dicts, as ``None``: JSON has no NaN. ``result.json`` and ``manifest.json``
+    both go through it."""
+    if isinstance(value, dict):
+        return {key: json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def result_to_json_dict(result: SolveResult) -> dict:
+    """A solve's ``result.json``: its facts and records, a failed step's error null."""
+    return json_safe({
+        "outcome": result.outcome,
+        "iterations": result.iterations,
+        "total_time_s": result.total_time_s,
+        "final_error": result.final_error,
+        "initial_error": result.initial_error,
+        "records": [dict(zip(RECORD_COLUMNS, astuple(rec))) for rec in result.records],
+    })

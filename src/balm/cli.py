@@ -38,13 +38,15 @@ from .bench import (
     SUITE_NOISE_STD,
     SUITE_PIXEL_SIGMA,
     ablation_suite,
-    ablation_to_csv,
-    aggregates_to_csv,
     check_tolerance,
-    comparison_to_csv,
+    comparison_rows,
     extract_schedule,
+    json_safe,
     performance_profile,
-    profile_to_csv,
+    profile_rows,
+    records_to_csv,
+    result_to_json_dict,
+    rows_to_csv,
     run_comparison,
 )
 from .baselines import (
@@ -65,7 +67,7 @@ from .policy import (
 )
 from .sac import TrainConfig, load_agent_checkpoint, save_agent_checkpoint, train_agent
 from .scene import generate_synthetic, parse_bal, serialize_bal
-from .solver import NumericalFailureError, SolverState, records_to_csv, result_to_json_dict
+from .solver import NumericalFailureError, SolverState
 
 # The fields of the configs ``train`` builds, for ``--algo sac`` and ``zero-net``.
 TRAIN_FIELDS = {f.name for config in (TrainConfig, ZeroNetConfig) for f in fields(config)}
@@ -109,14 +111,6 @@ def parse_seed_list(text: str) -> list:
     return parse_key_list(text, "seed", seeds)
 
 
-def _json_safe(value):
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
-
-
 def write_manifest(out_dir: Path, args: argparse.Namespace, outputs, train_config=None):
     entries = vars(args)
     if train_config is not None:  # it stands for the training flags it was built from
@@ -127,7 +121,7 @@ def write_manifest(out_dir: Path, args: argparse.Namespace, outputs, train_confi
             continue
         if key in ("problem", "checkpoint") and value is not None:
             value = Path(value).name
-        config[key] = _json_safe(value)
+        config[key] = json_safe(value)
     manifest = {
         "command": args.command,
         "config": config,
@@ -280,7 +274,8 @@ def cmd_solve(args) -> int:
 
 def _train_inputs(args, config_type):
     """The ``config_type`` built from the flags given, checked, and the training
-    scenes, each scored: the inputs of ``train`` and ``ablate``. No flag given is ignored."""
+    scenes, each scored: the inputs of ``train`` and ``ablate``. No flag given is
+    ignored, and a scene that cannot be scored is rejected under its id."""
     given = {name: value for name, value in vars(args).items() if value is not None}
     names = {f.name for f in fields(config_type)}
     unused = [name for name in given if name in TRAIN_FIELDS and name not in names]
@@ -288,10 +283,13 @@ def _train_inputs(args, config_type):
         flags = ", ".join("--" + name.replace("_", "-") for name in unused)
         raise ValueError(f"{config_type.__name__} has no field for {flags}")
     cfg = config_type(**{name: value for name, value in given.items() if name in names})
-    problems = list(_suite_problems(args, parse_seed_list(args.train_seeds)).values())
-    for problem in problems:
-        SolverState.initial(problem)
-    return cfg, problems
+    problems = _suite_problems(args, parse_seed_list(args.train_seeds))
+    for scene, problem in problems.items():
+        try:
+            SolverState.initial(problem)
+        except NumericalFailureError as exc:
+            raise ValueError(f"{scene}: {exc}") from None
+    return cfg, list(problems.values())
 
 
 def cmd_train(args) -> int:
@@ -328,8 +326,8 @@ def cmd_eval(args) -> int:
         return _usage_error(args, exc)
     table = run_comparison(problems, policies, env_config=settings)
     _write_outputs(args, {
-        "records.csv": comparison_to_csv(table),
-        "aggregates.csv": aggregates_to_csv(table),
+        "records.csv": rows_to_csv(comparison_rows(table)),
+        "aggregates.csv": rows_to_csv(table.aggregates),
     })
     for row in table.aggregates:
         print(
@@ -356,7 +354,7 @@ def cmd_profile(args) -> int:
         return _usage_error(args, exc)
     table = run_comparison(problems, policies, env_config=settings)
     files = {
-        name: profile_to_csv(performance_profile(table.records, tolerance))
+        name: rows_to_csv(profile_rows(performance_profile(table.records, tolerance)))
         for name, tolerance in tolerances.items()
     }
     out_dir = _write_outputs(args, files)
@@ -374,7 +372,7 @@ def cmd_ablate(args) -> int:
         return _usage_error(args, exc)
     result = ablation_suite(args.kind, cfg, train_problems, held_out)
     out_dir = _write_outputs(args, {
-        f"ablation-{args.kind}.csv": ablation_to_csv(result),
+        f"ablation-{args.kind}.csv": rows_to_csv(result["rows"]),
         f"ablation-{args.kind}.json": json.dumps(result, indent=2, sort_keys=True) + "\n",
     }, cfg)
     print(f"wrote ablation tables for {args.kind} to {out_dir}")

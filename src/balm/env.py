@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .policy import PolicyObservation, observe
 from .scene import BAProblem
@@ -73,16 +73,37 @@ class StepOutcome:
 
 @dataclass
 class SolveResult:
-    """``iterations`` and ``total_time_s`` count completed iterations; after a
-    numerical failure ``records`` also holds the failed attempt (error NaN)."""
+    """An episode's outcome and its final state, from which every other fact
+    is read: ``iterations`` and ``total_time_s`` count completed iterations,
+    and after a numerical failure ``records`` also holds the failed attempt
+    (error NaN)."""
 
-    params: ParamVector
     outcome: str
-    iterations: int
-    total_time_s: float
-    final_error: float
-    initial_error: float
-    records: list[IterationRecord] = field(default_factory=list)
+    state: SolverState
+
+    @property
+    def params(self) -> ParamVector:
+        return self.state.params
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        return self.state.records
+
+    @property
+    def iterations(self) -> int:
+        return self.state.iteration
+
+    @property
+    def total_time_s(self) -> float:
+        return float(sum(self.state.durations))
+
+    @property
+    def initial_error(self) -> float:
+        return self.state.error_history[0]
+
+    @property
+    def final_error(self) -> float:
+        return self.state.error_history[-1]
 
     @property
     def converged(self) -> bool:
@@ -196,13 +217,4 @@ def solve(problem: BAProblem, policy, **settings) -> SolveResult:
     env = BAEnv(EnvConfig(**settings))
     for _, _, out in env.rollout(problem, policy.next_lambda):
         pass
-    state = env.solver_state
-    return SolveResult(
-        params=state.params,
-        outcome=out.outcome,
-        iterations=state.iteration,
-        total_time_s=float(sum(state.durations)),
-        final_error=state.error_history[-1],
-        initial_error=state.error_history[0],
-        records=state.records,
-    )
+    return SolveResult(out.outcome, env.solver_state)

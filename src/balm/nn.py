@@ -78,14 +78,18 @@ def _layer_views(flat: np.ndarray, widths: list[int]):
 
 
 def _pack(widths: list[int], weights, biases) -> np.ndarray:
-    """Copy per-layer arrays into one fresh flat buffer, checking their shapes."""
+    """Copy per-layer arrays into one fresh flat buffer, their shapes checked
+    first, so widths the arrays do not fit allocate nothing."""
+    pairs = list(zip(widths[:-1], widths[1:]))
+    if len(weights) != len(pairs) or len(biases) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} weight and bias arrays for widths {widths}")
+    arrays = list(weights) + list(biases)
+    for src, shape in zip(arrays, pairs + [(fan_out,) for _, fan_out in pairs]):
+        if np.shape(src) != shape:
+            raise ValueError(f"shape {np.shape(src)} where widths {widths} need {shape}")
     flat = np.empty(_layer_slices(widths)[-1].stop)
     dst_weights, dst_biases = _layer_views(flat, widths)
-    if len(weights) != len(dst_weights) or len(biases) != len(dst_biases):
-        raise ValueError(f"expected {len(dst_weights)} weight and bias arrays for widths {widths}")
-    for dst, src in zip(dst_weights + dst_biases, list(weights) + list(biases)):
-        if np.shape(src) != dst.shape:
-            raise ValueError(f"shape {np.shape(src)} where widths {widths} need {dst.shape}")
+    for dst, src in zip(dst_weights + dst_biases, arrays):
         dst[...] = src
     return flat
 

@@ -152,7 +152,10 @@ class AgentPolicy(DampingPolicy):
     def next_lambda(self, obs: PolicyObservation) -> float:
         from .sac import select_action
 
-        lam, _ = select_action(self.nets, agent_state(self.nets, obs), deterministic=True)
+        # A net whose output overflows gives a non-finite damping, which
+        # ``lm_iterate`` records as a failed iteration: no warning is due.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam, _ = select_action(self.nets, agent_state(self.nets, obs), deterministic=True)
         return _clamp(lam)
 
 
@@ -177,5 +180,6 @@ class ZeroNetPolicy(DampingPolicy):
         from .baselines import zero_net_input
         from .sac import lambda_from_action
 
-        out, _ = mlp_forward_cached(self.net, zero_net_input(obs, self.window)[None])
-        return _clamp(lambda_from_action(np.tanh(out[0, 0])))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``AgentPolicy``
+            out, _ = mlp_forward_cached(self.net, zero_net_input(obs, self.window)[None])
+            return _clamp(lambda_from_action(np.tanh(out[0, 0])))

@@ -263,19 +263,6 @@ class _Workspace:
         return array.take(index, axis=axis, out=out, mode="clip")
 
 
-class _Fresh:
-    """The workspace of a call that has none: every array is new."""
-
-    def __call__(self, *shape: int, dtype=np.float64) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-    def take(self, array: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
-        return array.take(index, axis=axis)
-
-
-_FRESH = _Fresh()
-
-
 def _rotation_coefficients(theta2: np.ndarray):
     """Rodrigues coefficients cos(t), sin(t)/t, (1-cos(t))/t^2, series-safe at 0."""
     theta = np.sqrt(theta2)
@@ -365,7 +352,7 @@ def project_many(
     return pixels, cam_frame[2]
 
 
-def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx, scratch=_FRESH):
+def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
     """Project every observation, keeping the intermediates.
 
     Works component-major, observation index last. Returns the gathered
@@ -373,24 +360,21 @@ def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx, scratch=_FRESH):
     image-plane points (2, n), their squared radius, the distortion factor
     and the pixels, which alone are row-major (n, 2). The rotation
     coefficients are computed once per camera. A numerically zero depth
-    divides by 1 instead; the caller detects it. The gathered cameras and
-    points, the image-plane points and the pixels come from ``scratch`` (see
-    ``_Workspace``).
+    divides by 1 instead; the caller detects it. Every array is new.
     """
-    n = len(cam_idx)
-    cams = scratch.take(np.ascontiguousarray(camera_blocks.T), cam_idx, axis=1)
-    pts = scratch.take(np.ascontiguousarray(point_blocks.T), pt_idx, axis=1)
+    cams = np.ascontiguousarray(camera_blocks.T).take(cam_idx, axis=1)
+    pts = np.ascontiguousarray(point_blocks.T).take(pt_idx, axis=1)
     rotvecs = camera_blocks[:, 0:3].T
     coefficients = [c.take(cam_idx) for c in _rotation_coefficients(_dot(rotvecs, rotvecs))]
     cam_frame = _rotate(cams[0:3], pts, coefficients)
     cam_frame += cams[3:6]
     depth = cam_frame[2]
     safe_depth = np.where(np.abs(depth) <= DEPTH_EPS, 1.0, depth)
-    plane = np.negative(cam_frame[:2], out=scratch(2, n))
+    plane = np.negative(cam_frame[:2])
     plane /= safe_depth
     r2 = _dot(plane, plane)
     distortion = 1.0 + cams[7] * r2 + cams[8] * r2 * r2
-    pixels = scratch(n, 2)
+    pixels = np.empty((len(cam_idx), 2))
     np.multiply(cams[6] * distortion, plane, out=pixels.T)
     return cams, pts, cam_frame, plane, r2, distortion, pixels
 

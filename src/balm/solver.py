@@ -28,16 +28,17 @@ again, and the least-squares fallback solves its lower triangle mirrored:
 the symmetric matrix that the factorization was given.
 
 The plan also owns a workspace (``scene._Workspace``): one buffer that
-holds every per-observation temporary of ``linearize`` and of the Schur
-``damped_step``, the reduced system and the pair gathers and products
-included. The two calls never overlap, so they share it, and every call
-rewrites it. Once each has run on an index set, neither allocates more
-than its results and a few small temporaries, so the allocator no longer
-hands megabytes back to the system each iteration, only to fault them in
-again on the next. ``linearize`` and ``damped_step`` are therefore not
-reentrant across threads (balm starts none). No ``Linearization`` field
-and no returned step is ever part of the workspace: a linearization stays
-valid while other calls reuse it, as the greedy oracle's trials do.
+holds every per-observation temporary of ``linearize`` but the projection,
+which a state keeps, and of the Schur ``damped_step``, the reduced system
+and the pair gathers and products included. The two calls never overlap,
+so they share it, and every call rewrites it. Once each has run on an
+index set, neither allocates more than its results and a few small
+temporaries, so the allocator no longer hands megabytes back to the system
+each iteration, only to fault them in again on the next. ``linearize``
+and ``damped_step`` are therefore not reentrant across threads (balm
+starts none). No ``Linearization`` field and no returned step is ever part
+of the workspace: a linearization stays valid while other calls reuse it,
+as the greedy oracle's trials do.
 
 Each LM state is projected once and linearized once. A ``SolverState``
 owns the projection and the ``Linearization`` of its parameters, and it
@@ -54,7 +55,8 @@ linearization. A batch of several dampings keeps no projection.
 A state is also the one record of its run: ``lm_iterate``, where an
 iteration is measured, makes its ``IterationRecord`` and appends it to the
 successor's ``records``. The start and every candidate are scored by one
-check (``_scored``), where a zero depth or a non-finite error raises.
+check (``_scored``), where a zero depth or a non-finite error raises. The
+solver formats nothing: ``balm.bench`` writes the records and results.
 
 The per-observation arrays of an iteration are component-major, with the
 observation index last: the gathered cameras (9, n) and points (3, n), the
@@ -113,7 +115,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -238,7 +240,8 @@ class SolverState:
         projection is kept for ``linearization``."""
         params = ParamVector.from_problem(problem)
         cam_idx, pt_idx, pixels = problem.observation_arrays()
-        rows = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows, ``_scored`` rejects
+            rows = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
         state = SolverState(params, [_scored(pixels, rows[6], rows[2][2], problem.pixel_sigma)])
         state._projection = rows
         return state
@@ -431,7 +434,7 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
 
     ``_projection`` is ``SolverState``'s kept projection of ``params``
     (``SolverState.linearization`` passes it); without it, ``params`` are
-    projected here. The temporaries live in the pair plan's workspace;
+    projected here. The other temporaries live in the pair plan's workspace;
     every returned array is new.
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
@@ -439,7 +442,7 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
     scratch = _pair_plan(cam_idx, pt_idx, nc).workspace.frame()
     # One projection, kept or made here, serves the residual and the Jacobian.
     cams, pts, cam_frame, plane, r2, distortion, predicted = _projection or _project_rows(
-        params.cameras, params.points, cam_idx, pt_idx, scratch
+        params.cameras, params.points, cam_idx, pt_idx
     )
     focal, k1, k2 = cams[6], cams[7], cams[8]
     z = cam_frame[2]
@@ -476,7 +479,7 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
     for column, factor in ((6, distortion), (7, focal * r2), (8, focal * r2 * r2)):
         np.negative(np.multiply(factor, plane, out=jac_cam[:, column]), out=jac_cam[:, column])
     jac_pt = np.negative(_batched_matmul(chain, rot_mat, scratch(2, 3, n), scratch))
-    scratch.release(0)  # the projection and the Jacobian's factors are spent
+    scratch.release(0)  # the Jacobian's factors are spent
 
     weight = 1.0 / (problem.pixel_sigma * problem.pixel_sigma)
     cam_slots = _column_slots(cam_idx, 9, nc, scratch)
@@ -589,7 +592,7 @@ class _PairPlan:
     crosses a chunk edge of that order is summed in two parts.
 
     ``workspace`` holds every per-observation temporary of ``linearize``
-    and of the Schur step on this index set: the projection, the
+    but the projection, and of the Schur step on this index set: the
     Jacobian's factors, the Gram and gradient terms and the bincount slots;
     ``E`` in both layouts, ``H_cp^T``, the reduced camera systems, the pair
     gathers and products, and the gathered operands of the right-hand side
@@ -896,10 +899,14 @@ def lm_iterate(
     try:
         if not math.isfinite(lam):
             raise NumericalFailureError(f"damping {lam} is not finite")
-        delta_cam, delta_pt = damped_step(state.linearization(problem), lam)
-        (outcome,), projection = _candidate_errors(
-            problem, state.params, delta_cam[None], delta_pt[None], [None]
-        )
+        # Huge finite parameters can overflow the Jacobian or the candidate's
+        # projection. What is non-finite then fails the iteration
+        # (``_solve_spd``, ``_scored``), so numpy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta_cam, delta_pt = damped_step(state.linearization(problem), lam)
+            (outcome,), projection = _candidate_errors(
+                problem, state.params, delta_cam[None], delta_pt[None], [None]
+            )
         if isinstance(outcome, Exception):
             raise outcome
         candidate, err = outcome
@@ -930,42 +937,3 @@ def convergence_check(error_history: list[float], threshold: float = 1e-6) -> bo
     previous, current = error_history[-2], error_history[-1]
     return abs(previous - current) / max(previous, CONVERGENCE_FLOOR) < threshold
 
-
-def _fmt(value) -> str:
-    """One CSV cell: NaN is blank, floats round-trip, sequences join with ';'."""
-    if isinstance(value, float):
-        if np.isnan(value):
-            return ""
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(_fmt(v) for v in value)
-    return str(value)
-
-
-def csv_text(columns, rows) -> str:
-    """A header line of ``columns``, then one line of ``_fmt`` cells per row."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-RECORD_COLUMNS = ("iter", "lambda", "error", "duration_s")  # IterationRecord's fields, in order
-
-
-def records_to_csv(records: list[IterationRecord]) -> str:
-    return csv_text(RECORD_COLUMNS, map(astuple, records))
-
-
-def result_to_json_dict(result) -> dict:
-    return {
-        "outcome": result.outcome,
-        "iterations": result.iterations,
-        "total_time_s": result.total_time_s,
-        "final_error": result.final_error,
-        "initial_error": result.initial_error,
-        # JSON has no NaN: a failed step's error is null
-        "records": [
-            {col: v if np.isfinite(v) else None for col, v in zip(RECORD_COLUMNS, astuple(rec))}
-            for rec in result.records
-        ],
-    }

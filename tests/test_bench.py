@@ -19,13 +19,12 @@ from balm.bench import (
     ProfilePoint,
     RunRecord,
     ablation_suite,
-    ablation_to_csv,
     aggregate_rows,
-    aggregates_to_csv,
-    comparison_to_csv,
+    comparison_rows,
     extract_schedule,
     performance_profile,
-    profile_to_csv,
+    profile_rows,
+    rows_to_csv,
     run_comparison,
     suite_scene,
 )
@@ -127,7 +126,7 @@ class TestRunComparison:
         empty = aggregate_rows([], "classic")
         assert (empty["capped"], empty["numerical_failures"], empty["errors"]) == (0, 0, 0)
         table = ComparisonTable(records=records, aggregates=[agg])
-        header, row = aggregates_to_csv(table).splitlines()
+        header, row = rows_to_csv(table.aggregates).splitlines()
         assert header.endswith(",median_final_error,capped,numerical_failures,errors")
         assert row.endswith(",2,1,1")
 
@@ -225,13 +224,13 @@ class TestRunComparison:
     def test_csv_output_is_deterministic(self):
         first = self.make_table()
         second = self.make_table()
-        assert comparison_to_csv(first) == comparison_to_csv(second)
-        assert aggregates_to_csv(first) == aggregates_to_csv(second)
-        header = comparison_to_csv(first).splitlines()[0]
+        assert rows_to_csv(comparison_rows(first)) == rows_to_csv(comparison_rows(second))
+        assert rows_to_csv(first.aggregates) == rows_to_csv(second.aggregates)
+        header = rows_to_csv(comparison_rows(first)).splitlines()[0]
         assert header == (
             "problem,policy,outcome,iterations,total_time_s,initial_error,final_error"
         )
-        assert len(comparison_to_csv(first).splitlines()) == 1 + len(first.records)
+        assert len(rows_to_csv(comparison_rows(first)).splitlines()) == 1 + len(first.records)
 
 
 class TestPerformanceProfile:
@@ -309,7 +308,7 @@ class TestPerformanceProfile:
     def test_profile_csv_schema(self):
         a = record_with_time("p", "a", 100.0, 0.0, [10.0], [0.0])
         b = record_with_time("p", "b", 100.0, 0.0, [20.0], [0.0])
-        csv = profile_to_csv(performance_profile([a, b], tolerance=0.1))
+        csv = rows_to_csv(profile_rows(performance_profile([a, b], tolerance=0.1)))
         lines = csv.splitlines()
         assert lines[0] == "policy,relative_time,solved_fraction"
         assert lines[1] == "a,1.0,1.0"
@@ -404,7 +403,7 @@ class TestAblations:
         assert kinds == ["agent", "scheduler", "classic"]
         scheduler_row = result["rows"][1]
         assert len(scheduler_row["schedule"]) >= 1
-        csv = ablation_to_csv(result)
+        csv = rows_to_csv(result["rows"])
         for line in csv.splitlines():
             assert line.count(",") == csv.splitlines()[0].count(",")
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from conftest import suite_problem
 
-from balm import cli
+from balm import bench, cli
 from balm.baselines import ZeroNetConfig, init_zero_net, save_zero_net_checkpoint
 from balm.bench import extract_schedule
 from balm.cli import _policy, build_parser, main, parse_key_list, parse_seed_list, read_text
@@ -554,6 +554,18 @@ class TestEvalAndProfile:
         aggregates = (out / "aggregates.csv").read_text().splitlines()
         assert len(aggregates) == 1 + 3
 
+    def test_a_new_aggregate_key_is_a_new_last_column(self, tmp_path, monkeypatch):
+        # ``aggregate_rows`` is the one statement of the aggregate columns.
+        aggregate_rows = bench.aggregate_rows
+        monkeypatch.setattr(
+            bench, "aggregate_rows", lambda *args: {**aggregate_rows(*args), "probe": 7}
+        )
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--policies", "classic,gn", *self.EVAL_ARGS, "--out-dir", out) == 0
+        header, *rows = (out / "aggregates.csv").read_text().splitlines()
+        assert header.endswith(",errors,probe")
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["7", "7"]
+
     def test_eval_reruns_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -820,9 +832,16 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
         (("solve", "--problem", "zero-depth.txt"),
          "observation 0: camera-frame depth is numerically zero"),
         (("solve", "--problem", "big-pixel.txt"), "estimation error is non-finite"),
-        (("train", "--algo", "sac", *UNSCOREABLE_TRAIN), "estimation error is non-finite"),
-        (("train", "--algo", "zero-net", *UNSCOREABLE_TRAIN), "estimation error is non-finite"),
-        (("ablate", "--kind", "reversed", *UNSCOREABLE_TRAIN), "estimation error is non-finite"),
+        (("train", "--algo", "sac", *UNSCOREABLE_TRAIN),
+         "scene-0: estimation error is non-finite"),
+        (("train", "--algo", "zero-net", *UNSCOREABLE_TRAIN),
+         "scene-0: estimation error is non-finite"),
+        (("ablate", "--kind", "reversed", *UNSCOREABLE_TRAIN),
+         "scene-0: estimation error is non-finite"),
+        (("train", "--train-seeds", "0-9", "--pixel-sigma", "1e-160"),
+         "scene-0: estimation error is non-finite"),
+        (("ablate", "--kind", "threshold", "--train-seeds", "0-9", "--pixel-sigma", "1e-160"),
+         "scene-0: estimation error is non-finite"),
         (("eval", "--policies", "scheduler,classic", "--schedule", "auto", "--checkpoint",
           "agent.ckpt", *TINY_EVAL, "--pixel-sigma", "1e-160"), "estimation error is non-finite"),
         (("solve", "--policy", "gn"), "solve needs --problem (flag or config)"),
@@ -847,7 +866,8 @@ SOLVE_SCENE = ("solve", "--problem", "scene.txt")
         "schedule-auto-no-checkpoint", "agent-no-checkpoint", "zero-net-no-checkpoint",
         "unknown-policy", "schedule-nan", "solve-nan-pixel", "solve-zero-depth",
         "solve-overflowing-pixel", "train-sac-unscoreable", "train-zero-net-unscoreable",
-        "ablate-unscoreable", "eval-schedule-auto-unscoreable", "no-problem",
+        "ablate-unscoreable", "train-ten-scenes-unscoreable", "ablate-threshold-unscoreable",
+        "eval-schedule-auto-unscoreable", "no-problem",
         "no-policies",
         "no-kind", "config-missing", "config-not-json", "config-not-an-object",
         "config-unknown-key", "profile-one-policy", "eval-repeated-policy",

@@ -1,9 +1,10 @@
-from dataclasses import replace
+import dataclasses
 
 import numpy as np
 import pytest
 
 from balm import solver
+from balm.bench import records_to_csv
 from balm.env import (
     BAEnv,
     EnvConfig,
@@ -23,7 +24,7 @@ from balm.policy import (
 )
 from balm.sac import init_agent
 from balm.scene import generate_synthetic
-from balm.solver import SingularSystemError, records_to_csv
+from balm.solver import SingularSystemError
 
 from conftest import suite_problem
 
@@ -291,16 +292,28 @@ def hand_stepped_solve(problem, policy, **settings):
     out = env.step(policy.next_lambda(env.reset(problem)))
     while not out.done:
         out = env.step(policy.next_lambda(out.observation))
-    state = env.solver_state
-    return SolveResult(
-        params=state.params,
-        outcome=out.outcome,
-        iterations=state.iteration,
-        total_time_s=float(sum(state.durations)),
-        final_error=state.error_history[-1],
-        initial_error=state.error_history[0],
-        records=state.records,
-    )
+    return SolveResult(out.outcome, env.solver_state)
+
+
+class TestSolveResult:
+    def test_is_the_outcome_and_the_final_state(self, suite_problem_0):
+        assert [f.name for f in dataclasses.fields(SolveResult)] == ["outcome", "state"]
+        result = solve(suite_problem_0, ClassicPolicy(), deterministic_time=True)
+        state = result.state
+        assert result.records is state.records
+        assert result.params is state.params
+        assert result.iterations == state.iteration == len(state.records)
+        assert result.total_time_s == float(result.iterations)  # 1 s per deterministic step
+        assert (result.initial_error, result.final_error) == (
+            state.error_history[0], state.error_history[-1]
+        )
+
+    def test_its_facts_are_read_only(self, suite_problem_0):
+        result = solve(suite_problem_0, ClassicPolicy(), max_iterations=2)
+        for name in ("params", "records", "iterations", "total_time_s", "initial_error",
+                     "final_error", "converged"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
 
 
 class TestRollout:
@@ -354,5 +367,12 @@ class TestRollout:
         expected = hand_stepped_solve(suite_problem_0, policy, deterministic_time=True)
         assert np.array_equal(result.params.cameras, expected.params.cameras)
         assert np.array_equal(result.params.points, expected.params.points)
-        assert replace(result, params=None) == replace(expected, params=None)
+        assert result.outcome == expected.outcome
+        assert result.iterations == expected.iterations
+        assert result.total_time_s == expected.total_time_s
+        assert result.initial_error == expected.initial_error
+        assert result.final_error == expected.final_error
+        assert len(result.records) == len(expected.records)
+        for record, hand_stepped in zip(result.records, expected.records):
+            assert record == hand_stepped
         assert result.iterations > 1

@@ -27,6 +27,7 @@ from balm.scene import (
 )
 from balm.env import BAEnv, EnvConfig, StepOutcome, solve
 from balm.policy import ClassicPolicy, ConstantSchedulerPolicy, FixedPolicy, PolicyObservation
+from balm.bench import records_to_csv, result_to_json_dict
 from balm.solver import (
     LAMBDA_MAX,
     LAMBDA_MIN,
@@ -42,8 +43,6 @@ from balm.solver import (
     evaluate_steps,
     linearize,
     lm_iterate,
-    records_to_csv,
-    result_to_json_dict,
 )
 
 from conftest import dense_step, dense_system, flat, residuals, suite_problem
@@ -657,13 +656,15 @@ class TestDampedStep:
 
     def test_warm_calls_allocate_little(self):
         # 1,371 observations; counted in bytes, which do not depend on the host.
+        # A state linearizes from the projection that scored it, made before
+        # the count starts, as every solve's states do.
         problem = few_view_problem(40, 400, 4)
-        params = ParamVector.from_problem(problem)
         for _ in range(2):
-            damped_step(linearize(problem, params), 1e-3)
+            damped_step(SolverState.initial(problem).linearization(problem), 1e-3)
+        state = SolverState.initial(problem)
         tracemalloc.start()
         try:
-            lin = linearize(problem, params)
+            lin = state.linearization(problem)
             _, lin_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             held, _ = tracemalloc.get_traced_memory()
