@@ -263,17 +263,6 @@ class _Workspace:
         return array.take(index, axis=axis, out=out, mode="clip")
 
 
-def _rotation_coefficients(theta2: np.ndarray):
-    """Rodrigues coefficients cos(t), sin(t)/t, (1-cos(t))/t^2, series-safe at 0."""
-    theta = np.sqrt(theta2)
-    small = theta2 < 1e-12
-    safe = np.where(small, 1.0, theta)
-    cos_t = np.where(small, 1.0 - theta2 / 2.0, np.cos(theta))
-    sinc = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-    one_minus_cos = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
-    return cos_t, sinc, one_minus_cos
-
-
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.cross`` over the first axis, to the bit, without its axis bookkeeping.
 
@@ -302,10 +291,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _rotation_table(w: np.ndarray) -> tuple:
+    """The angle math of R(w), once per rotation vector of the component-major ``w``.
+
+    With t = |w|, returns the angles (t^2, ``small`` where t^2 < 1e-12,
+    ``safe`` = 1 there and t elsewhere, sin(safe), cos(safe)) and the
+    coefficients cos(t), sin(t)/t and (1-cos(t))/t^2 that ``_rotate``
+    takes, each with its series where ``small``; elsewhere safe = t.
+    """
+    theta2 = _dot(w, w)
+    small = theta2 < 1e-12
+    safe = np.where(small, 1.0, np.sqrt(theta2))
+    sin, cos = np.sin(safe), np.cos(safe)
+    cos_t = np.where(small, 1.0 - theta2 / 2.0, cos)
+    sinc = np.where(small, 1.0 - theta2 / 6.0, sin / safe)
+    omc = np.where(small, 0.5 - theta2 / 24.0, (1.0 - cos) / (safe * safe))
+    return (theta2, small, safe, sin, cos), (cos_t, sinc, omc)
+
+
 def _rotate(w: np.ndarray, p: np.ndarray, coefficients) -> np.ndarray:
     """R(w) p for component-major rotation vectors and points, shape (3, ...).
 
-    ``coefficients`` are ``_rotation_coefficients`` of ``_dot(w, w)``.
+    ``coefficients`` are the ``_rotation_table`` coefficients of ``w``.
     """
     cos_t, sinc, omc = coefficients
     rotated = cos_t * p
@@ -321,7 +328,7 @@ def rotate_points(rotvecs: np.ndarray, points: np.ndarray) -> np.ndarray:
     )
     # Reversing every axis puts the vector axis first; the math is elementwise.
     w = rotvecs.T
-    return _rotate(w, points.T, _rotation_coefficients(_dot(w, w))).T
+    return _rotate(w, points.T, _rotation_table(w)[1]).T
 
 
 def project(camera: CameraPose, point: Point3 | np.ndarray) -> np.ndarray:
@@ -348,8 +355,8 @@ def project_many(
     Returns (pixels, depths) so callers can detect degenerate depths without
     paying for a second pass.
     """
-    _, _, cam_frame, _, _, _, pixels = _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx)
-    return pixels, cam_frame[2]
+    projection = _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx)
+    return projection[6], projection[2][2]
 
 
 def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
@@ -357,16 +364,15 @@ def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
 
     Works component-major, observation index last. Returns the gathered
     cameras (9, n) and points (3, n), the camera-frame points (3, n), the
-    image-plane points (2, n), their squared radius, the distortion factor
-    and the pixels, which alone are row-major (n, 2). The rotation
-    coefficients are computed once per camera. A numerically zero depth
+    image-plane points (2, n), their squared radius, the distortion factor,
+    the pixels, which alone are row-major (n, 2), and the cameras'
+    ``_rotation_table``, made once per camera. A numerically zero depth
     divides by 1 instead; the caller detects it. Every array is new.
     """
     cams = np.ascontiguousarray(camera_blocks.T).take(cam_idx, axis=1)
     pts = np.ascontiguousarray(point_blocks.T).take(pt_idx, axis=1)
-    rotvecs = camera_blocks[:, 0:3].T
-    coefficients = [c.take(cam_idx) for c in _rotation_coefficients(_dot(rotvecs, rotvecs))]
-    cam_frame = _rotate(cams[0:3], pts, coefficients)
+    rotation = _rotation_table(camera_blocks[:, 0:3].T)
+    cam_frame = _rotate(cams[0:3], pts, [c[cam_idx] for c in rotation[1]])
     cam_frame += cams[3:6]
     depth = cam_frame[2]
     safe_depth = np.where(np.abs(depth) <= DEPTH_EPS, 1.0, depth)
@@ -376,7 +382,7 @@ def _project_rows(camera_blocks, point_blocks, cam_idx, pt_idx):
     distortion = 1.0 + cams[7] * r2 + cams[8] * r2 * r2
     pixels = np.empty((len(cam_idx), 2))
     np.multiply(cams[6] * distortion, plane, out=pixels.T)
-    return cams, pts, cam_frame, plane, r2, distortion, pixels
+    return cams, pts, cam_frame, plane, r2, distortion, pixels, rotation
 
 
 def _look_at_rotation(center: np.ndarray, roll: float) -> np.ndarray:

@@ -27,30 +27,31 @@ factorization fails, it has overwritten that matrix, so the copy is made
 again, and the least-squares fallback solves its lower triangle mirrored:
 the symmetric matrix that the factorization was given.
 
-The plan also owns a workspace (``scene._Workspace``): one buffer that
-holds every per-observation temporary of ``linearize`` but the projection,
-which a state keeps, and of the Schur ``damped_step``, the reduced system
-and the pair gathers and products included. The two calls never overlap,
-so they share it, and every call rewrites it. Once each has run on an
-index set, neither allocates more than its results and a few small
-temporaries, so the allocator no longer hands megabytes back to the system
-each iteration, only to fault them in again on the next. ``linearize``
-and ``damped_step`` are therefore not reentrant across threads (balm
-starts none). No ``Linearization`` field and no returned step is ever part
-of the workspace: a linearization stays valid while other calls reuse it,
-as the greedy oracle's trials do.
+The plan also owns a workspace (``scene._Workspace``): one buffer for
+every per-observation temporary of ``linearize`` but the projection, which
+a state keeps, and of the Schur ``damped_step`` (``_PairPlan`` lists them).
+The two calls never overlap, so they share it, and each rewrites it. Once
+each has run on an index set, neither allocates more than its results and
+a few small temporaries, so the allocator no longer hands megabytes back
+to the system each iteration, only to fault them in again on the next.
+Neither call is reentrant across threads (balm starts none). No
+``Linearization`` field and no returned step is ever part of the
+workspace: a linearization stays valid while other calls reuse it.
 
 Each LM state is projected once and linearized once. A ``SolverState``
 owns the projection and the ``Linearization`` of its parameters, and it
 makes the parameter arrays read-only, so neither can go stale.
 ``SolverState.initial`` keeps the projection that scored the starting
 parameters, and ``lm_iterate`` the one that scored a lone accepted
-candidate; the first ``SolverState.linearization`` request builds the
-Jacobian from it through ``linearize`` and then drops it. A k-iteration
-solve therefore makes k + 1 projections, not 2k + 1, and the greedy
-oracle and the iteration that follows it share one linearization. The
-successor of a rejected or failed step shares its parameters and their
-linearization. A batch of several dampings keeps no projection.
+candidate, with the residual ``_scored`` checked; the first
+``SolverState.linearization`` request builds the Jacobian from them
+through ``linearize`` and drops them. A projection carries its cameras'
+rotation table (``scene._rotation_table``), each rotation's angle math,
+from which ``linearize`` builds R and the rotation Jacobian. A k-iteration
+solve therefore makes k + 1 projections and rotation tables, not 2k + 1,
+and the greedy oracle and the iteration after it share one linearization.
+The successor of a rejected or failed step shares its parameters and
+their linearization. A batch of several dampings keeps no projection.
 
 A state is also the one record of its run: ``lm_iterate``, where an
 iteration is measured, makes its ``IterationRecord`` and appends it to the
@@ -81,7 +82,8 @@ Sums keep a fixed order, so that making them faster cannot move a bit of
 the output: small batched products add their inner index in order, first
 term first (``_batched_matmul``); 2- and 3-term dot products add from 0.0
 in order, as ``np.sum`` over a short last axis does (``scene._dot``); and
-scatters are one ``bincount`` per block row, adding in observation order.
+scatters are one ``bincount`` per group of block rows (``_normal_sums``),
+adding in observation order within each slot.
 Three sums add in an order that numpy or BLAS fixes for the row-major
 layout they read:
 
@@ -128,13 +130,13 @@ from .scene import (
     _dot,
     _project_rows,
     _rotate,
-    _rotation_coefficients,
 )
 
 LAMBDA_MIN = 1e-16
 LAMBDA_MAX = 1e16
 CONVERGENCE_FLOOR = 1e-30
 PAIR_CHUNK = 1024  # observation pairs per batched product in the Schur assembly
+GRAM_GROUP = 8192  # J^T J terms per bincount when a whole upper triangle fits (``_normal_sums``)
 _EYE2, _EYE3, _EYE9 = np.eye(2), np.eye(3), np.eye(9)
 for _eye in (_EYE2, _EYE3, _EYE9):
     _eye.flags.writeable = False
@@ -216,6 +218,7 @@ class SolverState:
     records: list[IterationRecord] = field(default_factory=list)
     failed: bool = False
     last_step_accepted: bool = True
+    # The projection of ``params`` and its checked residual, until linearized.
     _projection: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _linearization: Linearization | None = field(
         default=None, init=False, repr=False, compare=False
@@ -241,9 +244,10 @@ class SolverState:
         params = ParamVector.from_problem(problem)
         cam_idx, pt_idx, pixels = problem.observation_arrays()
         with np.errstate(over="ignore", invalid="ignore"):  # what overflows, ``_scored`` rejects
-            rows = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
-        state = SolverState(params, [_scored(pixels, rows[6], rows[2][2], problem.pixel_sigma)])
-        state._projection = rows
+            projection = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
+        err, residual = _scored(pixels, projection[6], projection[2][2], problem.pixel_sigma)
+        state = SolverState(params, [err])
+        state._projection = (projection, residual)
         return state
 
     def linearization(self, problem: BAProblem) -> Linearization:
@@ -280,13 +284,15 @@ def estimation_error(res: np.ndarray, pixel_sigma: float) -> float:
     return float((res * res).sum() / (pixel_sigma * pixel_sigma))
 
 
-def _scored(pixels, predicted, depths, pixel_sigma: float) -> float:
-    """``estimation_error`` of ``_checked_residual``; a non-finite one raises, not warns."""
+def _scored(pixels, predicted, depths, pixel_sigma: float) -> tuple[float, np.ndarray]:
+    """``estimation_error`` of ``_checked_residual``, and that residual; a
+    non-finite error raises, not warns."""
     with np.errstate(over="ignore"):
-        err = estimation_error(_checked_residual(pixels, predicted, depths), pixel_sigma)
+        residual = _checked_residual(pixels, predicted, depths)
+        err = estimation_error(residual, pixel_sigma)
     if not math.isfinite(err):
         raise NumericalFailureError("estimation error is non-finite")
-    return err
+    return err, residual
 
 
 def _batched_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
@@ -307,39 +313,29 @@ def _batched_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> n
 
 
 def _rotation_point_jacobian(
-    camera_rotvecs: np.ndarray, cam_idx: np.ndarray, w: np.ndarray, p: np.ndarray, scratch
+    rotation: tuple, cam_idx: np.ndarray, w: np.ndarray, p: np.ndarray, scratch
 ) -> np.ndarray:
     """d(R(w) @ X)/dw for each observation, component-major (3, 3, n).
 
-    Observation n rotates point column ``p[:, n]`` by ``w[:, n]``, which is
-    column ``cam_idx[n]`` of the (3, num_cameras) ``camera_rotvecs``.
-    Derived from the unnormalized Rodrigues form
-    R(w)X = cos(t) X + sinc(t) (w x X) + (1-cos t)/t^2 (w.X) w with t = |w|;
-    all angle-dependent coefficients get series fallbacks near t = 0 and
-    are computed once per camera. Entry (i, j) is
+    Observation n rotates point column ``p[:, n]`` by ``w[:, n]``, the
+    rotation vector of camera ``cam_idx[n]``. Derived from the unnormalized
+    Rodrigues form R(w)X = cos(t) X + sinc(t) (w x X) + (1-cos t)/t^2 (w.X) w
+    with t = |w|. The coefficients are per camera, with series fallbacks near
+    t = 0. ``rotation`` is the cameras' ``scene._rotation_table``, which the
+    projection made: ``sinc`` is its own, and omc (over t^2, not ``safe``
+    squared), beta and gamma are derived from its angles. Entry (i, j) is
     -sinc X_i w_j + beta (w x X)_i w_j + gamma (w.X) w_i w_j + omc w_i X_j
-    + omc (w.X) [i = j] - sinc [X]_x[i, j], summed in that order. The
-    result and its temporaries come from ``scratch``.
+    + omc (w.X) [i = j] - sinc [X]_x[i, j], summed in that order. The result
+    and its temporaries come from ``scratch``.
     """
-    theta2 = _dot(camera_rotvecs, camera_rotvecs)
-    theta = np.sqrt(theta2)
-    small = theta2 < 1e-12
-    safe = np.where(small, 1.0, theta)
+    (theta2, small, safe, sin, cos), (_, sinc, _) = rotation
     safe2 = np.where(small, 1.0, theta2)  # not safe**2, which moves bits
-
-    sinc = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-    omc = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe2)
+    one_minus_cos = 1.0 - cos
+    omc = np.where(small, 0.5 - theta2 / 24.0, one_minus_cos / safe2)
     # d(cos t)/dw = -sinc * w; d(sinc)/dw = beta * w; d(omc)/dw = gamma * w.
-    beta = np.where(
-        small,
-        -1.0 / 3.0 + theta2 / 30.0,
-        (safe * np.cos(safe) - np.sin(safe)) / safe**3,
-    )
-    gamma = np.where(
-        small,
-        -1.0 / 12.0 + theta2 / 180.0,
-        (safe * np.sin(safe) - 2.0 * (1.0 - np.cos(safe))) / safe**4,
-    )
+    beta = np.where(small, -1.0 / 3.0 + theta2 / 30.0, (safe * cos - sin) / safe**3)
+    gamma = (safe * sin - 2.0 * one_minus_cos) / safe**4
+    gamma = np.where(small, -1.0 / 12.0 + theta2 / 180.0, gamma)
     sinc, omc, beta, gamma = sinc[cam_idx], omc[cam_idx], beta[cam_idx], gamma[cam_idx]
     jac = scratch(3, 3, len(cam_idx))
     mark = scratch.used
@@ -376,77 +372,80 @@ def _rotation_point_jacobian(
     return jac
 
 
-def _column_slots(index: np.ndarray, rows: int, length: int, scratch) -> np.ndarray:
-    """Flat bincount slots ``r * length + index[n]`` of a (rows, n) array, in ``scratch``."""
-    slots = scratch(rows, len(index), dtype=np.intp)
-    return np.add(np.arange(rows)[:, None] * length, index, out=slots).ravel()
+@functools.cache
+def _triangle_rows(width: int) -> np.ndarray:
+    """For each entry (j, k) of a flattened (width, width) block, the row of
+    (min, max) among its upper triangle's rows, taken row by row; made once."""
+    lo, hi = np.sort(np.indices((width, width)).reshape(2, -1), axis=0)
+    rows = lo * (2 * width + 1 - lo) // 2 + hi - lo
+    rows.flags.writeable = False  # shared by every later call
+    return rows
 
 
-def _column_sums(slots: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
-    """``out[..., index[n]] += values[..., n]`` over n in order, as one bincount.
+def _normal_sums(
+    jac: np.ndarray, residual: np.ndarray, weight: float, index: np.ndarray, length: int, scratch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block sums of ``weight * J^T r`` (width, length) and ``weight * J^T J``
+    (width, width, length) for a (2, width, n) ``jac`` over blocks ``index``.
 
-    ``slots`` are ``_column_slots(index, rows, length)`` for the ``rows``
-    components of ``values``; the result has shape (..., length).
-    """
-    shape = values.shape[:-1] + (length,)
-    sums = np.bincount(slots, weights=values.ravel(), minlength=math.prod(shape))
-    return sums.reshape(shape)
-
-
-def _gradient_sums(
-    jac: np.ndarray, residual: np.ndarray, weight: float, slots: np.ndarray, length: int, scratch
-) -> np.ndarray:
-    """Per-block sums of ``weight * J^T r`` for a (2, width, n) ``jac``: (width, length)."""
-    mark = scratch.used
-    terms = np.multiply(jac[0], residual[:, 0], out=scratch(*jac.shape[1:]))
-    terms += np.multiply(jac[1], residual[:, 1], out=scratch(*jac.shape[1:]))
-    terms *= weight
-    sums = _column_sums(slots, terms, length)
-    scratch.release(mark)
-    return sums
-
-
-def _gram_sums(
-    jac: np.ndarray, weight: float, slots: np.ndarray, length: int, scratch
-) -> np.ndarray:
-    """Per-block sums of ``weight * J^T J`` for a (2, width, n) ``jac``: (width, width, length).
-
-    Entry (j, k) of one observation is (J0j J0k + J1j J1k) * weight, the
-    same bits as entry (k, j), so each block row j sums only k >= j, one
-    bincount per row, and the lower triangle copies the upper one.
+    Each sum is ``out[r, index[n]] += terms[r, n]`` over n in order, as a
+    bincount over slots ``r * length + index[n]``. Entry (j, k) of J^T J is
+    (J0j J0k + J1j J1k) * weight, the same bits as entry (k, j), so only the
+    rows k >= j of each j are summed, and one gather writes both triangles.
+    Consecutive j fill one buffer, one bincount each time it is full: the
+    whole triangle when its terms fit GRAM_GROUP, else ``width`` rows, which
+    keeps the buffer cache-sized on large scenes.
     """
     width, n = jac.shape[1:]
-    out = np.empty((width, width, length))
+    triangle = width * (width + 1) // 2
+    cap = triangle if triangle * n <= GRAM_GROUP else width
     mark = scratch.used
-    first, second = scratch(width, n), scratch(width, n)
-    for j in range(width):
-        terms = np.multiply(jac[0, j], jac[0, j:], out=first[: width - j])
-        terms += np.multiply(jac[1, j], jac[1, j:], out=second[: width - j])
-        terms *= weight
-        out[j, j:] = _column_sums(slots[: (width - j) * n], terms, length)
-        out[j + 1 :, j] = out[j, j + 1 :]
+    slots = scratch(cap, n, dtype=np.intp)
+    slots = np.add(np.arange(cap)[:, None] * length, index, out=slots).ravel()
+    terms, second = scratch(cap, n), scratch(width, n)
+    rows = np.multiply(jac[0], residual[:, 0], out=terms[:width])
+    rows += np.multiply(jac[1], residual[:, 1], out=second)
+    rows *= weight
+    gradient = np.bincount(slots[: rows.size], rows.ravel(), width * length)
+    upper = np.empty((triangle, length))
+    done = filled = 0  # triangle rows summed, and waiting in ``terms``
+    for j in range(width + 1):
+        if j == width or filled + width - j > cap:
+            rows = terms[:filled]
+            rows *= weight
+            sums = np.bincount(slots[: rows.size], rows.ravel(), filled * length)
+            upper[done : done + filled] = sums.reshape(filled, length)
+            done, filled = done + filled, 0
+        if j < width:
+            row = np.multiply(jac[0, j], jac[0, j:], out=terms[filled : filled + width - j])
+            row += np.multiply(jac[1, j], jac[1, j:], out=second[: width - j])
+            filled += width - j
     scratch.release(mark)
-    return out
+    gram = upper.take(_triangle_rows(width), axis=0).reshape(width, width, length)
+    return gradient.reshape(width, length), gram
 
 
 def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> Linearization:
     """Residuals plus analytic block Jacobian and weighted normal-equation blocks.
 
-    ``_projection`` is ``SolverState``'s kept projection of ``params``
-    (``SolverState.linearization`` passes it); without it, ``params`` are
-    projected here. The other temporaries live in the pair plan's workspace;
-    every returned array is new.
+    ``_projection`` is ``SolverState``'s kept projection of ``params`` and
+    its checked residual (``SolverState.linearization`` passes it); without
+    it, ``params`` are projected and the residual checked here. The other
+    temporaries live in the pair plan's workspace; every returned array is
+    new.
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     nc, npts, n = problem.num_cameras, problem.num_points, len(cam_idx)
     scratch = _pair_plan(cam_idx, pt_idx, nc).workspace.frame()
     # One projection, kept or made here, serves the residual and the Jacobian.
-    cams, pts, cam_frame, plane, r2, distortion, predicted = _projection or _project_rows(
-        params.cameras, params.points, cam_idx, pt_idx
-    )
+    if _projection is None:
+        projection = _project_rows(params.cameras, params.points, cam_idx, pt_idx)
+        residual = _checked_residual(pixels, projection[6], projection[2][2])
+    else:
+        projection, residual = _projection
+    cams, pts, cam_frame, plane, r2, distortion, _, rotation = projection
     focal, k1, k2 = cams[6], cams[7], cams[8]
     z = cam_frame[2]
-    residual = _checked_residual(pixels, predicted, z)
 
     # d(plane)/d(cam_frame): rows for x and y image axes.
     dplane = scratch(2, 3, n)
@@ -465,11 +464,10 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
 
     chain = _batched_matmul(dpix_dplane, dplane, scratch(2, 3, n), scratch)  # d(pixel)/d(cam_frame)
 
-    camera_rot = params.cameras[:, 0:3].T
-    drot = _rotation_point_jacobian(camera_rot, cam_idx, cams[0:3], pts, scratch)
+    drot = _rotation_point_jacobian(rotation, cam_idx, cams[0:3], pts, scratch)
     # R(w) of each camera, component-major (3, 3, num_cameras): column k is R(w) e_k.
-    coefficients = _rotation_coefficients(_dot(camera_rot, camera_rot))
-    rotations = _rotate(camera_rot[:, None], _EYE3[:, :, None], coefficients)
+    camera_rot = params.cameras[:, 0:3].T
+    rotations = _rotate(camera_rot[:, None], _EYE3[:, :, None], rotation[1])
     rot_mat = scratch.take(rotations, cam_idx, axis=2)
 
     # Residual is observed minus predicted, so its Jacobian is negated.
@@ -482,12 +480,8 @@ def linearize(problem: BAProblem, params: ParamVector, *, _projection=None) -> L
     scratch.release(0)  # the Jacobian's factors are spent
 
     weight = 1.0 / (problem.pixel_sigma * problem.pixel_sigma)
-    cam_slots = _column_slots(cam_idx, 9, nc, scratch)
-    pt_slots = _column_slots(pt_idx, 3, npts, scratch)
-    grad_cam = _gradient_sums(jac_cam, residual, weight, cam_slots, nc, scratch)
-    grad_pt = _gradient_sums(jac_pt, residual, weight, pt_slots, npts, scratch)
-    h_cc = _gram_sums(jac_cam, weight, cam_slots, nc, scratch)
-    h_pp = _gram_sums(jac_pt, weight, pt_slots, npts, scratch)
+    grad_cam, h_cc = _normal_sums(jac_cam, residual, weight, cam_idx, nc, scratch)
+    grad_pt, h_pp = _normal_sums(jac_pt, residual, weight, pt_idx, npts, scratch)
     h_cp = _batched_matmul(jac_cam.transpose(1, 0, 2), jac_pt, np.empty((9, 3, n)), scratch)
     h_cp *= weight
 
@@ -593,12 +587,10 @@ class _PairPlan:
 
     ``workspace`` holds every per-observation temporary of ``linearize``
     but the projection, and of the Schur step on this index set: the
-    Jacobian's factors, the Gram and gradient terms and the bincount slots;
+    Jacobian's factors, the normal-equation terms and their bincount slots;
     ``E`` in both layouts, ``H_cp^T``, the reduced camera systems, the pair
     gathers and products, and the gathered operands of the right-hand side
-    and the back-substitution, for every damping of a batch. The calls
-    never overlap, so they share it, and every call rewrites it. No
-    ``Linearization`` field or returned step is ever part of it.
+    and the back-substitution, for every damping of a batch.
     ``row_slots`` keeps the bincount slots of ``_added_rows``, which depend
     only on the indices and the batch's shape.
     """
@@ -832,7 +824,8 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
     with the observation indices offset for each damping. Each damping's
     residual and error then come from its own contiguous rows, so they are
     the bits a projection of that candidate alone gives. Returns the
-    outcomes and the projection, which for a lone candidate is its own.
+    outcomes and, for a lone scored candidate, its projection and checked
+    residual (else None).
     """
     cam_idx, pt_idx, pixels = problem.observation_arrays()
     n, count = len(cam_idx), len(failures)
@@ -844,17 +837,18 @@ def _candidate_errors(problem: BAProblem, params: ParamVector, delta_cam, delta_
         pt_idx = (pt_idx + offsets * len(params.points)).ravel()
     projection = _project_rows(cameras.reshape(-1, 9), points.reshape(-1, 3), cam_idx, pt_idx)
     predicted, depths = projection[6], projection[2][2]
-    outcomes = list(failures)
+    outcomes, kept = list(failures), None
     for damping, failure in enumerate(failures):
         if failure is not None:
             continue
         rows = slice(damping * n, (damping + 1) * n)
         try:
-            err = _scored(pixels, predicted[rows], depths[rows], problem.pixel_sigma)
+            err, residual = _scored(pixels, predicted[rows], depths[rows], problem.pixel_sigma)
             outcomes[damping] = (ParamVector(cameras[damping], points[damping]), err)
+            kept = (projection, residual) if count == 1 else None
         except NumericalFailureError as exc:
             outcomes[damping] = exc
-    return outcomes, projection
+    return outcomes, kept
 
 
 def evaluate_steps(
@@ -904,7 +898,7 @@ def lm_iterate(
         # (``_solve_spd``, ``_scored``), so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
             delta_cam, delta_pt = damped_step(state.linearization(problem), lam)
-            (outcome,), projection = _candidate_errors(
+            (outcome,), kept = _candidate_errors(
                 problem, state.params, delta_cam[None], delta_pt[None], [None]
             )
         if isinstance(outcome, Exception):
@@ -922,7 +916,7 @@ def lm_iterate(
                 state, params=candidate, error_history=list(state.error_history),
                 records=list(state.records), last_step_accepted=True,
             )
-            new_state._projection = projection
+            new_state._projection = kept
         new_state.error_history.append(err)
     duration = 1.0 if deterministic_time else time.perf_counter() - start
     record = IterationRecord(state.iteration + 1, lam, err, duration)

@@ -317,6 +317,18 @@ class TestJacobian:
             lin = linearize(problem, params)
         assert relative_gap(scatter_jacobian(lin), fd_jacobian(problem, params)) < 1e-5
 
+    def test_matches_finite_differences_beside_the_small_angle_threshold(self):
+        # Rotation angles 0.9e-6 and 1.1e-6 put t^2 on each side of 1e-12:
+        # camera 0 takes the series coefficients, camera 1 the closed form.
+        problem = generate_synthetic(4, 6, seed=1)
+        params = ParamVector.from_problem(problem)
+        rotvecs = params.cameras[:2, :3]
+        rotvecs *= (np.array([0.9e-6, 1.1e-6]) / np.linalg.norm(rotvecs, axis=1))[:, None]
+        (_, small, *_), _ = scene_module._rotation_table(params.cameras[:, :3].T)
+        assert small.tolist() == [True, False, False, False]
+        lin = linearize(problem, params)
+        assert relative_gap(scatter_jacobian(lin), fd_jacobian(problem, params)) < 1e-5
+
     def test_block_assembly_matches_loops(self, tiny_problem):
         params = ParamVector.from_problem(tiny_problem)
         lin = linearize(tiny_problem, params)
@@ -1181,6 +1193,22 @@ class TestCarriedProjection:
         result = solve(problem, ClassicPolicy(), max_iterations=iterations, deterministic_time=True)
         assert result.iterations == iterations
         assert len(calls) == iterations + 1
+
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_each_projection_makes_one_rotation_table(self, iterations, monkeypatch):
+        problem = suite_problem(100)
+        projections = counted_projections(monkeypatch)
+        tables = []
+        rotation_table = scene_module._rotation_table
+
+        def counted(*args):
+            tables.append(1)
+            return rotation_table(*args)
+
+        monkeypatch.setattr(scene_module, "_rotation_table", counted)
+        result = solve(problem, ClassicPolicy(), max_iterations=iterations, deterministic_time=True)
+        assert result.iterations == iterations
+        assert len(tables) == len(projections) == iterations + 1
 
     def test_other_parameters_are_projected_again(self, monkeypatch):
         problem = suite_problem(100)
